@@ -1041,7 +1041,11 @@ class TaskPool:
       with a per-task timeout override (how job deadlines propagate
       down to attempts);
     * :meth:`pump` performs one scheduling + poll pass and returns the
-      :class:`PoolEvent` outcomes that settled during it;
+      :class:`PoolEvent` outcomes that settled during it, blocking until
+      a worker frame arrives, a retry backoff or attempt deadline comes
+      due, :meth:`wake` is called, or the wait elapses;
+    * :meth:`wake` cuts a blocked :meth:`pump` short -- the one method
+      safe to call from another thread;
     * :meth:`close` shuts the workers down.
 
     Like the Supervisor, the pool only decides whether and when a task
@@ -1073,6 +1077,13 @@ class TaskPool:
         self._timeouts: dict = {}
         self._seq = 0
         self._closed = False
+        # Self-pipe: wake() writes a byte so a pump blocked on worker
+        # conns returns early. The lock keeps a wake from another thread
+        # off fds that close() has released (and the OS may reuse).
+        self._wake_r, self._wake_w = os.pipe()
+        os.set_blocking(self._wake_r, False)
+        os.set_blocking(self._wake_w, False)
+        self._wake_lock = threading.Lock()
 
     # -- introspection -----------------------------------------------------
 
@@ -1114,34 +1125,30 @@ class TaskPool:
     # -- the pump ------------------------------------------------------------
 
     def pump(self, wait: float = 0.05) -> List[PoolEvent]:
-        """One scheduling + poll pass; returns what settled during it."""
+        """One scheduling + poll pass; returns what settled during it.
+
+        Blocks up to ``wait`` seconds -- less when a retry backoff or an
+        attempt deadline comes due first -- until a busy worker's frame
+        arrives or :meth:`wake` is called, so an idle pool costs no CPU.
+        A pass that already settled events while assigning work returns
+        at once.
+        """
         if self._closed:
             raise ConfigurationError("task pool is closed")
         events: List[PoolEvent] = []
         self._release_due()
         self._assign_idle(events)
-        busy = [worker for worker in self._workers if worker.busy]
-        if not busy:
-            if self._delayed and wait > 0:
-                now = time.monotonic()
-                earliest = min(task.ready_at for task in self._delayed)
-                pause = min(wait, max(earliest - now, 0.0))
-                if pause > 0:
-                    time.sleep(pause)
+        if events:
             return events
-        wait_for = wait
+        busy = [worker for worker in self._workers if worker.busy]
+        wait_for = max(wait, 0.0)
         now = time.monotonic()
         for task in self._delayed:
             wait_for = min(wait_for, max(task.ready_at - now, 0.0))
         for worker in busy:
             if worker.deadline is not None:
                 wait_for = min(wait_for, max(worker.deadline - now, 0.0))
-        try:
-            ready = multiprocessing.connection.wait(
-                [worker.conn for worker in busy], timeout=max(wait_for, 0.0)
-            )
-        except InterruptedError:  # pragma: no cover - signal during wait
-            ready = []
+        ready = self._wait([worker.conn for worker in busy], wait_for)
         now = time.monotonic()
         for worker in busy:
             if worker.conn in ready:
@@ -1176,6 +1183,23 @@ class TaskPool:
                 pass
             self._kill(worker)
         self._workers.clear()
+        with self._wake_lock:
+            os.close(self._wake_r)
+            os.close(self._wake_w)
+
+    def wake(self) -> None:
+        """Make a blocked (or the next) :meth:`pump` return early.
+
+        The only method safe to call from another thread; a no-op once
+        the pool is closed.
+        """
+        with self._wake_lock:
+            if self._closed:
+                return
+            try:
+                os.write(self._wake_w, b"\0")
+            except BlockingIOError:
+                pass  # pipe full: a wake-up is already pending
 
     def __enter__(self) -> "TaskPool":
         return self
@@ -1184,6 +1208,22 @@ class TaskPool:
         self.close()
 
     # -- internals -----------------------------------------------------------
+
+    def _wait(self, conns: list, timeout: float) -> list:
+        """Block on ``conns`` plus the wake fd; consume any wake-up."""
+        try:
+            ready = multiprocessing.connection.wait(
+                conns + [self._wake_r], timeout=timeout
+            )
+        except InterruptedError:  # pragma: no cover - signal during wait
+            return []
+        if self._wake_r in ready:
+            try:
+                while os.read(self._wake_r, 4096):
+                    pass
+            except BlockingIOError:
+                pass
+        return ready
 
     def _attempt_timeout(self, index: int) -> Optional[float]:
         override = self._timeouts.get(index)

@@ -7,14 +7,17 @@ Two execution contexts cooperate here:
 * the **dispatcher thread** owns the supervised
   :class:`~repro.experiments.supervisor.TaskPool`: it pulls jobs from
   the DRR scheduler while the breaker allows, pumps the pool, and
-  applies settled outcomes.
+  applies settled outcomes. Between cycles it sleeps inside the pump
+  until a worker frame arrives, a submission wakes it, a retry backoff
+  or deadline comes due, or ``_PUMP_WAIT_S`` elapses -- an idle
+  service costs no CPU.
 
 All shared job state (the jobs table, the scheduler, the breaker, the
-journal) is guarded by one lock; the pool itself is touched *only* by
-the dispatcher thread, so supervision never contends with request
-handling. Handlers hold the lock for microseconds (dict lookups, one
-journal fsync on admission) -- the loop stays responsive while
-simulations run.
+journal) is guarded by one lock; the pool itself is driven *only* by
+the dispatcher thread (handlers just call its thread-safe ``wake``), so
+supervision never contends with request handling. Handlers hold the
+lock for microseconds (dict lookups, one journal fsync on admission)
+-- the loop stays responsive while simulations run.
 
 Results never travel through service code paths that could change
 them: a job's ``PairResult`` is computed by the same
@@ -57,7 +60,8 @@ from repro.workloads.pairs import BenchmarkPair
 
 __all__ = ["ServiceConfig", "ServiceApp", "run_service"]
 
-#: Dispatcher pump wait per cycle (also the breaker's clock tick).
+#: Longest the dispatcher sleeps in one pump when nothing wakes it, so
+#: also how long one idle cycle of the breaker's clock lasts.
 _PUMP_WAIT_S = 0.05
 
 #: Watch streams poll job state at this cadence.
@@ -165,6 +169,8 @@ class ServiceApp:
         self.resumed_jobs = 0
         self._dispatch_seq = 0
         self._in_flight: Dict[int, _Dispatched] = {}
+        #: Queued jobs with a deadline, by id: all the expiry scan walks.
+        self._queued_deadlines: Dict[str, Job] = {}
         self._dispatcher: Optional[threading.Thread] = None
         self._stop = threading.Event()
         self._drained = threading.Event()
@@ -212,6 +218,8 @@ class ServiceApp:
                         self.journal.record_done(jid, cached)
                 else:
                     self.scheduler.offer(job)
+                    if job.expires_at is not None:
+                        self._queued_deadlines[jid] = job
                 self.resumed_jobs += 1
                 if sink.wants(_TRACE_RUNNER):
                     sink.emit(job_event("resumed", spec.tenant, jid))
@@ -322,6 +330,8 @@ class ServiceApp:
                     {"retry-after": f"{retry_after:g}"},
                 )
             self.jobs[jid] = job
+            if job.expires_at is not None:
+                self._queued_deadlines[jid] = job
             if self.journal is not None:
                 self.journal.record_spec(jid, spec.to_json())
             if sink.wants(_TRACE_RUNNER):
@@ -332,6 +342,7 @@ class ServiceApp:
                     )
                 )
                 sink.emit(job_event("submitted", spec.tenant, jid))
+            self.pool.wake()
             return 202, job.to_json(), {}
 
     # -- reads --------------------------------------------------------------
@@ -420,11 +431,13 @@ class ServiceApp:
         """Stop admission; the dispatcher finishes in-flight work."""
         with self._lock:
             self.draining = True
+        self.pool.wake()
 
     def stop(self) -> None:
         """Drain, wait for the dispatcher, journal the drain, close."""
         self.drain()
         self._stop.set()
+        self.pool.wake()
         if self._dispatcher is not None:
             self._dispatcher.join()
         self.pool.close()
@@ -449,41 +462,51 @@ class ServiceApp:
                 # Drain waits for the pool to go fully idle -- a retry
                 # sitting out its backoff window is still in flight.
                 stop_now = self._stop.is_set() and self.pool.idle
+                wait = self._pump_wait()
             if stop_now:
                 self._drained.set()
                 return
-            events = self.pool.pump(_PUMP_WAIT_S)
+            events = self.pool.pump(wait)
             with self._lock:
                 for event in events:
                     self._apply(event)
                 self.breaker.on_cycle()
 
+    def _pump_wait(self) -> float:
+        """``_PUMP_WAIT_S``, cut short by the earliest queued deadline."""
+        if not self._queued_deadlines:
+            return _PUMP_WAIT_S
+        earliest = min(
+            job.expires_at for job in self._queued_deadlines.values()
+        )
+        return min(_PUMP_WAIT_S, max(earliest - time.monotonic(), 0.0))
+
     def _expire_queued(self) -> None:
         now = time.monotonic()
+        due = [
+            job for job in self._queued_deadlines.values()
+            if now >= job.expires_at
+        ]
+        for job in due:
+            del self._queued_deadlines[job.id]
+            if self.scheduler.remove(job):
+                self._expire(job)
+
+    def _expire(self, job: Job) -> None:
+        job.state = "expired"
+        job.detail = "deadline passed before dispatch"
+        if self.journal is not None:
+            self.journal.record_fail(
+                job.id,
+                {
+                    "state": "expired",
+                    "detail": job.detail,
+                    "attempts": job.attempts,
+                },
+            )
         sink = current_sink()
-        for job in list(self.jobs.values()):
-            if (
-                job.state == "queued"
-                and job.expires_at is not None
-                and now >= job.expires_at
-            ):
-                if not self.scheduler.remove(job):
-                    continue
-                job.state = "expired"
-                job.detail = "deadline passed before dispatch"
-                if self.journal is not None:
-                    self.journal.record_fail(
-                        job.id,
-                        {
-                            "state": "expired",
-                            "detail": job.detail,
-                            "attempts": job.attempts,
-                        },
-                    )
-                if sink.wants(_TRACE_RUNNER):
-                    sink.emit(
-                        job_event("expired", job.spec.tenant, job.id)
-                    )
+        if sink.wants(_TRACE_RUNNER):
+            sink.emit(job_event("expired", job.spec.tenant, job.id))
 
     def _fill_pool(self) -> None:
         sink = current_sink()
@@ -496,14 +519,10 @@ class ServiceApp:
                 return
             timeout = self.config.task_timeout
             if job.expires_at is not None:
+                self._queued_deadlines.pop(job.id, None)
                 remaining = job.expires_at - time.monotonic()
                 if remaining <= 0:
-                    job.state = "expired"
-                    job.detail = "deadline passed before dispatch"
-                    if sink.wants(_TRACE_RUNNER):
-                        sink.emit(
-                            job_event("expired", job.spec.tenant, job.id)
-                        )
+                    self._expire(job)
                     continue
                 timeout = (
                     remaining

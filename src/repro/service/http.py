@@ -252,6 +252,11 @@ async def serve_connection(
         pass  # client went away mid-response; nothing to salvage
     finally:
         try:
+            # Half-close first: a forked pool worker may hold a copy of
+            # this socket's fd, and then close() alone sends no FIN --
+            # a streamed (close-delimited) body would never end.
+            if writer.can_write_eof():
+                writer.write_eof()
             writer.close()
             await writer.wait_closed()
         except (ConnectionError, OSError):

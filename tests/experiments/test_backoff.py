@@ -1,5 +1,6 @@
 """Retry backoff determinism and the incremental TaskPool contract."""
 
+import threading
 import time
 
 import pytest
@@ -163,6 +164,47 @@ class TestTaskPool:
             _drain(pool, 2)
             assert pool.pending == 0
             assert pool.in_flight == 0
+
+
+class TestIdlePump:
+    """An idle pump sleeps on its wake fd instead of returning at once
+    (which left the service dispatcher spinning a core)."""
+
+    def test_idle_pump_blocks_for_the_whole_wait(self):
+        with TaskPool(_double, jobs=1) as pool:
+            start = time.monotonic()
+            assert pool.pump(0.2) == []
+            elapsed = time.monotonic() - start
+        assert 0.19 <= elapsed < 1.0
+
+    def test_wake_from_another_thread_ends_the_wait(self):
+        with TaskPool(_double, jobs=1) as pool:
+            woken = []
+
+            def wake_later():
+                time.sleep(0.1)
+                woken.append(time.monotonic())
+                pool.wake()
+
+            waker = threading.Thread(target=wake_later)
+            waker.start()
+            assert pool.pump(10.0) == []
+            returned = time.monotonic()
+            waker.join(timeout=10.0)
+            assert not waker.is_alive()
+        assert 0.0 <= returned - woken[0] < 0.05
+
+    def test_a_wake_before_the_pump_is_kept_then_consumed(self):
+        with TaskPool(_double, jobs=1) as pool:
+            pool.wake()
+            pool.wake()
+            start = time.monotonic()
+            pool.pump(10.0)
+            assert time.monotonic() - start < 1.0
+            start = time.monotonic()
+            pool.pump(0.1)
+            assert time.monotonic() - start >= 0.09
+        pool.wake()  # closed: a no-op, not an error
 
 
 class TestRetryTelemetry:

@@ -12,6 +12,7 @@ import time
 import pytest
 
 from repro import faults, telemetry
+from repro.service import app as app_module
 from repro.service.app import ServiceApp, ServiceConfig
 
 #: Sub-millisecond simulation windows; worker spawn dominates runtime.
@@ -68,12 +69,13 @@ def _await_state(app, jid, *states, timeout=_WAIT_S):
     )
 
 
-def _await(predicate, what, timeout=_WAIT_S):
+def _await(predicate, what, timeout=_WAIT_S, poll=0.02):
+    """Wait for ``predicate``; returns when it first held."""
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
         if predicate():
-            return
-        time.sleep(0.02)
+            return time.monotonic()
+        time.sleep(poll)
     raise AssertionError(f"timed out waiting for {what}")
 
 
@@ -204,6 +206,32 @@ class TestDeadlines:
             assert code == 409
             assert result_body["state"] == "expired"
 
+    def test_queued_job_expires_on_time_while_the_worker_is_busy(
+        self, monkeypatch
+    ):
+        """The dispatcher's sleep ends at the earliest queued deadline.
+        A pump wait far longer than the deadline makes a late expiry
+        unmistakable."""
+        monkeypatch.setattr(app_module, "_PUMP_WAIT_S", 1.0)
+        plan = faults.FaultPlan(
+            specs=(faults.FaultSpec(kind="hang", index=0, count=1),)
+        )
+        with faults.fault_injection(plan):
+            with _running(task_timeout=2.0, retries=0) as app:
+                _status, slow, _headers = app.submit(_payload("acme"))
+                _await_state(app, slow["job"], "dispatched")
+                submitted = time.monotonic()
+                _status, body, _headers = app.submit(
+                    _payload("acme", levels=(0.0, 0.5), deadline=0.1)
+                )
+                expired = _await(
+                    lambda: app.job_status(body["job"])["state"] == "expired",
+                    "the queued job to expire",
+                    poll=0.005,
+                )
+                assert expired - submitted < 0.1 + 0.1
+                assert app.job_status(slow["job"])["state"] == "dispatched"
+
     def test_deadline_caps_the_task_timeout(self):
         with _running(start=False, task_timeout=100.0) as app:
             _status, body, _headers = app.submit(
@@ -273,6 +301,64 @@ class TestCircuitBreaker:
                 assert len(failed) == 2
                 for job in failed:
                     assert "crash" in (job.detail or "")
+
+    def test_idle_open_breaker_keeps_its_cooldown_in_wall_time(self):
+        """With an idle pool each breaker cycle is one full pump wait,
+        so the ``retry_after_s`` hint (cooldown x wait) holds."""
+        cooldown = 10
+        plan = faults.FaultPlan(
+            specs=(faults.FaultSpec(kind="crash", index=0, count=1),)
+        )
+        with faults.fault_injection(plan):
+            with _running(
+                retries=0,
+                breaker_window=1,
+                breaker_threshold=1,
+                breaker_cooldown=cooldown,
+            ) as app:
+                app.submit(_payload("acme"))
+                opened = _await(
+                    lambda: app.breaker.state == "open",
+                    "breaker to trip",
+                    poll=0.002,
+                )
+                assert app.pool.idle
+                half_open = _await(
+                    lambda: app.breaker.state != "open",
+                    "cooldown to elapse",
+                    poll=0.002,
+                )
+        assert half_open - opened >= 0.8 * cooldown * app_module._PUMP_WAIT_S
+
+
+class TestEventDrivenDispatcher:
+    """The dispatcher sleeps until something happens; it never spins."""
+
+    def test_idle_service_pumps_once_per_wait(self):
+        with _running(start=False) as app:
+            calls = []
+            pump = app.pool.pump
+
+            def counting_pump(wait):
+                calls.append(wait)
+                return pump(wait)
+
+            app.pool.pump = counting_pump
+            app.start()
+            time.sleep(0.5)
+            # 0.5 s / 0.05 s per idle cycle is about 10 calls; a spinning
+            # dispatcher makes hundreds of thousands.
+            assert len(calls) <= 15, len(calls)
+
+    def test_submission_and_stop_cut_a_long_wait_short(self, monkeypatch):
+        monkeypatch.setattr(app_module, "_PUMP_WAIT_S", 30.0)
+        with _running() as app:
+            _await(lambda: app.readiness()[0] == 200, "readiness")
+            time.sleep(0.1)  # the dispatcher is now asleep in the pump
+            _status, body, _headers = app.submit(_payload("acme"))
+            _await_state(app, body["job"], "completed", timeout=20.0)
+            start = time.monotonic()
+        assert time.monotonic() - start < 5.0  # stop() woke the pump
 
 
 class TestResume:

@@ -2,6 +2,8 @@
 
 import asyncio
 import json
+import os
+import time
 
 import pytest
 
@@ -96,18 +98,28 @@ class TestRouter:
         assert handler is None and known is False
 
 
+#: A response that is complete must reach the client's EOF well inside
+#: this; a missing FIN shows up as a timeout instead of a hung test.
+_READ_TIMEOUT_S = 5.0
+
+
 class _LiveServer:
     """A real asyncio server around a router, driven by raw sockets."""
 
     def __init__(self, router):
         self.router = router
 
-    async def exchange(self, raw: bytes) -> bytes:
+    async def exchange(self, raw: bytes, *, hold_fd: bool = False) -> bytes:
+        """One request/response; ``hold_fd`` keeps a duplicate of the
+        accepted socket open throughout, as a forked child would."""
         counter = {"n": 0}
+        held = []
 
         async def on_connection(reader, writer):
             index = counter["n"]
             counter["n"] += 1
+            if hold_fd:
+                held.append(os.dup(writer.get_extra_info("socket").fileno()))
             await serve_connection(self.router, reader, writer, index=index)
 
         server = await asyncio.start_server(on_connection, "127.0.0.1", 0)
@@ -117,11 +129,13 @@ class _LiveServer:
             writer.write(raw)
             await writer.drain()
             writer.write_eof()
-            response = await reader.read()
+            response = await asyncio.wait_for(reader.read(), _READ_TIMEOUT_S)
             writer.close()
             await writer.wait_closed()
             return response
         finally:
+            for fd in held:
+                os.close(fd)
             server.close()
             await server.wait_closed()
 
@@ -223,6 +237,21 @@ class TestServeConnection:
             if line
         ]
         assert lines == [{"i": 0}, {"i": 1}, {"i": 2}]
+
+    def test_stream_ends_while_another_process_holds_the_socket(
+        self, server
+    ):
+        """A pool worker forked during a watch stream inherits the
+        connection's fd; the body must still end with a FIN, not leave
+        the client waiting for its timeout."""
+        start = time.monotonic()
+        response = asyncio.run(
+            server.exchange(b"GET /stream HTTP/1.1\r\n\r\n", hold_fd=True)
+        )
+        assert time.monotonic() - start < 1.0
+        assert _body_of(response).splitlines() == [
+            b'{"i":0}', b'{"i":1}', b'{"i":2}'
+        ]
 
     def test_empty_connection_is_ignored(self, server):
         response = asyncio.run(server.exchange(b""))
