@@ -72,8 +72,8 @@ class NoUnsupervisedPool(Rule):
         ),
         paths=("src/repro/",),
         exempt=(
-            # The supervised executor itself: parallel_map and the
-            # process-per-task supervisor it is built on.
+            # The supervised executor itself: parallel_map, and the
+            # Supervisor / TaskPool persistent-worker pool under it.
             "src/repro/experiments/runner.py",
             "src/repro/experiments/supervisor.py",
         ),

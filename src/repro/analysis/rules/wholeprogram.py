@@ -14,8 +14,8 @@ parsed on demand:
 * **RL010 fork-unsafe-state** — a function executed inside supervised
   worker processes mutates module-level state whose definition carries
   no ``fork-safe:`` reinitialization marker. Worker code is the
-  call/ref closure of ``_child_main`` plus every callable handed to
-  ``Supervisor(...)`` / ``parallel_map(...)``.
+  call/ref closure of ``_pool_worker_main`` plus every callable handed
+  to ``Supervisor(...)`` / ``TaskPool(...)`` / ``parallel_map(...)``.
 * **RL011 backend-parity** — the scalar<->batch equivalence envelope,
   checked statically: every ``SoeRunSpec`` field (and every field of
   its nested parameter dataclasses) must be consumed by
@@ -201,11 +201,12 @@ class ForkUnsafeState(Rule):
         ),
     )
 
-    #: The worker entry point: every task process starts here.
-    CHILD_MAIN = "repro.experiments.supervisor._child_main"
+    #: The worker entry point: every pool worker process starts here.
+    CHILD_MAIN = "repro.experiments.supervisor._pool_worker_main"
     #: Call targets whose *arguments* ship callables into workers.
     DISPATCHERS = (
         "repro.experiments.supervisor.Supervisor.__init__",
+        "repro.experiments.supervisor.TaskPool.__init__",
         "repro.experiments.runner.parallel_map",
     )
 

@@ -30,6 +30,13 @@ Format (schema-versioned, documented in ``docs/ROBUSTNESS.md``)::
   joins many complete lines into that one write. Either way a torn
   line can only ever be the last one -- and the loader tolerates
   exactly that.
+* Every append after the header flows through the ambient fault plan's
+  ``jtear`` hook: a covered write first lands *torn* (truncated
+  mid-line, exactly what a power cut inside ``write(2)`` leaves), then
+  the writer verifies and repairs -- truncating the tear and rewriting
+  the whole append. The grid checkpoint and the service's job journal
+  (:mod:`repro.service.state`) share this writer, so both get the same
+  chaos coverage.
 """
 
 from __future__ import annotations
@@ -43,6 +50,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Union
 
+from repro import faults
 from repro.errors import ConfigurationError
 
 __all__ = [
@@ -153,6 +161,24 @@ def load_checkpoint(path: Union[str, Path]) -> CheckpointState:
     return state
 
 
+def _append(fd: int, payload: bytes) -> None:
+    # One O_APPEND write + one fsync, whether this commits one line or
+    # a whole shard's worth: every line but possibly the file's final
+    # one is complete on disk, which is exactly the torn-line tolerance
+    # the loader grants.
+    os.write(fd, payload)
+    os.fsync(fd)
+
+
+def _encode(objs: list) -> bytes:
+    """Journal lines for ``objs``: compact, key-sorted JSON, one each."""
+    return b"".join(
+        json.dumps(obj, separators=(",", ":"), sort_keys=True).encode("utf-8")
+        + b"\n"
+        for obj in objs
+    )
+
+
 class CheckpointWriter:
     """Appends task records to a journal, one fsync'd line at a time.
 
@@ -176,35 +202,43 @@ class CheckpointWriter:
                     "refusing to mix results — delete it or pass a fresh "
                     "path"
                 )
-        self._fd: Optional[int] = os.open(
-            self.path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644
-        )
+        fd = os.open(self.path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
+        self._fd: Optional[int] = fd
+        #: appends after the header so far (the ``jtear`` write index)
+        self._appends = 0
+        #: torn appends repaired over this writer's lifetime
+        self.repaired = 0
         if not preexisting:
-            self._write_line(
-                {
-                    "v": CHECKPOINT_VERSION,
-                    "kind": "header",
-                    "fingerprint": fingerprint,
-                    "code_version": code_version,
-                }
+            _append(
+                fd,
+                _encode(
+                    [
+                        {
+                            "v": CHECKPOINT_VERSION,
+                            "kind": "header",
+                            "fingerprint": fingerprint,
+                            "code_version": code_version,
+                        }
+                    ]
+                )
             )
 
     def _write_lines(self, objs: list) -> None:
-        if self._fd is None:
+        fd = self._fd
+        if fd is None:
             raise ConfigurationError("checkpoint writer is closed")
-        payload = b"".join(
-            json.dumps(obj, separators=(",", ":"), sort_keys=True).encode(
-                "utf-8"
-            )
-            + b"\n"
-            for obj in objs
-        )
-        # One O_APPEND write + one fsync, whether this commits one line
-        # or a whole shard's worth: every line but possibly the file's
-        # final one is complete on disk, which is exactly the torn-line
-        # tolerance the loader grants.
-        os.write(self._fd, payload)
-        os.fsync(self._fd)
+        payload = _encode(objs)
+        index = self._appends
+        self._appends += 1
+        plan = faults.current_plan()
+        if plan.active and plan.tears_write(index):
+            # Chaos: land the torn prefix first (the crash window a
+            # power cut leaves), then verify-and-repair it.
+            offset = os.fstat(fd).st_size
+            _append(fd, payload[: max(len(payload) // 2, 1)])
+            os.ftruncate(fd, offset)
+            self.repaired += 1
+        _append(fd, payload)
 
     def _write_line(self, obj: dict) -> None:
         self._write_lines([obj])

@@ -30,7 +30,7 @@ through every experiment signature: the CLI installs them once via
 :func:`execution` and every grid consumer picks them up.
 
 Fault tolerance (see ``docs/ROBUSTNESS.md``): tasks run under the
-:class:`~repro.experiments.supervisor.Supervisor` (per-task processes,
+:class:`~repro.experiments.supervisor.Supervisor` (persistent workers,
 wall-clock timeouts, bounded retries, SIGINT/SIGTERM draining), grids
 journal finished tasks to an append-only checkpoint so interrupted
 sweeps resume bit-identically, and failures surface as a typed manifest
@@ -1081,7 +1081,6 @@ def run_grid(
                         descriptor=_task_descriptor,
                         validate=check_invariants,
                         on_result=_on_shard,
-                        pool=True,
                     ).run()
                     # A failed shard leaves its positions unfilled;
                     # they flow to the scalar supervised remainder

@@ -1,14 +1,12 @@
-"""Deterministic shard planning and shared-memory columnar dispatch.
+"""Deterministic shard planning for sharded batch dispatch.
 
 The vectorized batch backend (:mod:`repro.engine.batch`) runs a whole
-spec batch in-process on one core; the supervised pool runs scalar
-tasks on many cores but pays per-task process and pickling costs. This
-module is the seam that composes the two: it partitions a batch into
-**lane-contiguous shards** that persistent pool workers execute with
-the vectorized backend, and it moves pre-materialized segment columns
-between processes through ``multiprocessing.shared_memory`` blocks so
-workers *attach* to the data instead of unpickling per-spec segment
-lists.
+spec batch in-process on one core; the supervised pool runs tasks on
+many cores. This module is the seam that composes the two: it
+partitions a batch into **lane-contiguous shards** that pool workers
+execute with the vectorized backend (the grid runner ships each shard
+as compact task descriptors, and the worker re-derives its streams
+from their seeds).
 
 Determinism contract (pinned by the differential tests and stated in
 ``docs/PERFORMANCE.md``):
@@ -28,43 +26,16 @@ Determinism contract (pinned by the differential tests and stated in
   records (informational: resume compatibility is still governed by
   the grid fingerprint alone, so a journal written at ``--shards 4``
   resumes fine at ``--shards 1``).
-
-The shared-memory arena holds four float64 columns per lane
-(instructions, cycles, miss flags as 0/1, per-segment latencies with
-NaN marking "use the machine default"), concatenated lane after lane in
-one block; a compact :class:`LaneRef` table travels with the task and
-workers rebuild zero-copy :class:`~repro.workloads.materialize`
-``SegmentColumns`` views over the attached buffer. Grid tasks whose
-streams are procedural generators ship as compact task descriptors
-instead (the worker re-derives the stream from the seed, which
-parallelizes materialization itself); the arena path serves
-pre-materialized :class:`~repro.workloads.materialize.ColumnStream`
-workloads, where re-deriving is impossible and pickling is the cost
-being avoided.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Tuple, Union
 
-try:  # pragma: no cover - exercised via the no-numpy CI leg
-    import numpy as np
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover
-    np = None  # type: ignore[assignment]
-    HAVE_NUMPY = False
-
-from repro.engine.backend import SoeRunSpec, get_backend, numpy_available
+from repro.engine.backend import numpy_available
 from repro.errors import ConfigurationError
-from repro.experiments.supervisor import (
-    SupervisionPolicy,
-    Supervisor,
-    check_invariants,
-)
-from repro.workloads.materialize import ColumnStream, SegmentColumns
 
 __all__ = [
     "SHARD_PLAN_VERSION",
@@ -72,11 +43,6 @@ __all__ = [
     "ShardPlan",
     "plan_shards",
     "resolve_shard_count",
-    "LaneRef",
-    "ArenaHandle",
-    "ColumnArena",
-    "attach_columns",
-    "run_specs_sharded",
 ]
 
 #: Bump when the plan layout (and thus its digest) changes meaning.
@@ -86,10 +52,6 @@ SHARD_PLAN_VERSION = 1
 #: per-shard dispatch overhead (worker round-trip, result frame) eats
 #: the win and the in-process batch is simply faster.
 MIN_RUNS_PER_SHARD = 4
-
-#: Columns per lane in the shared-memory arena (instructions, cycles,
-#: miss flags, miss latencies), all float64.
-_ARENA_COLUMNS = 4
 
 
 # ---------------------------------------------------------------------------
@@ -165,326 +127,3 @@ def resolve_shard_count(
     if shards < 1:
         raise ConfigurationError("shards must be >= 1")
     return min(shards, total) if total else 1
-
-
-# ---------------------------------------------------------------------------
-# Shared-memory column arena
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LaneRef:
-    """One lane's row range inside an arena block."""
-
-    offset: int
-    length: int
-
-
-@dataclass(frozen=True)
-class ArenaHandle:
-    """What a worker needs to attach an arena: the block name and its
-    row count (the buffer's shape is ``(_ARENA_COLUMNS, rows)``)."""
-
-    name: str
-    rows: int
-
-
-def _require_numpy() -> None:
-    if not HAVE_NUMPY:
-        raise ConfigurationError(
-            "shared-memory columnar dispatch needs numpy, which is not "
-            "installed"
-        )
-
-
-class ColumnArena:
-    """Parent-side owner of one shared-memory column block.
-
-    The parent packs lanes, ships the :class:`ArenaHandle` plus
-    :class:`LaneRef` table to workers, and -- success or failure --
-    unlinks the block exactly once. Workers only ever attach and close;
-    ownership never transfers, so a crashed worker cannot leak the
-    segment (the parent's ``unlink`` in its ``finally`` is the single
-    point of release).
-    """
-
-    def __init__(self, shm: object, refs: Tuple[LaneRef, ...], rows: int) -> None:
-        self._shm = shm
-        self.refs = refs
-        self.rows = rows
-
-    @classmethod
-    def pack(cls, lanes: Sequence[SegmentColumns]) -> "ColumnArena":
-        """Copy each lane's columns into one fresh shared-memory block."""
-        _require_numpy()
-        from multiprocessing import shared_memory
-
-        rows = sum(len(lane) for lane in lanes)
-        size = max(rows, 1) * _ARENA_COLUMNS * 8
-        shm = shared_memory.SharedMemory(create=True, size=size)
-        try:
-            data = np.ndarray(
-                (_ARENA_COLUMNS, rows), dtype=np.float64, buffer=shm.buf
-            )
-            refs: List[LaneRef] = []
-            offset = 0
-            for lane in lanes:
-                count = len(lane)
-                window = slice(offset, offset + count)
-                cached = lane.arrays_cache
-                if cached is not None:
-                    data[0, window] = cached[0]
-                    data[1, window] = cached[1]
-                    data[2, window] = cached[2]
-                    data[3, window] = cached[3]
-                else:
-                    data[0, window] = lane.instructions
-                    data[1, window] = lane.cycles
-                    data[2, window] = np.asarray(
-                        lane.ends_with_miss, dtype=np.float64
-                    )
-                    data[3, window] = lane.miss_latency
-                refs.append(LaneRef(offset=offset, length=count))
-                offset += count
-        except BaseException:
-            shm.close()
-            shm.unlink()
-            raise
-        return cls(shm, tuple(refs), rows)
-
-    @property
-    def handle(self) -> ArenaHandle:
-        return ArenaHandle(name=self._shm.name, rows=self.rows)
-
-    def close(self) -> None:
-        """Release this process's mapping (idempotent)."""
-        if self._shm is not None:
-            self._shm.close()
-
-    def unlink(self) -> None:
-        """Remove the block from the system (idempotent; owner only)."""
-        if self._shm is not None:
-            self._shm.close()
-            try:
-                self._shm.unlink()
-            except FileNotFoundError:  # pragma: no cover - already gone
-                pass
-            self._shm = None
-
-
-def _attach_block(name: str) -> object:
-    """Attach an existing block without disturbing its ownership.
-
-    On Python 3.13+ ``track=False`` keeps the attach out of the
-    resource tracker entirely. Older interpreters register every
-    attach, but pool workers are *forked* and share the parent's
-    already-running tracker, where registration is idempotent -- the
-    parent's ``unlink`` performs the single unregister. (A child-side
-    unregister would instead erase the parent's registration and make
-    that unlink double-unregister.)
-    """
-    from multiprocessing import shared_memory
-
-    try:
-        return shared_memory.SharedMemory(name=name, track=False)
-    except TypeError:  # pragma: no cover - Python < 3.13 signature
-        return shared_memory.SharedMemory(name=name)
-
-
-def attach_columns(
-    handle: ArenaHandle, refs: Sequence[LaneRef]
-) -> Tuple[object, List[SegmentColumns]]:
-    """Worker-side attach: zero-copy column views over the arena.
-
-    Returns the shared-memory object (the caller must ``close()`` it
-    after the views are no longer needed -- they alias its buffer) and
-    one :class:`SegmentColumns` per requested lane. The float columns
-    are direct views; the miss flags are one vectorized comparison per
-    lane (bool arrays cannot alias a float buffer).
-    """
-    _require_numpy()
-    shm = _attach_block(handle.name)
-    data = np.ndarray(
-        (_ARENA_COLUMNS, handle.rows), dtype=np.float64, buffer=shm.buf
-    )
-    lanes: List[SegmentColumns] = []
-    for ref in refs:
-        window = slice(ref.offset, ref.offset + ref.length)
-        lanes.append(
-            SegmentColumns(
-                instructions=data[0, window],
-                cycles=data[1, window],
-                # repro-lint: disable=RL004 - flags are stored as exact 0.0/1.0
-                ends_with_miss=data[2, window] != 0.0,
-                miss_latency=data[3, window],
-                exhausted=True,
-            )
-        )
-    return shm, lanes
-
-
-# ---------------------------------------------------------------------------
-# Spec-level sharded execution
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class _SpecShardTask:
-    """One shard of column-backed run specs, as compact picklable data.
-
-    ``runs`` holds per-spec ``(fairness, params, limits, policy,
-    names)`` tuples; the segment payload travels through the arena, not
-    the pickle.
-    """
-
-    shard: int
-    runs: tuple
-    arena: ArenaHandle
-    lane_refs: Tuple[LaneRef, ...]
-    threads: int
-
-
-def _run_spec_shard(task: _SpecShardTask) -> list:
-    """Pool-worker body: attach the arena, rebuild the specs, run the
-    vectorized backend, return the shard's results in lane order."""
-    shm, lanes = attach_columns(task.arena, task.lane_refs)
-    try:
-        specs = []
-        for run_index, (fairness, params, limits, policy, names) in enumerate(
-            task.runs
-        ):
-            streams = tuple(
-                ColumnStream(
-                    lanes[run_index * task.threads + thread],
-                    name=names[thread],
-                )
-                for thread in range(task.threads)
-            )
-            specs.append(
-                SoeRunSpec(
-                    streams=streams,
-                    fairness=fairness,
-                    params=params,
-                    limits=limits,
-                    policy=policy,
-                )
-            )
-        return get_backend("batch").run_batch(specs)
-    finally:
-        shm.close()
-
-
-def run_specs_sharded(
-    specs: Sequence[SoeRunSpec],
-    *,
-    jobs: int,
-    shards: Union[int, str] = "auto",
-    policy: Optional[SupervisionPolicy] = None,
-) -> list:
-    """Execute column-backed run specs sharded across a worker pool.
-
-    Every spec must be inside the batch backend's envelope and every
-    stream must be a :class:`ColumnStream` (generator-backed workloads
-    go through the grid runner, which ships task descriptors instead).
-    Results are bit-identical to ``BatchBackend().run_batch(specs)`` at
-    any ``jobs``/``shards``: shards are merged in global-index order,
-    and any shard the pool could not complete (crash, timeout, drain)
-    falls back to the in-process batch. Shared-memory blocks are
-    unlinked before returning, on every path.
-    """
-    specs = list(specs)
-    backend = get_backend("batch")
-    for index, spec in enumerate(specs):
-        if not backend.supports(spec):
-            raise ConfigurationError(
-                f"spec {index} is outside the batch backend's envelope; "
-                "sharded execution has nothing to dispatch it to"
-            )
-        for stream in spec.streams:
-            if not isinstance(stream, ColumnStream):
-                raise ConfigurationError(
-                    f"spec {index} has a non-columnar stream; sharded "
-                    "spec dispatch needs pre-materialized ColumnStream "
-                    "workloads (use repro.workloads.materialize.columnize)"
-                )
-    if not specs:
-        return []
-    threads = specs[0].num_threads
-    if any(spec.num_threads != threads for spec in specs):
-        raise ConfigurationError(
-            "sharded spec dispatch needs a homogeneous thread count per "
-            "call (shard the groups separately)"
-        )
-    count = resolve_shard_count(shards, jobs=jobs, total=len(specs))
-    if count <= 1:
-        return backend.run_batch(specs)
-
-    plan = plan_shards(len(specs), count)
-    arenas: List[ColumnArena] = []
-    results: dict = {}
-    try:
-        tasks: List[Tuple[int, _SpecShardTask]] = []
-        for shard in range(plan.num_shards):
-            members = [specs[index] for index in plan.positions(shard)]
-            arena = ColumnArena.pack(
-                [
-                    stream.columns
-                    for spec in members
-                    for stream in spec.streams
-                ]
-            )
-            arenas.append(arena)
-            runs = tuple(
-                (
-                    spec.fairness,
-                    spec.params,
-                    spec.limits,
-                    spec.policy,
-                    tuple(stream.name for stream in spec.streams),
-                )
-                for spec in members
-            )
-            tasks.append(
-                (
-                    shard,
-                    _SpecShardTask(
-                        shard=shard,
-                        runs=runs,
-                        arena=arena.handle,
-                        lane_refs=arena.refs,
-                        threads=threads,
-                    ),
-                )
-            )
-
-        def _collect(shard: int, _task: object, payload: object) -> None:
-            results[shard] = payload
-
-        supervisor = Supervisor(
-            _run_spec_shard,
-            tasks,
-            jobs=min(jobs, plan.num_shards),
-            policy=policy,
-            descriptor=lambda task: ("shard", f"shard{task.shard}"),
-            validate=check_invariants,
-            on_result=_collect,
-            pool=True,
-        )
-        supervisor.run()
-
-        merged: List[object] = []
-        for shard in range(plan.num_shards):
-            if shard in results:
-                merged.extend(results[shard])
-            else:
-                # The pool could not complete this shard; the in-process
-                # batch is the bit-identical fallback.
-                merged.extend(
-                    backend.run_batch(
-                        [specs[index] for index in plan.positions(shard)]
-                    )
-                )
-        return merged
-    finally:
-        for arena in arenas:
-            arena.unlink()

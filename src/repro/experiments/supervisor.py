@@ -1,9 +1,10 @@
-"""Supervised task execution: process-per-task with timeout and retry.
+"""Supervised task execution: persistent workers with timeout and retry.
 
 The grid's former ``pool.map`` had no answer to a crashed, hung, or
 lying worker: one bad task aborted (or wedged) the whole sweep. This
-module replaces it with a *supervisor* that runs each task in its own
-short-lived process and watches it:
+module replaces it with one executor, :class:`TaskPool`: long-lived
+worker processes, each serving one task at a time over its own pipe,
+watched by the parent:
 
 * **Timeout** -- each attempt gets a wall-clock budget
   (``task_timeout``); a hung worker is terminated and the task
@@ -18,8 +19,8 @@ short-lived process and watches it:
   schedules are reproducible while still decorrelating storms of
   failing tasks. Backoff only decides *when* a retry launches, never
   what it computes: results stay bit-identical with any backoff.
-  Each retry respawns a fresh process, so a dead worker is always
-  replaced.
+  A worker that crashes, hangs past its timeout, or reports garbage
+  is killed and respawned before the retry.
 * **Classification** -- failures map onto the typed taxonomy in
   :mod:`repro.errors` (``TaskTimeout``/``WorkerCrash``/
   ``InvariantViolation``/generic task errors) and are reported as
@@ -28,8 +29,9 @@ short-lived process and watches it:
 * **Invariant check** -- results are structurally validated (finite
   floats all the way down) before being accepted, so a worker that
   *returns* garbage is treated exactly like one that crashed.
-* **Drain** -- SIGINT/SIGTERM request a drain: no new tasks launch,
-  in-flight tasks finish and are journaled, and the run reports itself
+* **Drain** -- SIGINT/SIGTERM request a drain: no attempt starts
+  after it, in-flight tasks finish and are journaled (one that fails
+  now is a failure, not a retry), and the run reports itself
   interrupted instead of dying mid-write. A second SIGINT kills
   in-flight work immediately.
 
@@ -38,20 +40,15 @@ function of its spec, and the supervisor only decides *whether* and
 *when* a task runs -- never what it computes -- so any schedule
 (including one with retries) yields bit-identical results.
 
-Two isolation modes share the watching machinery:
+:class:`Supervisor` is the batch front end the grid uses: it feeds
+at most ``jobs`` tasks at a time into a :class:`TaskPool` and pumps it
+until every task settled. With one job, no timeout, and no
+process-level fault plan it runs each task inline instead -- no worker
+at all, the zero-overhead path for serial runs. The simulation
+service drives the same :class:`TaskPool` directly, one submitted job
+at a time.
 
-* **process-per-task** (the default) -- every attempt gets a fresh
-  process, so import/startup cost is paid per task but nothing leaks
-  between attempts;
-* **persistent pool** (``pool=True``) -- long-lived workers import once
-  and serve many tasks over the same pipe, which is what the sharded
-  batch dispatch wants (a shard is seconds of work; a fresh interpreter
-  per shard would dominate). Supervision is unchanged: a worker that
-  crashes, hangs past the task timeout, or reports garbage is killed
-  and **respawned**, and the task it held is retried under the same
-  deterministic accounting as the per-task path.
-
-Either way, worker messages travel as length-prefixed frames (one
+Worker messages travel as length-prefixed frames (one
 ``send_bytes`` of a ``pickle.HIGHEST_PROTOCOL`` payload), so a reader
 observes either a complete message or a torn frame -- and a torn frame
 raises immediately (``OSError``/``EOFError``), classifying as a
@@ -76,7 +73,7 @@ import time
 import traceback
 from collections import deque
 from dataclasses import dataclass, fields, is_dataclass
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro import faults
 from repro.errors import (
@@ -267,62 +264,30 @@ def _recv_frame(conn: multiprocessing.connection.Connection) -> object:
 _FRAME_ERRORS = (EOFError, OSError, pickle.UnpicklingError)
 
 
-def _child_main(
-    conn: multiprocessing.connection.Connection,
-    call: Callable,
-    index: int,
-    attempt: int,
-    item: object,
-) -> None:
-    """Entry point of one task process.
-
-    Reports exactly one message on ``conn``: ``("ok", result)`` or
-    ``("error", reason, message, traceback)``. Dying without reporting
-    *is* the crash signal the parent watches for. SIGINT is ignored so
-    a terminal Ctrl-C (delivered to the whole foreground process group)
-    lets the parent drain in-flight work instead of killing it.
-    """
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    status = 0
-    try:
-        plan = faults.current_plan()
-        plan.on_task_start(index, attempt)
-        result = plan.mutate_result(index, attempt, call(item))
-        _send_frame(conn, ("ok", result))
-    except BaseException as error:  # the parent does the classifying
-        status = 1
-        try:
-            _send_frame(
-                conn,
-                (
-                    "error",
-                    classify_failure(error),
-                    f"{type(error).__name__}: {error}",
-                    traceback.format_exc(),
-                ),
-            )
-        except (OSError, ValueError):  # parent gone / pipe closed
-            pass
-    finally:
-        try:
-            conn.close()
-        finally:
-            os._exit(status)
-
-
 def _pool_worker_main(
-    conn: multiprocessing.connection.Connection, call: Callable
+    conn: multiprocessing.connection.Connection,
+    parent_end: multiprocessing.connection.Connection,
+    call: Callable,
 ) -> None:
     """Entry point of one persistent pool worker.
 
     Serves ``(index, attempt, item)`` request frames until the parent
     sends the ``None`` shutdown frame (or closes the pipe), answering
-    each with the same one-message protocol as :func:`_child_main`.
-    The fault-plan hooks run per served task, so an injected crash or
-    hang fires inside the pool worker exactly as it would in a
-    process-per-task child -- the parent detects the dead/stuck worker,
-    respawns it, and retries the task it held.
+    each with exactly one message: ``("ok", result)`` or ``("error",
+    reason, message, traceback)``. Dying without reporting *is* the
+    crash signal the parent watches for. The fault-plan hooks run per
+    served task, so an injected crash or hang kills or wedges this
+    worker -- the parent detects it, respawns a worker, and retries the
+    task it held. SIGINT is ignored so a terminal Ctrl-C (delivered to
+    the whole foreground process group) lets the parent drain in-flight
+    work instead of killing it.
+
+    ``parent_end`` is the parent's side of this worker's pipe, inherited
+    through the fork; closing it here is what lets a parent that dies
+    without a shutdown frame (SIGKILL) end this worker, instead of
+    leaving it blocked on a pipe it holds open itself.
     """
+    parent_end.close()
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     while True:
         try:
@@ -355,25 +320,11 @@ def _pool_worker_main(
 
 
 @dataclass
-class _Running:
-    """Book-keeping for one in-flight task process."""
-
-    process: multiprocessing.Process
-    conn: multiprocessing.connection.Connection
-    index: int
-    item: object
-    attempt: int
-    deadline: Optional[float]
-
-
-@dataclass
 class _PoolWorker:
     """One persistent pool worker and the task it currently holds.
 
-    ``index``/``item``/``attempt``/``deadline`` mirror :class:`_Running`
-    while a task is in flight (the retry accounting reads them through
-    the same duck-typed surface) and are cleared when the worker goes
-    idle.
+    ``index``/``item``/``attempt``/``deadline`` describe the in-flight
+    attempt and are cleared when the worker goes idle.
     """
 
     process: multiprocessing.Process
@@ -402,13 +353,12 @@ class Supervisor:
     stable across resumes) and are the coordinates fault injection and
     checkpoint records use.
 
-    Isolation is automatic: tasks run in per-task processes when
-    concurrency, a timeout, or an active process-level fault plan
-    demands it, and inline (zero overhead, exceptions classified but
-    never retried -- pure tasks fail deterministically) otherwise.
-    ``pool=True`` swaps the per-task processes for persistent workers
-    that serve many tasks each (crashed or hung workers are respawned);
-    it changes only *where* a task runs, never what it computes.
+    Isolation is automatic: tasks run on the persistent supervised
+    workers of a :class:`TaskPool` when concurrency, a timeout, or an
+    active process-level fault plan demands it, and inline (zero
+    overhead, exceptions classified but never retried -- pure tasks
+    fail deterministically) otherwise. Where a task runs never changes
+    what it computes.
     """
 
     def __init__(
@@ -421,7 +371,6 @@ class Supervisor:
         descriptor: Callable[[object], Tuple[str, str]] = _default_descriptor,
         validate: Callable[[object], None] = check_invariants,
         on_result: Optional[Callable[[int, object, object], None]] = None,
-        pool: bool = False,
     ) -> None:
         if jobs < 1:
             raise ConfigurationError("jobs must be a positive process count")
@@ -432,24 +381,26 @@ class Supervisor:
         self._descriptor = descriptor
         self._validate = validate
         self._on_result = on_result
-        self._pool = pool
         self._drain = False
         self._hard_abort = False
         self._signals = 0
-        #: retries waiting out their backoff: (ready_at, seq, index,
-        #: item, attempt); ``seq`` keeps equal deadlines FIFO-stable.
-        self._delayed: List[tuple] = []
-        self._delay_seq = 0
+        #: the pool a process-isolated run is executing on
+        self._core: Optional[TaskPool] = None
 
     # -- external control ------------------------------------------------
 
     def request_drain(self) -> None:
         """Stop launching new tasks; let in-flight tasks finish."""
         self._drain = True
+        if self._core is not None:
+            # A plain store, so safe from a signal handler (``wake()``
+            # is not: its lock is not reentrant). The pump's wait is
+            # capped at ``_POLL_SECONDS``, which bounds the reaction.
+            self._core._draining = True
 
     def _on_signal(self, signum: int, frame: object) -> None:
         self._signals += 1
-        self._drain = True
+        self.request_drain()
         if self._signals >= 2:
             self._hard_abort = True
 
@@ -470,10 +421,8 @@ class Supervisor:
         )
         installed = self._install_signal_handlers()
         try:
-            if use_processes and self._pool:
-                self._run_pool(run)
-            elif use_processes:
-                self._run_isolated(run)
+            if use_processes:
+                self._run_pooled(run)
             else:
                 self._run_inline(run)
         finally:
@@ -516,403 +465,65 @@ class Supervisor:
                 continue
             self._accept(run, index, item, result)
 
-    # -- delayed retries (backoff) ----------------------------------------
+    # -- process isolation (the TaskPool core) ----------------------------
 
-    def _defer_retry(self, index: int, item: object, attempt: int,
-                     delay: float) -> None:
-        """Park a retry until its backoff elapses."""
-        self._delay_seq += 1
-        self._delayed.append(
-            (time.monotonic() + delay, self._delay_seq, index, item, attempt)
+    def _run_pooled(self, run: SupervisedRun) -> None:
+        """Batch loop over the pool: at most ``jobs`` tasks outstanding,
+        fed in index order, pumped until every task settled."""
+        queue = deque(self._tasks)
+        items = dict(self._tasks)
+
+        def settle(event: PoolEvent) -> None:
+            if event.kind == "done":
+                self._accept(run, event.index, items[event.index],
+                             event.result)
+            elif event.kind == "retry":
+                run.retries += 1
+            elif event.failure is not None:
+                run.failures.append(event.failure)
+
+        core = TaskPool(
+            self._call,
+            jobs=self._jobs,
+            policy=self._policy,
+            descriptor=self._descriptor,
+            validate=self._validate,
         )
-
-    def _release_due(self, pending: deque) -> None:
-        """Move delayed retries whose backoff elapsed into ``pending``.
-
-        A drain releases everything immediately: the launcher will not
-        start them, so they land in the run's ``skipped`` accounting
-        instead of stranding the loop on a sleeping retry.
-        """
-        if not self._delayed:
-            return
-        now = time.monotonic()
-        due = [
-            entry for entry in self._delayed
-            if self._drain or entry[0] <= now
-        ]
-        if not due:
-            return
-        for entry in sorted(due):
-            _ready, _seq, index, item, attempt = entry
-            pending.append((index, item, attempt))
-        self._delayed = [e for e in self._delayed if e not in due]
-
-    def _next_backoff_wait(self, ceiling: float) -> float:
-        """Cap a poll wait so the earliest delayed retry is not missed."""
-        if not self._delayed:
-            return ceiling
-        now = time.monotonic()
-        earliest = min(entry[0] for entry in self._delayed)
-        return min(ceiling, max(earliest - now, 0.0))
-
-    def _sleep_until_due(self) -> None:
-        """Idle wait (nothing running) for the next delayed retry."""
-        wait = self._next_backoff_wait(_POLL_SECONDS)
-        if wait > 0:
-            time.sleep(wait)
-
-    # -- isolated (process-per-task) mode --------------------------------
-
-    def _run_isolated(self, run: SupervisedRun) -> None:
-        pending: deque = deque(
-            (index, item, 1) for index, item in self._tasks
-        )
-        running: List[_Running] = []
-        while pending or running or self._delayed:
-            if self._hard_abort:
-                for task in running:
-                    self._kill(task)
-                    self._record_failure(
-                        run,
-                        task.index,
-                        task.item,
-                        attempt=task.attempt,
-                        reason="crash",
-                        message="killed by repeated interrupt",
+        core._on_launch = self._launch
+        core._draining = self._drain
+        self._core = core
+        try:
+            while True:
+                if self._hard_abort:
+                    core._kill_in_flight(
+                        settle, "killed by repeated interrupt"
                     )
-                running.clear()
-                self._drain = True
-            self._release_due(pending)
-            while pending and len(running) < self._jobs and not self._drain:
-                running.append(self._launch(*pending.popleft()))
-            if not running:
                 if self._drain:
+                    # Nothing starts after a drain: queued retries and
+                    # never-fed tasks are skipped.
+                    run.skipped.extend(
+                        task.index for task in core._pending
+                    )
+                    run.skipped.extend(
+                        task.index for task in core._delayed
+                    )
+                    core._pending.clear()
+                    core._delayed.clear()
+                    run.skipped.extend(index for index, _item in queue)
+                    queue.clear()
+                while queue and core.in_flight + core.pending < self._jobs:
+                    core._enqueue(*queue.popleft())
+                if core.idle:
                     break
-                if not pending and self._delayed:
-                    self._sleep_until_due()
-                    continue
-                if not pending:
-                    break
-                continue
-            self._poll(run, running, pending)
-        self._release_due(pending)
-        while pending:
-            index, _item, _attempt = pending.popleft()
-            run.skipped.append(index)
+                core._pump(_POLL_SECONDS, settle)
+        finally:
+            self._core = None
+            core.close()
         run.skipped.sort()
 
-    def _launch(self, index: int, item: object, attempt: int) -> _Running:
-        parent_conn, child_conn = multiprocessing.Pipe(duplex=False)
-        process = multiprocessing.Process(
-            target=_child_main,
-            args=(child_conn, self._call, index, attempt, item),
-            daemon=True,
-        )
-        process.start()
-        child_conn.close()
-        deadline = (
-            time.monotonic() + self._policy.task_timeout
-            if self._policy.task_timeout is not None
-            else None
-        )
-        return _Running(
-            process=process,
-            conn=parent_conn,
-            index=index,
-            item=item,
-            attempt=attempt,
-            deadline=deadline,
-        )
-
-    def _poll(
-        self, run: SupervisedRun, running: List[_Running], pending: deque
-    ) -> None:
-        wait_for = self._next_backoff_wait(_POLL_SECONDS)
-        now = time.monotonic()
-        for task in running:
-            if task.deadline is not None:
-                wait_for = min(wait_for, max(task.deadline - now, 0.0))
-        try:
-            ready = multiprocessing.connection.wait(
-                [task.conn for task in running], timeout=wait_for
-            )
-        except InterruptedError:  # pragma: no cover - signal during wait
-            ready = []
-        now = time.monotonic()
-        finished: List[_Running] = []
-        for task in running:
-            if task.conn in ready:
-                finished.append(task)
-                self._collect(run, pending, task)
-            elif task.deadline is not None and now >= task.deadline:
-                finished.append(task)
-                self._kill(task)
-                self._retry_or_fail(
-                    run,
-                    pending,
-                    task,
-                    reason="timeout",
-                    message=(
-                        f"attempt {task.attempt} exceeded the "
-                        f"{self._policy.task_timeout:g}s task timeout"
-                    ),
-                )
-            elif not task.process.is_alive():
-                # Exited between wait() and this liveness check. A
-                # result it managed to send is still buffered in the
-                # pipe, so collect first -- only an empty, closed pipe
-                # (EOFError in recv) is the crash signal.
-                finished.append(task)
-                self._collect(run, pending, task)
-        for task in finished:
-            running.remove(task)
-
-    def _collect(
-        self, run: SupervisedRun, pending: deque, task: _Running
-    ) -> None:
-        try:
-            message = _recv_frame(task.conn)
-        except _FRAME_ERRORS:
-            message = None
-        task.conn.close()
-        task.process.join()
-        if message is None:
-            self._retry_or_fail(
-                run,
-                pending,
-                task,
-                reason="crash",
-                message=(
-                    "worker died with exitcode "
-                    f"{task.process.exitcode} before reporting a result"
-                ),
-            )
-            return
-        self._handle_message(run, pending, task, message)
-
-    def _handle_message(
-        self,
-        run: SupervisedRun,
-        pending: deque,
-        task: Union[_Running, _PoolWorker],
-        message: tuple,
-    ) -> None:
-        """Accept / retry / fail from one complete worker message."""
-        if message[0] == "ok":
-            result = message[1]
-            try:
-                self._validate(result)
-            except InvariantViolation as error:
-                self._retry_or_fail(
-                    run, pending, task, reason="invariant", message=str(error)
-                )
-                return
-            self._accept(run, task.index, task.item, result)
-            return
-        _tag, reason, text, _trace = message
-        self._retry_or_fail(run, pending, task, reason=reason, message=text)
-
-    def _kill(self, task: Union[_Running, _PoolWorker]) -> None:
-        task.conn.close()
-        process = task.process
-        if process.is_alive():
-            process.terminate()
-            process.join(_TERM_GRACE_SECONDS)
-            if process.is_alive():  # pragma: no cover - stuck in kernel
-                process.kill()
-                process.join()
-        else:
-            process.join()
-
-    # -- persistent pool mode --------------------------------------------
-
-    def _spawn_worker(self) -> _PoolWorker:
-        parent_conn, child_conn = multiprocessing.Pipe(duplex=True)
-        process = multiprocessing.Process(
-            target=_pool_worker_main,
-            args=(child_conn, self._call),
-            daemon=True,
-        )
-        process.start()
-        child_conn.close()
-        return _PoolWorker(process=process, conn=parent_conn)
-
-    def _assign(
-        self,
-        run: SupervisedRun,
-        pending: deque,
-        workers: List[_PoolWorker],
-        worker: _PoolWorker,
-        index: int,
-        item: object,
-        attempt: int,
-    ) -> None:
-        worker.index = index
-        worker.item = item
-        worker.attempt = attempt
-        worker.deadline = (
-            time.monotonic() + self._policy.task_timeout
-            if self._policy.task_timeout is not None
-            else None
-        )
-        try:
-            _send_frame(worker.conn, (index, attempt, item))
-        except (OSError, ValueError):
-            # The worker died between tasks; this attempt never started,
-            # but counting it keeps the retry budget a hard bound.
-            self._retire_worker(workers, worker)
-            self._retry_or_fail(
-                run,
-                pending,
-                worker,
-                reason="crash",
-                message="pool worker died before accepting the task",
-            )
-
-    def _retire_worker(
-        self, workers: List[_PoolWorker], worker: _PoolWorker
-    ) -> None:
-        """Kill a worker and drop it from the pool (a replacement is
-        spawned by the next scheduling pass if work remains)."""
-        self._kill(worker)
-        if worker in workers:
-            workers.remove(worker)
-
-    def _shutdown_worker(self, worker: _PoolWorker) -> None:
-        """Graceful stop of an idle worker: shutdown frame, then reap."""
-        try:
-            _send_frame(worker.conn, None)
-        except (OSError, ValueError):
-            pass
-        self._kill(worker)
-
-    def _run_pool(self, run: SupervisedRun) -> None:
-        pending: deque = deque(
-            (index, item, 1) for index, item in self._tasks
-        )
-        workers: List[_PoolWorker] = []
-        try:
-            while (
-                pending
-                or self._delayed
-                or any(worker.busy for worker in workers)
-            ):
-                self._release_due(pending)
-                if self._hard_abort:
-                    for worker in list(workers):
-                        if worker.busy:
-                            self._record_failure(
-                                run,
-                                worker.index,
-                                worker.item,
-                                attempt=worker.attempt,
-                                reason="crash",
-                                message="killed by repeated interrupt",
-                            )
-                        self._retire_worker(workers, worker)
-                    self._drain = True
-                if not self._drain:
-                    wanted = min(
-                        self._jobs,
-                        len(pending)
-                        + sum(1 for worker in workers if worker.busy),
-                    )
-                    while len(workers) < wanted:
-                        workers.append(self._spawn_worker())
-                    for worker in list(workers):
-                        if pending and not worker.busy:
-                            self._assign(
-                                run, pending, workers, worker,
-                                *pending.popleft()
-                            )
-                busy = [worker for worker in workers if worker.busy]
-                if not busy:
-                    if self._drain:
-                        break
-                    if not pending and self._delayed:
-                        self._sleep_until_due()
-                        continue
-                    if not pending:
-                        break
-                    continue
-                self._poll_pool(run, busy, pending, workers)
-            self._release_due(pending)
-            while pending:
-                index, _item, _attempt = pending.popleft()
-                run.skipped.append(index)
-            run.skipped.sort()
-        finally:
-            for worker in list(workers):
-                self._shutdown_worker(worker)
-            workers.clear()
-
-    def _poll_pool(
-        self,
-        run: SupervisedRun,
-        busy: List[_PoolWorker],
-        pending: deque,
-        workers: List[_PoolWorker],
-    ) -> None:
-        wait_for = self._next_backoff_wait(_POLL_SECONDS)
-        now = time.monotonic()
-        for worker in busy:
-            if worker.deadline is not None:
-                wait_for = min(wait_for, max(worker.deadline - now, 0.0))
-        try:
-            ready = multiprocessing.connection.wait(
-                [worker.conn for worker in busy], timeout=wait_for
-            )
-        except InterruptedError:  # pragma: no cover - signal during wait
-            ready = []
-        now = time.monotonic()
-        for worker in busy:
-            if worker.conn in ready:
-                self._collect_pool(run, pending, workers, worker)
-            elif worker.deadline is not None and now >= worker.deadline:
-                self._retire_worker(workers, worker)
-                self._retry_or_fail(
-                    run,
-                    pending,
-                    worker,
-                    reason="timeout",
-                    message=(
-                        f"attempt {worker.attempt} exceeded the "
-                        f"{self._policy.task_timeout:g}s task timeout"
-                    ),
-                )
-            elif not worker.process.is_alive():
-                # Died between wait() and this check; a buffered result
-                # frame is still collectable, so collect-first (only an
-                # empty, closed pipe is the crash signal).
-                self._collect_pool(run, pending, workers, worker)
-
-    def _collect_pool(
-        self,
-        run: SupervisedRun,
-        pending: deque,
-        workers: List[_PoolWorker],
-        worker: _PoolWorker,
-    ) -> None:
-        try:
-            message = _recv_frame(worker.conn)
-        except _FRAME_ERRORS:
-            message = None
-        if message is None:
-            exitcode = worker.process.exitcode
-            self._retire_worker(workers, worker)
-            self._retry_or_fail(
-                run,
-                pending,
-                worker,
-                reason="crash",
-                message=(
-                    f"pool worker died with exitcode {exitcode} "
-                    "before reporting a result"
-                ),
-            )
-            return
-        self._handle_message(run, pending, worker, message)
-        worker.clear()
+    def _launch(self, index: int, item: object, attempt: int) -> None:
+        """Fires once per attempt, just before its request frame is
+        sent -- the seam timing instrumentation (``perfbench``) wraps."""
 
     # -- accounting ------------------------------------------------------
 
@@ -922,42 +533,6 @@ class Supervisor:
         run.results[index] = result
         if self._on_result is not None:
             self._on_result(index, item, result)
-
-    def _retry_or_fail(
-        self,
-        run: SupervisedRun,
-        pending: deque,
-        task: _Running,
-        reason: str,
-        message: str,
-    ) -> None:
-        kind, label = self._descriptor(task.item)
-        sink = current_sink()
-        if task.attempt < self._policy.max_attempts and not self._drain:
-            run.retries += 1
-            delay = self._policy.delay_for(task.index, task.attempt)
-            if sink.wants(_TRACE_RUNNER):
-                sink.emit(
-                    task_retry(
-                        kind, label, task.attempt + 1, reason,
-                        backoff_s=delay,
-                    )
-                )
-            if delay > 0.0:
-                self._defer_retry(
-                    task.index, task.item, task.attempt + 1, delay
-                )
-            else:
-                pending.append((task.index, task.item, task.attempt + 1))
-            return
-        self._record_failure(
-            run,
-            task.index,
-            task.item,
-            attempt=task.attempt,
-            reason=reason,
-            message=message,
-        )
 
     def _record_failure(
         self,
@@ -1026,16 +601,16 @@ class _PoolTask:
 class TaskPool:
     """Supervised persistent pool with *incremental* task submission.
 
-    :class:`Supervisor` is batch-shaped: it takes every task up front
-    and returns when all of them settled -- the right surface for a
-    grid, the wrong one for a long-running service whose work arrives
-    one HTTP request at a time. ``TaskPool`` exposes the same
-    supervision contract (persistent workers served length-prefixed
-    frames, per-attempt wall-clock timeouts, bounded deterministic
-    retries with seeded-jitter backoff, crash/invariant classification
-    through the :mod:`repro.errors` taxonomy, ``task_retry``/
-    ``task_failed`` telemetry, ambient fault-plan hooks in the workers)
-    behind an event-pumped API:
+    The one process executor: :class:`Supervisor` drives it as a batch
+    (every task up front, returns when all settled), while a
+    long-running service whose work arrives one HTTP request at a time
+    drives it directly. Either way the supervision contract is the same
+    (persistent workers served length-prefixed frames, per-attempt
+    wall-clock timeouts, bounded deterministic retries with
+    seeded-jitter backoff, crash/invariant classification through the
+    :mod:`repro.errors` taxonomy, ``task_retry``/``task_failed``
+    telemetry, ambient fault-plan hooks in the workers) behind an
+    event-pumped API:
 
     * :meth:`submit` enqueues one ``(index, item)`` task, optionally
       with a per-task timeout override (how job deadlines propagate
@@ -1048,9 +623,9 @@ class TaskPool:
       safe to call from another thread;
     * :meth:`close` shuts the workers down.
 
-    Like the Supervisor, the pool only decides whether and when a task
-    runs, never what it computes -- a retried task is bit-identical to
-    one that succeeded first try.
+    The pool only decides whether and when a task runs, never what it
+    computes -- a retried task is bit-identical to one that succeeded
+    first try.
     """
 
     def __init__(
@@ -1077,6 +652,13 @@ class TaskPool:
         self._timeouts: dict = {}
         self._seq = 0
         self._closed = False
+        #: A batch drain (see :meth:`Supervisor.request_drain`): no
+        #: attempt starts, and an attempt that fails is final. The
+        #: service instead drains by letting the pool go idle.
+        self._draining = False
+        #: Called with ``(index, item, attempt)`` just before an
+        #: attempt's request frame is sent.
+        self._on_launch: Optional[Callable[[int, object, int], None]] = None
         # Self-pipe: wake() writes a byte so a pump blocked on worker
         # conns returns early. The lock keeps a wake from another thread
         # off fds that close() has released (and the OS may reuse).
@@ -1117,10 +699,7 @@ class TaskPool:
             raise ConfigurationError("task pool is closed")
         if timeout is not None and timeout <= 0:
             raise ConfigurationError("task timeout must be positive seconds")
-        self._timeouts[index] = timeout
-        self._pending.append(
-            _PoolTask(index=index, item=item, attempt=1, timeout=timeout)
-        )
+        self._enqueue(index, item, timeout)
 
     # -- the pump ------------------------------------------------------------
 
@@ -1136,39 +715,7 @@ class TaskPool:
         if self._closed:
             raise ConfigurationError("task pool is closed")
         events: List[PoolEvent] = []
-        self._release_due()
-        self._assign_idle(events)
-        if events:
-            return events
-        busy = [worker for worker in self._workers if worker.busy]
-        wait_for = max(wait, 0.0)
-        now = time.monotonic()
-        for task in self._delayed:
-            wait_for = min(wait_for, max(task.ready_at - now, 0.0))
-        for worker in busy:
-            if worker.deadline is not None:
-                wait_for = min(wait_for, max(worker.deadline - now, 0.0))
-        ready = self._wait([worker.conn for worker in busy], wait_for)
-        now = time.monotonic()
-        for worker in busy:
-            if worker.conn in ready:
-                self._collect(worker, events)
-            elif worker.deadline is not None and now >= worker.deadline:
-                timeout = self._attempt_timeout(worker.index)
-                self._retire(worker)
-                self._retry_or_fail(
-                    worker,
-                    events,
-                    reason="timeout",
-                    message=(
-                        f"attempt {worker.attempt} exceeded the "
-                        f"{timeout:g}s task timeout"
-                    ),
-                )
-            elif not worker.process.is_alive():
-                # Died between wait() and this check; a buffered result
-                # frame is still collectable (collect-first contract).
-                self._collect(worker, events)
+        self._pump(wait, events.append)
         return events
 
     def close(self) -> None:
@@ -1209,6 +756,65 @@ class TaskPool:
 
     # -- internals -----------------------------------------------------------
 
+    def _enqueue(
+        self, index: int, item: object, timeout: Optional[float] = None
+    ) -> None:
+        self._timeouts[index] = timeout
+        self._pending.append(
+            _PoolTask(index=index, item=item, attempt=1, timeout=timeout)
+        )
+
+    def _pump(self, wait: float, settle: Callable[[PoolEvent], None]) -> None:
+        """The scheduling + poll pass behind :meth:`pump`.
+
+        Each outcome goes to ``settle`` the moment it is decided, so a
+        drain requested while settling one worker's result already
+        governs the next worker collected in the same pass.
+        """
+        self._release_due()
+        if self._assign_idle(settle):
+            return
+        busy = [worker for worker in self._workers if worker.busy]
+        wait_for = max(wait, 0.0)
+        now = time.monotonic()
+        for task in self._delayed:
+            wait_for = min(wait_for, max(task.ready_at - now, 0.0))
+        for worker in busy:
+            if worker.deadline is not None:
+                wait_for = min(wait_for, max(worker.deadline - now, 0.0))
+        ready = self._wait([worker.conn for worker in busy], wait_for)
+        now = time.monotonic()
+        for worker in busy:
+            if worker.conn in ready:
+                self._collect(worker, settle)
+            elif worker.deadline is not None and now >= worker.deadline:
+                timeout = self._attempt_timeout(worker.index)
+                self._retire(worker)
+                self._retry_or_fail(
+                    worker,
+                    settle,
+                    reason="timeout",
+                    message=(
+                        f"attempt {worker.attempt} exceeded the "
+                        f"{timeout:g}s task timeout"
+                    ),
+                )
+            elif not worker.process.is_alive():
+                # Died between wait() and this check; a buffered result
+                # frame is still collectable (collect-first contract).
+                self._collect(worker, settle)
+
+    def _kill_in_flight(
+        self, settle: Callable[[PoolEvent], None], message: str
+    ) -> None:
+        """Kill every busy worker; under a drain each task it held
+        settles as a ``crash`` failure."""
+        for worker in [w for w in self._workers if w.busy]:
+            self._retire(worker)
+            self._retry_or_fail(
+                worker, settle, reason="crash", message=message
+            )
+
     def _wait(self, conns: list, timeout: float) -> list:
         """Block on ``conns`` plus the wake fd; consume any wake-up."""
         try:
@@ -1240,30 +846,37 @@ class TaskPool:
             self._pending.append(task)
         self._delayed = [task for task in self._delayed if task not in due]
 
-    def _assign_idle(self, events: List[PoolEvent]) -> None:
+    def _assign_idle(self, settle: Callable[[PoolEvent], None]) -> bool:
+        """Hand queued tasks to idle workers; True if a dispatch failed
+        (its outcome already went to ``settle``)."""
         for worker in list(self._workers):
             # An idle worker that died between tasks held no work; just
             # reap it (a replacement spawns below if demand remains).
             if not worker.busy and not worker.process.is_alive():
                 self._retire(worker)
+        if self._draining:
+            return False
         wanted = min(self._jobs, len(self._pending) + self.in_flight)
         while (
             sum(1 for w in self._workers if w.process.is_alive()) < wanted
         ):
             self._workers.append(self._spawn())
+        settled = False
         for worker in list(self._workers):
             if not self._pending:
                 break
             if worker.busy or not worker.process.is_alive():
                 continue
             task = self._pending.popleft()
-            self._dispatch(worker, task, events)
+            if not self._dispatch(worker, task, settle):
+                settled = True
+        return settled
 
     def _spawn(self) -> _PoolWorker:
         parent_conn, child_conn = multiprocessing.Pipe(duplex=True)
         process = multiprocessing.Process(
             target=_pool_worker_main,
-            args=(child_conn, self._call),
+            args=(child_conn, parent_conn, self._call),
             daemon=True,
         )
         process.start()
@@ -1271,8 +884,12 @@ class TaskPool:
         return _PoolWorker(process=process, conn=parent_conn)
 
     def _dispatch(
-        self, worker: _PoolWorker, task: _PoolTask, events: List[PoolEvent]
-    ) -> None:
+        self,
+        worker: _PoolWorker,
+        task: _PoolTask,
+        settle: Callable[[PoolEvent], None],
+    ) -> bool:
+        """Send ``task`` to ``worker``; False if the worker was gone."""
         worker.index = task.index
         worker.item = task.item
         worker.attempt = task.attempt
@@ -1280,6 +897,8 @@ class TaskPool:
         worker.deadline = (
             time.monotonic() + timeout if timeout is not None else None
         )
+        if self._on_launch is not None:
+            self._on_launch(task.index, task.item, task.attempt)
         try:
             _send_frame(worker.conn, (task.index, task.attempt, task.item))
         except (OSError, ValueError):
@@ -1288,10 +907,12 @@ class TaskPool:
             self._retire(worker)
             self._retry_or_fail(
                 worker,
-                events,
+                settle,
                 reason="crash",
                 message="pool worker died before accepting the task",
             )
+            return False
+        return True
 
     def _retire(self, worker: _PoolWorker) -> None:
         self._kill(worker)
@@ -1310,7 +931,9 @@ class TaskPool:
         else:
             process.join()
 
-    def _collect(self, worker: _PoolWorker, events: List[PoolEvent]) -> None:
+    def _collect(
+        self, worker: _PoolWorker, settle: Callable[[PoolEvent], None]
+    ) -> None:
         try:
             message = _recv_frame(worker.conn)
         except _FRAME_ERRORS:
@@ -1320,7 +943,7 @@ class TaskPool:
             self._retire(worker)
             self._retry_or_fail(
                 worker,
-                events,
+                settle,
                 reason="crash",
                 message=(
                     f"pool worker died with exitcode {exitcode} "
@@ -1334,23 +957,23 @@ class TaskPool:
                 self._validate(result)
             except InvariantViolation as error:
                 self._retry_or_fail(
-                    worker, events, reason="invariant", message=str(error)
+                    worker, settle, reason="invariant", message=str(error)
                 )
                 worker.clear()
                 return
             index = worker.index
             worker.clear()
             self._timeouts.pop(index, None)
-            events.append(PoolEvent(kind="done", index=index, result=result))
+            settle(PoolEvent(kind="done", index=index, result=result))
             return
         _tag, reason, text, _trace = message
-        self._retry_or_fail(worker, events, reason=reason, message=text)
+        self._retry_or_fail(worker, settle, reason=reason, message=text)
         worker.clear()
 
     def _retry_or_fail(
         self,
         worker: _PoolWorker,
-        events: List[PoolEvent],
+        settle: Callable[[PoolEvent], None],
         *,
         reason: str,
         message: str,
@@ -1358,7 +981,7 @@ class TaskPool:
         index, item, attempt = worker.index, worker.item, worker.attempt
         kind, label = self._descriptor(item)
         sink = current_sink()
-        if attempt < self._policy.max_attempts:
+        if attempt < self._policy.max_attempts and not self._draining:
             delay = self._policy.delay_for(index, attempt)
             if sink.wants(_TRACE_RUNNER):
                 sink.emit(
@@ -1378,7 +1001,7 @@ class TaskPool:
                 self._delayed.append(retry)
             else:
                 self._pending.append(retry)
-            events.append(
+            settle(
                 PoolEvent(
                     kind="retry",
                     index=index,
@@ -1391,7 +1014,7 @@ class TaskPool:
         if sink.wants(_TRACE_RUNNER):
             sink.emit(task_failed(kind, label, attempt, reason))
         self._timeouts.pop(index, None)
-        events.append(
+        settle(
             PoolEvent(
                 kind="failed",
                 index=index,

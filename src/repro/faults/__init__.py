@@ -164,7 +164,7 @@ class FaultPlan:
             for spec in self.specs
         )
 
-    # -- worker-side hooks (called inside the task process) -------------
+    # -- worker-side hooks (called inside the worker process) -----------
     def on_task_start(self, index: int, attempt: int) -> None:
         """Crash or hang the executing worker if the plan says so."""
         if self._fires("crash", index, attempt):
@@ -247,7 +247,7 @@ def fault_injection(plan: Optional[FaultPlan]) -> Iterator[FaultPlan]:
     """Scope an ambient fault plan to a ``with`` block.
 
     Workers forked inside the block inherit the plan, which is how the
-    injection hooks reach the task processes without any plumbing.
+    injection hooks reach the worker processes without any plumbing.
     """
     previous = set_plan(plan)
     try:

@@ -17,28 +17,21 @@ On boot, :func:`load_job_records` folds the journal: a job with a
 the result cache usually answers instantly if the work had finished
 but the outcome line was lost to the crash.
 
-Unlike the grid's writer, appends here flow through the ambient fault
-plan's ``jtear`` hook: a covered write first lands *torn* (truncated
-mid-line, exactly what a power cut inside ``write(2)`` leaves), then
-the writer verifies and repairs -- truncating the tear and rewriting
-the full line. The loader independently tolerates a torn *final* line,
-so both halves of the crash window are exercised by tests.
+Appends flow through the checkpoint writer's ``jtear`` chaos hook: a
+covered write first lands *torn* (truncated mid-line, exactly what a
+power cut inside ``write(2)`` leaves), then the writer verifies and
+repairs -- truncating the tear and rewriting the full line. The loader
+independently tolerates a torn *final* line, so both halves of the
+crash window are exercised by tests.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from pathlib import Path
 from typing import Dict, Optional, Tuple, Union
 
-from repro import faults
 from repro.errors import ConfigurationError
-from repro.experiments.checkpoint import (
-    CHECKPOINT_VERSION,
-    CheckpointWriter,
-    load_checkpoint,
-)
+from repro.experiments.checkpoint import CheckpointWriter, load_checkpoint
 
 __all__ = [
     "JOURNAL_FINGERPRINT",
@@ -57,54 +50,18 @@ _PREFIXES = ("spec", "done", "fail")
 
 
 class JobJournal:
-    """Append-only journal of job specs and outcomes.
-
-    Wraps :class:`~repro.experiments.checkpoint.CheckpointWriter` for
-    the header/validation contract but owns the append path, so the
-    ``jtear`` chaos hook and its verify-and-repair can wrap every line.
-    """
+    """Append-only journal of job specs and outcomes, one
+    :class:`~repro.experiments.checkpoint.CheckpointWriter` record per
+    line (so ``jtear`` chaos and its repair apply to every append)."""
 
     def __init__(self, path: Union[str, Path]) -> None:
         self.path = Path(path)
         self._writer = CheckpointWriter(
             self.path, JOURNAL_FINGERPRINT, code_version="service"
         )
-        self._writes = 0
-        #: torn appends repaired over this journal's lifetime
-        self.repaired = 0
-
-    def _fd(self) -> int:
-        fd = self._writer._fd
-        if fd is None:
-            raise ConfigurationError("job journal is closed")
-        return fd
-
-    def _append(self, obj: dict) -> None:
-        line = (
-            json.dumps(obj, separators=(",", ":"), sort_keys=True).encode(
-                "utf-8"
-            )
-            + b"\n"
-        )
-        fd = self._fd()
-        index = self._writes
-        self._writes += 1
-        plan = faults.current_plan()
-        if plan.active and plan.tears_write(index):
-            # Chaos: land the torn prefix first (the crash window a
-            # power cut leaves), then verify-and-repair it.
-            offset = os.fstat(fd).st_size
-            os.write(fd, line[: max(len(line) // 2, 1)])
-            os.fsync(fd)
-            os.ftruncate(fd, offset)
-            self.repaired += 1
-        os.write(fd, line)
-        os.fsync(fd)
 
     def _record(self, prefix: str, job_id: str, payload: object) -> None:
-        self._append(
-            CheckpointWriter._task_line("job", f"{prefix}:{job_id}", payload)
-        )
+        self._writer.record("job", f"{prefix}:{job_id}", payload)
 
     def record_spec(self, job_id: str, spec_json: dict) -> None:
         """Journal an accepted job's spec (its JSON form)."""
@@ -120,9 +77,7 @@ class JobJournal:
 
     def note(self, payload: dict) -> None:
         """Journal an informational note (drain markers, resume info)."""
-        self._append(
-            {"v": CHECKPOINT_VERSION, "kind": "note", "note": payload}
-        )
+        self._writer.note(payload)
 
     def close(self) -> None:
         self._writer.close()

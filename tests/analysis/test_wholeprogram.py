@@ -201,8 +201,12 @@ SUPERVISOR = """
         def run(self):
             return self.call
 
-    def _child_main(conn, call, item):
-        return call(item)
+    class TaskPool:
+        def __init__(self, call):
+            self.call = call
+
+    def _pool_worker_main(conn, parent_end, call):
+        return call(conn)
 """
 
 
@@ -311,6 +315,43 @@ class TestForkUnsafeState:
         assert len(findings) == 1
         assert findings[0].path == "src/repro/experiments/state.py"
         assert "_COUNT" in findings[0].message
+
+    def test_task_shipped_through_task_pool_is_flagged(self):
+        findings = _project(
+            "RL010",
+            {
+                "src/repro/experiments/supervisor.py": SUPERVISOR,
+                "src/repro/service/app.py": """
+                    from repro.experiments.supervisor import TaskPool
+
+                    _SEEN = set()
+
+                    def execute(item):
+                        _SEEN.add(item)
+                        return item
+
+                    def start():
+                        return TaskPool(execute)
+                """,
+            },
+        )
+        assert len(findings) == 1
+        (finding,) = findings
+        assert finding.path == "src/repro/service/app.py"
+        assert "_SEEN" in finding.message
+        assert "repro.service.app.execute" in finding.message
+        assert "handed to workers by repro.service.app.start" in finding.message
+
+    def test_real_tree_has_every_worker_root(self):
+        """The rule skips roots the graph lacks, so a renamed worker
+        entry point or dispatcher would switch it off without a word."""
+        from repro.analysis.engine import default_repo_root, run_lint
+
+        result = run_lint(repo_root=default_repo_root(), select=["RL010"])
+        graph = result.project.graph()
+        rule = get_rule("RL010")
+        for qualname in (rule.CHILD_MAIN, *rule.DISPATCHERS):
+            assert qualname in graph.functions, qualname
 
     def test_no_dispatchers_means_no_findings(self):
         findings = _project(

@@ -29,6 +29,7 @@ from repro.experiments.checkpoint import (
     load_checkpoint,
     task_key,
 )
+from repro.experiments import runner
 from repro.experiments.common import EvalConfig
 from repro.experiments.runner import (
     ExecutionSettings,
@@ -340,6 +341,32 @@ class TestGridFaultRecovery:
         assert resumed.ok
         assert resumed.results == clean_grid
         assert resumed.resumed_tasks > 0
+
+    def test_torn_checkpoint_writes_are_repaired(
+        self, config, clean_grid, tmp_path, monkeypatch
+    ):
+        writers = []
+
+        class RecordingWriter(CheckpointWriter):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                writers.append(self)
+
+        monkeypatch.setattr(runner, "CheckpointWriter", RecordingWriter)
+        clean = tmp_path / "clean.ckpt"
+        _grid(config, PAIRS, jobs=1, checkpoint=clean)
+        journal = tmp_path / "torn.ckpt"
+        with faults.fault_injection(faults.parse_fault_plan("jtear@0*3")):
+            outcome = _grid(config, PAIRS, jobs=1, checkpoint=journal)
+        assert outcome.ok and outcome.results == clean_grid
+        assert writers[-1].repaired == 3
+        # Every tear was truncated away: the journal reads back exactly
+        # the clean run's tasks, byte for byte.
+        assert load_checkpoint(journal).tasks == load_checkpoint(clean).tasks
+        assert journal.read_bytes() == clean.read_bytes()
+        resumed = _grid(config, PAIRS, jobs=1, checkpoint=journal, resume=True)
+        assert resumed.results == clean_grid
+        assert resumed.resumed_tasks == len(load_checkpoint(clean).tasks)
 
     def test_retry_budget_recovers_in_one_run(self, config, clean_grid):
         with faults.fault_injection(faults.parse_fault_plan("crash@0")):

@@ -97,6 +97,38 @@ class TestShardedGridIdentity:
         assert outcome.ok
         assert outcome.results == clean_grid
 
+    def test_drained_shard_phase_starts_nothing_more_and_resumes(
+        self, config, clean_grid, tmp_path, monkeypatch
+    ):
+        # A drain that lands after the first shard finishes: the shard
+        # in flight completes, no other shard and no scalar remainder
+        # starts, and a resume at another shard count completes the
+        # grid bit-identically from what was journaled.
+        from repro.experiments import runner as runner_module
+        from repro.experiments.supervisor import Supervisor
+
+        class DrainAfterFirstResult(Supervisor):
+            def _accept(self, run, index, item, result):
+                super()._accept(run, index, item, result)
+                self.request_drain()
+
+        monkeypatch.setattr(runner_module, "Supervisor", DrainAfterFirstResult)
+        journal = tmp_path / "grid.ckpt"
+        drained = _grid(
+            config, PAIRS, jobs=2, shards=4, checkpoint=journal,
+            on_failure="degrade",
+        )
+        assert drained.interrupted and not drained.ok
+        assert drained.skipped_tasks > 0
+        assert drained.results == []
+        monkeypatch.undo()
+        resumed = _grid(
+            config, PAIRS, jobs=2, shards=2, checkpoint=journal, resume=True
+        )
+        assert resumed.ok
+        assert resumed.results == clean_grid
+        assert resumed.resumed_tasks > 0
+
     def test_shard_events_are_emitted(self, config, clean_grid):
         sink = telemetry.RingBufferSink()
         with telemetry.tracing(sink):

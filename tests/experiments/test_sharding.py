@@ -1,54 +1,23 @@
-"""Sharded batch dispatch: planner, shared-memory arena, lifecycle.
+"""Shard planning: the determinism contract sharded dispatch relies on.
 
-The load-bearing property: :func:`run_specs_sharded` is bit-identical
-to the single-process batch at any shard count and any job count --
-including when shards crash, time out, or are drained -- and every
-shared-memory block is unlinked before it returns, on every path.
-The planner tests pin the determinism contract the merge relies on.
+The planner tests pin what the merge relies on: shard ``k`` always
+covers the same contiguous index range, and ``--shards auto`` falls
+back to the in-process batch whenever sharding cannot pay for itself.
+Sharded grid execution itself (crash, retry, fallback, drain, resume)
+is covered by ``test_sharded_grid.py``.
 """
-
-import math
-from pathlib import Path
 
 import pytest
 
-np = pytest.importorskip("numpy")
+pytest.importorskip("numpy")
 
-from repro import faults
-from repro.core.controller import FairnessParams
-from repro.engine.backend import SoeRunSpec, get_backend
-from repro.engine.soe import RunLimits
 from repro.errors import ConfigurationError
 from repro.experiments import sharding
 from repro.experiments.sharding import (
     MIN_RUNS_PER_SHARD,
-    ColumnArena,
-    LaneRef,
-    ShardPlan,
-    attach_columns,
     plan_shards,
     resolve_shard_count,
-    run_specs_sharded,
 )
-from repro.experiments.supervisor import SupervisionPolicy, Supervisor
-from repro.workloads.materialize import SegmentColumns, columnize
-from repro.workloads.synthetic import uniform_stream
-
-
-def _shm_segments():
-    """Names of live POSIX shared-memory segments (Linux)."""
-    root = Path("/dev/shm")
-    if not root.exists():  # pragma: no cover - non-Linux fallback
-        return set()
-    return {entry.name for entry in root.glob("psm_*")}
-
-
-@pytest.fixture(autouse=True)
-def _no_leaked_segments():
-    """Every test in this module must leave /dev/shm as it found it."""
-    before = _shm_segments()
-    yield
-    assert _shm_segments() - before == set()
 
 
 class TestPlanShards:
@@ -122,214 +91,3 @@ class TestResolveShardCount:
             resolve_shard_count("fastest", jobs=2, total=10)
         with pytest.raises(ConfigurationError):
             resolve_shard_count(0, jobs=2, total=10)
-
-
-def _lanes():
-    return [
-        SegmentColumns(
-            instructions=[100.0, 200.0, 50.0],
-            cycles=[40.0, 90.0, 30.0],
-            ends_with_miss=[True, False, True],
-            miss_latency=[150.0, math.nan, math.nan],
-            exhausted=True,
-        ),
-        SegmentColumns(
-            instructions=[7.0],
-            cycles=[3.0],
-            ends_with_miss=[False],
-            miss_latency=[math.nan],
-            exhausted=True,
-        ),
-    ]
-
-
-def _assert_lane_roundtrip(view, lane):
-    assert list(view.instructions) == lane.instructions
-    assert list(view.cycles) == lane.cycles
-    assert list(view.ends_with_miss) == lane.ends_with_miss
-    assert [math.isnan(x) for x in view.miss_latency] == [
-        math.isnan(x) for x in lane.miss_latency
-    ]
-    paired = zip(view.miss_latency, lane.miss_latency)
-    assert all(a == b for a, b in paired if not math.isnan(b))
-    assert view.exhausted
-
-
-class TestColumnArena:
-    def test_pack_attach_roundtrip(self):
-        lanes = _lanes()
-        arena = ColumnArena.pack(lanes)
-        try:
-            assert arena.refs == (LaneRef(0, 3), LaneRef(3, 1))
-            shm, views = attach_columns(arena.handle, arena.refs)
-            try:
-                for view, lane in zip(views, lanes):
-                    _assert_lane_roundtrip(view, lane)
-            finally:
-                shm.close()
-        finally:
-            arena.unlink()
-
-    def test_pack_uses_arrays_cache_when_present(self):
-        lanes = _lanes()
-        # Same cache format the batch engine memoizes into the slot.
-        for lane in lanes:
-            lane.arrays_cache = (
-                np.asarray(lane.instructions),
-                np.asarray(lane.cycles),
-                np.asarray(lane.ends_with_miss, dtype=bool),
-                np.asarray(lane.miss_latency),
-            )
-        arena = ColumnArena.pack(lanes)
-        try:
-            shm, views = attach_columns(arena.handle, arena.refs)
-            try:
-                for view, lane in zip(views, lanes):
-                    _assert_lane_roundtrip(view, lane)
-            finally:
-                shm.close()
-        finally:
-            arena.unlink()
-
-    def test_unlink_is_idempotent(self):
-        arena = ColumnArena.pack(_lanes())
-        name = arena.handle.name.lstrip("/")
-        arena.unlink()
-        assert name not in _shm_segments()
-        arena.unlink()  # second call must be a no-op
-
-    def test_failed_pack_leaks_nothing(self):
-        bad = SegmentColumns(
-            instructions=[1.0, 2.0],
-            cycles=[1.0, 2.0, 3.0],  # length mismatch: assignment must fail
-            ends_with_miss=[True, False],
-            miss_latency=[math.nan, math.nan],
-            exhausted=True,
-        )
-        with pytest.raises(Exception):
-            ColumnArena.pack([bad])
-        # The autouse fixture asserts /dev/shm is clean.
-
-
-def _column_specs(count=8, segments=250):
-    """Column-backed two-thread specs inside the batch envelope."""
-    specs = []
-    for seed in range(count):
-        streams = (
-            columnize(
-                uniform_stream(2.0, 8_000, ipm_cv=0.5, seed=seed), segments
-            ),
-            columnize(
-                uniform_stream(1.0, 900, ipm_cv=0.5, seed=seed + 100),
-                segments,
-            ),
-        )
-        fairness = (
-            FairnessParams(fairness_target=0.5, sample_period=40_000.0)
-            if seed % 2
-            else None
-        )
-        specs.append(
-            SoeRunSpec(
-                streams=streams,
-                fairness=fairness,
-                limits=RunLimits(
-                    min_instructions=80_000.0, warmup_instructions=20_000.0
-                ),
-            )
-        )
-    return specs
-
-
-@pytest.fixture(scope="module")
-def reference():
-    return get_backend("batch").run_batch(_column_specs())
-
-
-class TestRunSpecsSharded:
-    @pytest.mark.parametrize("shards,jobs", [(1, 1), (2, 2), (4, 2), (8, 3)])
-    def test_bit_identical_at_any_decomposition(
-        self, reference, shards, jobs
-    ):
-        sharded = run_specs_sharded(
-            _column_specs(), jobs=jobs, shards=shards
-        )
-        assert sharded == reference
-
-    def test_auto_matches_too(self, reference):
-        assert run_specs_sharded(
-            _column_specs(), jobs=2, shards="auto"
-        ) == reference
-
-    def test_empty_batch(self):
-        assert run_specs_sharded([], jobs=4, shards=4) == []
-
-    def test_crashed_shard_is_retried_to_identity(self, reference):
-        with faults.fault_injection(faults.parse_fault_plan("crash@0")):
-            sharded = run_specs_sharded(
-                _column_specs(),
-                jobs=2,
-                shards=2,
-                policy=SupervisionPolicy(retries=2),
-            )
-        assert sharded == reference
-
-    def test_failed_shard_falls_back_in_process(self, reference):
-        with faults.fault_injection(faults.parse_fault_plan("crash@0*9")):
-            sharded = run_specs_sharded(
-                _column_specs(),
-                jobs=2,
-                shards=2,
-                policy=SupervisionPolicy(retries=0),
-            )
-        assert sharded == reference
-
-    def test_drained_run_falls_back_and_unlinks(self, reference, monkeypatch):
-        # Simulate a SIGINT drain: no shard ever launches, the fallback
-        # computes everything in-process, and the arenas still unlink
-        # (checked by the module's autouse /dev/shm fixture).
-        class _DrainingSupervisor(Supervisor):
-            def run(self):
-                self.request_drain()
-                return super().run()
-
-        monkeypatch.setattr(sharding, "Supervisor", _DrainingSupervisor)
-        sharded = run_specs_sharded(_column_specs(), jobs=2, shards=4)
-        assert sharded == reference
-
-    def test_rejects_generator_backed_streams(self):
-        spec = SoeRunSpec(
-            streams=(
-                uniform_stream(2.0, 8_000, seed=1),
-                uniform_stream(1.0, 900, seed=2),
-            ),
-            limits=RunLimits(min_instructions=50_000.0),
-        )
-        with pytest.raises(ConfigurationError, match="non-columnar"):
-            run_specs_sharded([spec], jobs=2, shards=2)
-
-    def test_rejects_specs_outside_the_batch_envelope(self):
-        from repro.core.policies import PolicyConfig
-
-        spec = SoeRunSpec(
-            streams=(
-                columnize(uniform_stream(2.0, 8_000, seed=1), 100),
-                columnize(uniform_stream(1.0, 900, seed=2), 100),
-            ),
-            policy=PolicyConfig(name="rr-timeshare"),
-            limits=RunLimits(min_instructions=50_000.0),
-        )
-        with pytest.raises(ConfigurationError, match="envelope"):
-            run_specs_sharded([spec], jobs=2, shards=2)
-
-    def test_rejects_heterogeneous_thread_counts(self):
-        specs = _column_specs(count=2)
-        triple = SoeRunSpec(
-            streams=tuple(
-                columnize(uniform_stream(1.5, 2_000, seed=30 + t), 100)
-                for t in range(3)
-            ),
-            limits=RunLimits(min_instructions=50_000.0),
-        )
-        with pytest.raises(ConfigurationError, match="homogeneous"):
-            run_specs_sharded(specs + [triple], jobs=2, shards=2)

@@ -2,7 +2,7 @@
 
 The pool changes only *where* a task runs (a long-lived worker serving
 many tasks over one pipe), never what it computes -- so results must be
-bit-identical to per-task isolation under every failure mode the
+bit-identical to the inline path under every failure mode the
 supervisor knows: crash, hang, garbage result, drain. The frame tests
 pin the wire contract: a worker that dies mid-write leaves a torn frame
 that classifies as a crash *immediately*, instead of wedging the parent
@@ -12,6 +12,7 @@ until the task timeout.
 import multiprocessing
 import os
 import pickle
+import signal
 import struct
 import time
 
@@ -42,6 +43,19 @@ def _pid_of(value):
 def _return_nan(value):
     del value
     return float("nan")
+
+
+def _nap(seconds):
+    time.sleep(seconds)
+    return seconds
+
+
+def _nap_then_crash_on_slow(seconds):
+    """Return fast tasks; a slow one dies mid-task like a killed worker."""
+    if seconds:
+        time.sleep(seconds)
+        os._exit(faults.CRASH_EXIT_CODE)
+    return seconds
 
 
 class TestFrameProtocol:
@@ -85,20 +99,34 @@ class TestPoolMode:
     def test_pool_matches_inline_and_isolated(self):
         items = list(enumerate(range(10)))
         inline = Supervisor(_double, items, jobs=1).run()
-        isolated = Supervisor(_double, items, jobs=3).run()
-        pooled = Supervisor(_double, items, jobs=3, pool=True).run()
-        assert pooled.results == isolated.results == inline.results
+        pooled = Supervisor(_double, items, jobs=3).run()
+        assert pooled.results == inline.results
         assert pooled.failures == [] and pooled.skipped == []
 
     def test_workers_persist_across_tasks(self):
-        run = Supervisor(
-            _pid_of, list(enumerate(range(12))), jobs=2, pool=True
-        ).run()
+        run = Supervisor(_pid_of, list(enumerate(range(12))), jobs=2).run()
         pids = set(run.results.values())
         # 12 tasks served by at most 2 long-lived workers: the pool
         # reuses processes instead of forking per task.
         assert len(run.results) == 12
         assert 1 <= len(pids) <= 2
+
+    def test_worker_exits_when_its_parent_goes_away(self):
+        # A parent killed by SIGKILL sends no shutdown frame; its end of
+        # the pipe just closes. The worker must see EOF and exit rather
+        # than block forever on a pipe end it inherited at fork.
+        pool = supervisor_module.TaskPool(_double, jobs=1)
+        worker = pool._spawn()
+        try:
+            worker.conn.close()
+            worker.process.join(10.0)
+            assert not worker.process.is_alive()
+            assert worker.process.exitcode == 0
+        finally:
+            if worker.process.is_alive():
+                worker.process.kill()
+                worker.process.join()
+            pool.close()
 
     def test_crashed_worker_is_respawned_and_task_retried(self):
         with faults.fault_injection(faults.parse_fault_plan("crash@1")):
@@ -106,7 +134,6 @@ class TestPoolMode:
                 _double,
                 list(enumerate(range(6))),
                 jobs=2,
-                pool=True,
                 policy=SupervisionPolicy(retries=2),
             ).run()
         assert run.results == {i: i * 2 for i in range(6)}
@@ -118,7 +145,6 @@ class TestPoolMode:
                 _double,
                 list(enumerate(range(4))),
                 jobs=2,
-                pool=True,
                 policy=SupervisionPolicy(task_timeout=1.0, retries=1),
             ).run()
         assert run.results == {i: i * 2 for i in range(4)}
@@ -130,7 +156,6 @@ class TestPoolMode:
                 _double,
                 [(0, 1)],
                 jobs=2,
-                pool=True,
                 policy=SupervisionPolicy(retries=1),
             ).run()
         assert run.results == {}
@@ -142,19 +167,76 @@ class TestPoolMode:
             _return_nan,
             [(0, "x")],
             jobs=2,
-            pool=True,
             policy=SupervisionPolicy(retries=0),
         ).run()
         assert [f.reason for f in run.failures] == ["invariant"]
 
     def test_drain_skips_everything_unlaunched(self):
-        supervisor = Supervisor(
-            _double, list(enumerate(range(8))), jobs=2, pool=True
-        )
+        supervisor = Supervisor(_double, list(enumerate(range(8))), jobs=2)
         supervisor.request_drain()
         run = supervisor.run()
         assert run.results == {}
         assert run.skipped == list(range(8))
+
+    def test_drain_from_on_result_finishes_in_flight_work(self):
+        def drain_after_first(index, item, result):
+            supervisor.request_drain()
+
+        # Task 0 returns at once; task 1 is still running when the
+        # drain lands, so it finishes and is accepted.
+        items = [(0, 0.0), (1, 0.5)] + [(i, 0.0) for i in range(2, 6)]
+        supervisor = Supervisor(
+            _nap, items, jobs=2, on_result=drain_after_first
+        )
+        run = supervisor.run()
+        assert run.results == {0: 0.0, 1: 0.5}
+        assert run.skipped == [2, 3, 4, 5]
+        assert run.interrupted
+        assert run.failures == [] and run.retries == 0
+
+    def test_crash_in_flight_at_drain_is_a_failure_not_a_retry(self):
+        def drain_after_first(index, item, result):
+            supervisor.request_drain()
+
+        # Task 1's worker dies after the drain has landed; with retries
+        # left it would be retried, but nothing starts after a drain.
+        items = [(0, 0.0), (1, 0.5), (2, 0.0)]
+        supervisor = Supervisor(
+            _nap_then_crash_on_slow,
+            items,
+            jobs=2,
+            policy=SupervisionPolicy(retries=2),
+            on_result=drain_after_first,
+        )
+        run = supervisor.run()
+        assert run.results == {0: 0.0}
+        assert [(f.index, f.reason, f.attempts) for f in run.failures] == [
+            (1, "crash", 1)
+        ]
+        assert run.retries == 0
+        assert run.skipped == [2]
+        assert run.interrupted
+
+    def test_second_signal_kills_in_flight_work(self):
+        def interrupt_twice(index, item, result):
+            supervisor._on_signal(signal.SIGINT, None)
+            supervisor._on_signal(signal.SIGINT, None)
+
+        # Task 1 would nap for a minute; the repeated interrupt kills it
+        # at once, as a crash that is not retried.
+        items = [(0, 0.0), (1, 60.0), (2, 0.0)]
+        supervisor = Supervisor(
+            _nap, items, jobs=2, on_result=interrupt_twice
+        )
+        started = time.monotonic()
+        run = supervisor.run()
+        assert time.monotonic() - started < 30.0
+        assert run.results == {0: 0.0}
+        assert [(f.index, f.reason, f.message) for f in run.failures] == [
+            (1, "crash", "killed by repeated interrupt")
+        ]
+        assert run.skipped == [2]
+        assert run.interrupted
 
 
 def _tearing_send_frame(real):
@@ -182,10 +264,7 @@ class TestTornFrameRegression:
     the framed-protocol change: the parent must classify the torn frame
     the moment the pipe closes, long before any task timeout)."""
 
-    @pytest.mark.parametrize("pool", [False, True])
-    def test_mid_frame_crash_classifies_as_crash_fast(
-        self, monkeypatch, pool
-    ):
+    def test_mid_frame_crash_classifies_as_crash_fast(self, monkeypatch):
         monkeypatch.setattr(
             supervisor_module,
             "_send_frame",
@@ -196,7 +275,6 @@ class TestTornFrameRegression:
             _double,
             [(0, 1)],
             jobs=2,
-            pool=pool,
             policy=SupervisionPolicy(task_timeout=60.0, retries=0),
         ).run()
         elapsed = time.monotonic() - started

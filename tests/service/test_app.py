@@ -461,7 +461,7 @@ class TestChaosCampaign:
                           breaker_threshold=8,
                           start=False) as app:
                 chaos, tenants = self._campaign(app)
-                assert app.journal.repaired == 6
+                assert app.journal._writer.repaired == 6
                 retried = [
                     job.attempts for job in app.jobs.values()
                 ]

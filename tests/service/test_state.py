@@ -75,9 +75,7 @@ class TestCorruption:
 
     def test_unrecognized_record_key_is_refused(self, path):
         with JobJournal(path) as journal:
-            journal._append(
-                CheckpointWriter._task_line("job", "bogus-key-no-prefix", {})
-            )
+            journal._writer.record("job", "bogus-key-no-prefix", {})
         with pytest.raises(ConfigurationError, match="unrecognized"):
             load_job_records(path)
 
@@ -106,7 +104,7 @@ class TestJtearChaos:
                 journal.record_spec("aaa", {"tenant": "t"})
                 journal.record_done("aaa", {"ok": True})
                 journal.record_done("bbb", {"ok": False})
-                assert journal.repaired == 2
+                assert journal._writer.repaired == 2
         # Despite two injected tears, the journal reads back whole.
         specs, results, _failures = load_job_records(path)
         assert set(specs) == {"aaa"}
@@ -118,7 +116,7 @@ class TestJtearChaos:
                 journal.record_spec("aaa", {})  # write 0: untouched
                 journal.record_done("aaa", {})  # write 1: torn+repaired
                 journal.record_done("bbb", {})  # write 2: untouched
-                assert journal.repaired == 1
+                assert journal._writer.repaired == 1
 
     def test_repair_leaves_no_partial_bytes_behind(self, path):
         """After verify-and-repair every line in the file is complete
@@ -135,4 +133,4 @@ class TestJtearChaos:
     def test_no_plan_means_no_tears(self, path):
         with JobJournal(path) as journal:
             journal.record_spec("aaa", {})
-            assert journal.repaired == 0
+            assert journal._writer.repaired == 0
