@@ -28,7 +28,7 @@ class Cache:
 
     __slots__ = (
         "config", "name", "_sets", "hits", "misses", "writebacks",
-        "_line_bytes", "_num_sets", "_associativity",
+        "latency", "_line_bytes", "_num_sets", "_associativity",
         "last_eviction_was_dirty", "last_victim_line",
     )
 
@@ -42,6 +42,8 @@ class Cache:
         self.hits = 0
         self.misses = 0
         self.writebacks = 0
+        #: hit latency in cycles (the hierarchy's per-access read)
+        self.latency = config.latency
         # Geometry scalars, hoisted out of the per-access path.
         self._line_bytes = config.line_bytes
         self._num_sets = config.num_sets
@@ -77,7 +79,12 @@ class Cache:
         :attr:`last_eviction_was_dirty` to learn whether the allocation
         displaced a dirty victim.
         """
-        set_index, tag = self._locate(address)
+        if address < 0:
+            raise ConfigurationError("addresses must be non-negative")
+        num_sets = self._num_sets
+        line = address // self._line_bytes
+        set_index = line % num_sets
+        tag = line // num_sets
         cache_set = self._sets[set_index]
         self.last_eviction_was_dirty = False
         self.last_victim_line = None
@@ -91,9 +98,7 @@ class Cache:
         cache_set[tag] = is_write
         if len(cache_set) > self._associativity:
             victim_tag, dirty = cache_set.popitem(last=False)  # evict LRU
-            self.last_victim_line = (
-                victim_tag * self._num_sets + set_index
-            )
+            self.last_victim_line = victim_tag * num_sets + set_index
             if dirty:
                 self.writebacks += 1
                 self.last_eviction_was_dirty = True

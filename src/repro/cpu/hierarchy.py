@@ -10,7 +10,7 @@ of its triggering scheme.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.cpu.bus import PipelinedBus
 from repro.cpu.caches import Cache
@@ -21,9 +21,9 @@ from repro.cpu.tlb import Tlb
 __all__ = ["AccessResult", "MemoryHierarchy"]
 
 
-@dataclass(frozen=True)
-class AccessResult:
-    """Timing outcome of one cache access."""
+class AccessResult(NamedTuple):
+    """Timing outcome of one cache access (an immutable record, built
+    once per cache access, so a tuple rather than a frozen dataclass)."""
 
     ready_at: int
     #: "l1", "l2" or "memory" -- where the data came from
@@ -56,14 +56,16 @@ class MemoryHierarchy:
         #: line number -> fill-complete time, for outstanding fills
         self._inflight: dict[int, int] = {}
         self.prefetches = 0
+        # Invariant config scalars, hoisted out of the per-access path.
+        self._line_bytes = config.l2.line_bytes
+        self._l2_latency = config.l2.latency
+        self._page_walk_latency = config.page_walk_latency
+        self._prefetch_next_line = config.prefetch == "next_line"
 
     # ------------------------------------------------------------------
-    def _line(self, address: int) -> int:
-        return address // self.config.l2.line_bytes
-
     def _memory_fill(self, address: int, start: int, now: int) -> tuple[int, bool]:
         """Schedule (or merge into) a memory fill; returns (ready, merged)."""
-        line = self._line(address)
+        line = address // self._line_bytes
         outstanding = self._inflight.get(line)
         if outstanding is not None and outstanding > now:
             return outstanding, True
@@ -79,12 +81,12 @@ class MemoryHierarchy:
     def _maybe_prefetch(self, address: int, now: int) -> None:
         """Next-line prefetch into the L2, overlapped with the demand
         fill (no pipeline stall; consumes bus/bank bandwidth)."""
-        if self.config.prefetch != "next_line":
+        if not self._prefetch_next_line:
             return
-        next_line_address = address + self.config.l2.line_bytes
+        next_line_address = address + self._line_bytes
         if self.l2.lookup(next_line_address, update_lru=False):
             return
-        line = self._line(next_line_address)
+        line = next_line_address // self._line_bytes
         outstanding = self._inflight.get(line)
         if outstanding is not None and outstanding > now:
             return
@@ -99,22 +101,18 @@ class MemoryHierarchy:
         self, l1: Cache, tlb: Tlb, address: int, now: int, is_write: bool = False
     ) -> AccessResult:
         walk = not tlb.access(address)
-        start = now + (self.config.page_walk_latency if walk else 0)
+        start = now + self._page_walk_latency if walk else now
+        after_l1 = start + l1.latency
         # A tag hit on a line whose fill is still outstanding must wait
         # for the fill (MSHR merge): the data is not there yet.
-        outstanding = self._inflight.get(self._line(address))
+        outstanding = self._inflight.get(address // self._line_bytes)
         if outstanding is not None and outstanding > now:
             l1.access(address, is_write)
             return AccessResult(
-                max(outstanding, start + l1.config.latency),
-                "memory",
-                True,
-                walk,
-                merged=True,
+                max(outstanding, after_l1), "memory", True, walk, True
             )
         if l1.access(address, is_write):
-            return AccessResult(start + l1.config.latency, "l1", False, walk)
-        after_l1 = start + l1.config.latency
+            return AccessResult(after_l1, "l1", False, walk)
         # An L1 dirty eviction writes its victim back into the L2
         # (on-chip, no bus traffic).
         if l1.last_eviction_was_dirty and l1.last_victim_line is not None:
@@ -125,13 +123,11 @@ class MemoryHierarchy:
         if self.l2.access(address, is_write):
             if l1 is self.l1d:
                 self._maybe_prefetch(address, now)
-            return AccessResult(
-                after_l1 + self.config.l2.latency, "l2", False, walk
-            )
+            return AccessResult(after_l1 + self._l2_latency, "l2", False, walk)
         # An L2 dirty eviction goes to memory over the bus.
         if self.l2.last_eviction_was_dirty:
             self.bus.request(now)
-        after_l2 = after_l1 + self.config.l2.latency
+        after_l2 = after_l1 + self._l2_latency
         ready, merged = self._memory_fill(address, after_l2, now)
         if l1 is self.l1d:
             self._maybe_prefetch(address, now)

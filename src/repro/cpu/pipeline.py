@@ -20,12 +20,14 @@ wrong-path execution is approximated by stalling fetch from a
 mispredicted branch until it resolves plus a redirect penalty, and
 architectural values are never computed.
 
-Performance notes (see docs/PERFORMANCE.md): every hot structure uses
-``__slots__``, uop decode happens once at fetch via a precomputed
-table (port index, kind, latency) instead of per-cycle enum dispatch,
-store-to-load forwarding uses an address-indexed ROB store map, and
-the main loop fast-forwards over provably idle cycles straight to the
-next retirement / wakeup / frontend / quota / Delta-boundary event.
+Performance notes (see docs/PERFORMANCE.md): :meth:`OooPipeline.run`
+is one fused loop with the pipeline state in locals; every hot
+structure uses ``__slots__``; uop decode happens once at fetch via a
+table keyed by the op class's str value (port, kind, latency); policy
+hooks the policy leaves at their :class:`SwitchPolicy` defaults are
+skipped; store-to-load forwarding uses an address-indexed ROB store
+map; and the loop fast-forwards over provably idle cycles straight to
+the next retirement / wakeup / frontend / quota / Delta-boundary event.
 All of these are bit-identical transformations -- golden tests in
 ``tests/integration/test_golden_kernels.py`` pin the exact outputs.
 """
@@ -35,7 +37,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from math import ceil, isinf
-from typing import Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from repro.core.policy import NoFairnessPolicy, SwitchPolicy
 from repro.cpu.branch import BranchPredictor
@@ -58,34 +60,30 @@ _PORT_ALU, _PORT_MUL, _PORT_FP, _PORT_LOAD, _PORT_STORE = range(5)
 
 
 class _Inflight:
-    """One in-flight uop instance."""
+    """One in-flight uop instance (all belong to the active thread)."""
 
     __slots__ = (
-        "uop", "thread_id", "seq", "visible_at", "deps", "completed_at",
-        "issued", "access", "access_issued_at", "mispredicted", "forwarded",
-        "port", "kind", "exec_latency",
+        "uop", "seq", "visible_at", "deps", "completed_at", "access",
+        "access_issued_at", "mispredicted", "port", "kind", "exec_latency",
     )
 
-    def __init__(self, uop: MicroOp, thread_id: int, seq: int, visible_at: int) -> None:
+    def __init__(
+        self, uop: MicroOp, seq: int, visible_at: int,
+        port: int, kind: int, exec_latency: int,
+    ) -> None:
         self.uop = uop
-        self.thread_id = thread_id
         self.seq = seq
         self.visible_at = visible_at
         self.deps: list["_Inflight"] = []
+        #: set when the uop issues (None = still waiting in the RS)
         self.completed_at: Optional[int] = None
-        self.issued = False
+        #: the cache access of an issued, non-forwarded load
         self.access: Optional[AccessResult] = None
-        self.access_issued_at: Optional[int] = None
+        self.access_issued_at = 0  # meaningful once ``access`` is set
         self.mispredicted = False
-        self.forwarded = False
-        self.port = _PORT_ALU
-        self.kind = _KIND_SIMPLE
-        self.exec_latency = 1
-
-    def ready(self, now: int) -> bool:
-        return all(
-            d.completed_at is not None and d.completed_at <= now for d in self.deps
-        )
+        self.port = port
+        self.kind = kind
+        self.exec_latency = exec_latency
 
 
 class _ThreadContext:
@@ -93,7 +91,7 @@ class _ThreadContext:
 
     __slots__ = (
         "thread_id", "cursor", "producers", "ready_at", "last_dispatch_seq",
-        "current_fetch_line", "retired", "run_cycles", "misses",
+        "retired", "run_cycles", "misses",
         "miss_switches", "forced_switches", "cycle_quota_switches",
     )
 
@@ -104,7 +102,6 @@ class _ThreadContext:
         self.producers: list[Optional[_Inflight]] = [None] * NUM_ARCH_REGS
         self.ready_at = 0
         self.last_dispatch_seq = -1
-        self.current_fetch_line: Optional[int] = None
 
         self.retired = 0
         self.run_cycles = 0
@@ -159,6 +156,16 @@ class CpuRunResult:
         return sum(self.switch_latencies) / len(self.switch_latencies)
 
 
+def _overridden(policy: SwitchPolicy, hook: str) -> Optional[Callable[..., Any]]:
+    """``policy``'s bound ``hook``, or None when the policy keeps the
+    :class:`SwitchPolicy` default (an ``inf`` answer or a no-op), which
+    the pipeline then skips instead of calling every cycle."""
+    if getattr(type(policy), hook) is getattr(SwitchPolicy, hook):
+        return None
+    bound: Callable[..., Any] = getattr(policy, hook)
+    return bound
+
+
 class OooPipeline:
     """The core. One instance simulates one run (single- or multi-thread)."""
 
@@ -174,11 +181,7 @@ class OooPipeline:
         self.policy = policy if policy is not None else NoFairnessPolicy()
         # Selection hook: consulted only when the policy overrides it,
         # so the default round-robin dispatch stays untouched otherwise.
-        self._policy_select = (
-            self.policy.select_thread
-            if type(self.policy).select_thread is not SwitchPolicy.select_thread
-            else None
-        )
+        self._policy_select = _overridden(self.policy, "select_thread")
         self.hierarchy = MemoryHierarchy(config)
         self.predictor = BranchPredictor(
             config.predictor_history_bits,
@@ -189,67 +192,12 @@ class OooPipeline:
             _ThreadContext(i, program) for i, program in enumerate(programs)
         ]
         self.now = 0
-        self._seq = 0
-        self._dispatch_counter = 0
-
-        self._active: Optional[_ThreadContext] = None
-        self._fetch_queue: deque[_Inflight] = deque()
-        self._rob: deque[_Inflight] = deque()
-        self._rs: list[_Inflight] = []
-        self._loads_in_flight = 0
-        #: senior stores: (thread_id, address) awaiting cache drain
-        self._store_buffer: deque[tuple[int, int]] = deque()
-        #: address -> seqs of un-retired active-thread stores in the ROB
-        #: (in program order), so forwarding lookups skip the ROB scan
-        self._rob_stores: dict[int, deque[int]] = {}
-
-        self._fetch_resume_at = 0
-        self._pending_branch: Optional[_Inflight] = None
-        self._dispatch_start = 0
-        self._first_retire_seen = False
-        self._switch_started_at: Optional[int] = None
         self.switch_latencies: list[int] = []
         #: min ready_at over pending (not-ready, not-exhausted) threads,
-        #: refreshed by each _pick_ready call (satellite: no per-cycle
-        #: list rebuild in the no-runnable idle-skip)
+        #: refreshed by each _pick_ready call (no per-cycle list rebuild
+        #: in the no-runnable idle-skip)
         self._pending_ready_min: Optional[int] = None
-        self._total_retired = 0
 
-        # Decode table: OpClass -> (issue port, kind, execute latency),
-        # consulted once per fetched uop instead of per issue attempt.
-        self._decode: dict[OpClass, tuple[int, int, int]] = {
-            OpClass.ALU: (_PORT_ALU, _KIND_SIMPLE, config.alu_latency),
-            OpClass.NOP: (_PORT_ALU, _KIND_SIMPLE, config.alu_latency),
-            OpClass.BRANCH: (_PORT_ALU, _KIND_BRANCH, config.alu_latency),
-            OpClass.MUL: (_PORT_MUL, _KIND_SIMPLE, config.mul_latency),
-            OpClass.FP: (_PORT_FP, _KIND_SIMPLE, config.fp_latency),
-            OpClass.LOAD: (_PORT_LOAD, _KIND_LOAD, 0),
-            OpClass.STORE: (_PORT_STORE, _KIND_STORE, 1),
-        }
-        self._port_limits = (
-            config.alu_ports, config.mul_ports, config.fp_ports,
-            config.load_ports, config.store_ports,
-        )
-        # Invariant config scalars, hoisted out of the cycle loop.
-        self._fetch_width = config.fetch_width
-        self._rename_width = config.rename_width
-        self._retire_width = config.retire_width
-        self._rob_entries = config.rob_entries
-        self._rs_entries = config.rs_entries
-        self._load_buffer_entries = config.load_buffer_entries
-        self._store_buffer_entries = config.store_buffer_entries
-        self._fetch_queue_entries = config.fetch_queue_entries
-        self._frontend_latency = config.frontend_latency
-        self._branch_redirect_penalty = config.branch_redirect_penalty
-        self._l1i_line_bytes = config.l1i.line_bytes
-        self._l1i_latency = config.l1i.latency
-        self._l1d_latency = config.l1d.latency
-        self._max_cycles_quota = config.max_cycles_quota
-        self._switch_on_l1 = config.switch_event == "l1"
-
-    # ------------------------------------------------------------------
-    # Scheduling / switching
-    # ------------------------------------------------------------------
     def _pick_ready(self) -> Optional[_ThreadContext]:
         """Oldest-dispatch ready thread; refreshes the cached minimum
         ``ready_at`` over pending threads in the same single pass. A
@@ -286,569 +234,480 @@ class OooPipeline:
                 return self.threads[choice]
         return best
 
-    def _dispatch(self, thread: _ThreadContext) -> None:
-        thread.last_dispatch_seq = self._dispatch_counter
-        self._dispatch_counter += 1
-        self._active = thread
-        self._dispatch_start = self.now
-        self._first_retire_seen = False
-        thread.current_fetch_line = None
-        self._pending_branch = None
-        self._fetch_resume_at = max(self._fetch_resume_at, self.now)
-        if self._switch_started_at is not None:
-            # Measure the refill latency from the dispatch, not from the
-            # switch: cycles the previous thread's idle gap already paid
-            # are not switch overhead.
-            self._switch_started_at = self.now
-        self.policy.on_run_start(thread.thread_id, float(self.now))
-
-    def _flush_active(self) -> None:
-        """Return all in-flight uops of the active thread to its cursor."""
-        thread = self._active
-        assert thread is not None
-        flushed: list[_Inflight] = []
-        flushed.extend(u for u in self._fetch_queue)
-        flushed.extend(u for u in self._rob)
-        self._fetch_queue.clear()
-        # All in-flight uops belong to the active thread by construction.
-        self._rob.clear()
-        self._rs.clear()
-        self._rob_stores.clear()
-        self._loads_in_flight = 0
-        self._pending_branch = None
-        flushed.sort(key=lambda u: u.seq)
-        thread.cursor.push_back(u.uop for u in flushed)
-        thread.producers = [None] * NUM_ARCH_REGS
-
-    def _switch_out(self, reason: str, thread_ready_at: int) -> None:
-        thread = self._active
-        assert thread is not None
-        self._flush_active()
-        thread.ready_at = thread_ready_at
-        self.policy.on_switch_out(thread.thread_id, reason, float(self.now))
-        self._active = None
-        # Drain: the next thread cannot start fetching before this.
-        self._fetch_resume_at = self.now + self.config.drain_latency
-        self._switch_started_at = self.now
-
-    # ------------------------------------------------------------------
-    # Pipeline stages
-    # ------------------------------------------------------------------
-    def _retire(self) -> int:
-        thread = self._active
-        if thread is None:
-            return 0
-        rob = self._rob
-        if not rob:
-            return 0
-        now = self.now
-        retired = 0
-        multithreaded = len(self.threads) > 1
-        retire_width = self._retire_width
-        while retired < retire_width and rob:
-            head = rob[0]
-            completed_at = head.completed_at
-            if completed_at is None or completed_at > now:
-                if (
-                    multithreaded
-                    and head.kind == _KIND_LOAD
-                    and head.issued
-                    and head.access is not None
-                    and self._is_switch_event(head.access)
-                    and completed_at is not None
-                ):
-                    # SOE trigger: unresolved miss at the ROB head.
-                    thread.misses += 1
-                    thread.miss_switches += 1
-                    latency = None
-                    if head.access_issued_at is not None:
-                        latency = float(completed_at - head.access_issued_at)
-                    self.policy.on_miss(
-                        thread.thread_id, float(now), latency=latency
-                    )
-                    self._switch_out("miss", completed_at)
-                    return retired
-                break
-            kind = head.kind
-            if kind == _KIND_STORE:
-                if len(self._store_buffer) >= self._store_buffer_entries:
-                    break  # retirement stalls on a full store buffer
-                address = head.uop.address
-                self._store_buffer.append((head.thread_id, address))
-                seqs = self._rob_stores[address]
-                seqs.popleft()
-                if not seqs:
-                    del self._rob_stores[address]
-            elif kind == _KIND_LOAD:
-                self._loads_in_flight -= 1
-            rob.popleft()
-            thread.retired += 1
-            self._total_retired += 1
-            retired += 1
-            if self._switch_started_at is not None:
-                self.switch_latencies.append(now - self._switch_started_at)
-                self._switch_started_at = None
-        return retired
-
-    def _is_switch_event(self, access: AccessResult) -> bool:
-        """Does this access's miss trigger a thread switch?
-
-        ``switch_event="l2"`` is the paper's base scheme (switch only on
-        misses that go to memory); ``"l1"`` also switches on L1 misses
-        that hit the L2 -- the dMT-style Section 6 variant.
-        """
-        if self._switch_on_l1:
-            return access.level != "l1"
-        return access.l2_miss
-
-    def _issue(self) -> int:
-        rs = self._rs
-        if not rs:
-            return 0
-        now = self.now
-        free = list(self._port_limits)
-        issued = 0
-        # ALU-class ops share port 0 (decoded at fetch). The RS list is
-        # kept in seq (age) order by construction, so oldest-first
-        # scheduling is a plain scan; the keep-list rebuild preserves
-        # that order for the survivors.
-        keep: list[_Inflight] = []
-        keep_append = keep.append
-        for entry in rs:
-            if free[entry.port]:
-                for d in entry.deps:
-                    completed_at = d.completed_at
-                    if completed_at is None or completed_at > now:
-                        keep_append(entry)
-                        break
-                else:
-                    free[entry.port] -= 1
-                    self._execute(entry)
-                    issued += 1
-            else:
-                keep_append(entry)
-        if issued:
-            self._rs = keep
-        return issued
-
-    def _execute(self, entry: _Inflight) -> None:
-        entry.issued = True
-        now = self.now
-        kind = entry.kind
-        if kind == _KIND_SIMPLE:
-            entry.completed_at = now + entry.exec_latency
-        elif kind == _KIND_LOAD:
-            if self._forwarding_hit(entry):
-                entry.forwarded = True
-                entry.completed_at = now + 1 + self._l1d_latency
-            else:
-                access = self.hierarchy.data_access(entry.uop.address, now + 1)
-                entry.access = access
-                entry.access_issued_at = now + 1
-                entry.completed_at = access.ready_at
-        elif kind == _KIND_BRANCH:
-            completed_at = now + entry.exec_latency
-            entry.completed_at = completed_at
-            if entry.mispredicted:
-                # Fetch resumes after resolve + redirect penalty.
-                resume = completed_at + self._branch_redirect_penalty
-                if resume > self._fetch_resume_at:
-                    self._fetch_resume_at = resume
-                if self._pending_branch is entry:
-                    self._pending_branch = None
-        else:  # _KIND_STORE
-            # Stores only generate their address before retirement.
-            entry.completed_at = now + 1
-
-    def _forwarding_hit(self, load: _Inflight) -> bool:
-        """Store-to-load forwarding: an older same-thread store to the
-        same address, still in the ROB or the senior store buffer."""
-        address = load.uop.address
-        for thread_id, store_address in self._store_buffer:
-            if store_address == address:
-                if thread_id == load.thread_id:
-                    return True
-                # Cross-thread senior store: data exists but is not
-                # forwarded (Section 4.1); the load must access the
-                # cache.
-                return False
-        # Every un-retired ROB store belongs to the active thread, so
-        # the address index fully replaces the ROB scan.
-        seqs = self._rob_stores.get(address)
-        return seqs is not None and seqs[0] < load.seq
-
-    def _rename(self) -> int:
-        thread = self._active
-        if thread is None:
-            return 0
-        fq = self._fetch_queue
-        if not fq:
-            return 0
-        now = self.now
-        rob = self._rob
-        rs = self._rs
-        producers = thread.producers
-        renamed = 0
-        rename_width = self._rename_width
-        rob_entries = self._rob_entries
-        rs_entries = self._rs_entries
-        while renamed < rename_width and fq:
-            entry = fq[0]
-            if (
-                entry.visible_at > now
-                or len(rob) >= rob_entries
-                or len(rs) >= rs_entries
-            ):
-                break
-            kind = entry.kind
-            if (
-                kind == _KIND_LOAD
-                and self._loads_in_flight >= self._load_buffer_entries
-            ):
-                break
-            fq.popleft()
-            deps = entry.deps
-            for reg in entry.uop.srcs:
-                producer = producers[reg]
-                if producer is not None:
-                    deps.append(producer)
-            dest = entry.uop.dest
-            if dest is not None:
-                producers[dest] = entry
-            if kind == _KIND_LOAD:
-                self._loads_in_flight += 1
-            elif kind == _KIND_STORE:
-                address = entry.uop.address
-                seqs = self._rob_stores.get(address)
-                if seqs is None:
-                    self._rob_stores[address] = deque((entry.seq,))
-                else:
-                    seqs.append(entry.seq)
-            rob.append(entry)
-            rs.append(entry)
-            renamed += 1
-        return renamed
-
-    def _fetch(self) -> int:
-        thread = self._active
-        if thread is None:
-            return 0
-        if self.now < self._fetch_resume_at:
-            return 0
-        if self._pending_branch is not None:
-            return 0  # stalled behind an unresolved mispredicted branch
-        now = self.now
-        fq = self._fetch_queue
-        cursor = thread.cursor
-        fetched = 0
-        fetch_width = self._fetch_width
-        fetch_queue_entries = self._fetch_queue_entries
-        line_bytes = self._l1i_line_bytes
-        while fetched < fetch_width and len(fq) < fetch_queue_entries:
-            uop = cursor.fetch()
-            if uop is None:
-                break
-            line = uop.pc // line_bytes
-            if line != thread.current_fetch_line:
-                thread.current_fetch_line = line
-                access = self.hierarchy.fetch_access(uop.pc, now)
-                if access.ready_at > now + self._l1i_latency:
-                    # I-cache (or iTLB) miss: this uop arrives late and
-                    # fetch stalls until the line is in.
-                    self._fetch_resume_at = access.ready_at
-                    entry = self._make_entry(uop, thread, access.ready_at)
-                    fq.append(entry)
-                    self._maybe_stall_on_branch(entry)
-                    return fetched + 1
-            entry = self._make_entry(uop, thread, now)
-            fq.append(entry)
-            fetched += 1
-            if self._maybe_stall_on_branch(entry):
-                return fetched
-        return fetched
-
-    def _make_entry(self, uop: MicroOp, thread: _ThreadContext, fetch_time: int) -> _Inflight:
-        try:
-            port, kind, latency = self._decode[uop.opclass]
-        except KeyError:  # pragma: no cover - exhaustive enum
-            raise SimulationError(f"unknown op class {uop.opclass}") from None
-        entry = _Inflight(
-            uop, thread.thread_id, self._seq,
-            fetch_time + self._frontend_latency,
-        )
-        entry.port = port
-        entry.kind = kind
-        entry.exec_latency = latency
-        self._seq += 1
-        return entry
-
-    def _maybe_stall_on_branch(self, entry: _Inflight) -> bool:
-        if entry.kind != _KIND_BRANCH:
-            return False
-        correct = self.predictor.predict_and_update(entry.uop)
-        if not correct:
-            entry.mispredicted = True
-            self._pending_branch = entry
-            return True
-        if entry.uop.taken:
-            # Taken branches redirect the fetch line.
-            thread = self.threads[entry.thread_id]
-            thread.current_fetch_line = None
-        return False
-
-    def _drain_stores(self) -> None:
-        if self._store_buffer:
-            thread_id, address = self._store_buffer.popleft()
-            self.hierarchy.store_access(address, self.now)
-
-    # ------------------------------------------------------------------
-    # Quota checks (fairness mechanism / time sharing / max-cycles)
-    # ------------------------------------------------------------------
-    def _check_quotas(self) -> None:
-        thread = self._active
-        if thread is None or len(self.threads) <= 1:
-            return
-        if self.policy.instruction_budget(thread.thread_id) <= 0:
-            thread.forced_switches += 1
-            self._switch_out("quota", self.now)
-            return
-        dispatch_cycles = self.now - self._dispatch_start
-        budget = min(
-            self.policy.cycle_budget(thread.thread_id),
-            self._max_cycles_quota,
-        )
-        if dispatch_cycles >= budget:
-            thread.cycle_quota_switches += 1
-            self._switch_out("cycle_quota", self.now)
-
-    # ------------------------------------------------------------------
-    # Event-driven fast-forward
-    # ------------------------------------------------------------------
-    def _next_event_cycle(
-        self, thread: _ThreadContext, multithreaded: bool, max_cycles: int
-    ) -> int:
-        """First future cycle at which a provably idle pipeline can act.
-
-        Called right after a cycle in which every stage did nothing (no
-        retire/issue/rename/fetch/drain, no switch, empty store buffer).
-        In that state the machine is frozen until one of a small set of
-        timed events; anything the skipped cycles *would* have done is
-        replayed in batch by the caller (``run_cycles`` and the policy's
-        ``on_retired`` cycle accounting are linear in cycles). The
-        returned cycle is a safe lower bound on the next event:
-
-        * ROB-head completion (retirement, and the SOE miss trigger's
-          own resolution -- if the trigger were armed it would already
-          have fired this cycle);
-        * RS wakeup: the earliest ``max(dep.completed_at)`` over
-          entries whose deps are all scheduled (the oldest unissued
-          entry always qualifies, and ports are free when nothing
-          issued);
-        * frontend: the fetch-queue head's ``visible_at`` when rename
-          has room, or ``_fetch_resume_at`` when fetch is merely
-          waiting out a redirect/i-miss/drain;
-        * quota horizon: ``dispatch_cycles`` grows by 1/cycle and the
-          cycle budget shrinks by at most 1/cycle, so the quota check
-          cannot trip for another ceil(slack/2) cycles;
-        * the next Delta boundary (``ceil`` of the policy's boundary,
-          which fires at the first integer cycle >= it);
-        * the run's ``max_cycles`` horizon.
-        """
-        now = self.now  # first not-yet-simulated cycle
-        target = max_cycles
-        rob = self._rob
-        if rob:
-            completed_at = rob[0].completed_at
-            if completed_at is not None and completed_at < target:
-                target = completed_at
-        for entry in self._rs:
-            wake = 0
-            for d in entry.deps:
-                completed_at = d.completed_at
-                if completed_at is None:
-                    wake = -1
-                    break
-                if completed_at > wake:
-                    wake = completed_at
-            if wake >= 0 and wake < target:
-                target = wake
-        fq = self._fetch_queue
-        if (
-            fq
-            and len(rob) < self._rob_entries
-            and len(self._rs) < self._rs_entries
-        ):
-            head = fq[0]
-            if not (
-                head.kind == _KIND_LOAD
-                and self._loads_in_flight >= self._load_buffer_entries
-            ):
-                if head.visible_at < target:
-                    target = head.visible_at
-        if (
-            len(fq) < self._fetch_queue_entries
-            and self._pending_branch is None
-            and not thread.cursor.exhausted
-        ):
-            if self._fetch_resume_at < target:
-                target = self._fetch_resume_at
-        if multithreaded:
-            budget = min(
-                self.policy.cycle_budget(thread.thread_id),
-                self._max_cycles_quota,
-            )
-            # The quota check last ran (and passed) at cycle now - 1.
-            slack = budget - (now - 1 - self._dispatch_start)
-            horizon = now - 1 + int(ceil(slack / 2.0))
-            if horizon < target:
-                target = horizon
-        boundary = self.policy.next_boundary(float(now - 1))
-        if not isinf(boundary):
-            boundary_cycle = int(ceil(boundary))
-            if boundary_cycle < target:
-                target = boundary_cycle
-        return target if target > now else now
-
-    # ------------------------------------------------------------------
-    # Main loop
-    # ------------------------------------------------------------------
     def run(
         self,
         min_instructions: int,
         warmup_instructions: int = 0,
         max_cycles: int = 50_000_000,
     ) -> CpuRunResult:
-        """Run until every thread retired ``min_instructions``."""
+        """Run until every thread retired ``min_instructions``.
+
+        One loop iteration simulates one cycle: dispatch a thread if the
+        core is free, then retire, issue (and execute), rename, fetch,
+        drain one senior store, account the cycle, check the quotas,
+        fire a due Delta boundary, and finally fast-forward over
+        provably idle cycles. The pipeline state lives in locals for the
+        whole run; only ``now`` and ``switch_latencies`` are written
+        back for the result.
+        """
         if min_instructions <= 0:
             raise ConfigurationError("min_instructions must be positive")
+        config = self.config
+        policy = self.policy
+        threads = self.threads
+        multithreaded = len(threads) > 1
+        hierarchy = self.hierarchy
+        fetch_access = hierarchy.fetch_access
+        data_access = hierarchy.data_access
+        store_access = hierarchy.store_access
+        predict = self.predictor.predict_and_update
+        pick_ready = self._pick_ready
+        instruction_budget = _overridden(policy, "instruction_budget")
+        cycle_budget = _overridden(policy, "cycle_budget")
+        next_boundary = _overridden(policy, "next_boundary")
+        on_retired = _overridden(policy, "on_retired")
+        on_boundary = policy.on_boundary
+
+        # Decode table: op class -> (issue port, kind, execute latency),
+        # consulted once per fetched uop. Keyed by the enum's str value,
+        # whose hash is C code (Enum.__hash__ is not).
+        alu_latency = config.alu_latency
+        decode = {
+            OpClass.ALU._value_: (_PORT_ALU, _KIND_SIMPLE, alu_latency),
+            OpClass.NOP._value_: (_PORT_ALU, _KIND_SIMPLE, alu_latency),
+            OpClass.BRANCH._value_: (_PORT_ALU, _KIND_BRANCH, alu_latency),
+            OpClass.MUL._value_: (_PORT_MUL, _KIND_SIMPLE, config.mul_latency),
+            OpClass.FP._value_: (_PORT_FP, _KIND_SIMPLE, config.fp_latency),
+            OpClass.LOAD._value_: (_PORT_LOAD, _KIND_LOAD, 0),
+            OpClass.STORE._value_: (_PORT_STORE, _KIND_STORE, 1),
+        }
+        port_limits = (
+            config.alu_ports, config.mul_ports, config.fp_ports,
+            config.load_ports, config.store_ports,
+        )
+        fetch_width = config.fetch_width
+        rename_width = config.rename_width
+        retire_width = config.retire_width
+        rob_entries = config.rob_entries
+        rs_entries = config.rs_entries
+        load_buffer_entries = config.load_buffer_entries
+        store_buffer_entries = config.store_buffer_entries
+        fetch_queue_entries = config.fetch_queue_entries
+        frontend_latency = config.frontend_latency
+        redirect_penalty = config.branch_redirect_penalty
+        line_bytes = config.l1i.line_bytes
+        l1i_latency = config.l1i.latency
+        l1d_latency = config.l1d.latency
+        max_cycles_quota = config.max_cycles_quota
+        drain_latency = config.drain_latency
+        switch_on_l1 = config.switch_event == "l1"
+
+        fq: deque[_Inflight] = deque()
+        rob: deque[_Inflight] = deque()
+        rs: list[_Inflight] = []  # kept in seq (age) order
+        #: senior stores: (thread_id, address) awaiting cache drain
+        store_buffer: deque[tuple[int, int]] = deque()
+        #: address -> seqs of un-retired stores in the ROB (in program
+        #: order), so forwarding lookups skip the ROB scan
+        rob_stores: dict[int, deque[int]] = {}
+        loads_in_flight = 0
+        active: Optional[_ThreadContext] = None
+        pending_branch: Optional[_Inflight] = None
+        fetch_line: Optional[int] = None
+        fetch_resume_at = 0
+        dispatch_start = 0
+        dispatch_counter = 0
+        first_retire_seen = False
+        switch_started_at: Optional[int] = None
+        seq = 0
+        total_retired = 0
+        ready_at = 0
+        now = self.now
+
         snapshot_time: Optional[int] = None
         snapshots: list[tuple] = []
         if warmup_instructions == 0:
             snapshot_time = 0
-            snapshots = [t.snapshot() for t in self.threads]
+            snapshots = [t.snapshot() for t in threads]
+        switch_latencies = self.switch_latencies
 
-        policy = self.policy
-        threads = self.threads
-        multithreaded = len(threads) > 1
-        retire = self._retire
-        issue = self._issue
-        rename = self._rename
-        fetch = self._fetch
-        store_buffer = self._store_buffer
-        hierarchy_store = self.hierarchy.store_access
-        thread_finished = self._thread_finished
-
-        while self.now < max_cycles:
-            if all(thread_finished(t, min_instructions) for t in threads):
-                break
-            if (
-                snapshot_time is None
-                and self._total_retired >= warmup_instructions
-            ):
-                snapshot_time = self.now
+        while now < max_cycles:
+            for t in threads:
+                if t.retired < min_instructions and (
+                    not t.cursor.exhausted
+                    # End-of-trace: wait for its in-flight uops to drain.
+                    or (t is active and (rob or fq))
+                ):
+                    break
+            else:
+                break  # every thread is finished
+            if snapshot_time is None and total_retired >= warmup_instructions:
+                snapshot_time = now
                 snapshots = [t.snapshot() for t in threads]
-                self.hierarchy.reset_statistics()
+                hierarchy.reset_statistics()
                 self.predictor.reset_statistics()
-                self.switch_latencies = []
+                switch_latencies = self.switch_latencies = []
 
             if (
-                self._active is not None
-                and not self._rob
-                and not self._fetch_queue
-                and self._active.cursor.exhausted
+                active is not None
+                and not rob
+                and not fq
+                and active.cursor.exhausted
             ):
                 # The active thread ran out of trace: release the core.
-                self.policy.on_switch_out(
-                    self._active.thread_id, "done", float(self.now)
-                )
-                self._active = None
+                policy.on_switch_out(active.thread_id, "done", float(now))
+                active = None
 
-            if self._active is None:
-                candidate = self._pick_ready()
-                if candidate is not None:
-                    self._dispatch(candidate)
-                else:
+            if active is None:
+                self.now = now
+                active = pick_ready()
+                if active is None:
                     pending_min = self._pending_ready_min
                     if pending_min is None:
                         break  # every thread's trace is exhausted
                     # Nothing runnable: skip idle time in one hop (the
                     # store buffer still drains one store per cycle).
                     target = min(pending_min, max_cycles)
-                    while store_buffer and self.now < target:
-                        self._drain_stores()
-                        self.now += 1
-                    boundary = policy.next_boundary(float(self.now))
-                    while boundary < target:
-                        self.now = int(boundary)
-                        policy.on_boundary(boundary)
-                        boundary = policy.next_boundary(float(self.now))
-                    if self.now < target:
-                        self.now = target
+                    while store_buffer and now < target:
+                        store_access(store_buffer.popleft()[1], now)
+                        now += 1
+                    if next_boundary is not None:
+                        boundary = next_boundary(float(now))
+                        while boundary < target:
+                            now = int(boundary)
+                            on_boundary(boundary)
+                            boundary = next_boundary(float(now))
+                    if now < target:
+                        now = target
                     continue
+                # Dispatch.
+                active.last_dispatch_seq = dispatch_counter
+                dispatch_counter += 1
+                dispatch_start = now
+                first_retire_seen = False
+                fetch_line = None
+                pending_branch = None
+                if fetch_resume_at < now:
+                    fetch_resume_at = now
+                if switch_started_at is not None:
+                    # Measure the refill latency from the dispatch, not
+                    # from the switch: cycles the previous thread's idle
+                    # gap already paid are not switch overhead.
+                    switch_started_at = now
+                policy.on_run_start(active.thread_id, float(now))
 
-            retired_now = retire()
-            issued = issue()
-            renamed = rename()
-            fetched = fetch()
+            # Retire: in order, up to retire_width uops.
+            retired_now = 0
+            switch_reason: Optional[str] = None
+            while rob and retired_now < retire_width:
+                head = rob[0]
+                completed_at = head.completed_at
+                if completed_at is None or completed_at > now:
+                    access = head.access  # its ready_at is completed_at
+                    if multithreaded and access is not None and (
+                        access.level != "l1" if switch_on_l1 else access.l2_miss
+                    ):
+                        # SOE trigger: unresolved miss at the ROB head.
+                        # "l2" (the paper's base scheme) switches on
+                        # misses to memory; "l1" also on L1 misses that
+                        # hit the L2 (the dMT-style Section 6 variant).
+                        active.misses += 1
+                        active.miss_switches += 1
+                        policy.on_miss(
+                            active.thread_id, float(now),
+                            latency=float(access.ready_at - head.access_issued_at),
+                        )
+                        switch_reason = "miss"
+                        ready_at = access.ready_at
+                    break
+                kind = head.kind
+                if kind == _KIND_STORE:
+                    if len(store_buffer) >= store_buffer_entries:
+                        break  # retirement stalls on a full store buffer
+                    address = head.uop.address
+                    store_buffer.append((active.thread_id, address))
+                    seqs = rob_stores[address]
+                    seqs.popleft()
+                    if not seqs:
+                        del rob_stores[address]
+                elif kind == _KIND_LOAD:
+                    loads_in_flight -= 1
+                rob.popleft()
+                retired_now += 1
+            if retired_now:
+                active.retired += retired_now
+                total_retired += retired_now
+                if switch_started_at is not None:
+                    switch_latencies.append(now - switch_started_at)
+                    switch_started_at = None
+
+            issued = renamed = fetched = 0
+            if switch_reason is None:
+                # Issue: oldest-first scan of the age-ordered RS.
+                if rs:
+                    free = list(port_limits)
+                    for entry in rs:
+                        port = entry.port
+                        if not free[port]:
+                            continue
+                        for d in entry.deps:
+                            completed_at = d.completed_at
+                            if completed_at is None or completed_at > now:
+                                break
+                        else:
+                            free[port] -= 1
+                            issued += 1
+                            kind = entry.kind
+                            if kind == _KIND_SIMPLE:
+                                entry.completed_at = now + entry.exec_latency
+                            elif kind == _KIND_LOAD:
+                                # Store-to-load forwarding from an older
+                                # same-thread store in the senior store
+                                # buffer or the ROB.
+                                address = entry.uop.address
+                                for thread_id, store_address in store_buffer:
+                                    if store_address == address:
+                                        # A cross-thread senior store's
+                                        # data is not forwarded (Section
+                                        # 4.1): the load goes to cache.
+                                        forwarded = thread_id == active.thread_id
+                                        break
+                                else:
+                                    seqs = rob_stores.get(address)
+                                    forwarded = seqs is not None and seqs[0] < entry.seq
+                                if forwarded:
+                                    entry.completed_at = now + 1 + l1d_latency
+                                else:
+                                    access = data_access(address, now + 1)
+                                    entry.access = access
+                                    entry.access_issued_at = now + 1
+                                    entry.completed_at = access.ready_at
+                            elif kind == _KIND_BRANCH:
+                                completed_at = now + entry.exec_latency
+                                entry.completed_at = completed_at
+                                if entry.mispredicted:
+                                    # Fetch resumes after resolve +
+                                    # redirect penalty.
+                                    resume = completed_at + redirect_penalty
+                                    if resume > fetch_resume_at:
+                                        fetch_resume_at = resume
+                                    if pending_branch is entry:
+                                        pending_branch = None
+                            else:  # _KIND_STORE: address generation only
+                                entry.completed_at = now + 1
+                    if issued:  # survivors keep their age order
+                        rs = [e for e in rs if e.completed_at is None]
+
+                # Rename: wire each uop to its sources' producers.
+                if fq:
+                    producers = active.producers
+                    while renamed < rename_width and fq:
+                        entry = fq[0]
+                        if (
+                            entry.visible_at > now
+                            or len(rob) >= rob_entries
+                            or len(rs) >= rs_entries
+                        ):
+                            break
+                        kind = entry.kind
+                        if kind == _KIND_LOAD:
+                            if loads_in_flight >= load_buffer_entries:
+                                break
+                            loads_in_flight += 1
+                        fq.popleft()
+                        uop = entry.uop
+                        deps = entry.deps
+                        for reg in uop.srcs:
+                            producer = producers[reg]
+                            if producer is not None:
+                                deps.append(producer)
+                        if uop.dest is not None:
+                            producers[uop.dest] = entry
+                        if kind == _KIND_STORE:
+                            seqs = rob_stores.get(uop.address)
+                            if seqs is None:
+                                rob_stores[uop.address] = deque((entry.seq,))
+                            else:
+                                seqs.append(entry.seq)
+                        rob.append(entry)
+                        rs.append(entry)
+                        renamed += 1
+
+                # Fetch, unless waiting out a redirect / i-miss / drain
+                # or stalled behind an unresolved mispredicted branch.
+                if now >= fetch_resume_at and pending_branch is None:
+                    cursor = active.cursor
+                    replay = cursor._replay
+                    while fetched < fetch_width and len(fq) < fetch_queue_entries:
+                        if replay:  # ProgramCursor.fetch, inlined
+                            uop = replay.popleft()
+                        else:
+                            try:
+                                uop = next(cursor._iterator)
+                            except StopIteration:
+                                cursor._exhausted = True
+                                break
+                        visible_at = now + frontend_latency
+                        line_stall = False
+                        pc = uop.pc
+                        line = pc // line_bytes
+                        if line != fetch_line:
+                            fetch_line = line
+                            line_ready = fetch_access(pc, now).ready_at
+                            if line_ready > now + l1i_latency:
+                                # I-cache (or iTLB) miss: this uop arrives
+                                # late and fetch stalls until the line is in.
+                                fetch_resume_at = line_ready
+                                visible_at = line_ready + frontend_latency
+                                line_stall = True
+                        port, kind, latency = decode[uop.opclass._value_]
+                        entry = _Inflight(uop, seq, visible_at, port, kind, latency)
+                        seq += 1
+                        fq.append(entry)
+                        fetched += 1
+                        if kind == _KIND_BRANCH:
+                            if not predict(uop):
+                                entry.mispredicted = True
+                                pending_branch = entry
+                                break
+                            if uop.taken:
+                                fetch_line = None  # taken: redirects the line
+                        if line_stall:
+                            break
+
             if store_buffer:
                 drained = True
-                _, address = store_buffer.popleft()
-                hierarchy_store(address, self.now)
+                store_access(store_buffer.popleft()[1], now)
             else:
                 drained = False
 
-            thread = self._active
-            if thread is not None:
-                if retired_now > 0 and not self._first_retire_seen:
-                    self._first_retire_seen = True
-                if self._first_retire_seen:
-                    thread.run_cycles += 1
-                    policy.on_retired(thread.thread_id, retired_now, 1.0)
-                elif retired_now:  # pragma: no cover - defensive
-                    policy.on_retired(thread.thread_id, retired_now, 0.0)
-                self._check_quotas()
+            if switch_reason is None:
+                if retired_now:
+                    first_retire_seen = True
+                if first_retire_seen:
+                    active.run_cycles += 1
+                    if on_retired is not None:
+                        on_retired(active.thread_id, retired_now, 1.0)
+                if multithreaded:
+                    # Quotas: fairness mechanism / time sharing / max-cycles.
+                    if (
+                        instruction_budget is not None
+                        and instruction_budget(active.thread_id) <= 0
+                    ):
+                        active.forced_switches += 1
+                        switch_reason = "quota"
+                        ready_at = now
+                    else:
+                        budget = max_cycles_quota if cycle_budget is None else min(
+                            cycle_budget(active.thread_id), max_cycles_quota
+                        )
+                        if now - dispatch_start >= budget:
+                            active.cycle_quota_switches += 1
+                            switch_reason = "cycle_quota"
+                            ready_at = now
 
-            boundary = policy.next_boundary(float(self.now))
-            if boundary <= self.now:
-                policy.on_boundary(boundary)
+            if switch_reason is not None:
+                # Switch out: return every in-flight uop (ROB, then the
+                # younger fetch queue: program order) to the cursor.
+                active.cursor.push_back([u.uop for u in rob] + [u.uop for u in fq])
+                fq.clear()
+                rob.clear()
+                rs = []
+                rob_stores.clear()
+                loads_in_flight = 0
+                pending_branch = None
+                active.producers = [None] * NUM_ARCH_REGS
+                active.ready_at = ready_at
+                policy.on_switch_out(active.thread_id, switch_reason, float(now))
+                active = None
+                # Drain: the next thread cannot start fetching before this.
+                fetch_resume_at = now + drain_latency
+                switch_started_at = now
 
-            self.now += 1
+            if next_boundary is not None:
+                boundary = next_boundary(float(now))
+                if boundary <= now:
+                    on_boundary(boundary)
 
-            if (
-                thread is not None
-                and self._active is thread
-                and not retired_now
-                and not issued
-                and not renamed
-                and not fetched
-                and not drained
-                and not store_buffer
+            now += 1
+
+            if switch_reason is not None or (
+                retired_now or issued or renamed or fetched or drained
             ):
-                # Provably idle cycle: every skipped cycle up to the
-                # next event would repeat it verbatim, so replay their
-                # only side effects (cycle accounting) in one batch.
-                target = self._next_event_cycle(thread, multithreaded, max_cycles)
-                skipped = target - self.now
-                if skipped > 0:
-                    if self._first_retire_seen:
-                        thread.run_cycles += skipped
-                        policy.on_retired(thread.thread_id, 0, float(skipped))
-                    self.now = target
+                continue
+            assert active is not None  # no switch-out this cycle
+            # Provably idle cycle (and the store buffer is empty): every
+            # cycle up to the next event would repeat it verbatim, so
+            # jump to a safe lower bound on that event and replay the
+            # skipped cycles' only side effect, cycle accounting (linear
+            # in cycles for run_cycles and every policy's on_retired).
+            target = max_cycles
+            # ROB-head completion: retirement, and the SOE trigger's own
+            # resolution (an armed trigger would already have fired).
+            if rob:
+                completed_at = rob[0].completed_at
+                if completed_at is not None and completed_at < target:
+                    target = completed_at
+            # RS wakeup: the latest dep completion of each entry whose
+            # deps are all scheduled (ports are free: nothing issued).
+            for entry in rs:
+                wake = 0
+                for d in entry.deps:
+                    completed_at = d.completed_at
+                    if completed_at is None:
+                        wake = -1
+                        break
+                    if completed_at > wake:
+                        wake = completed_at
+                if 0 <= wake < target:
+                    target = wake
+            # Frontend: the fetch-queue head once rename has room, or
+            # the end of a redirect / i-miss / drain wait.
+            if fq and len(rob) < rob_entries and len(rs) < rs_entries:
+                head = fq[0]
+                if not (
+                    head.kind == _KIND_LOAD
+                    and loads_in_flight >= load_buffer_entries
+                ) and head.visible_at < target:
+                    target = head.visible_at
+            if (
+                len(fq) < fetch_queue_entries
+                and pending_branch is None
+                and not active.cursor.exhausted
+            ):
+                if fetch_resume_at < target:
+                    target = fetch_resume_at
+            if multithreaded:
+                # Quota horizon: dispatch cycles grow by 1/cycle and the
+                # budget shrinks by at most 1/cycle, and the check last
+                # passed at now - 1, so it cannot trip for another
+                # ceil(slack / 2) cycles.
+                budget = max_cycles_quota if cycle_budget is None else min(
+                    cycle_budget(active.thread_id), max_cycles_quota
+                )
+                slack = budget - (now - 1 - dispatch_start)
+                horizon = now - 1 + int(ceil(slack / 2.0))
+                if horizon < target:
+                    target = horizon
+            if next_boundary is not None:
+                # A boundary fires at the first integer cycle >= it.
+                boundary = next_boundary(float(now - 1))
+                if not isinf(boundary):
+                    boundary_cycle = int(ceil(boundary))
+                    if boundary_cycle < target:
+                        target = boundary_cycle
+            if target > now:
+                if first_retire_seen:
+                    active.run_cycles += target - now
+                    if on_retired is not None:
+                        on_retired(active.thread_id, 0, float(target - now))
+                now = target
 
+        self.now = now
         if snapshot_time is None:
             snapshot_time = 0
-            snapshots = [(0, 0, 0, 0, 0, 0) for _ in self.threads]
+            snapshots = [(0, 0, 0, 0, 0, 0) for _ in threads]
         return self._build_result(snapshot_time, snapshots)
-
-    def _thread_finished(self, thread: _ThreadContext, min_instructions: int) -> bool:
-        if thread.retired >= min_instructions:
-            return True
-        if not thread.cursor.exhausted:
-            return False
-        # End-of-trace: wait for the thread's in-flight uops to drain.
-        return not (
-            self._active is thread and (self._rob or self._fetch_queue)
-        )
 
     def _build_result(self, start_time: int, snapshots: list[tuple]) -> CpuRunResult:
         window = self.now - start_time

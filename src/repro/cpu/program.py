@@ -48,7 +48,12 @@ def program_from_uops(uops: Iterable[MicroOp], name: str = "") -> TraceProgram:
 
 
 class ProgramCursor:
-    """Iterator over a trace with pushback for pipeline flushes."""
+    """Iterator over a trace with pushback for pipeline flushes.
+
+    The pipeline's fetch loop inlines :meth:`fetch` (it reads
+    ``_replay`` and ``_iterator`` and sets ``_exhausted`` directly), so
+    keep the two in step.
+    """
 
     def __init__(self, iterator: Iterator[MicroOp]) -> None:
         self._iterator = iterator
@@ -62,7 +67,6 @@ class ProgramCursor:
             return False
         if self._exhausted:
             return True
-        self._peeked: Optional[MicroOp]
         try:
             self._replay.append(next(self._iterator))
         except StopIteration:

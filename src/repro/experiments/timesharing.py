@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.core.controller import FairnessController
-from repro.core.policy import TimeSharingPolicy
+from repro.core.policies import PolicyConfig
 from repro.engine.singlethread import run_single_thread
 from repro.engine.segments import SegmentStream
 from repro.engine.soe import RunLimits, run_soe
@@ -91,7 +91,7 @@ def run(
     for quota in quotas:
         result = run_soe(
             _streams(seed_base),
-            TimeSharingPolicy(quota),
+            PolicyConfig("rr-timeshare", params=(("cycle_quota", quota),)).make(2),
             params,
             RunLimits(min_instructions=min_instructions),
         )

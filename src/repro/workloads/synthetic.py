@@ -90,17 +90,27 @@ class SegmentDistribution:
             instructions=self.ipm, cycles=self.ipm / self.ipc_no_miss
         )
 
+    @functools.cached_property
+    def _ipm_lognormal(self) -> tuple[float, float]:
+        """(mu, sigma) of the segment-length lognormal, computed once."""
+        return _lognormal_params(self.ipm, self.ipm_cv)
+
+    @functools.cached_property
+    def _ipc_lognormal(self) -> tuple[float, float]:
+        """(mu, sigma) of the retirement-rate lognormal, computed once."""
+        return _lognormal_params(self.ipc_no_miss, self.ipc_cv)
+
     def draw(self, rng: random.Random) -> Segment:
         """Draw one segment."""
         if self.ipm_cv == 0 and self.ipc_cv == 0:
             return self._constant_segment
         if self.ipm_cv > 0:
-            mu, sigma = _lognormal_params(self.ipm, self.ipm_cv)
+            mu, sigma = self._ipm_lognormal
             instructions = max(1.0, rng.lognormvariate(mu, sigma))
         else:
             instructions = self.ipm
         if self.ipc_cv > 0:
-            mu, sigma = _lognormal_params(self.ipc_no_miss, self.ipc_cv)
+            mu, sigma = self._ipc_lognormal
             ipc = max(0.05, rng.lognormvariate(mu, sigma))
         else:
             ipc = self.ipc_no_miss

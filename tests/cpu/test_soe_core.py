@@ -7,6 +7,7 @@ from repro.core.policy import TimeSharingPolicy
 from repro.cpu.machine import MachineConfig
 from repro.cpu.soe_core import run_cpu_single_thread, run_cpu_soe
 from repro.errors import ConfigurationError
+from repro.telemetry import RingBufferSink, tracing
 from repro.workloads.tracegen import CpuWorkloadSpec, make_trace
 
 #: Small-footprint specs so tests warm up fast.
@@ -108,6 +109,28 @@ class TestPoliciesOnDetailedCore:
             min_instructions=5_000, warmup_instructions=4_000,
         )
         assert result.total_ipc < baseline_run.total_ipc
+
+    def test_tracing_does_not_change_the_run(self):
+        """Tracing wraps the policy in ``TracingSwitchPolicy``, which
+        overrides every hook, so the pipeline calls each one instead of
+        skipping the base-class no-ops; the result must not change."""
+        def run():
+            controller = FairnessController(
+                2, FairnessParams(fairness_target=0.5, sample_period=4_000.0)
+            )
+            return run_cpu_soe(
+                programs(), controller,
+                min_instructions=3_000, warmup_instructions=1_000,
+            )
+
+        untraced = run()
+        sink = RingBufferSink()
+        with tracing(sink):
+            traced = run()
+        assert traced == untraced
+        assert sum(t.forced_switches for t in traced.threads) > 0
+        switches = [e for e in sink.events if e["event"] == "switch"]
+        assert switches and all(e["substrate"] == "cpu" for e in switches)
 
     def test_time_sharing_splits_cycles(self):
         policy = TimeSharingPolicy(1_000)

@@ -49,6 +49,42 @@ class TestTimeSharing:
         assert "enforced" in text
 
 
+class TestQuickScaleGolden:
+    """The quick-scale sweep, pinned bit for bit (values captured when
+    the experiment built ``TimeSharingPolicy`` directly, before it went
+    through the ``rr-timeshare`` registry entry)."""
+
+    def test_points_and_enforced_run(self):
+        result = timesharing.run(config=EvalConfig.quick())
+        assert result.points == [
+            timesharing.TimeSharingPoint(
+                100.0, 1.988843813387424, 0.87075,
+                (0.592044875063743, 0.407955124936257),
+            ),
+            timesharing.TimeSharingPoint(
+                200.0, 2.2128187767998195, 0.8707499999999999,
+                (0.592044875063743, 0.407955124936257),
+            ),
+            timesharing.TimeSharingPoint(
+                400.0, 2.3529411764705883, 0.6000000000000001, (0.5, 0.5),
+            ),
+            timesharing.TimeSharingPoint(
+                1000.0, 2.413793103448276, 0.6666666666666667,
+                (0.7142857142857143, 0.2857142857142857),
+            ),
+            timesharing.TimeSharingPoint(
+                4000.0, 2.463768115942029, 0.22222222222222224,
+                (0.8823529411764706, 0.11764705882352941),
+            ),
+            timesharing.TimeSharingPoint(
+                16000.0, 2.4806201550387597, 0.1111111111111111,
+                (0.9375, 0.0625),
+            ),
+        ]
+        assert result.enforced_ipc == 2.392051890226553
+        assert result.enforced_fairness == 0.9435707244499282
+
+
 class TestConfigPlumbing:
     """The machine parameters must come from the EvalConfig, not
     hard-coded module constants (the workload's IPC_NO_MISS/IPM stay

@@ -11,12 +11,19 @@ The scenarios are deliberately small (sub-second each) but exercise the
 hot paths the optimizations touch: miss-triggered switches, pipeline
 flush/refill, fairness quotas and Delta boundaries, single-thread
 ROB-head stalls (the fast-forward path), idle gaps, and the segment
-engine's event arithmetic with and without a controller.
+engine's event arithmetic with and without a controller. The later
+detailed-core scenarios (L1 switch trigger, banked DRAM with prefetch,
+time sharing, three threads with and without ICOUNT, same-cycle
+wakeup) were captured from the per-stage pipeline, before its stages
+were fused into one cycle loop, and cover paths the first three miss.
 """
 
 from __future__ import annotations
 
 from repro.core.controller import FairnessController, FairnessParams
+from repro.core.icount import IcountPolicy
+from repro.core.policy import TimeSharingPolicy
+from repro.cpu.machine import MachineConfig
 from repro.cpu.soe_core import run_cpu_single_thread, run_cpu_soe
 from repro.engine.soe import RunLimits, SoeParams, run_soe
 from repro.workloads.synthetic import uniform_stream
@@ -39,6 +46,19 @@ def _thread_tuples(result):
             t.cycle_quota_switches,
         )
         for t in result.threads
+    ]
+
+
+def _mixed_memory_pair():
+    return [
+        make_trace(MIXED_SPEC, seed=3, thread_index=0),
+        make_trace(MEMORY_SPEC, seed=4, thread_index=1),
+    ]
+
+
+def _three_threads():
+    return _mixed_memory_pair() + [
+        make_trace(COMPUTE_SPEC, seed=5, thread_index=2)
     ]
 
 
@@ -97,6 +117,113 @@ class TestDetailedCoreGolden:
         )
         assert result.cycles == 34140
         assert _thread_tuples(result) == [(1500, 34140, 0, 0, 0, 0)]
+        assert result.switch_latencies == ()
+        assert result.l2_miss_rate == 1.0
+        assert result.branch_mispredict_rate == 1.0
+
+    def test_mt_switch_on_l1_miss(self):
+        """The dMT-style trigger: L1 misses that hit the L2 switch too."""
+        result = run_cpu_soe(
+            _mixed_memory_pair(),
+            config=MachineConfig(switch_event="l1"),
+            min_instructions=1_500,
+            warmup_instructions=500,
+        )
+        assert result.cycles == 67920
+        assert _thread_tuples(result) == [
+            (1289, 16294, 102, 102, 0, 0),
+            (5284, 25500, 102, 102, 0, 0),
+        ]
+        assert len(result.switch_latencies) == 204
+        assert sum(result.switch_latencies) == 3851
+        assert result.l2_miss_rate == 0.9848197343453511
+        assert result.branch_mispredict_rate == 0.3762486126526082
+
+    def test_mt_dram_next_line_prefetch(self):
+        """Banked DRAM (variable miss latency) plus the L2 prefetcher."""
+        result = run_cpu_soe(
+            _mixed_memory_pair(),
+            config=MachineConfig(memory_model="dram", prefetch="next_line"),
+            min_instructions=1_500,
+            warmup_instructions=500,
+        )
+        assert result.cycles == 64175
+        assert _thread_tuples(result) == [
+            (1282, 22541, 44, 44, 0, 0),
+            (6277, 31293, 42, 42, 0, 0),
+        ]
+        assert len(result.switch_latencies) == 86
+        assert sum(result.switch_latencies) == 1672
+        assert result.l2_miss_rate == 0.6676829268292683
+        assert result.branch_mispredict_rate == 0.43953185955786733
+
+    def test_mt_time_sharing(self):
+        """A policy with a cycle budget but no instruction budget or
+        Delta boundary: the cycle-quota switch path."""
+        result = run_cpu_soe(
+            _mixed_memory_pair(),
+            TimeSharingPolicy(cycle_quota=400.0),
+            min_instructions=1_500,
+            warmup_instructions=500,
+        )
+        assert result.cycles == 56759
+        assert _thread_tuples(result) == [
+            (1304, 9043, 101, 101, 0, 42),
+            (1938, 11684, 89, 89, 0, 67),
+        ]
+        assert len(result.switch_latencies) == 290
+        assert sum(result.switch_latencies) == 14705
+        assert result.l2_miss_rate == 0.9921875
+        assert result.branch_mispredict_rate == 0.5871559633027523
+
+    def test_three_threads_icount(self):
+        """Three threads, so ``select_thread`` can beat round robin."""
+        result = run_cpu_soe(
+            _three_threads(),
+            IcountPolicy(3),
+            min_instructions=1_500,
+            warmup_instructions=500,
+        )
+        assert result.cycles == 78558
+        assert _thread_tuples(result) == [
+            (1372, 15850, 112, 112, 0, 0),
+            (1536, 17753, 100, 100, 0, 0),
+            (1542, 22308, 88, 88, 0, 0),
+        ]
+        assert len(result.switch_latencies) == 300
+        assert sum(result.switch_latencies) == 6009
+        assert result.l2_miss_rate == 0.7465564738292011
+        assert result.branch_mispredict_rate == 0.622360248447205
+
+    def test_three_threads_no_policy(self):
+        result = run_cpu_soe(
+            _three_threads(),
+            min_instructions=1_500,
+            warmup_instructions=500,
+        )
+        assert result.cycles == 94946
+        assert _thread_tuples(result) == [
+            (1382, 15980, 109, 109, 0, 0),
+            (3331, 25129, 109, 109, 0, 0),
+            (2976, 29527, 110, 110, 0, 0),
+        ]
+        assert len(result.switch_latencies) == 328
+        assert sum(result.switch_latencies) == 6516
+        assert result.l2_miss_rate == 0.5978765759787658
+        assert result.branch_mispredict_rate == 0.5032
+
+    def test_single_thread_same_cycle_wakeup(self):
+        """Zero-latency ALU ops complete in the cycle they issue, so a
+        consumer later in the same RS scan issues in that cycle too; the
+        small RS keeps rename stalling on a full window."""
+        result = run_cpu_single_thread(
+            make_trace(MIXED_SPEC, seed=3),
+            config=MachineConfig(alu_latency=0, rs_entries=4),
+            min_instructions=2_000,
+            warmup_instructions=500,
+        )
+        assert result.cycles == 40089
+        assert _thread_tuples(result) == [(1500, 40089, 0, 0, 0, 0)]
         assert result.switch_latencies == ()
         assert result.l2_miss_rate == 1.0
         assert result.branch_mispredict_rate == 1.0
