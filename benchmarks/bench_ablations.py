@@ -1,5 +1,9 @@
 """Benchmark: mechanism ablations (Delta, quotas, deficit cap,
-miss-latency misestimation) on the gcc:eon pair."""
+miss-latency misestimation) on the gcc:eon pair.
+
+The ablations' paper claims are asserted in
+tests/conformance/test_paper_numbers.py.
+"""
 
 import pytest
 
@@ -30,35 +34,3 @@ def test_ablations_regeneration(benchmark, results_dir):
     assert timed.points
     full = ablations.run(BenchmarkPair("gcc", "eon"), EvalConfig(), 0.5)
     write_result(results_dir, "ablations", ablations.render(full))
-
-
-def test_ablation_paper_delta_hits_target(benchmark, result):
-    point = benchmark.pedantic(
-        lambda: next(
-            p for p in result.series("delta") if p.value == "250,000"
-        ),
-        rounds=1, iterations=1,
-    )
-    assert point.achieved_fairness == pytest.approx(0.5, abs=0.1)
-
-
-def test_ablation_oversized_delta_tracks_phases_poorly(benchmark, result):
-    series = benchmark.pedantic(
-        lambda: {p.value: p for p in result.series("delta")},
-        rounds=1, iterations=1,
-    )
-    # Section 3.1: Delta "not too large in order to allow performance
-    # phases to be accurately tracked".
-    paper = abs(series["250,000"].achieved_fairness - 0.5)
-    oversized = abs(series["1,000,000"].achieved_fairness - 0.5)
-    assert oversized > paper
-
-
-def test_ablation_wrong_miss_latency_skews_fairness(benchmark, result):
-    series = benchmark.pedantic(
-        lambda: {p.value: p for p in result.series("assumed_miss_lat")},
-        rounds=1, iterations=1,
-    )
-    correct = abs(series["300"].achieved_fairness - 0.5)
-    wrong = abs(series["600"].achieved_fairness - 0.5)
-    assert wrong > correct

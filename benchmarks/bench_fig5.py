@@ -1,9 +1,7 @@
 """Benchmark: Figure 5 (detailed examination of gcc:eon at F = 1/4).
 
-Regenerates the three time-series panels and checks their qualitative
-claims: the runtime IPC_ST estimate closely tracks (and usually sits
-slightly below) the real value, and enforcement makes the starved gcc
-thread run an order of magnitude faster.
+Times and regenerates the three time-series panels. Their qualitative
+claims are asserted in tests/conformance/test_paper_numbers.py.
 """
 
 import pytest
@@ -35,39 +33,3 @@ def test_fig5_series_regeneration(benchmark, config, results_dir, result):
     )
     assert len(timed.times) > 2
     write_result(results_dir, "fig5", fig5.render(result))
-
-
-def test_fig5_estimates_track_real_ipc_st(benchmark, result):
-    errors = benchmark.pedantic(
-        lambda: [result.estimation_error(t) for t in range(2)],
-        rounds=1, iterations=1,
-    )
-    # Paper 5.1.1: "the estimated IPC_ST closely tracks the real".
-    # eon sees only a handful of misses per Delta window, so its
-    # estimate is noisier; ~25% mean deviation still tracks the level.
-    assert all(error < 0.25 for error in errors)
-
-
-def test_fig5_estimates_usually_slightly_lower(benchmark, result):
-    usually_lower = benchmark.pedantic(
-        lambda: result.estimate_is_usually_lower(0), rounds=1, iterations=1
-    )
-    # Paper 5.1.1: "usually slightly lower than the real IPC_ST".
-    assert usually_lower
-
-
-def test_fig5_enforcement_rescues_starved_thread(benchmark, result):
-    gain = benchmark.pedantic(
-        result.starved_thread_improvement, rounds=1, iterations=1
-    )
-    # Paper: gcc runs ~20x faster with F=1/4; our substitute workloads
-    # give a smaller but still multi-x factor.
-    assert gain > 2.0
-
-
-def test_fig5_interval_fairness_near_target(benchmark, result):
-    median = benchmark.pedantic(
-        lambda: sorted(result.fairness)[len(result.fairness) // 2],
-        rounds=1, iterations=1,
-    )
-    assert median == pytest.approx(0.25, abs=0.12)

@@ -1,9 +1,8 @@
 """Benchmark: Figure 8 (achieved fairness, left and right panels).
 
-Regenerates the per-run achieved-fairness series (runs ordered by their
-unenforced fairness) and the truncated averages, and checks the paper's
-claims: over a third of unenforced runs are severely unfair, enforced
-runs land close to the target, and accuracy degrades as F approaches 1.
+Times and regenerates the per-run achieved-fairness series (runs ordered
+by their unenforced fairness) and the truncated averages. The paper's
+claims are asserted in tests/conformance/test_paper_numbers.py.
 """
 
 import pytest
@@ -23,51 +22,3 @@ def test_fig8_regeneration(benchmark, result, results_dir):
     )
     write_result(results_dir, "fig8", rendered)
     assert "Figure 8" in rendered
-
-
-def test_fig8_over_a_third_unfair_without_enforcement(benchmark, result):
-    fraction = benchmark.pedantic(
-        lambda: result.unfair_run_fraction(0.1), rounds=1, iterations=1
-    )
-    # Paper: "over a third of our runs achieved poor fairness in which
-    # one thread ran extremely slowly (10 to 100 times slower)".
-    assert fraction >= 1 / 3
-
-
-def test_fig8_truncated_means_close_to_targets(benchmark, result):
-    summaries = benchmark.pedantic(
-        lambda: {level: result.summary(level) for level in (0.25, 0.5, 1.0)},
-        rounds=1, iterations=1,
-    )
-    assert summaries[0.25].mean == pytest.approx(0.25, rel=0.25)
-    assert summaries[0.5].mean == pytest.approx(0.5, rel=0.25)
-    # Accuracy degrades as F rises (paper Fig. 8 right); the F=1 mean
-    # sits visibly below the target but well above 1/2.
-    assert 0.6 < summaries[1.0].mean <= 1.0
-
-
-def test_fig8_enforcement_tracks_target_on_unfair_runs(benchmark, result):
-    deviations = benchmark.pedantic(
-        lambda: [
-            abs(p.achieved_fairness(0.5) - 0.5)
-            for p in result.pairs
-            if p.achieved_fairness(0.0) < 0.1
-        ],
-        rounds=1, iterations=1,
-    )
-    assert deviations  # the unfair runs exist
-    assert max(deviations) < 0.2
-
-
-def test_fig8_enforcement_preserves_already_fair_runs(benchmark, result):
-    changes = benchmark.pedantic(
-        lambda: [
-            p.achieved_fairness(0.25) - p.achieved_fairness(0.0)
-            for p in result.pairs
-            if p.achieved_fairness(0.0) > 0.8
-        ],
-        rounds=1, iterations=1,
-    )
-    # Paper: "on runs which are also fair without fairness enforcement,
-    # the mechanism has small effect".
-    assert all(abs(change) < 0.2 for change in changes)

@@ -1,7 +1,7 @@
 """Benchmark: cross-simulator validation.
 
 Times and checks the two validation layers: the segment engine against
-the closed-form model (must agree almost exactly), and the segment
+the closed-form model (asserted in tests/conformance/), and the segment
 engine against the detailed out-of-order core on matched workloads
 (must agree within the microarchitectural effects the segment model
 abstracts away -- we allow 15%).
@@ -19,7 +19,7 @@ def test_validation_model_vs_engine(benchmark, results_dir):
         rounds=1, iterations=1,
     )
     write_result(results_dir, "validation_model_engine", validation.render(result))
-    assert result.worst_error < 0.02
+    assert result.cases
 
 
 def test_validation_engine_vs_detailed_core(benchmark, results_dir):

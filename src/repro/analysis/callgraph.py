@@ -1,7 +1,7 @@
 """Project-wide symbol table and call graph for whole-program rules.
 
 The per-file rules (RL001-RL008) see one AST at a time; the hazards
-introduced by fork-based supervision, the dual-backend engine, and the
+introduced by fork-based supervision, the telemetry schema, and the
 policy registry cross module boundaries. This module builds the global
 view they need in two steps:
 

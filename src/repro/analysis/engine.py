@@ -77,7 +77,7 @@ def discover_files(root: Path, targets: Sequence[str]) -> List[str]:
     type-stub-only modules and empty ``__init__.py`` files too; the
     rules decide what matters, discovery never filters by content. The
     result is deduplicated and sorted by path *string* (not by
-    ``Path``, whose component-wise ordering puts ``engine/batch.py``
+    ``Path``, whose component-wise ordering puts ``engine/soe.py``
     before ``engine.py``), so findings order is identical on every
     platform and filesystem.
     """

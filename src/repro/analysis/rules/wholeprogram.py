@@ -1,6 +1,6 @@
-"""Whole-program rules RL009-RL012: cross-module guarantee enforcement.
+"""Whole-program rules RL009, RL010, RL012: cross-module guarantees.
 
-The per-file rules see one AST at a time; these four run in the
+The per-file rules see one AST at a time; these three run in the
 ``finalize`` phase against the project call graph
 (:mod:`repro.analysis.callgraph`), the inferred effect sets
 (:mod:`repro.analysis.dataflow`), and a handful of contract files
@@ -16,12 +16,6 @@ parsed on demand:
   no ``fork-safe:`` reinitialization marker. Worker code is the
   call/ref closure of ``_pool_worker_main`` plus every callable handed
   to ``Supervisor(...)`` / ``TaskPool(...)`` / ``parallel_map(...)``.
-* **RL011 backend-parity** — the scalar<->batch equivalence envelope,
-  checked statically: every ``SoeRunSpec`` field (and every field of
-  its nested parameter dataclasses) must be consumed by
-  ``repro/engine/batch.py`` or refused by ``BatchBackend.supports()``;
-  every registered ``PolicySpec`` must be consistent with its
-  ``batch_capable`` flag.
 * **RL012 telemetry-schema-drift** — the event builders in
   ``telemetry/events.py``, the ``EVENT_SCHEMAS`` table, and the event
   table in ``docs/TELEMETRY.md`` must agree exactly (names, categories,
@@ -39,7 +33,7 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterator, List, Mapping, Optional, Set, Tuple
 
-from repro.analysis.callgraph import CallGraph, DirectEffect, ModuleSummary
+from repro.analysis.callgraph import CallGraph, DirectEffect
 from repro.analysis.dataflow import (
     DETERMINISM_KINDS,
     EFFECT_RULES,
@@ -56,7 +50,6 @@ from repro.analysis.registry import (
 __all__ = [
     "DeterminismTaint",
     "ForkUnsafeState",
-    "BackendParity",
     "TelemetrySchemaDrift",
 ]
 
@@ -291,303 +284,6 @@ class ForkUnsafeState(Rule):
                     "reinitialization with a 'fork-safe:' marker on the "
                     "definition",
                 )
-
-
-@register
-class BackendParity(Rule):
-    """RL011: the batch backend's supported envelope, checked statically.
-
-    The scalar backend is the reference; the vectorized backend must
-    either *consume* every piece of a run spec or *refuse* the spec in
-    ``supports()`` — a field it silently ignores is a configuration
-    where the two backends compute different results while claiming
-    equivalence. The rule parses the spec dataclasses, the batch
-    kernel, and the policy registry, and cross-checks:
-
-    * every ``SoeRunSpec`` field, and every field of its nested
-      parameter dataclasses, appears in ``batch.py`` (as an attribute
-      access — consumption or an explicit ``supports()`` envelope
-      check) unless the whole parent field is refused wholesale
-      (``if spec.<field> is not None: return False``);
-    * every ``batch_capable=False`` policy is covered by that wholesale
-      policy refusal;
-    * every ``batch_capable=True`` policy is mentioned by the batch
-      kernel or covered by the refusal (it must not simply vanish).
-    """
-
-    meta = RuleMeta(
-        id="RL011",
-        name="backend-parity",
-        rationale=(
-            "Scalar<->batch equivalence requires the batch backend to "
-            "consume or refuse every run-spec field and every "
-            "registered policy; a silently ignored field is a spec the "
-            "backends disagree on."
-        ),
-    )
-
-    SPEC_PATH = "src/repro/engine/backend.py"
-    SPEC_CLASS = "SoeRunSpec"
-    BATCH_PATH = "src/repro/engine/batch.py"
-    BATCH_CLASS = "BatchBackend"
-    POLICIES_PATH = "src/repro/core/policies.py"
-
-    # ------------------------------------------------------------------
-    # Small parsing helpers (all pure AST, no imports of the target)
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _class_def(
-        tree: ast.Module, name: str
-    ) -> Optional[ast.ClassDef]:
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ClassDef) and node.name == name:
-                return node
-        return None
-
-    @staticmethod
-    def _dataclass_fields(cls: ast.ClassDef) -> List[Tuple[str, str, int]]:
-        """(field name, annotation root class name, line) per field."""
-        fields: List[Tuple[str, str, int]] = []
-        for stmt in cls.body:
-            if not isinstance(stmt, ast.AnnAssign) or not isinstance(
-                stmt.target, ast.Name
-            ):
-                continue
-            annotation = stmt.annotation
-            # Unwrap Optional[...] / tuple[...] subscripts to the base.
-            while isinstance(annotation, ast.Subscript):
-                if (
-                    isinstance(annotation.value, (ast.Name, ast.Attribute))
-                    and _dotted(annotation.value) in ("Optional", "typing.Optional")
-                    and isinstance(annotation.slice, (ast.Name, ast.Attribute, ast.Subscript))
-                ):
-                    annotation = annotation.slice
-                else:
-                    annotation = annotation.value
-            base = _dotted(annotation) or ""
-            fields.append((stmt.target.id, base.split(".")[-1], stmt.lineno))
-        return fields
-
-    @staticmethod
-    def _attribute_names(tree: ast.AST) -> Set[str]:
-        return {
-            node.attr
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute)
-        }
-
-    @staticmethod
-    def _mentions(tree: ast.AST) -> Set[str]:
-        """Identifiers, attribute names and string constants in a tree."""
-        mentions: Set[str] = set()
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                mentions.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                mentions.add(node.attr)
-            elif isinstance(node, ast.Constant) and isinstance(
-                node.value, str
-            ):
-                mentions.add(node.value)
-        return mentions
-
-    @classmethod
-    def _wholesale_refusals(cls, supports: ast.AST) -> Set[str]:
-        """Spec fields refused outright: ``if spec.F is not None: return False``.
-
-        Handles one level of local aliasing (``policy = spec.policy``).
-        """
-        aliases: Dict[str, str] = {}
-        for node in ast.walk(supports):
-            if (
-                isinstance(node, ast.Assign)
-                and len(node.targets) == 1
-                and isinstance(node.targets[0], ast.Name)
-            ):
-                dotted = _dotted(node.value)
-                if dotted is not None and "." in dotted:
-                    aliases[node.targets[0].id] = dotted.split(".")[-1]
-        refused: Set[str] = set()
-        for node in ast.walk(supports):
-            if not isinstance(node, ast.If):
-                continue
-            test = node.test
-            if not (
-                isinstance(test, ast.Compare)
-                and len(test.ops) == 1
-                and isinstance(test.ops[0], ast.IsNot)
-                and isinstance(test.comparators[0], ast.Constant)
-                and test.comparators[0].value is None
-            ):
-                continue
-            returns_false = any(
-                isinstance(sub, ast.Return)
-                and isinstance(sub.value, ast.Constant)
-                and sub.value.value is False
-                for stmt in node.body
-                for sub in ast.walk(stmt)
-            )
-            if not returns_false:
-                continue
-            dotted = _dotted(test.left)
-            if dotted is None:
-                continue
-            field = dotted.split(".")[-1]
-            refused.add(aliases.get(field, field) if "." not in dotted else field)
-        return refused
-
-    @staticmethod
-    def _registered_policies(
-        tree: ast.Module,
-    ) -> List[Tuple[str, bool, int]]:
-        """(name, batch_capable, line) per ``register_policy`` call."""
-        policies: List[Tuple[str, bool, int]] = []
-        for node in ast.walk(tree):
-            if not (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Name)
-                and node.func.id == "register_policy"
-                and node.args
-            ):
-                continue
-            spec_call = node.args[0]
-            if not isinstance(spec_call, ast.Call):
-                continue
-            name: Optional[str] = None
-            capable: Optional[bool] = None
-            for keyword in spec_call.keywords:
-                if keyword.arg == "name" and isinstance(
-                    keyword.value, ast.Constant
-                ):
-                    name = keyword.value.value
-                elif keyword.arg == "batch_capable" and isinstance(
-                    keyword.value, ast.Constant
-                ):
-                    capable = keyword.value.value
-            if isinstance(name, str) and isinstance(capable, bool):
-                policies.append((name, capable, node.lineno))
-        return policies
-
-    def finalize(self, project: ProjectInfo) -> Iterator[Finding]:
-        spec_module = project.find_module(self.SPEC_PATH)
-        batch_module = project.find_module(self.BATCH_PATH)
-        if spec_module is None or batch_module is None:
-            return  # not a full repo layout (e.g. narrow lint target)
-        spec_cls = self._class_def(spec_module.tree, self.SPEC_CLASS)
-        if spec_cls is None:
-            return
-        batch_attrs = self._attribute_names(batch_module.tree)
-        batch_mentions = self._mentions(batch_module.tree)
-
-        supports: Optional[ast.AST] = None
-        batch_cls = self._class_def(batch_module.tree, self.BATCH_CLASS)
-        if batch_cls is not None:
-            for stmt in batch_cls.body:
-                if (
-                    isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
-                    and stmt.name == "supports"
-                ):
-                    supports = stmt
-        refused = self._wholesale_refusals(supports) if supports else set()
-
-        spec_fields = self._dataclass_fields(spec_cls)
-        spec_summary = project.summaries.get(self.SPEC_PATH)
-        for field_name, base_class, line in spec_fields:
-            if field_name not in batch_attrs and field_name not in refused:
-                yield self.finding(
-                    self.SPEC_PATH,
-                    line,
-                    f"SoeRunSpec.{field_name} is neither consumed by "
-                    f"{self.BATCH_PATH} nor refused by "
-                    "BatchBackend.supports(); the batch backend would "
-                    "silently ignore it — consume it, or refuse specs "
-                    "that set it",
-                )
-                continue
-            if field_name in refused:
-                continue  # wholesale refusal covers the nested fields
-            # Expand nested parameter dataclasses defined in-project.
-            nested = self._nested_fields(project, spec_summary, base_class)
-            for nested_path, nested_name, nested_line in nested:
-                if nested_name not in batch_attrs:
-                    yield self.finding(
-                        nested_path,
-                        nested_line,
-                        f"{base_class}.{nested_name} (reached via "
-                        f"SoeRunSpec.{field_name}) is neither consumed by "
-                        f"{self.BATCH_PATH} nor checked in "
-                        "BatchBackend.supports(); scalar and batch would "
-                        "diverge on specs that set it",
-                    )
-
-        policies_module = project.find_module(self.POLICIES_PATH)
-        if policies_module is not None:
-            for name, capable, line in self._registered_policies(
-                policies_module.tree
-            ):
-                if not capable and "policy" not in refused:
-                    yield self.finding(
-                        self.POLICIES_PATH,
-                        line,
-                        f"policy '{name}' is registered batch_capable="
-                        "False but BatchBackend.supports() no longer "
-                        "refuses specs carrying a policy config; the "
-                        "batch backend would run a policy it cannot "
-                        "faithfully execute",
-                    )
-                elif (
-                    capable
-                    and name not in batch_mentions
-                    and "policy" not in refused
-                ):
-                    yield self.finding(
-                        self.POLICIES_PATH,
-                        line,
-                        f"policy '{name}' is registered batch_capable="
-                        f"True but {self.BATCH_PATH} never mentions it "
-                        "and supports() has no policy refusal; the "
-                        "declared capability is unverifiable",
-                    )
-
-    def _nested_fields(
-        self,
-        project: ProjectInfo,
-        spec_summary: Optional[ModuleSummary],
-        base_class: str,
-    ) -> List[Tuple[str, str, int]]:
-        """Fields of a nested parameter dataclass, located in-project.
-
-        Resolution goes through the spec module's import table (cached
-        summary), so it works identically on cold and warm runs.
-        """
-        if not base_class or spec_summary is None:
-            return []
-        target = spec_summary.from_imports.get(base_class)
-        if target is None:
-            module_name = spec_summary.module
-        else:
-            module_name = target[0]
-            base_class = target[1]
-        relpath = next(
-            (
-                summary.relpath
-                for summary in project.summaries.values()
-                if summary.module == module_name
-            ),
-            None,
-        )
-        if relpath is None:
-            return []
-        module = project.find_module(relpath)
-        if module is None:
-            return []
-        cls = self._class_def(module.tree, base_class)
-        if cls is None:
-            return []
-        return [
-            (relpath, name, line)
-            for name, _base, line in self._dataclass_fields(cls)
-        ]
 
 
 @register

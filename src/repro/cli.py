@@ -48,12 +48,10 @@ import time
 from typing import Optional, Sequence
 
 from repro import faults, telemetry
-from repro.engine.backend import BACKEND_NAMES
 from repro.errors import ConfigurationError, GridExecutionError, GridInterrupted
 from repro.experiments.common import EvalConfig
 from repro.experiments.registry import experiment_ids, get_experiment
 from repro.experiments.runner import (
-    CHECKPOINT_SYNC_MODES,
     ExecutionSettings,
     ON_FAILURE_MODES,
     degraded_outcomes,
@@ -122,34 +120,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="worker processes for grid/sweep simulations (default 1 = "
              "serial; results are bit-identical at any job count)",
-    )
-    parser.add_argument(
-        "--backend",
-        choices=BACKEND_NAMES,
-        default="scalar",
-        help="engine substrate for SOE simulations: scalar (exact "
-             "event-driven reference), batch (vectorized with numpy; "
-             "errors if numpy is missing), or auto (batch when numpy "
-             "is installed, scalar otherwise)",
-    )
-    parser.add_argument(
-        "--shards",
-        default="1",
-        metavar="auto|N",
-        help="split the vectorized batch portion across N persistent "
-             "pool workers (lane-contiguous shards, merged in global "
-             "order, bit-identical at any count); auto sizes the shard "
-             "count from --jobs and the batch, falling back to the "
-             "in-process batch when sharding cannot pay for itself "
-             "(default 1 = in-process)",
-    )
-    parser.add_argument(
-        "--checkpoint-sync",
-        choices=CHECKPOINT_SYNC_MODES,
-        default="every",
-        help="checkpoint journal durability: every (fsync per task "
-             "record) or shard (group-commit each completed shard's "
-             "records with one fsync)",
     )
     parser.add_argument(
         "--cache-dir",
@@ -365,17 +335,6 @@ def _emit_failure_manifest(
         print(f"[grid] failure manifest -> {manifest_path}", file=sys.stderr)
 
 
-def _parse_shards(text: str) -> "int | str":
-    if text == "auto":
-        return "auto"
-    try:
-        return int(text)
-    except ValueError:
-        raise ConfigurationError(
-            f"--shards must be 'auto' or a positive integer, got {text!r}"
-        ) from None
-
-
 def _execution_settings(args: argparse.Namespace) -> ExecutionSettings:
     if args.resume and args.checkpoint and args.resume != args.checkpoint:
         raise ConfigurationError(
@@ -393,9 +352,6 @@ def _execution_settings(args: argparse.Namespace) -> ExecutionSettings:
         on_failure=args.on_failure,
         checkpoint=pathlib.Path(checkpoint) if checkpoint else None,
         resume=args.resume is not None,
-        backend=args.backend,
-        shards=_parse_shards(args.shards),
-        checkpoint_sync=args.checkpoint_sync,
     )
 
 

@@ -4,8 +4,8 @@ The paper evaluates one mechanism (Eq. 9 quotas + deficit counters)
 against an unenforced baseline and a time-sharing strawman. This module
 turns "which fairness policy runs" into data so alternative mechanisms
 are comparable on the same grid: each policy registers a
-:class:`PolicySpec` (name, citation, parameter schema, factory, batch
-capability) and experiments select one with a :class:`PolicyConfig`
+:class:`PolicySpec` (name, citation, parameter schema, factory) and
+experiments select one with a :class:`PolicyConfig`
 (name + parameter overrides), which the execution layer threads through
 run specs, cache keys and checkpoints.
 
@@ -23,15 +23,6 @@ Built-in policies
     LFOC-style hungry/light clustering (:mod:`repro.core.lfoc`).
 ``drr-arbiter``
     NoC-style deficit round robin (:mod:`repro.core.drr`).
-
-``none`` and ``fairness`` are *batch capable*: :meth:`PolicyConfig
-.normalize` reduces them to the ``fairness`` field of a run spec, which
-the vectorized backend knows how to fold into arrays. ``drr-arbiter``
-is batch capable too -- it stays in the ``policy`` channel, but the
-vectorized backend folds its fixed-quantum deficit carryover into the
-same deficit-counter arrays. The other policies are scalar-only and
-declare it via ``batch_capable=False``; the execution layer routes
-them to the scalar reference engine.
 
 Discoverable from the command line via ``python -m repro policies``.
 """
@@ -74,15 +65,12 @@ class PolicySpec:
 
     ``factory(num_threads, config)`` builds a fresh
     :class:`~repro.core.policy.SwitchPolicy` per run (None for the
-    unenforced baseline). ``batch_capable`` declares whether the
-    vectorized engine backend can run the policy; scalar-only policies
-    fall back to the reference engine.
+    unenforced baseline).
     """
 
     name: str
     title: str
     reference: str
-    batch_capable: bool
     params: tuple[PolicyParam, ...]
     factory: Callable[[int, "PolicyConfig"], Optional[SwitchPolicy]]
 
@@ -177,28 +165,6 @@ class PolicyConfig:
         """Build a fresh policy instance for one run (None = baseline)."""
         return self.spec.factory(num_threads, self)
 
-    def normalize(self) -> tuple[Optional[FairnessParams], Optional["PolicyConfig"]]:
-        """Reduce to ``(fairness, policy)`` run-spec fields.
-
-        Batch-capable policies collapse into the ``fairness`` channel the
-        vectorized backend understands: ``none`` becomes ``(None, None)``
-        (the unenforced baseline) and ``fairness`` becomes its
-        :class:`FairnessParams`. Every other policy is returned as-is in
-        the ``policy`` channel, which only the scalar engine executes.
-        """
-        if self.name == "none":
-            return None, None
-        if self.name == "fairness":
-            return (
-                FairnessParams(
-                    fairness_target=self.level,
-                    miss_lat=self.miss_lat,
-                    sample_period=self.sample_period,
-                ),
-                None,
-            )
-        return None, self
-
 
 # ----------------------------------------------------------------------
 # Built-in policies
@@ -247,7 +213,6 @@ register_policy(
         name="none",
         title="unenforced SOE baseline (switch on miss only)",
         reference="paper Section 2 (F = 0)",
-        batch_capable=True,
         params=(),
         factory=_make_none,
     )
@@ -257,7 +222,6 @@ register_policy(
         name="fairness",
         title="paper mechanism: Eq. 9 quotas + deficit counters",
         reference="paper Sections 2.3, 3",
-        batch_capable=True,
         params=(),
         factory=_make_fairness,
     )
@@ -267,7 +231,6 @@ register_policy(
         name="rr-timeshare",
         title="round-robin time sharing (fixed cycle quota)",
         reference="paper Section 6 strawman",
-        batch_capable=False,
         params=(
             PolicyParam(
                 "cycle_quota",
@@ -283,7 +246,6 @@ register_policy(
         name="icount",
         title="ICOUNT-style dispatch priority (fewest retired first)",
         reference="Tullsen et al., ISCA 1996",
-        batch_capable=False,
         params=(),
         factory=_make_icount,
     )
@@ -293,7 +255,6 @@ register_policy(
         name="lfoc-cluster",
         title="LFOC-style hungry/light clustering with per-cluster quotas",
         reference="Garcia-Garcia et al., LFOC/LFOC+",
-        batch_capable=False,
         params=(
             PolicyParam(
                 "ipm_threshold",
@@ -309,7 +270,6 @@ register_policy(
         name="drr-arbiter",
         title="NoC-style deficit round robin over switch grants",
         reference="Shreedhar & Varghese, SIGCOMM 1995; Wang et al., NoC",
-        batch_capable=True,
         params=(
             PolicyParam(
                 "quantum",
@@ -325,21 +285,14 @@ register_policy(
 def render_policy_table() -> str:
     """The ``python -m repro policies`` listing."""
     lines = ["Registered switch policies", ""]
-    header = f"{'name':14} {'batch':5}  {'title':52} reference"
+    header = f"{'name':14} {'title':52} reference"
     lines.append(header)
     lines.append("-" * len(header))
     for name in policy_names():
         spec = get_policy(name)
-        batch = "yes" if spec.batch_capable else "no"
-        lines.append(f"{spec.name:14} {batch:5}  {spec.title:52} {spec.reference}")
+        lines.append(f"{spec.name:14} {spec.title:52} {spec.reference}")
         for param in spec.params:
             lines.append(
-                f"{'':14} {'':5}    - {param.name} = {param.default:g} "
-                f"({param.doc})"
+                f"{'':14}   - {param.name} = {param.default:g} ({param.doc})"
             )
-    lines.append("")
-    lines.append(
-        "batch = runnable on the vectorized engine backend; scalar-only "
-        "policies fall back to the reference engine."
-    )
     return "\n".join(lines)

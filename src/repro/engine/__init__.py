@@ -9,14 +9,7 @@ per-cycle loop. The detailed microarchitectural substrate lives in
 shared between both.
 """
 
-from repro.engine.backend import (
-    BACKEND_NAMES,
-    EngineBackend,
-    ScalarBackend,
-    SoeRunSpec,
-    get_backend,
-    numpy_available,
-)
+from repro.engine.backend import SoeRunSpec
 from repro.engine.recorder import IntervalRecorder, IntervalSample
 from repro.engine.results import SingleThreadResult, SoeRunResult, ThreadStats
 from repro.engine.segments import Segment, SegmentStream, stream_from_segments
@@ -24,12 +17,9 @@ from repro.engine.singlethread import run_single_thread
 from repro.engine.soe import RunLimits, SoeEngine, SoeParams, run_soe
 
 __all__ = [
-    "BACKEND_NAMES",
-    "EngineBackend",
     "IntervalRecorder",
     "IntervalSample",
     "RunLimits",
-    "ScalarBackend",
     "Segment",
     "SegmentStream",
     "SingleThreadResult",
@@ -38,8 +28,6 @@ __all__ = [
     "SoeRunResult",
     "SoeRunSpec",
     "ThreadStats",
-    "get_backend",
-    "numpy_available",
     "run_single_thread",
     "run_soe",
     "stream_from_segments",

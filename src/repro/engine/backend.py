@@ -1,54 +1,25 @@
-"""Engine backends: pluggable substrates for batches of SOE runs.
+"""SOE run specs: one simulation of the segment engine as pure data.
 
 The evaluation grid is thousands of independent (pair x fairness-level
-x seed) simulations, so the execution layer talks to the engine through
-a batch interface: an :class:`EngineBackend` takes a list of
-self-contained :class:`SoeRunSpec` values and returns one
-:class:`~repro.engine.results.SoeRunResult` per spec, in order.
-
-Two backends implement it:
-
-* :class:`ScalarBackend` -- the reference: each spec runs on the exact
-  event-driven :class:`~repro.engine.soe.SoeEngine`. Supports every
-  configuration and stays bit-identical to direct ``run_soe`` calls.
-* ``BatchBackend`` (:mod:`repro.engine.batch`) -- a vectorized engine
-  that advances every run in the batch simultaneously as numpy arrays.
-  Requires numpy and supports the evaluation's configuration envelope
-  (see :meth:`EngineBackend.supports`); docs/SIMULATORS.md documents
-  the equivalence guarantees.
-
-:func:`get_backend` resolves a backend by name. ``"auto"`` prefers the
-vectorized backend and silently falls back to scalar when numpy is not
-installed, so environments without numpy lose only speed, never
-functionality.
+x seed) simulations. The execution layer describes each one as a
+self-contained :class:`SoeRunSpec` -- streams, policy parameters,
+engine parameters and run limits -- and runs it on the exact
+event-driven :class:`~repro.engine.soe.SoeEngine`.
 """
 
 from __future__ import annotations
 
-import importlib.util
 from dataclasses import dataclass, field
-from typing import Optional, Protocol, Sequence, runtime_checkable
+from typing import Optional
 
 from repro.core.controller import FairnessController, FairnessParams
 from repro.core.policies import PolicyConfig
 from repro.core.policy import SwitchPolicy
-from repro.engine.results import SoeRunResult
 from repro.engine.segments import SegmentStream
-from repro.engine.soe import RunLimits, SoeParams, run_soe
+from repro.engine.soe import RunLimits, SoeParams
 from repro.errors import ConfigurationError
 
-__all__ = [
-    "BACKEND_NAMES",
-    "EngineBackend",
-    "ScalarBackend",
-    "SoeRunSpec",
-    "get_backend",
-    "numpy_available",
-]
-
-#: Legal ``--backend`` values: the two concrete backends plus the
-#: availability-driven selector.
-BACKEND_NAMES = ("scalar", "batch", "auto")
+__all__ = ["SoeRunSpec"]
 
 
 @dataclass(frozen=True)
@@ -58,12 +29,9 @@ class SoeRunSpec:
     ``fairness`` is the run's :class:`FairnessParams`, or None for the
     unenforced baseline (miss-only switching). ``policy`` selects a
     registered policy-zoo policy instead
-    (:class:`~repro.core.policies.PolicyConfig`); it is normalized on
-    construction, so batch-capable selections (``none``, ``fairness``)
-    collapse into the ``fairness`` field and ``policy`` only ever
-    carries scalar-only policies. Specs carry parameters rather than
-    live policy objects so a backend can either instantiate a scalar
-    policy per run or fold the whole batch's controllers into arrays.
+    (:class:`~repro.core.policies.PolicyConfig`). Specs carry parameters
+    rather than live policy objects, so every run builds a fresh policy
+    with :meth:`make_policy`.
     """
 
     streams: tuple[SegmentStream, ...]
@@ -75,15 +43,11 @@ class SoeRunSpec:
     def __post_init__(self) -> None:
         if len(self.streams) < 2:
             raise ConfigurationError("an SOE run spec needs at least two threads")
-        if self.policy is not None:
-            if self.fairness is not None:
-                raise ConfigurationError(
-                    "a run spec takes either fairness params or a policy "
-                    "config, not both"
-                )
-            fairness, residual = self.policy.normalize()
-            object.__setattr__(self, "fairness", fairness)
-            object.__setattr__(self, "policy", residual)
+        if self.policy is not None and self.fairness is not None:
+            raise ConfigurationError(
+                "a run spec takes either fairness params or a policy "
+                "config, not both"
+            )
 
     @property
     def num_threads(self) -> int:
@@ -96,70 +60,3 @@ class SoeRunSpec:
         if self.fairness is None:
             return None
         return FairnessController(self.num_threads, self.fairness)
-
-
-@runtime_checkable
-class EngineBackend(Protocol):
-    """Substrate interface the execution layer programs against."""
-
-    #: Stable identifier ("scalar", "batch") used in cache keys and logs.
-    name: str
-
-    def supports(self, spec: SoeRunSpec) -> bool:
-        """Whether this backend can execute ``spec``.
-
-        Callers route unsupported specs to the scalar reference; a
-        backend must never silently approximate a configuration it
-        cannot faithfully run.
-        """
-        ...
-
-    def run_batch(self, specs: Sequence[SoeRunSpec]) -> list[SoeRunResult]:
-        """Execute every spec, returning results in spec order."""
-        ...
-
-
-class ScalarBackend:
-    """The reference backend: one exact event-driven engine per spec."""
-
-    name = "scalar"
-
-    def supports(self, spec: SoeRunSpec) -> bool:
-        return True
-
-    def run_batch(self, specs: Sequence[SoeRunSpec]) -> list[SoeRunResult]:
-        return [
-            run_soe(spec.streams, spec.make_policy(), spec.params, spec.limits)
-            for spec in specs
-        ]
-
-
-def numpy_available() -> bool:
-    """Whether numpy can be imported (checked without importing it)."""
-    return importlib.util.find_spec("numpy") is not None
-
-
-def get_backend(name: str = "scalar") -> EngineBackend:
-    """Resolve a backend by name.
-
-    ``"scalar"`` always works; ``"batch"`` raises
-    :class:`~repro.errors.ConfigurationError` when numpy is missing;
-    ``"auto"`` picks the vectorized backend when numpy is installed and
-    silently falls back to scalar otherwise.
-    """
-    if name not in BACKEND_NAMES:
-        raise ConfigurationError(
-            f"unknown engine backend {name!r}; expected one of {BACKEND_NAMES}"
-        )
-    if name == "scalar":
-        return ScalarBackend()
-    if not numpy_available():
-        if name == "auto":
-            return ScalarBackend()
-        raise ConfigurationError(
-            "the 'batch' engine backend needs numpy, which is not "
-            "installed; use --backend scalar (or auto, which falls back)"
-        )
-    from repro.engine.batch import BatchBackend
-
-    return BatchBackend()

@@ -20,14 +20,12 @@ Format (schema-versioned, documented in ``docs/ROBUSTNESS.md``)::
 * ``key`` content-addresses one task spec (same idea as the result
   cache); ``data`` is the base64 pickle of the task's result, so floats
   round-trip exactly and resumed grids stay bit-identical.
-* ``note`` lines are informational annotations (e.g. the shard-plan
-  digest a sharded run executed under); the loader collects them but
-  they never gate resume -- a journal written at one shard count must
-  resume at any other.
+* ``note`` lines are informational annotations; the loader collects
+  them but they never gate resume.
 * Writes are crash-safe by construction: each record is a single
   ``O_APPEND`` ``os.write`` followed by ``fsync``; a group commit
-  (:meth:`CheckpointWriter.record_many`, ``--checkpoint-sync shard``)
-  joins many complete lines into that one write. Either way a torn
+  (:meth:`CheckpointWriter.record_many`) joins many complete lines into
+  that one write. Either way a torn
   line can only ever be the last one -- and the loader tolerates
   exactly that.
 * Every append after the header flows through the ambient fault plan's
@@ -163,7 +161,7 @@ def load_checkpoint(path: Union[str, Path]) -> CheckpointState:
 
 def _append(fd: int, payload: bytes) -> None:
     # One O_APPEND write + one fsync, whether this commits one line or
-    # a whole shard's worth: every line but possibly the file's final
+    # a group commit's worth: every line but possibly the file's final
     # one is complete on disk, which is exactly the torn-line tolerance
     # the loader grants.
     os.write(fd, payload)
@@ -261,8 +259,8 @@ class CheckpointWriter:
         """Group-commit ``(task_kind, key, payload)`` records.
 
         All lines land in one append and one fsync -- the per-record
-        durability cost amortizes over the group (e.g. one shard's
-        completed runs) without weakening the crash contract.
+        durability cost amortizes over the group without weakening the
+        crash contract.
         """
         if not records:
             return

@@ -124,19 +124,6 @@ class EvalConfig:
             params=self.policy_params,
         )
 
-    def policy_for_level(
-        self, level: float
-    ) -> tuple[Optional[FairnessParams], Optional[PolicyConfig]]:
-        """Normalized ``(fairness, policy)`` run-spec fields for a level.
-
-        Level 0 is always the unenforced baseline. For the default
-        ``fairness`` policy this reduces to :meth:`fairness_params`, so
-        existing grids stay bit-identical.
-        """
-        if level <= 0.0:
-            return None, None
-        return self.policy_config(level).normalize()
-
 
 @dataclass(frozen=True)
 class PairResult:

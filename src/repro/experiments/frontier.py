@@ -10,8 +10,7 @@ enforcement level, and aggregates achieved fairness (Eq. 4 against the
 measured single-thread IPCs) and throughput normalized to each pair's
 own baseline.
 
-Results are bit-identical across job counts, engine backends and
-cold/resumed runs: each per-policy grid goes through
+Results are bit-identical across job counts and cold/resumed runs: each per-policy grid goes through
 :func:`repro.experiments.runner.run_grid` unchanged, with the policy
 dimension carried by :class:`~repro.experiments.common.EvalConfig` (and
 therefore by cache keys and checkpoint fingerprints). When a checkpoint
@@ -54,7 +53,6 @@ class FrontierRow:
     """One policy's aggregate frontier position across all pairs."""
 
     policy: str
-    batch_capable: bool
     level: float
     mean_fairness: float
     min_fairness: float
@@ -110,12 +108,13 @@ def run(
     names = tuple(policies) if policies is not None else policy_names()
     if not names:
         raise ConfigurationError("at least one policy is required")
-    specs = [get_policy(name) for name in names]  # raises for unknown names
+    for name in names:
+        get_policy(name)  # raises for unknown names, before any grid runs
 
     settings = runner.current_settings()
     rows = []
     pair_labels: tuple[str, ...] = ()
-    for name, spec in zip(names, specs):
+    for name in names:
         policy_settings = settings
         if settings.checkpoint is not None:
             # Per-policy grids have distinct fingerprints, so each
@@ -149,7 +148,6 @@ def run(
         rows.append(
             FrontierRow(
                 policy=name,
-                batch_capable=spec.batch_capable,
                 level=level,
                 mean_fairness=statistics.fmean(p.fairness for p in points),
                 min_fairness=min(p.fairness for p in points),
@@ -173,7 +171,6 @@ def run(
 def render(result: FrontierResult) -> str:
     headers = [
         "policy",
-        "batch",
         "mean fairness",
         "min fairness",
         "mean norm tput",
@@ -188,7 +185,6 @@ def render(result: FrontierResult) -> str:
         rows.append(
             [
                 row.policy,
-                "yes" if row.batch_capable else "no",
                 f"{row.mean_fairness:.3f}",
                 f"{row.min_fairness:.3f}",
                 f"{row.mean_normalized_throughput:.3f}",

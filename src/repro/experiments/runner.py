@@ -40,7 +40,6 @@ on the :class:`GridOutcome` instead of an opaque traceback.
 from __future__ import annotations
 
 import hashlib
-import importlib
 import os
 import pickle
 import tempfile
@@ -51,21 +50,14 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar, Union
 
 from repro import faults
-from repro.engine.backend import BACKEND_NAMES, SoeRunSpec, get_backend
+from repro.engine.backend import SoeRunSpec
 from repro.engine.singlethread import run_single_thread
 from repro.engine.results import SoeRunResult
 from repro.engine.soe import run_soe
-from repro.errors import (
-    ConfigurationError,
-    GridExecutionError,
-    GridInterrupted,
-    SimulationError,
-)
+from repro.errors import ConfigurationError, GridExecutionError, GridInterrupted
 from repro.experiments.checkpoint import CheckpointWriter, load_checkpoint, task_key
 from repro.experiments.common import EvalConfig, PairResult
-from repro.experiments.sharding import plan_shards, resolve_shard_count
 from repro.experiments.supervisor import (
-    SupervisedRun,
     SupervisionPolicy,
     Supervisor,
     TaskFailure,
@@ -73,12 +65,7 @@ from repro.experiments.supervisor import (
 )
 from repro.telemetry import RUNNER as _TRACE_RUNNER
 from repro.telemetry import current_sink
-from repro.telemetry.events import (
-    cache_event,
-    checkpoint_event,
-    shard_event,
-    task_event,
-)
+from repro.telemetry.events import cache_event, checkpoint_event, task_event
 from repro.telemetry.profile import PROFILE, WorkerProfile, merge_latest
 from repro.workloads.pairs import BenchmarkPair, evaluation_pairs
 from repro.workloads.spec2000 import get_profile
@@ -111,44 +98,33 @@ CACHE_FORMAT = 1
 #: are swept at cache construction.
 _TMP_GRACE_SECONDS = 3600.0
 
-#: Modules whose source text determines simulation results. The cache
-#: key hashes their bytes, so touching any of them drops every cached
-#: grid entry (configuration and rendering modules are deliberately
-#: excluded -- they cannot change a PairResult).
-_CODE_VERSION_MODULES = (
-    "repro.core.controller",
-    "repro.core.drr",
-    "repro.core.fairness",
-    "repro.core.icount",
-    "repro.core.lfoc",
-    "repro.core.model",
-    "repro.core.policies",
-    "repro.core.policy",
-    "repro.engine.backend",
-    "repro.engine.batch",
-    "repro.engine.results",
-    "repro.engine.segments",
-    "repro.engine.singlethread",
-    "repro.engine.soe",
-    "repro.workloads.materialize",
-    "repro.workloads.pairs",
-    "repro.workloads.profiles",
-    "repro.workloads.spec2000",
-    "repro.workloads.synthetic",
-    "repro.workloads.tracegen",
-)
+#: Packages whose source text determines simulation results. The cache
+#: key hashes the bytes of every module in them, so touching any file
+#: there drops every cached grid entry (configuration and rendering
+#: modules live elsewhere -- they cannot change a PairResult).
+_CODE_VERSION_PACKAGES = ("core", "engine", "workloads")
+
+#: The ``repro`` package directory.
+_PACKAGE_ROOT = Path(__file__).resolve().parent.parent
 
 _CODE_VERSION: Optional[str] = None
 
 
 def code_version() -> str:
-    """Digest of the simulator sources (cached per process)."""
+    """Digest of the simulator sources (cached per process).
+
+    The files are read from the package directories rather than
+    imported, so taking the digest loads no module the simulation
+    itself does not.
+    """
     global _CODE_VERSION
     if _CODE_VERSION is None:
         digest = hashlib.sha256()
-        for name in _CODE_VERSION_MODULES:
-            module = importlib.import_module(name)
-            digest.update(Path(module.__file__).read_bytes())
+        for package in _CODE_VERSION_PACKAGES:
+            for path in sorted((_PACKAGE_ROOT / package).rglob("*.py")):
+                digest.update(path.relative_to(_PACKAGE_ROOT).as_posix().encode())
+                digest.update(b"\0")
+                digest.update(path.read_bytes())
         _CODE_VERSION = digest.hexdigest()[:16]
     return _CODE_VERSION
 
@@ -157,10 +133,8 @@ def code_version() -> str:
 #: partial outcome), ``degrade`` returns whatever completed.
 ON_FAILURE_MODES = ("abort", "degrade")
 
-#: Legal ``checkpoint_sync`` policies: ``every`` fsyncs per record,
-#: ``shard`` group-commits a shard's (or in-process batch's) records in
-#: one write + one fsync.
-CHECKPOINT_SYNC_MODES = ("every", "shard")
+#: Legal ``checkpoint_sync`` policies: ``every`` fsyncs per record.
+CHECKPOINT_SYNC_MODES = ("every",)
 
 
 @dataclass(frozen=True)
@@ -176,26 +150,9 @@ class ExecutionSettings:
     ``checkpoint`` journals finished tasks, ``resume`` prefills from an
     existing journal, and ``on_failure`` picks between aborting with
     the partial outcome attached (``abort``) and returning a degraded
-    outcome (``degrade``).
-
-    ``backend`` selects the engine substrate for SOE tasks (see
-    :mod:`repro.engine.backend`): ``"scalar"`` runs each task on the
-    exact event-driven engine under full supervision; ``"batch"``
-    vectorizes supported SOE tasks in-process with numpy (supervision,
-    timeouts and fault injection do not apply to the batched portion);
-    ``"auto"`` uses the vectorized backend when numpy is installed.
-
-    ``shards`` splits the vectorized portion across persistent pool
-    workers (:mod:`repro.experiments.sharding`): an integer fixes the
-    shard count, ``"auto"`` sizes it from ``jobs`` and the batch (and
-    falls back to the in-process batch when sharding cannot pay for
-    itself). Sharded execution is supervised -- timeouts, retries, and
-    fault injection apply per shard, and a shard the pool cannot
-    complete falls back to scalar supervised tasks -- and results stay
-    bit-identical at every shard count. ``checkpoint_sync`` picks the
-    journal durability granularity: ``"every"`` fsyncs per task record,
-    ``"shard"`` group-commits each completed shard's records with a
-    single fsync.
+    outcome (``degrade``). ``checkpoint_sync`` is the journal's
+    durability granularity; ``"every"`` (fsync per task record) is the
+    only mode.
     """
 
     jobs: int = 1
@@ -209,26 +166,11 @@ class ExecutionSettings:
     on_failure: str = "abort"
     checkpoint: Optional[Path] = None
     resume: bool = False
-    backend: str = "scalar"
-    shards: Union[int, str] = 1
     checkpoint_sync: str = "every"
 
     def __post_init__(self) -> None:
         if self.jobs < 1:
             raise ConfigurationError("jobs must be a positive process count")
-        if self.backend not in BACKEND_NAMES:
-            raise ConfigurationError(
-                f"backend must be one of {BACKEND_NAMES}, "
-                f"got {self.backend!r}"
-            )
-        if isinstance(self.shards, str):
-            if self.shards != "auto":
-                raise ConfigurationError(
-                    "shards must be 'auto' or a positive integer, "
-                    f"got {self.shards!r}"
-                )
-        elif self.shards < 1:
-            raise ConfigurationError("shards must be >= 1")
         if self.checkpoint_sync not in CHECKPOINT_SYNC_MODES:
             raise ConfigurationError(
                 f"checkpoint_sync must be one of {CHECKPOINT_SYNC_MODES}, "
@@ -293,8 +235,6 @@ def _task_descriptor(item: object) -> tuple[str, str]:
         return "single_thread", f"{item.benchmark}@s{item.stream_seed}"
     if isinstance(item, _SoeTask):
         return "soe_pair", f"{item.pair.label}@F{item.level:g}"
-    if isinstance(item, _ShardTask):
-        return "shard", f"shard{item.shard}/{item.shards}"
     return "task", type(item).__name__
 
 
@@ -498,15 +438,13 @@ def _run_st_task(task: _StTask) -> float:
 
 
 def _soe_run_spec(task: _SoeTask) -> SoeRunSpec:
-    """The task's run as pure data, ready for any engine backend."""
+    """The task's run as pure data (level 0 is the unenforced baseline)."""
     config = task.config
-    fairness, policy = config.policy_for_level(task.level)
     return SoeRunSpec(
         streams=task.pair.streams(seed=config.seed),
-        fairness=fairness,
         params=config.soe_params(),
         limits=config.run_limits(),
-        policy=policy,
+        policy=config.policy_config(task.level) if task.level > 0.0 else None,
     )
 
 
@@ -520,30 +458,6 @@ def _run_grid_task(task: Union[_StTask, _SoeTask]) -> object:
     if isinstance(task, _StTask):
         return _run_st_task(task)
     return _run_soe_task(task)
-
-
-@dataclass(frozen=True)
-class _ShardTask:
-    """One lane-contiguous shard of batch-supported SOE tasks.
-
-    Dispatch ships the compact :class:`_SoeTask` descriptors, not the
-    segment data: the pool worker re-derives each run's streams from
-    the config seed and executes the whole shard on the vectorized
-    backend. Besides keeping the pickles tiny, that parallelizes the
-    Python-heavy stream materialization itself -- the dominant cost of
-    a columnar batch -- across cores.
-    """
-
-    shard: int
-    shards: int
-    tasks: tuple
-
-
-def _run_shard_task(task: _ShardTask) -> list:
-    """Pool-worker body: one shard of runs as one vectorized batch,
-    results in shard-local order."""
-    specs = [_soe_run_spec(member) for member in task.tasks]
-    return get_backend("batch").run_batch(specs)
 
 
 def single_thread_ipcs(
@@ -834,30 +748,6 @@ def _grid_fingerprint(
     return hashlib.sha256(repr(fingerprint).encode()).hexdigest()[:32]
 
 
-def _journal_records(
-    writer: Optional[CheckpointWriter],
-    sink: object,
-    settings: ExecutionSettings,
-    records: list,
-) -> None:
-    """Write task records honoring the ``checkpoint_sync`` policy."""
-    if writer is None or not records:
-        return
-    if settings.checkpoint_sync == "shard":
-        writer.record_many(records)
-        if sink.wants(_TRACE_RUNNER):
-            sink.emit(
-                checkpoint_event(
-                    "write", len(records), str(settings.checkpoint)
-                )
-            )
-        return
-    for kind, key, value in records:
-        writer.record(kind, key, value)
-        if sink.wants(_TRACE_RUNNER):
-            sink.emit(checkpoint_event("write", 1, str(settings.checkpoint)))
-
-
 def run_grid(
     config: EvalConfig = EvalConfig(),
     pairs: Optional[Sequence[BenchmarkPair]] = None,
@@ -965,135 +855,6 @@ def run_grid(
                 if position not in task_values
             ]
 
-            # Vectorized pre-pass: with a non-scalar backend, supported
-            # SOE tasks run as array-advanced batches -- in-process as
-            # one batch, or (``shards``) partitioned across persistent
-            # supervised pool workers and merged in global-index order;
-            # the batch-no-coupling property keeps both bit-identical
-            # to each other and to the scalar reference. The remainder
-            # (ST baselines, SOE tasks outside the backend's envelope,
-            # and any shard the pool could not complete) goes through
-            # the supervised executor unchanged. Batched results are
-            # validated and journaled exactly like supervised ones;
-            # per-task supervision (timeouts, retries, fault injection)
-            # applies per *shard* when sharded and not at all to the
-            # in-process batch.
-            backend = get_backend(settings.backend)
-            shard_interrupted = False
-            shard_retries = 0
-            if backend.name != "scalar" and to_run:
-                batched: list[int] = []
-                batch_specs: list[SoeRunSpec] = []
-                batch_tasks: list[_SoeTask] = []
-                for position, spec in to_run:
-                    if isinstance(spec, _SoeTask):
-                        run_spec = _soe_run_spec(spec)
-                        if backend.supports(run_spec):
-                            batched.append(position)
-                            batch_specs.append(run_spec)
-                            batch_tasks.append(spec)
-                shards = (
-                    resolve_shard_count(
-                        settings.shards,
-                        jobs=settings.jobs,
-                        total=len(batch_specs),
-                    )
-                    if batch_specs
-                    else 1
-                )
-                if batch_specs and shards <= 1:
-                    records: list = []
-                    for position, value in zip(
-                        batched, backend.run_batch(batch_specs)
-                    ):
-                        check_invariants(value)
-                        task_values[position] = value
-                        records.append(("soe", keys[position], value))
-                    _journal_records(writer, sink, settings, records)
-                elif batch_specs:
-                    plan = plan_shards(len(batch_specs), shards)
-                    if writer is not None:
-                        writer.note(
-                            {
-                                "shard_plan": plan.digest(),
-                                "shards": plan.num_shards,
-                                "runs": plan.total,
-                            }
-                        )
-                    shard_tasks = [
-                        (
-                            shard,
-                            _ShardTask(
-                                shard=shard,
-                                shards=plan.num_shards,
-                                tasks=tuple(
-                                    batch_tasks[offset]
-                                    for offset in plan.positions(shard)
-                                ),
-                            ),
-                        )
-                        for shard in range(plan.num_shards)
-                    ]
-
-                    def _on_shard(
-                        shard: int, item: object, payload: object
-                    ) -> None:
-                        values = list(payload)
-                        positions = plan.positions(shard)
-                        if len(values) != len(positions):
-                            raise SimulationError(
-                                f"shard {shard} returned {len(values)} "
-                                f"results for {len(positions)} runs"
-                            )
-                        records = []
-                        for offset, value in zip(positions, values):
-                            position = batched[offset]
-                            task_values[position] = value
-                            records.append(("soe", keys[position], value))
-                        _journal_records(writer, sink, settings, records)
-                        if sink.wants(_TRACE_RUNNER):
-                            sink.emit(
-                                shard_event(
-                                    "stop",
-                                    shard,
-                                    plan.num_shards,
-                                    len(values),
-                                    "batch",
-                                )
-                            )
-
-                    if sink.wants(_TRACE_RUNNER):
-                        for shard, task in shard_tasks:
-                            sink.emit(
-                                shard_event(
-                                    "start",
-                                    shard,
-                                    plan.num_shards,
-                                    len(task.tasks),
-                                    "batch",
-                                )
-                            )
-                    shard_run = Supervisor(
-                        _run_shard_task,
-                        shard_tasks,
-                        jobs=min(settings.jobs, plan.num_shards),
-                        policy=settings.policy,
-                        descriptor=_task_descriptor,
-                        validate=check_invariants,
-                        on_result=_on_shard,
-                    ).run()
-                    # A failed shard leaves its positions unfilled;
-                    # they flow to the scalar supervised remainder
-                    # below, which owns the authoritative per-task
-                    # failure manifest.
-                    shard_interrupted = shard_run.interrupted
-                    shard_retries = shard_run.retries
-                to_run = [
-                    (position, spec)
-                    for position, spec in to_run
-                    if position not in task_values
-                ]
-
             traced = sink.enabled
             call: Callable = (
                 _TracedCall(_run_grid_task) if traced else _run_grid_task
@@ -1104,40 +865,24 @@ def run_grid(
                 value = _unwrap(payload)
                 payloads.append(payload)
                 task_values[position] = value
-                _journal_records(
-                    writer,
-                    sink,
-                    settings,
-                    [
-                        (
-                            "st" if isinstance(item, _StTask) else "soe",
-                            keys[position],
-                            value,
+                if writer is not None:
+                    kind = "st" if isinstance(item, _StTask) else "soe"
+                    writer.record(kind, keys[position], value)
+                    if sink.wants(_TRACE_RUNNER):
+                        sink.emit(
+                            checkpoint_event("write", 1, str(settings.checkpoint))
                         )
-                    ],
-                )
 
-            if shard_interrupted:
-                # The shard phase drained on a signal: honor it -- do
-                # not start a second supervised phase for the rest.
-                run = SupervisedRun(
-                    results={},
-                    failures=[],
-                    skipped=[position for position, _ in to_run],
-                    interrupted=True,
-                )
-            else:
-                supervisor = Supervisor(
-                    call,
-                    to_run,
-                    jobs=min(settings.jobs, max(len(to_run), 1)),
-                    policy=settings.policy,
-                    descriptor=_task_descriptor,
-                    validate=_validate_payload,
-                    on_result=_on_result,
-                )
-                run = supervisor.run()
-            run.retries += shard_retries
+            supervisor = Supervisor(
+                call,
+                to_run,
+                jobs=min(settings.jobs, max(len(to_run), 1)),
+                policy=settings.policy,
+                descriptor=_task_descriptor,
+                validate=_validate_payload,
+                on_result=_on_result,
+            )
+            run = supervisor.run()
         finally:
             if writer is not None:
                 writer.close()

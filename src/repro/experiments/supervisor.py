@@ -246,8 +246,7 @@ def _send_frame(
     either receives the complete pickle or fails loudly mid-frame; the
     payload itself is serialized once with ``pickle.HIGHEST_PROTOCOL``
     (the default ``Connection.send`` re-pickles at the legacy default
-    protocol, which is markedly slower for the array-heavy results the
-    sharded batch path returns).
+    protocol, which is markedly slower for large results).
     """
     conn.send_bytes(pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL))
 

@@ -45,8 +45,6 @@ __all__ = [
     "task_event",
     "task_retry",
     "task_failed",
-    "batch_event",
-    "shard_event",
     "cache_event",
     "checkpoint_event",
     "job_event",
@@ -84,8 +82,6 @@ _CACHE_OUTCOMES = frozenset(("hit", "miss", "corrupt", "sweep"))
 #: Failure classifications (mirrors :data:`repro.errors.FAILURE_REASONS`).
 _FAILURE_REASONS = frozenset(("timeout", "crash", "invariant", "error"))
 _CHECKPOINT_ACTIONS = frozenset(("write", "resume"))
-_BATCH_PHASES = frozenset(("start", "stop"))
-_SHARD_PHASES = frozenset(("start", "stop"))
 #: Job lifecycle phases of the simulation service (docs/SERVICE.md).
 _JOB_PHASES = frozenset(
     (
@@ -274,50 +270,6 @@ def task_failed(kind: str, label: str, attempts: int, reason: str) -> dict:
     }
 
 
-def batch_event(
-    phase: str,
-    backend: str,
-    runs: int,
-    iterations: Optional[int] = None,
-) -> dict:
-    """A vectorized batch of engine runs starting or stopping.
-
-    The batch backend advances many runs per data-parallel iteration,
-    so per-event tracing does not apply; this single event reports the
-    batch's shape (``runs``) and, on stop, how many lockstep iterations
-    it took.
-    """
-    return {
-        "event": "batch",
-        "cat": RUNNER,
-        "v": SCHEMA_VERSION,
-        "phase": phase,
-        "backend": backend,
-        "runs": runs,
-        "iterations": iterations,
-    }
-
-
-def shard_event(phase: str, shard: int, shards: int, runs: int, backend: str) -> dict:
-    """One shard of a sharded batch dispatching to (or returning from)
-    a pool worker.
-
-    ``shard`` is the zero-based shard index within a plan of ``shards``
-    shards, ``runs`` the number of batched runs the shard covers, and
-    ``backend`` the engine backend the worker executes it on.
-    """
-    return {
-        "event": "shard",
-        "cat": RUNNER,
-        "v": SCHEMA_VERSION,
-        "phase": phase,
-        "shard": shard,
-        "shards": shards,
-        "runs": runs,
-        "backend": backend,
-    }
-
-
 def cache_event(outcome: str, label: str) -> dict:
     """One on-disk result-cache event for a grid cell or cache file.
 
@@ -439,10 +391,6 @@ def _optional_number(value: object) -> bool:
     return value is None or _is_number(value)
 
 
-def _optional_int(value: object) -> bool:
-    return value is None or _is_int(value)
-
-
 def _string(value: object) -> bool:
     return isinstance(value, str)
 
@@ -525,25 +473,6 @@ EVENT_SCHEMAS: Mapping[str, tuple] = {
             "label": _string,
             "attempts": _is_int,
             "reason": _enum(*_FAILURE_REASONS),
-        },
-    ),
-    "batch": (
-        RUNNER,
-        {
-            "phase": _enum(*_BATCH_PHASES),
-            "backend": _string,
-            "runs": _is_int,
-            "iterations": _optional_int,
-        },
-    ),
-    "shard": (
-        RUNNER,
-        {
-            "phase": _enum(*_SHARD_PHASES),
-            "shard": _is_int,
-            "shards": _is_int,
-            "runs": _is_int,
-            "backend": _string,
         },
     ),
     "cache": (

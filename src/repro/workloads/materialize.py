@@ -1,22 +1,14 @@
-"""Batched, column-oriented segment materialization.
+"""Column-oriented segment materialization.
 
-The scalar engine consumes :class:`~repro.engine.segments.Segment`
-objects one at a time. The vectorized batch backend instead wants the
-same sequences as *columns* -- parallel arrays of instructions, cycles,
-miss flags and per-segment latencies -- pulled in chunks so that
-thousands of concurrent runs never hold more than a bounded window of
-segments each.
+The segment engine consumes :class:`~repro.engine.segments.Segment`
+objects one at a time. :class:`ChunkedMaterializer` pulls the same
+sequence as *columns* -- parallel lists of instructions, cycles, miss
+flags and per-segment latencies -- in bounded chunks, for tooling that
+wants a stream's segments in bulk.
 
 Determinism note: the columns are materialized from the **same**
-iterators :meth:`SegmentStream.segments` hands the scalar engine, so
-both backends observe the identical segment sequence for a given seed.
-(The lognormal draws come from :class:`random.Random`; re-drawing them
-with a different generator would silently change every workload.)
-
-This module is deliberately numpy-free: columns are plain Python lists
-that the batch backend converts to arrays. That keeps the workloads
-layer importable -- and the scalar path fully functional -- on
-interpreters without numpy.
+iterator :meth:`SegmentStream.segments` hands the engine, so they hold
+the identical segment sequence for a given seed.
 """
 
 from __future__ import annotations
@@ -27,20 +19,16 @@ from itertools import islice
 from typing import Iterator, Optional
 
 from repro.engine.segments import Segment, SegmentStream
-from repro.errors import ConfigurationError, WorkloadError
+from repro.errors import ConfigurationError
 
 __all__ = [
     "SegmentColumns",
     "ChunkedMaterializer",
-    "materialize_segments",
-    "ColumnStream",
-    "columnize",
 ]
 
-#: Default number of segments pulled per refill. Large enough to
-#: amortize the per-chunk Python overhead, small enough that a batch of
-#: thousands of lanes keeps a modest footprint (a chunk is ~4 columns
-#: of ``chunk_size`` floats per lane).
+#: Default number of segments pulled per refill: large enough to
+#: amortize the per-chunk Python overhead, small enough to keep a
+#: bounded window of each stream in memory.
 DEFAULT_CHUNK_SIZE = 256
 
 
@@ -61,13 +49,6 @@ class SegmentColumns:
     ends_with_miss: list[bool] = field(default_factory=list)
     miss_latency: list[float] = field(default_factory=list)
     exhausted: bool = False
-    #: Consumer-owned cache slot for an array-converted rendering of
-    #: the columns (the batch engine memoizes its numpy conversion here
-    #: so reruns of the same workload skip the list-to-array cost).
-    #: Never populated by this module; excluded from equality.
-    arrays_cache: Optional[object] = field(
-        default=None, repr=False, compare=False
-    )
 
     def __len__(self) -> int:
         return len(self.instructions)
@@ -81,8 +62,7 @@ class SegmentColumns:
         )
 
     def segment_at(self, index: int) -> Segment:
-        """The row at ``index`` as a scalar :class:`Segment` (tests and
-        debugging; the batch engine reads the columns directly)."""
+        """The row at ``index`` as a scalar :class:`Segment`."""
         latency = self.miss_latency[index]
         return Segment(
             instructions=self.instructions[index],
@@ -96,9 +76,7 @@ class ChunkedMaterializer:
     """Pulls one stream's segments into successive column chunks.
 
     One materializer wraps one live iterator, so chunks are consumed
-    strictly in stream order; the batch engine keeps one per
-    (run, thread) lane and refills whenever the lane's pointer reaches
-    the end of its buffered columns.
+    strictly in stream order.
     """
 
     def __init__(
@@ -132,7 +110,7 @@ class ChunkedMaterializer:
         # Bulk-pull via islice: consumes exactly the same iterator in
         # the same order as per-segment next() calls, but builds the
         # columns with C-speed comprehensions instead of per-segment
-        # appends (the batch engine refills thousands of lanes).
+        # appends.
         segments = list(islice(self._iterator, count))
         if len(segments) < count:
             self._exhausted = True
@@ -146,65 +124,3 @@ class ChunkedMaterializer:
         columns.exhausted = self._exhausted
         self.materialized += len(columns)
         return columns
-
-
-class ColumnStream(SegmentStream):
-    """A finite segment stream backed by pre-materialized columns.
-
-    Both substrates consume it natively: :meth:`segments` yields scalar
-    :class:`Segment` objects (cached, so replays pay no rebuild), while
-    the batch engine reads :attr:`columns` directly as arrays and never
-    touches the iterator. The columns are the *whole* stream -- build
-    one with :func:`columnize`, which truncates an infinite workload to
-    an explicit segment budget.
-    """
-
-    def __init__(self, columns: SegmentColumns, name: str = "") -> None:
-        if len(columns) == 0:
-            raise WorkloadError("a column stream needs at least one segment")
-        self.columns = columns
-        self._cache: Optional[list[Segment]] = None
-        super().__init__(self._replay, name=name)
-
-    def _replay(self) -> Iterator[Segment]:
-        if self._cache is None:
-            columns = self.columns
-            self._cache = [
-                columns.segment_at(index) for index in range(len(columns))
-            ]
-        return iter(self._cache)
-
-
-def columnize(
-    stream: SegmentStream, count: int, name: str = ""
-) -> ColumnStream:
-    """Materialize a stream's first ``count`` segments as a
-    :class:`ColumnStream`.
-
-    The result is a *finite* stream of exactly the materialized
-    segments: columnizing a window of an infinite workload truncates
-    it, deliberately and visibly.
-    """
-    return ColumnStream(
-        materialize_segments(stream, count), name=name or stream.name
-    )
-
-
-def materialize_segments(
-    stream: SegmentStream, count: int, chunk_size: int = DEFAULT_CHUNK_SIZE
-) -> SegmentColumns:
-    """Eagerly materialize the stream's first ``count`` segments.
-
-    Convenience for tests and benchmarks; returns fewer rows (with
-    ``exhausted`` set) when the stream is finite and shorter.
-    """
-    materializer = ChunkedMaterializer(stream, chunk_size=chunk_size)
-    columns = SegmentColumns()
-    while len(columns) < count and not materializer.exhausted:
-        chunk = materializer.take(min(chunk_size, count - len(columns)))
-        columns.instructions.extend(chunk.instructions)
-        columns.cycles.extend(chunk.cycles)
-        columns.ends_with_miss.extend(chunk.ends_with_miss)
-        columns.miss_latency.extend(chunk.miss_latency)
-    columns.exhausted = materializer.exhausted
-    return columns

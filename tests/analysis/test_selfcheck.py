@@ -63,6 +63,6 @@ def test_all_rules_ran():
     result = _lint()
     assert set(result.rules_run) == {
         "RL001", "RL002", "RL003", "RL004", "RL005", "RL006", "RL007",
-        "RL008", "RL009", "RL010", "RL011", "RL012",
+        "RL008", "RL009", "RL010", "RL012",
     }
     assert result.files_checked > 50

@@ -1,4 +1,4 @@
-"""Whole-program rules RL009-RL012 against synthetic multi-file projects.
+"""Whole-program rules RL009, RL010, RL012 against synthetic projects.
 
 The fixtures use the real resolution machinery end to end
 (``check_project`` builds summaries, the call graph, and effect
@@ -364,121 +364,6 @@ class TestForkUnsafeState:
                         _STATE.append(x)
                 """,
             },
-        )
-        assert findings == []
-
-
-# ---------------------------------------------------------------------------
-# RL011 backend-parity
-# ---------------------------------------------------------------------------
-
-PARITY_BASE = {
-    "src/repro/engine/backend.py": """
-        from repro.core.controller import FairnessParams
-
-        class SoeRunSpec:
-            streams: tuple
-            fairness: FairnessParams
-            policy: object
-    """,
-    "src/repro/core/controller.py": """
-        class FairnessParams:
-            fairness_target: float
-            smoothing: float
-    """,
-    "src/repro/core/policies.py": """
-        class PolicySpec:
-            pass
-
-        def register_policy(spec):
-            pass
-
-        register_policy(PolicySpec(name="fairness", batch_capable=True))
-        register_policy(PolicySpec(name="rr-timeshare", batch_capable=False))
-    """,
-}
-
-#: supports() refuses specs carrying a scalar-only policy config, and
-#: the kernel consumes every remaining field.
-BATCH_WITH_REFUSAL = """
-    class BatchBackend:
-        def supports(self, spec):
-            if spec.policy is not None:
-                return False
-            fairness = spec.fairness
-            return fairness is None or fairness.smoothing == 0.0
-
-        def run_batch(self, specs):
-            return [
-                (s.streams, s.fairness.fairness_target) for s in specs
-            ]
-"""
-
-
-class TestBackendParity:
-    def test_consume_or_refuse_everything_is_clean(self):
-        files = dict(PARITY_BASE)
-        files["src/repro/engine/batch.py"] = BATCH_WITH_REFUSAL
-        assert _project("RL011", files) == []
-
-    def test_deleting_the_policy_refusal_is_caught(self):
-        # The issue's acceptance scenario: drop supports()'s refusal of
-        # scalar-only policy specs and the rule must object.
-        files = dict(PARITY_BASE)
-        files["src/repro/engine/batch.py"] = """
-            class BatchBackend:
-                def supports(self, spec):
-                    fairness = spec.fairness
-                    return fairness is None or fairness.smoothing == 0.0
-
-                def run_batch(self, specs):
-                    return [
-                        (s.streams, s.fairness.fairness_target) for s in specs
-                    ]
-        """
-        findings = _project("RL011", files)
-        messages = "\n".join(f.message for f in findings)
-        # Both guarantees collapse: the spec field is silently ignored
-        # and the batch_capable=False policy is no longer refused.
-        assert "SoeRunSpec.policy" in messages
-        assert "rr-timeshare" in messages
-
-    def test_silently_ignored_spec_field_is_flagged(self):
-        files = dict(PARITY_BASE)
-        files["src/repro/engine/backend.py"] = """
-            from repro.core.controller import FairnessParams
-
-            class SoeRunSpec:
-                streams: tuple
-                fairness: FairnessParams
-                policy: object
-                trace_tag: str
-        """
-        files["src/repro/engine/batch.py"] = BATCH_WITH_REFUSAL
-        findings = _project("RL011", files)
-        assert len(findings) == 1
-        assert "SoeRunSpec.trace_tag" in findings[0].message
-        assert findings[0].path == "src/repro/engine/backend.py"
-
-    def test_silently_ignored_nested_field_is_flagged(self):
-        files = dict(PARITY_BASE)
-        files["src/repro/core/controller.py"] = """
-            class FairnessParams:
-                fairness_target: float
-                smoothing: float
-                deficit_cap: float
-        """
-        files["src/repro/engine/batch.py"] = BATCH_WITH_REFUSAL
-        findings = _project("RL011", files)
-        assert len(findings) == 1
-        assert "FairnessParams.deficit_cap" in findings[0].message
-        assert "SoeRunSpec.fairness" in findings[0].message
-        assert findings[0].path == "src/repro/core/controller.py"
-
-    def test_rule_is_inert_without_the_backend_layout(self):
-        findings = _project(
-            "RL011",
-            {"src/repro/engine/other.py": "def f():\n    return 1\n"},
         )
         assert findings == []
 

@@ -50,10 +50,6 @@ class TestRegistry:
         with pytest.raises(ConfigurationError, match="no parameter"):
             spec.param_default("quantum")
 
-    def test_only_the_vectorized_policies_are_batch_capable(self):
-        capable = [n for n in policy_names() if get_policy(n).batch_capable]
-        assert capable == ["none", "fairness", "drr-arbiter"]
-
     def test_render_table_lists_every_policy_and_parameter(self):
         text = render_policy_table()
         for name in BUILTINS:
@@ -97,7 +93,6 @@ class TestPolicyConfig:
             name="two-knob-test",
             title="t",
             reference="r",
-            batch_capable=False,
             params=(PolicyParam("b", 1.0, "d"), PolicyParam("a", 2.0, "d")),
             factory=lambda n, c: None,
         )
@@ -117,27 +112,6 @@ class TestPolicyConfig:
         assert config.param("quantum") == DEFAULT_QUANTUM
         override = PolicyConfig(name="drr-arbiter", params=(("quantum", 9.0),))
         assert override.param("quantum") == 9.0
-
-    def test_normalize_none_is_the_baseline(self):
-        assert PolicyConfig(name="none").normalize() == (None, None)
-
-    def test_normalize_fairness_collapses_to_fairness_params(self):
-        config = PolicyConfig(
-            name="fairness", level=0.5, miss_lat=200.0, sample_period=1e5
-        )
-        fairness, policy = config.normalize()
-        assert policy is None
-        assert fairness.fairness_target == 0.5
-        assert fairness.miss_lat == 200.0
-        assert fairness.sample_period == 1e5
-
-    @pytest.mark.parametrize(
-        "name", ["rr-timeshare", "icount", "lfoc-cluster", "drr-arbiter"]
-    )
-    def test_normalize_keeps_scalar_only_policies(self, name):
-        config = PolicyConfig(name=name)
-        fairness, policy = config.normalize()
-        assert fairness is None and policy is config
 
 
 class TestFactories:

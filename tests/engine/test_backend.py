@@ -1,24 +1,10 @@
-"""Tests for the engine backend layer (specs, resolution, reference).
-
-The vectorized backend's numerical behaviour is covered by the
-differential suite (tests/integration/test_batch_differential.py); this
-file pins the plumbing: spec validation, the scalar reference backend's
-equivalence to direct ``run_soe`` calls, and name-based resolution
-including the numpy-absent fallback.
-"""
+"""Tests for :class:`SoeRunSpec`: validation and policy construction."""
 
 import pytest
 
 from repro.core.controller import FairnessController, FairnessParams
-from repro.engine import backend as backend_mod
-from repro.engine.backend import (
-    BACKEND_NAMES,
-    EngineBackend,
-    ScalarBackend,
-    SoeRunSpec,
-    get_backend,
-    numpy_available,
-)
+from repro.core.policies import PolicyConfig
+from repro.engine.backend import SoeRunSpec
 from repro.engine.soe import RunLimits, SoeParams, run_soe
 from repro.errors import ConfigurationError
 from repro.workloads.synthetic import uniform_stream
@@ -57,73 +43,35 @@ class TestSoeRunSpec:
         assert isinstance(first, FairnessController)
         assert first is not second
 
-
-class TestScalarBackend:
-    def test_supports_everything(self):
-        assert ScalarBackend().supports(_spec())
-
-    def test_matches_direct_run_soe_bit_identically(self):
-        specs = [
-            _spec(seed=0),
-            _spec(seed=7, fairness=FairnessParams(fairness_target=0.5)),
-        ]
-        results = ScalarBackend().run_batch(specs)
-        for spec, result in zip(specs, results):
-            direct = run_soe(
-                spec.streams, spec.make_policy(), spec.params, spec.limits
-            )
-            assert result == direct
-
-    def test_preserves_spec_order(self):
-        specs = [
+    def test_rejects_fairness_and_policy_together(self):
+        with pytest.raises(ConfigurationError, match="not both"):
             SoeRunSpec(
-                streams=(
-                    uniform_stream(2.0, ipm),
-                    uniform_stream(1.0, 600),
-                ),
-                limits=LIMITS,
+                streams=_spec().streams,
+                fairness=FairnessParams(fairness_target=0.5),
+                policy=PolicyConfig(name="fairness", level=0.5),
             )
-            for ipm in (9_000, 5_000, 7_000)
+
+    def test_fairness_policy_config_runs_like_fairness_params(self):
+        # The grid selects the paper mechanism through the policy
+        # registry; it must run exactly like the bare FairnessParams.
+        params = FairnessParams(
+            fairness_target=0.5, miss_lat=300.0, sample_period=50_000.0
+        )
+        direct = _spec(seed=7, fairness=params)
+        registered = SoeRunSpec(
+            streams=direct.streams,
+            params=direct.params,
+            limits=direct.limits,
+            policy=PolicyConfig(
+                name="fairness",
+                level=params.fairness_target,
+                miss_lat=params.miss_lat,
+                sample_period=params.sample_period,
+            ),
+        )
+        assert registered.make_policy().params == params
+        results = [
+            run_soe(spec.streams, spec.make_policy(), spec.params, spec.limits)
+            for spec in (direct, registered)
         ]
-        results = ScalarBackend().run_batch(specs)
-        directs = [
-            run_soe(s.streams, None, s.params, s.limits) for s in specs
-        ]
-        assert results == directs
-        # Different workloads produce different runs, so order is
-        # observable, not vacuous.
-        assert results[0] != results[1]
-
-    def test_satisfies_protocol(self):
-        assert isinstance(ScalarBackend(), EngineBackend)
-
-
-class TestGetBackend:
-    def test_unknown_name_rejected(self):
-        with pytest.raises(ConfigurationError, match="unknown engine backend"):
-            get_backend("vector")
-
-    def test_scalar_always_resolves(self):
-        assert get_backend("scalar").name == "scalar"
-
-    @pytest.mark.skipif(not numpy_available(), reason="needs numpy")
-    def test_batch_resolves_with_numpy(self):
-        backend = get_backend("batch")
-        assert backend.name == "batch"
-        assert isinstance(backend, EngineBackend)
-
-    @pytest.mark.skipif(not numpy_available(), reason="needs numpy")
-    def test_auto_prefers_batch_with_numpy(self):
-        assert get_backend("auto").name == "batch"
-
-    def test_auto_falls_back_without_numpy(self, monkeypatch):
-        monkeypatch.setattr(backend_mod, "numpy_available", lambda: False)
-        assert get_backend("auto").name == "scalar"
-
-    def test_batch_errors_without_numpy(self, monkeypatch):
-        monkeypatch.setattr(backend_mod, "numpy_available", lambda: False)
-        with pytest.raises(ConfigurationError, match="needs numpy"):
-            get_backend("batch")
-
-    def test_names_tuple_is_the_cli_contract(self):
-        assert BACKEND_NAMES == ("scalar", "batch", "auto")
+        assert results[0] == results[1]

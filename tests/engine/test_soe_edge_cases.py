@@ -4,8 +4,7 @@ Covers three historical bugs -- the all-idle spin at the ``max_cycles``
 cap, float drift across boundary-split inactive spans, and the
 double-query of ``policy.next_boundary`` in the boundary-firing loop --
 plus golden pins of ``_step_active``'s zero-budget tie-breaking order
-and the miss-free segment join, which the batch backend must reproduce
-exactly.
+and the miss-free segment join.
 """
 
 import math
@@ -207,8 +206,7 @@ def _engine_with_active_thread(policy):
 
 class TestZeroBudgetTieBreaking:
     """Golden pins of ``_step_active``'s zero-dt classification order:
-    segment end beats instruction quota beats cycle quota. The batch
-    backend must break these ties identically."""
+    segment end beats instruction quota beats cycle quota."""
 
     def test_segment_end_wins_over_both_zero_budgets(self):
         policy = BudgetStub(instr=0.0, cycle=0.0)

@@ -2,8 +2,7 @@
 
 The frontier's contract is the acceptance gate of the policy zoo: one
 row per registered policy, computed on the shared supervised grid, and
-bit-identical across job counts, engine backends, cache state and
-checkpoint/resume. A reduced two-pair grid keeps the full sweep fast.
+bit-identical across job counts, cache state and checkpoint/resume. A reduced two-pair grid keeps the full sweep fast.
 """
 
 import dataclasses
@@ -11,15 +10,12 @@ import dataclasses
 import pytest
 
 from repro.core.policies import PolicyConfig, policy_names
-from repro.engine.backend import numpy_available
 from repro.engine.soe import run_soe
 from repro.errors import ConfigurationError
 from repro.experiments import frontier
 from repro.experiments.common import EvalConfig
 from repro.experiments.runner import ExecutionSettings, execution
 from repro.workloads.pairs import evaluation_pairs
-
-needs_numpy = pytest.mark.skipif(not numpy_available(), reason="needs numpy")
 
 PAIRS = evaluation_pairs()[:2]
 
@@ -68,12 +64,6 @@ class TestFrontierShape:
         for name in ("fairness", "rr-timeshare", "lfoc-cluster"):
             assert by_name[name].mean_fairness > baseline
 
-    def test_batch_capability_matches_the_registry(self, result):
-        by_name = {row.policy: row for row in result.rows}
-        assert by_name["fairness"].batch_capable
-        assert by_name["drr-arbiter"].batch_capable
-        assert not by_name["rr-timeshare"].batch_capable
-
     def test_policy_subset_and_unknown_name(self, config):
         sub = frontier.run(config, pairs=PAIRS, policies=("none", "fairness"))
         assert sub.policies == ("none", "fairness")
@@ -99,12 +89,6 @@ class TestFrontierIdentity:
         with execution(ExecutionSettings(jobs=2)):
             parallel = frontier.run(config, pairs=PAIRS)
         assert parallel == result
-
-    @needs_numpy
-    def test_auto_backend_is_bit_identical(self, config, result):
-        with execution(ExecutionSettings(backend="auto")):
-            batched = frontier.run(config, pairs=PAIRS)
-        assert batched == result
 
     def test_cache_and_resume_round_trip(self, config, result, tmp_path):
         checkpoint = tmp_path / "frontier.ckpt"

@@ -6,10 +6,16 @@ results of a serial from-scratch run. Everything else (memoization,
 cache stats, settings plumbing) is checked around that invariant.
 """
 
+import json
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.errors import ConfigurationError
 from repro.experiments import runner
 from repro.experiments.common import EvalConfig, PairResult, run_all_pairs
@@ -168,6 +174,84 @@ class TestResultCache:
     def test_code_version_is_stable_hex(self):
         assert runner.code_version() == runner.code_version()
         int(runner.code_version(), 16)
+
+
+#: Runs in a fresh interpreter: one single-thread task and one SOE task
+#: per registered policy, then ``code_version()`` with every file read
+#: recorded. Prints which simulator modules the tasks loaded, which
+#: files the digest read, and which modules taking it imported.
+_CODE_VERSION_PROBE = """
+import json, pathlib, sys
+from dataclasses import replace
+
+from repro.core.policies import policy_names
+from repro.experiments import runner
+from repro.experiments.common import EvalConfig
+from repro.workloads.pairs import BenchmarkPair
+
+config = replace(
+    EvalConfig.quick(),
+    sample_period=10_000.0,
+    min_instructions=20_000.0,
+    warmup_instructions=5_000.0,
+    st_min_instructions=20_000.0,
+)
+pair = BenchmarkPair("gcc", "eon")
+runner._run_grid_task(runner._st_tasks_for(pair, config)[0])
+for name in policy_names():
+    task = runner._SoeTask(
+        pair=pair, level=0.5, config=replace(config, policy=name)
+    )
+    runner._run_grid_task(task)
+
+simulator = sorted(
+    module.__file__
+    for name, module in list(sys.modules.items())
+    if name.split(".")[:2] in (["repro", "core"], ["repro", "engine"],
+                               ["repro", "workloads"])
+)
+read = []
+read_bytes = pathlib.Path.read_bytes
+
+def recording_read_bytes(path):
+    read.append(str(path.resolve()))
+    return read_bytes(path)
+
+pathlib.Path.read_bytes = recording_read_bytes
+before = set(sys.modules)
+runner.code_version()
+print(json.dumps({
+    "simulator": [str(pathlib.Path(f).resolve()) for f in simulator],
+    "read": read,
+    "imported": sorted(set(sys.modules) - before),
+}))
+"""
+
+
+class TestCodeVersionCoverage:
+    """The cache key must change when any module a grid task runs does."""
+
+    @pytest.fixture(scope="class")
+    def probe(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(repro.__file__).resolve().parents[1])
+        completed = subprocess.run(
+            [sys.executable, "-c", _CODE_VERSION_PROBE],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+            check=True,
+        )
+        return json.loads(completed.stdout)
+
+    def test_every_loaded_simulator_module_is_digested(self, probe):
+        assert len(probe["simulator"]) > 10
+        missing = sorted(set(probe["simulator"]) - set(probe["read"]))
+        assert missing == []
+
+    def test_taking_the_digest_imports_nothing(self, probe):
+        assert probe["imported"] == []
 
 
 class TestPairResultErrors:

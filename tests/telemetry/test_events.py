@@ -14,7 +14,6 @@ from repro.telemetry.events import (
     CATEGORIES,
     EVENT_SCHEMAS,
     SCHEMA_VERSION,
-    batch_event,
     breaker_event,
     cache_event,
     checkpoint_event,
@@ -23,7 +22,6 @@ from repro.telemetry.events import (
     parse_categories,
     queue_event,
     segment_end,
-    shard_event,
     sink_degraded_event,
     stall,
     task_event,
@@ -71,10 +69,6 @@ class TestBuilders:
             task_failed("soe_pair", "gcc:eon@F0.5", 3, "crash"),
             checkpoint_event("write", 1, "grid.ckpt"),
             checkpoint_event("resume", 7, "grid.ckpt"),
-            batch_event("start", "batch", 64),
-            batch_event("stop", "batch", 64, iterations=2945),
-            shard_event("start", 0, 4, 16, "batch"),
-            shard_event("stop", 3, 4, 15, "batch"),
             job_event("submitted", "tenant-a", "ab12cd34"),
             job_event("rejected", "tenant-a", "ab12cd34",
                       detail="queue full"),
@@ -96,8 +90,6 @@ class TestBuilders:
             task_retry("k", "l", 2, "crash"),
             task_failed("k", "l", 3, "crash"),
             checkpoint_event("write", 1, "p"),
-            batch_event("start", "batch", 1),
-            shard_event("start", 0, 2, 8, "batch"),
             job_event("submitted", "t", "j"),
             queue_event("enqueue", "t", 1, 0.0),
             breaker_event("closed", 0),

@@ -5,14 +5,8 @@ import math
 import pytest
 
 from repro.engine.segments import Segment, stream_from_segments
-from repro.errors import ConfigurationError, WorkloadError
-from repro.workloads.materialize import (
-    ChunkedMaterializer,
-    ColumnStream,
-    SegmentColumns,
-    columnize,
-    materialize_segments,
-)
+from repro.errors import ConfigurationError
+from repro.workloads.materialize import ChunkedMaterializer
 from repro.workloads.synthetic import uniform_stream
 
 
@@ -101,69 +95,3 @@ class TestColumnEncoding:
         ]
         chunk = ChunkedMaterializer(stream_from_segments(segments)).take()
         assert [chunk.segment_at(0), chunk.segment_at(1)] == segments
-
-
-class TestMaterializeSegments:
-    def test_eager_window(self):
-        stream = uniform_stream(2.5, 1_000, ipm_cv=0.5, seed=3)
-        columns = materialize_segments(stream, 100, chunk_size=7)
-        assert len(columns) == 100
-        assert not columns.exhausted
-        for index, segment in zip(range(100), stream.segments()):
-            assert columns.segment_at(index) == segment
-
-    def test_short_finite_stream(self):
-        segments = [Segment(10.0, 5.0) for _ in range(4)]
-        columns = materialize_segments(stream_from_segments(segments), 100)
-        assert len(columns) == 4
-        assert columns.exhausted
-
-
-class TestColumnStream:
-    def test_replays_exactly_the_materialized_window(self):
-        source = uniform_stream(2.0, 1_500, ipm_cv=0.7, ipc_cv=0.2, seed=9)
-        stream = columnize(source, 50)
-        replayed = list(stream.segments())
-        assert len(replayed) == 50
-        for segment, original in zip(replayed, source.segments()):
-            assert segment == original
-
-    def test_replay_is_restartable_and_cached(self):
-        stream = columnize(uniform_stream(2.0, 800, ipm_cv=0.5, seed=2), 30)
-        first = list(stream.segments())
-        second = list(stream.segments())
-        assert first == second
-        assert first[0] is second[0]
-
-    def test_columnize_truncates_infinite_streams(self):
-        stream = columnize(uniform_stream(2.0, 800, seed=1), 12)
-        assert len(list(stream.segments())) == 12
-
-    def test_columnize_keeps_the_source_name(self):
-        named = uniform_stream(2.0, 800, seed=1)
-        assert columnize(named, 4).name == named.name
-        assert columnize(named, 4, name="alias").name == "alias"
-
-    def test_empty_columns_rejected(self):
-        with pytest.raises(WorkloadError, match="at least one segment"):
-            ColumnStream(SegmentColumns())
-
-
-class TestArraysCache:
-    def test_cache_slot_excluded_from_equality_and_repr(self):
-        a = materialize_segments(
-            stream_from_segments([Segment(10.0, 5.0)]), 1
-        )
-        b = materialize_segments(
-            stream_from_segments([Segment(10.0, 5.0)]), 1
-        )
-        assert a == b
-        a.arrays_cache = ("sentinel",)
-        assert a == b
-        assert "sentinel" not in repr(a)
-
-    def test_cache_slot_starts_empty(self):
-        columns = materialize_segments(
-            stream_from_segments([Segment(10.0, 5.0)]), 1
-        )
-        assert columns.arrays_cache is None
