@@ -1,62 +1,46 @@
 #!/usr/bin/env python
-"""Perf harness: run each ``bench_*.py`` and write ``BENCH_<name>.json``.
+"""Host calibration for perfbench, and the gate on its committed baseline.
 
-This file owns every wall-clock read of the benchmarking pipeline (it
-is the one RL002-exempt file outside telemetry): it measures wall time
-around a fresh ``pytest`` subprocess per benchmark file, collects the
-subprocess's PROFILE snapshot (simulated cycles, events, peak RSS) via
-``REPRO_BENCH_PROFILE_OUT``, and emits one schema-validated JSON record
-per benchmark plus, on request, an updated ``benchmarks/baseline.json``.
+``calibrate()`` times a fixed pure-Python loop; ``perfbench/measure.py``
+loads this file by path and scales its metrics by that reading. The
+file imports nothing from the simulator, so loading it leaves the
+benchmark process as it was.
 
-Cross-machine comparability comes from a calibration loop: a fixed
-pure-Python workload timed in the same environment. The committed
-baseline stores each run's ``calibration_ops_per_sec`` so the gate can
-compare machine-normalized cost (see repro.benchmarking.compare).
+Run as a script, it is the CI gate on perfbench results::
 
-Usage::
+    python3 perfbench/run.py --workload grid_pool --seed 1 --seconds 36 \\
+        --trace 0 > grid_pool.out
+    python benchmarks/harness.py grid_pool.out cpu_validation.out ...
 
-    PYTHONPATH=src python benchmarks/harness.py                 # all benches
-    PYTHONPATH=src python benchmarks/harness.py bench_detailed_core
-    PYTHONPATH=src python benchmarks/harness.py --scale quick --update-baseline
+Each argument is a file whose last line is the JSON result that
+``perfbench/run.py`` printed; the file name up to its first dot names
+the workload. Every end-to-end metric in ``BENCHMARK.json`` is compared
+with that workload's entry in ``benchmarks/baseline.json``, which maps
+workload names to result objects of the same form. A metric fails when
+it is worse than the baseline by more than its ``bound`` (a fraction of
+the baseline value) in its ``better`` direction. The gate prints a
+Markdown table and exits 1 unless every result has ``correct: true``,
+``failed: 0`` and no failing or missing metric.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
-import os
-import platform
-import subprocess
+import math
 import sys
-import tempfile
 import time
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-SRC_DIR = REPO_ROOT / "src"
-BENCH_DIR = REPO_ROOT / "benchmarks"
-
-if str(SRC_DIR) not in sys.path:
-    sys.path.insert(0, str(SRC_DIR))
-
-from repro.benchmarking.schema import (  # noqa: E402
-    BENCH_SCHEMA_VERSION,
-    bench_result,
-    load_baseline,
-)
-from repro.errors import ConfigurationError  # noqa: E402
+BASELINE = REPO_ROOT / "benchmarks" / "baseline.json"
+BENCHMARK = REPO_ROOT / "BENCHMARK.json"
 
 #: Iterations of the calibration loop (fixed so ops/sec is comparable).
 _CALIBRATION_OPS = 2_000_000
 #: Calibration repetitions; the best (max ops/sec) is kept to damp
 #: scheduling noise.
 _CALIBRATION_REPEATS = 3
-
-
-def discover_benchmarks() -> List[str]:
-    """All ``bench_*.py`` files, by name, sorted."""
-    return sorted(path.stem for path in BENCH_DIR.glob("bench_*.py"))
 
 
 def calibrate() -> float:
@@ -73,172 +57,97 @@ def calibrate() -> float:
     return best
 
 
-def _subprocess_env(scale: str, profile_out: Path) -> Dict[str, str]:
-    env = dict(os.environ)
-    pythonpath = env.get("PYTHONPATH", "")
-    parts = [str(SRC_DIR)] + ([pythonpath] if pythonpath else [])
-    env["PYTHONPATH"] = os.pathsep.join(parts)
-    env["PYTHONHASHSEED"] = "0"
-    env["REPRO_BENCH_SCALE"] = scale
-    env["REPRO_BENCH_PROFILE_OUT"] = str(profile_out)
-    return env
+def worsening(baseline: float, value: float, better: str) -> float:
+    """How much worse ``value`` is than ``baseline``, as a fraction of
+    the baseline (negative: better). A change from a zero baseline is
+    infinitely large."""
+    change = value - baseline if better == "lower" else baseline - value
+    if baseline == 0:
+        return 0.0 if change == 0 else math.copysign(math.inf, change)
+    return change / abs(baseline)
 
 
-def run_benchmark(
-    name: str, scale: str, env_fingerprint: Dict[str, Any]
-) -> Dict[str, Any]:
-    """Run one bench file in a fresh interpreter; return its record.
+def gate(
+    results: Mapping[str, Mapping[str, Any]],
+    baseline: Mapping[str, Mapping[str, Any]],
+    metrics: Sequence[Mapping[str, Any]],
+) -> Tuple[List[str], List[str]]:
+    """Compare ``results`` (workload → result) with ``baseline``.
 
-    ``--benchmark-disable`` makes pytest-benchmark call each benched
-    function exactly once, so wall time measures one deterministic pass
-    rather than the plugin's adaptive rounds.
+    ``metrics`` are the ``end_to_end`` entries of ``BENCHMARK.json``.
+    Returns the Markdown table lines and the failures, one line each
+    naming its workload and cause; the gate passes when there are none.
     """
-    bench_file = BENCH_DIR / f"{name}.py"
-    if not bench_file.exists():
-        raise ConfigurationError(f"no such benchmark: {bench_file}")
-    with tempfile.NamedTemporaryFile(
-        mode="r", suffix=".json", prefix=f"profile_{name}_", delete=False
-    ) as handle:
-        profile_out = Path(handle.name)
-    try:
-        cmd = [
-            sys.executable,
-            "-m",
-            "pytest",
-            str(bench_file),
-            "-q",
-            "-p",
-            "no:cacheprovider",
-            "--benchmark-disable",
-        ]
-        start = time.perf_counter()
-        proc = subprocess.run(
-            cmd,
-            cwd=REPO_ROOT,
-            env=_subprocess_env(scale, profile_out),
-            capture_output=True,
-            text=True,
-        )
-        wall = time.perf_counter() - start
-        profile: Dict[str, Any] = {}
-        try:
-            profile = json.loads(profile_out.read_text())
-        except (OSError, json.JSONDecodeError):
-            pass
-        if proc.returncode != 0:
-            sys.stderr.write(proc.stdout[-2000:] + proc.stderr[-2000:])
-        return bench_result(
-            name=name,
-            scale=scale,
-            wall_seconds=wall,
-            simulated_cycles=float(profile.get("simulated_cycles", 0.0)),
-            events=float(profile.get("events", 0)),
-            peak_rss_bytes=int(profile.get("peak_rss_bytes", 0)),
-            exit_status=proc.returncode,
-            env=env_fingerprint,
-        )
-    finally:
-        profile_out.unlink(missing_ok=True)
+    table = [
+        "| workload | metric | baseline | result | worse by | bound | |",
+        "|---|---|---:|---:|---:|---:|---|",
+    ]
+    failures: List[str] = []
+    for workload, result in results.items():
+        if result.get("correct") is not True:
+            failures.append(f"{workload}: correct is {result.get('correct')!r}")
+        if result.get("failed") != 0:
+            failures.append(f"{workload}: failed is {result.get('failed')!r}")
+        base = baseline.get(workload)
+        if base is None:
+            failures.append(f"{workload}: no baseline for this workload")
+            continue
+        for metric in metrics:
+            name = metric["name"]
+            try:
+                old = float(base["metrics"][name]["value"])
+                new = float(result["metrics"][name]["value"])
+            except (KeyError, TypeError, ValueError):
+                failures.append(f"{workload}: metric {name} missing")
+                continue
+            worse = worsening(old, new, metric["better"])
+            ok = worse <= metric["bound"]
+            if not ok:
+                failures.append(
+                    f"{workload}: {name} {new:.4g} is {worse:+.1%} worse than "
+                    f"the baseline {old:.4g} (bound {metric['bound']:.0%})"
+                )
+            table.append(
+                f"| {workload} | {name} | {old:.4g} | {new:.4g} | {worse:+.1%} "
+                f"| {metric['bound']:.0%} | {'ok' if ok else '**FAIL**'} |"
+            )
+    return table, failures
 
 
-def write_baseline(
-    path: Path, results: Dict[str, Dict[str, Any]]
-) -> None:
-    """Merge this run's results into the baseline file."""
-    benchmarks: Dict[str, Dict[str, Any]] = {}
-    if path.exists():
-        try:
-            benchmarks = load_baseline(path)
-        except ConfigurationError:
-            benchmarks = {}
-    benchmarks.update(results)
-    payload = {
-        "schema_version": BENCH_SCHEMA_VERSION,
-        "benchmarks": {name: benchmarks[name] for name in sorted(benchmarks)},
-    }
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+def _last_line_json(path: Path) -> Dict[str, Any]:
+    lines = path.read_text().strip().splitlines()
+    if not lines:
+        raise ValueError("empty file")
+    result = json.loads(lines[-1])
+    if not isinstance(result, dict):
+        raise ValueError("last line is not a JSON object")
+    return result
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "names",
-        nargs="*",
-        help="benchmark names (default: every bench_*.py)",
-    )
-    parser.add_argument(
-        "--scale",
-        default=os.environ.get("REPRO_BENCH_SCALE", "default"),
-        choices=("quick", "default"),
-        help="benchmark scale preset (default: REPRO_BENCH_SCALE or "
-        "'default')",
-    )
-    parser.add_argument(
-        "--out",
-        type=Path,
-        default=BENCH_DIR / "results",
-        help="directory for BENCH_<name>.json files",
-    )
-    parser.add_argument(
-        "--baseline",
-        type=Path,
-        default=BENCH_DIR / "baseline.json",
-        help="baseline file updated by --update-baseline",
-    )
-    parser.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="merge this run's results into the baseline file",
-    )
-    args = parser.parse_args(argv)
-
-    names = list(args.names) or discover_benchmarks()
-    unknown = [n for n in names if not (BENCH_DIR / f"{n}.py").exists()]
-    if unknown:
-        parser.error(f"unknown benchmark(s): {', '.join(unknown)}")
-
-    calibration = calibrate()
-    env_fingerprint = {
-        "python": platform.python_version(),
-        "implementation": platform.python_implementation(),
-        "platform": platform.platform(),
-        "machine": platform.machine(),
-        "calibration_ops_per_sec": calibration,
-    }
-    print(f"calibration: {calibration:,.0f} ops/sec; scale={args.scale}; "
-          f"{len(names)} benchmark(s)")
-
-    args.out.mkdir(parents=True, exist_ok=True)
+    paths = [Path(arg) for arg in (sys.argv[1:] if argv is None else argv)]
+    if not paths:
+        print("usage: python benchmarks/harness.py RESULT...", file=sys.stderr)
+        return 2
+    metrics = json.loads(BENCHMARK.read_text())["end_to_end"]
+    baseline = json.loads(BASELINE.read_text())
     results: Dict[str, Dict[str, Any]] = {}
-    failed: List[str] = []
-    for name in names:
-        record = run_benchmark(name, args.scale, env_fingerprint)
-        results[name] = record
-        out_path = args.out / f"BENCH_{name}.json"
-        out_path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
-        status = "ok" if record["exit_status"] == 0 else "FAILED"
-        print(
-            f"  {name:28s} {record['wall_seconds']:8.2f}s  "
-            f"{record['simulated_cycles_per_sec']:>14,.0f} cyc/s  "
-            f"{record['peak_rss_bytes'] / (1 << 20):7.1f} MiB  {status}"
-        )
-        if record["exit_status"] != 0:
-            failed.append(name)
-
-    if args.update_baseline:
-        ok_results = {
-            name: record
-            for name, record in results.items()
-            if record["exit_status"] == 0
-        }
-        write_baseline(args.baseline, ok_results)
-        print(f"baseline updated: {args.baseline} "
-              f"({len(ok_results)} benchmark(s))")
-
-    if failed:
-        print(f"FAILED: {', '.join(failed)}", file=sys.stderr)
-        return 1
-    return 0
+    unreadable: List[str] = []
+    for path in paths:
+        workload = path.name.split(".")[0]
+        try:
+            results[workload] = _last_line_json(path)
+        except (OSError, ValueError) as exc:
+            unreadable.append(f"{workload}: cannot read a result from {path}: {exc}")
+    table, failures = gate(results, baseline, metrics)
+    failures = unreadable + failures
+    print("\n".join(table))
+    print()
+    for line in failures:
+        print(f"FAIL {line}")
+    print("gate: " + ("FAILED" if failures else "passed")
+          + f" ({len(results)} result(s) vs {BASELINE.name})")
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":

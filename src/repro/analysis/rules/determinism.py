@@ -157,8 +157,8 @@ class NoWallClock(Rule):
             # The service's clocks bound job deadlines, retry backoff,
             # and drain waits; simulation results never depend on them.
             "src/repro/service/",
-            # The perf harness *measures* wall time by design; its
-            # numbers describe the simulator and never feed back in.
+            # perfbench's calibration loop *measures* wall time by
+            # design; its numbers never feed back into a simulation.
             "benchmarks/harness.py",
         ),
     )

@@ -11,8 +11,6 @@ Examples::
     python -m repro trace-summary t.jsonl   # render a recorded trace
     python -m repro lint                 # static analysis (repro-lint)
     python -m repro lint --eq-table      # paper-equation coverage map
-    python -m repro bench                # perf harness (BENCH_*.json)
-    python -m repro bench --compare      # gate against benchmarks/baseline.json
     python -m repro policies             # the registered switch policies
     python -m repro frontier             # cross-policy fairness/throughput
     python -m repro fig7 --policy drr-arbiter   # rerun a figure under a policy
@@ -82,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "experiment",
-        help="experiment id, 'all', 'list', 'policies', 'lint', 'bench', "
+        help="experiment id, 'all', 'list', 'policies', 'lint', "
         "'trace-summary', 'serve', or a service client command "
         "(submit, status, watch)",
     )
@@ -501,11 +499,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         from repro.analysis.cli import main as lint_main
 
         return lint_main(arg_list[1:])
-    if arg_list and arg_list[0] == "bench":
-        # The bench subcommand owns its flag set (see repro.benchmarking.cli).
-        from repro.benchmarking.cli import main as bench_main
-
-        return bench_main(arg_list[1:])
     if arg_list and arg_list[0] == "serve":
         # The service subcommand owns its flag set (see repro.service).
         return _serve(arg_list[1:])

@@ -245,8 +245,7 @@ def manifest_metrics(path: Union[str, Path]) -> Optional[dict]:
     """The run's profiling manifest, if one sits next to the trace.
 
     A traced CLI run writes ``<trace>.manifest.json`` (see
-    :mod:`repro.telemetry.profile`); its throughput counters are the
-    same ones the perf harness records in ``BENCH_*.json``.
+    :mod:`repro.telemetry.profile`) with the run's throughput counters.
     """
     manifest_path = Path(f"{path}.manifest.json")
     if not manifest_path.exists():
@@ -294,8 +293,7 @@ def render_trace_summary(path: Union[str, Path]) -> str:
     """Summarize and render a trace file in one step (the CLI entry).
 
     When the run's ``<trace>.manifest.json`` exists, its throughput
-    counters (events/sec, simulated cycles/sec, peak RSS) are appended,
-    so traced runs expose the same perf counters the harness records.
+    counters (events/sec, simulated cycles/sec, peak RSS) are appended.
     """
     text = render_summary(summarize_trace(path))
     manifest = manifest_metrics(path)

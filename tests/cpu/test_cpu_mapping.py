@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.controller import FairnessController, FairnessParams
 from repro.cpu.soe_core import run_cpu_single_thread, run_cpu_soe
 from repro.workloads.cpu_mapping import cpu_spec_for_profile
 from repro.workloads.spec2000 import get_profile
@@ -54,26 +55,67 @@ class TestCpuSpecForProfile:
             observed_ipm = soe.threads[0].retired / misses
             assert observed_ipm == pytest.approx(profile.ipm, rel=0.6)
 
-    def test_gcc_eon_starvation_reproduces_on_detailed_core(self):
-        """The paper's flagship pair, rebuilt at the micro-op level."""
-        gcc_spec = cpu_spec_for_profile(get_profile("gcc"))
-        eon_spec = cpu_spec_for_profile(get_profile("eon"))
-        st = []
-        for index, spec in enumerate((gcc_spec, eon_spec)):
-            run = run_cpu_single_thread(
+    @pytest.fixture(scope="class")
+    def gcc_eon(self):
+        """gcc and eon as micro-op specs, alone and under SOE at F=0."""
+        specs = (
+            cpu_spec_for_profile(get_profile("gcc")),
+            cpu_spec_for_profile(get_profile("eon")),
+        )
+        st = [
+            run_cpu_single_thread(
                 make_trace(spec, seed=index + 1, thread_index=index),
                 min_instructions=10_000,
                 warmup_instructions=5_000,
-            )
-            st.append(run.total_ipc)
+            ).total_ipc
+            for index, spec in enumerate(specs)
+        ]
         soe = run_cpu_soe(
-            [make_trace(gcc_spec, seed=1, thread_index=0),
-             make_trace(eon_spec, seed=2, thread_index=1)],
+            _gcc_eon_programs(specs),
             min_instructions=5_000,
             warmup_instructions=3_000,
         )
+        return specs, st, soe
+
+    def test_gcc_eon_starvation_reproduces_on_detailed_core(self, gcc_eon):
+        """The paper's flagship pair, rebuilt at the micro-op level."""
+        _specs, st, soe = gcc_eon
         speedups = [ipc / s for ipc, s in zip(soe.ipcs, st)]
         # gcc starves, eon is barely affected -- on the cycle-level
         # machine, from first principles.
         assert speedups[0] / speedups[1] < 0.35
         assert speedups[1] > 0.7
+
+    def test_gcc_eon_half_fairness_more_than_doubles_it(self, gcc_eon):
+        specs, st, soe = gcc_eon
+        controller = FairnessController(
+            2, FairnessParams(fairness_target=0.5, sample_period=5_000.0)
+        )
+        enforced = run_cpu_soe(
+            _gcc_eon_programs(specs), controller,
+            min_instructions=5_000, warmup_instructions=3_500,
+        )
+        assert _fairness(enforced, st) > 2 * _fairness(soe, st)
+        assert enforced.total_ipc < soe.total_ipc
+
+    def test_gcc_eon_switch_latency_near_paper_value(self, gcc_eon):
+        specs, _st, _soe = gcc_eon
+        result = run_cpu_soe(
+            _gcc_eon_programs(specs),
+            min_instructions=4_000, warmup_instructions=2_000,
+        )
+        # Paper Section 4.1: switch latency "usually accumulates to
+        # around 25 cycles".
+        assert 10 <= result.mean_switch_latency <= 40
+
+
+def _gcc_eon_programs(specs):
+    return [
+        make_trace(specs[0], seed=1, thread_index=0),
+        make_trace(specs[1], seed=2, thread_index=1),
+    ]
+
+
+def _fairness(run, st):
+    speedups = [ipc / s for ipc, s in zip(run.ipcs, st)]
+    return min(speedups) / max(speedups)

@@ -32,6 +32,9 @@ class TestEventsExperiment:
         assert measured.achieved_fairness == pytest.approx(
             oracle.achieved_fairness, abs=0.08
         )
+        assert measured.achieved_fairness == pytest.approx(
+            result.fairness_target, abs=0.08
+        )
         assert result.measurement_closes_the_gap
 
     def test_monitor_converges_to_true_mean(self, result):

@@ -2,7 +2,7 @@
 
 The grid runs at the quick scale here; the shape assertions are the
 ones that must hold at any scale (orderings, ranges), not the absolute
-paper numbers (those are checked in the benchmarks at full scale).
+paper numbers (tests/conformance/ checks those at the default scale).
 """
 
 import pytest

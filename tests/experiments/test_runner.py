@@ -114,6 +114,17 @@ class TestEquivalence:
         assert second.stats.hits == len(PAIRS) and second.stats.misses == 0
         assert second.stats.hit_rate == 1.0
 
+    def test_full_grid_is_identical_across_jobs_and_cache(self, config,
+                                                           tmp_path):
+        cold = run_grid(config, settings=ExecutionSettings(cache_dir=tmp_path))
+        parallel = run_grid(config, settings=ExecutionSettings(jobs=2))
+        warm = run_grid(config, settings=ExecutionSettings(cache_dir=tmp_path))
+        assert parallel.results == cold.results
+        assert warm.results == cold.results
+        assert cold.stats.misses == 16 and cold.stats.hits == 0
+        assert warm.stats.hits == 16 and warm.stats.misses == 0
+        assert warm.stats.hit_rate == 1.0
+
     def test_compute_pair_matches_grid_cell(self, config, serial_grid):
         assert compute_pair(PAIRS[1], config) == serial_grid[1]
 

@@ -42,3 +42,14 @@ class TestStability:
         text = stability.render(result)
         assert "Seed stability" in text
         assert "±" in text
+
+
+def test_default_scale_aggregates_are_seed_stable():
+    # The full default-scale grid under three seeds: the headline
+    # degradations and the unfair-run fraction barely move.
+    full = stability.run(seeds=(0, 1, 2), jobs=2)
+    for level in (0.25, 0.5, 1.0):
+        _mean, std = full.degradation_spread(level)
+        assert std < 0.01
+    _mean, std = full.unfair_fraction_spread()
+    assert std < 0.15
