@@ -23,12 +23,16 @@ architectural values are never computed.
 Performance notes (see docs/PERFORMANCE.md): :meth:`OooPipeline.run`
 is one fused loop with the pipeline state in locals; every hot
 structure uses ``__slots__``; uop decode happens once at fetch via a
-table keyed by the op class's str value (port, kind, latency); policy
-hooks the policy leaves at their :class:`SwitchPolicy` defaults are
-skipped; store-to-load forwarding uses an address-indexed ROB store
-map; and the loop fast-forwards over provably idle cycles straight to
-the next retirement / wakeup / frontend / quota / Delta-boundary event.
-All of these are bit-identical transformations -- golden tests in
+table keyed by the op class's str value (port, kind, latency); issue
+is wakeup driven -- producers wake their consumers through forward
+links, due entries wait on a heap keyed by wake cycle and issue from
+one keyed by age, and nothing walks the RS (the forward links are
+dropped at issue, so retired uops are freed); policy hooks the policy
+leaves at their :class:`SwitchPolicy` defaults are skipped;
+store-to-load forwarding uses an address-indexed ROB store map; and
+the loop fast-forwards over provably idle cycles straight to the next
+retirement / wakeup / frontend / quota / Delta-boundary event. All of
+these are bit-identical transformations -- golden tests in
 ``tests/integration/test_golden_kernels.py`` pin the exact outputs.
 """
 
@@ -36,6 +40,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from math import ceil, isinf
 from typing import Any, Callable, Optional, Sequence
 
@@ -60,11 +65,18 @@ _PORT_ALU, _PORT_MUL, _PORT_FP, _PORT_LOAD, _PORT_STORE = range(5)
 
 
 class _Inflight:
-    """One in-flight uop instance (all belong to the active thread)."""
+    """One in-flight uop instance (all belong to the active thread).
+
+    Dependencies are tracked forward: a producer lists the consumers
+    renamed while it waited in the RS and wakes them when it issues,
+    then drops the list. Nothing links a uop to its producers, so a
+    retired uop is freed once no architectural register names it.
+    """
 
     __slots__ = (
-        "uop", "seq", "visible_at", "deps", "completed_at", "access",
-        "access_issued_at", "mispredicted", "port", "kind", "exec_latency",
+        "uop", "seq", "visible_at", "pending", "wake", "consumers",
+        "completed_at", "access", "access_issued_at", "mispredicted",
+        "port", "kind", "exec_latency",
     )
 
     def __init__(
@@ -74,12 +86,21 @@ class _Inflight:
         self.uop = uop
         self.seq = seq
         self.visible_at = visible_at
-        self.deps: list["_Inflight"] = []
+        # Set at rename, and read only, when a producer has not issued:
+        # ``pending`` counts such producers, ``wake`` is the latest
+        # known producer completion (the earliest issue cycle once
+        # ``pending`` is 0).
+        self.pending: int
+        self.wake: int
+        #: younger uops waiting on this one (None when there are none
+        #: or once this uop has issued and woken them)
+        self.consumers: Optional[list["_Inflight"]] = None
         #: set when the uop issues (None = still waiting in the RS)
         self.completed_at: Optional[int] = None
-        #: the cache access of an issued, non-forwarded load
+        #: the cache access of an issued, non-forwarded load, and the
+        #: cycle it was issued at (set together)
         self.access: Optional[AccessResult] = None
-        self.access_issued_at = 0  # meaningful once ``access`` is set
+        self.access_issued_at: int
         self.mispredicted = False
         self.port = port
         self.kind = kind
@@ -304,7 +325,12 @@ class OooPipeline:
 
         fq: deque[_Inflight] = deque()
         rob: deque[_Inflight] = deque()
-        rs: list[_Inflight] = []  # kept in seq (age) order
+        #: RS entries whose producers have all issued, keyed by the
+        #: cycle the last of them completes: (wake, seq, entry)
+        wake_heap: list[tuple[int, int, _Inflight]] = []
+        #: RS entries due to issue, oldest first: (seq, entry)
+        ready: list[tuple[int, _Inflight]] = []
+        rs_count = 0  # RS occupancy: renamed, not yet issued
         #: senior stores: (thread_id, address) awaiting cache drain
         store_buffer: deque[tuple[int, int]] = deque()
         #: address -> seqs of un-retired stores in the ROB (in program
@@ -443,60 +469,82 @@ class OooPipeline:
 
             issued = renamed = fetched = 0
             if switch_reason is None:
-                # Issue: oldest-first scan of the age-ordered RS.
-                if rs:
+                # Issue: due entries, oldest first, while their port has
+                # a free slot this cycle.
+                while wake_heap and wake_heap[0][0] <= now:
+                    _, entry_seq, entry = heappop(wake_heap)
+                    heappush(ready, (entry_seq, entry))
+                if ready:
                     free = list(port_limits)
-                    for entry in rs:
+                    blocked: list[tuple[int, _Inflight]] = []
+                    while ready:
+                        item = heappop(ready)
+                        entry = item[1]
                         port = entry.port
                         if not free[port]:
+                            blocked.append(item)  # retries next cycle
                             continue
-                        for d in entry.deps:
-                            completed_at = d.completed_at
-                            if completed_at is None or completed_at > now:
-                                break
-                        else:
-                            free[port] -= 1
-                            issued += 1
-                            kind = entry.kind
-                            if kind == _KIND_SIMPLE:
-                                entry.completed_at = now + entry.exec_latency
-                            elif kind == _KIND_LOAD:
-                                # Store-to-load forwarding from an older
-                                # same-thread store in the senior store
-                                # buffer or the ROB.
-                                address = entry.uop.address
-                                for thread_id, store_address in store_buffer:
-                                    if store_address == address:
-                                        # A cross-thread senior store's
-                                        # data is not forwarded (Section
-                                        # 4.1): the load goes to cache.
-                                        forwarded = thread_id == active.thread_id
-                                        break
-                                else:
-                                    seqs = rob_stores.get(address)
-                                    forwarded = seqs is not None and seqs[0] < entry.seq
-                                if forwarded:
-                                    entry.completed_at = now + 1 + l1d_latency
-                                else:
-                                    access = data_access(address, now + 1)
-                                    entry.access = access
-                                    entry.access_issued_at = now + 1
-                                    entry.completed_at = access.ready_at
-                            elif kind == _KIND_BRANCH:
-                                completed_at = now + entry.exec_latency
-                                entry.completed_at = completed_at
-                                if entry.mispredicted:
-                                    # Fetch resumes after resolve +
-                                    # redirect penalty.
-                                    resume = completed_at + redirect_penalty
-                                    if resume > fetch_resume_at:
-                                        fetch_resume_at = resume
-                                    if pending_branch is entry:
-                                        pending_branch = None
-                            else:  # _KIND_STORE: address generation only
-                                entry.completed_at = now + 1
-                    if issued:  # survivors keep their age order
-                        rs = [e for e in rs if e.completed_at is None]
+                        free[port] -= 1
+                        issued += 1
+                        kind = entry.kind
+                        if kind == _KIND_SIMPLE:
+                            completed_at = now + entry.exec_latency
+                        elif kind == _KIND_LOAD:
+                            # Store-to-load forwarding from an older
+                            # same-thread store in the senior store
+                            # buffer or the ROB.
+                            address = entry.uop.address
+                            for thread_id, store_address in store_buffer:
+                                if store_address == address:
+                                    # A cross-thread senior store's data
+                                    # is not forwarded (Section 4.1): the
+                                    # load goes to cache.
+                                    forwarded = thread_id == active.thread_id
+                                    break
+                            else:
+                                seqs = rob_stores.get(address)
+                                forwarded = seqs is not None and seqs[0] < entry.seq
+                            if forwarded:
+                                completed_at = now + 1 + l1d_latency
+                            else:
+                                access = data_access(address, now + 1)
+                                entry.access = access
+                                entry.access_issued_at = now + 1
+                                completed_at = access.ready_at
+                        elif kind == _KIND_BRANCH:
+                            completed_at = now + entry.exec_latency
+                            if entry.mispredicted:
+                                # Fetch resumes after resolve + redirect
+                                # penalty.
+                                resume = completed_at + redirect_penalty
+                                if resume > fetch_resume_at:
+                                    fetch_resume_at = resume
+                                if pending_branch is entry:
+                                    pending_branch = None
+                        else:  # _KIND_STORE: address generation only
+                            completed_at = now + 1
+                        entry.completed_at = completed_at
+                        consumers = entry.consumers
+                        if consumers is not None:
+                            # Wake the consumers. One due now (a
+                            # zero-latency producer) is younger than
+                            # this entry, so it issues later in this
+                            # same oldest-first pass.
+                            entry.consumers = None
+                            for consumer in consumers:
+                                if completed_at > consumer.wake:
+                                    consumer.wake = completed_at
+                                consumer.pending -= 1
+                                if not consumer.pending:
+                                    wake = consumer.wake
+                                    if wake <= now:
+                                        heappush(ready, (consumer.seq, consumer))
+                                    else:
+                                        heappush(
+                                            wake_heap, (wake, consumer.seq, consumer)
+                                        )
+                    ready = blocked  # ascending seqs: already a heap
+                    rs_count -= issued
 
                 # Rename: wire each uop to its sources' producers.
                 if fq:
@@ -506,7 +554,7 @@ class OooPipeline:
                         if (
                             entry.visible_at > now
                             or len(rob) >= rob_entries
-                            or len(rs) >= rs_entries
+                            or rs_count >= rs_entries
                         ):
                             break
                         kind = entry.kind
@@ -516,11 +564,30 @@ class OooPipeline:
                             loads_in_flight += 1
                         fq.popleft()
                         uop = entry.uop
-                        deps = entry.deps
+                        pending = wake = 0
                         for reg in uop.srcs:
                             producer = producers[reg]
                             if producer is not None:
-                                deps.append(producer)
+                                completed_at = producer.completed_at
+                                if completed_at is None:
+                                    pending += 1
+                                    consumers = producer.consumers
+                                    if consumers is None:
+                                        producer.consumers = [entry]
+                                    else:
+                                        consumers.append(entry)
+                                elif completed_at > wake:
+                                    wake = completed_at
+                        if pending:
+                            entry.pending = pending
+                            entry.wake = wake
+                        elif wake <= now + 1:
+                            # Due at the next issue stage. It is younger
+                            # than every RS entry, so appending keeps
+                            # the ready heap a heap.
+                            ready.append((entry.seq, entry))
+                        else:
+                            heappush(wake_heap, (wake, entry.seq, entry))
                         if uop.dest is not None:
                             producers[uop.dest] = entry
                         if kind == _KIND_STORE:
@@ -530,7 +597,7 @@ class OooPipeline:
                             else:
                                 seqs.append(entry.seq)
                         rob.append(entry)
-                        rs.append(entry)
+                        rs_count += 1
                         renamed += 1
 
                 # Fetch, unless waiting out a redirect / i-miss / drain
@@ -612,7 +679,9 @@ class OooPipeline:
                 active.cursor.push_back([u.uop for u in rob] + [u.uop for u in fq])
                 fq.clear()
                 rob.clear()
-                rs = []
+                wake_heap = []
+                ready = []
+                rs_count = 0
                 rob_stores.clear()
                 loads_in_flight = 0
                 pending_branch = None
@@ -648,22 +717,14 @@ class OooPipeline:
                 completed_at = rob[0].completed_at
                 if completed_at is not None and completed_at < target:
                     target = completed_at
-            # RS wakeup: the latest dep completion of each entry whose
-            # deps are all scheduled (ports are free: nothing issued).
-            for entry in rs:
-                wake = 0
-                for d in entry.deps:
-                    completed_at = d.completed_at
-                    if completed_at is None:
-                        wake = -1
-                        break
-                    if completed_at > wake:
-                        wake = completed_at
-                if 0 <= wake < target:
-                    target = wake
+            # RS wakeup: the wake heap's top. Nothing issued although
+            # every port was free, so an entry left ready waits on a
+            # port count of zero and never issues.
+            if wake_heap and wake_heap[0][0] < target:
+                target = wake_heap[0][0]
             # Frontend: the fetch-queue head once rename has room, or
             # the end of a redirect / i-miss / drain wait.
-            if fq and len(rob) < rob_entries and len(rs) < rs_entries:
+            if fq and len(rob) < rob_entries and rs_count < rs_entries:
                 head = fq[0]
                 if not (
                     head.kind == _KIND_LOAD

@@ -29,7 +29,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from repro.cpu.isa import MicroOp, OpClass
+from repro.cpu.isa import NUM_ARCH_REGS, MicroOp, OpClass
 from repro.cpu.program import TraceProgram
 from repro.errors import ConfigurationError
 from repro.workloads.addresses import HotSetAccessor, StreamingAccessor
@@ -66,6 +66,12 @@ class CpuWorkloadSpec:
     def __post_init__(self) -> None:
         if self.ilp < 1:
             raise ConfigurationError("ilp must be at least 1")
+        if self.ilp > NUM_ARCH_REGS:
+            # Each chain owns one architectural register.
+            raise ConfigurationError(
+                f"ilp must be at most {NUM_ARCH_REGS}, the architectural "
+                f"register count, got {self.ilp}"
+            )
         if self.ipm <= 1:
             raise ConfigurationError("ipm must exceed 1")
         fractions = (
@@ -153,10 +159,10 @@ def _generate(
             if not noise_branch:
                 target = code_base + ((index + 1) % slots) * 4
                 templates[index] = MicroOp(
-                    OpClass.BRANCH, pc, srcs=(chain_reg,), taken=True, target=target
+                    OpClass.BRANCH, pc, None, (chain_reg,), None, True, target
                 )
         elif opclass not in (OpClass.LOAD, OpClass.STORE):
-            templates[index] = MicroOp(opclass, pc, dest=chain_reg, srcs=(chain_reg,))
+            templates[index] = MicroOp(opclass, pc, chain_reg, (chain_reg,))
 
     rand = rng.random
     hot_next = hot.next_address
@@ -181,19 +187,13 @@ def _generate(
                 address = stream_next()
             else:
                 address = hot_next()
-            yield MicroOp(
-                OpClass.LOAD, pc, dest=chain_reg, srcs=(chain_reg,), address=address
-            )
+            yield MicroOp(OpClass.LOAD, pc, chain_reg, (chain_reg,), address)
         elif opclass is OpClass.STORE:
-            yield MicroOp(
-                OpClass.STORE, pc, srcs=(chain_reg,), address=hot_next()
-            )
+            yield MicroOp(OpClass.STORE, pc, None, (chain_reg,), hot_next())
         else:  # noise branch: direction drawn per dynamic instance
             taken = rand() < 0.5
             target = code_base + slot * 4
-            yield MicroOp(
-                OpClass.BRANCH, pc, srcs=(chain_reg,), taken=taken, target=target
-            )
+            yield MicroOp(OpClass.BRANCH, pc, None, (chain_reg,), None, taken, target)
 
 
 def make_trace(

@@ -1,5 +1,7 @@
 """Tests for the out-of-order pipeline (single-thread behaviour)."""
 
+import tracemalloc
+
 import pytest
 
 from repro.cpu.isa import MicroOp, OpClass
@@ -7,6 +9,7 @@ from repro.cpu.machine import MachineConfig
 from repro.cpu.pipeline import OooPipeline
 from repro.cpu.program import TraceProgram
 from repro.cpu.soe_core import run_cpu_single_thread
+from repro.workloads.tracegen import COMPUTE_SPEC, make_trace
 
 #: A small code footprint so the I-cache warms quickly in tests.
 CODE_SLOTS = 256
@@ -182,3 +185,23 @@ class TestFiniteness:
         r2 = run_cpu_single_thread(alu_independent(), min_instructions=3_000)
         assert r1.cycles == r2.cycles
         assert r1.total_ipc == r2.total_ipc
+
+
+class TestMemoryRetention:
+    def test_peak_memory_does_not_grow_with_run_length(self):
+        """Retired uops must be freed: a single-thread run never flushes,
+        so any link from a live uop back to its producers' producers
+        would keep every uop of the run alive."""
+
+        def peak_bytes(instructions):
+            tracemalloc.start()
+            try:
+                run_cpu_single_thread(
+                    make_trace(COMPUTE_SPEC, seed=1), min_instructions=instructions
+                )
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        short, long = peak_bytes(10_000), peak_bytes(40_000)
+        assert long <= 1.5 * short, (short, long)

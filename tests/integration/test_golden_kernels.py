@@ -16,6 +16,9 @@ detailed-core scenarios (L1 switch trigger, banked DRAM with prefetch,
 time sharing, three threads with and without ICOUNT, same-cycle
 wakeup) were captured from the per-stage pipeline, before its stages
 were fused into one cycle loop, and cover paths the first three miss.
+The last two (one port of each kind, same-cycle wakeup under quota
+switches) were captured from the RS-scan issue stage before it became
+wakeup driven.
 """
 
 from __future__ import annotations
@@ -227,6 +230,48 @@ class TestDetailedCoreGolden:
         assert result.switch_latencies == ()
         assert result.l2_miss_rate == 1.0
         assert result.branch_mispredict_rate == 1.0
+
+    def test_mt_one_port_of_each_kind(self):
+        """One ALU port (the other kinds have one already): ready uops
+        wait several cycles for a port, and issue stays oldest first."""
+        result = run_cpu_soe(
+            _mixed_memory_pair(),
+            config=MachineConfig(alu_ports=1),
+            min_instructions=1_500,
+            warmup_instructions=500,
+        )
+        assert result.cycles == 68932
+        assert _thread_tuples(result) == [
+            (1300, 16122, 101, 101, 0, 0),
+            (5582, 26538, 101, 101, 0, 0),
+        ]
+        assert len(result.switch_latencies) == 202
+        assert sum(result.switch_latencies) == 3840
+        assert result.l2_miss_rate == 0.9848484848484849
+        assert result.branch_mispredict_rate == 0.3627556512378902
+
+    def test_mt_same_cycle_wakeup_fairness_controller(self):
+        """Zero-latency ALU wakeups under a fairness controller, whose
+        quota switches flush the pipeline mid-chain."""
+        controller = FairnessController(
+            2, FairnessParams(fairness_target=0.9, sample_period=1_000.0)
+        )
+        result = run_cpu_soe(
+            _mixed_memory_pair(),
+            controller,
+            config=MachineConfig(alu_latency=0),
+            min_instructions=1_500,
+            warmup_instructions=500,
+        )
+        assert result.cycles == 60678
+        assert _thread_tuples(result) == [
+            (1286, 14356, 98, 98, 25, 0),
+            (1871, 20606, 88, 88, 45, 0),
+        ]
+        assert len(result.switch_latencies) == 253
+        assert sum(result.switch_latencies) == 6297
+        assert result.l2_miss_rate == 0.9921568627450981
+        assert result.branch_mispredict_rate == 0.5747330960854092
 
 
 class TestSegmentEngineGolden:

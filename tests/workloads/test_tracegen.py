@@ -1,16 +1,20 @@
 """Tests for the synthetic trace generator and address patterns."""
 
+import hashlib
 import itertools
 import random
 
 import pytest
 
-from repro.cpu.isa import OpClass
+from repro.cpu.isa import NUM_ARCH_REGS, OpClass
 from repro.errors import ConfigurationError
 from repro.workloads.addresses import HotSetAccessor, StreamingAccessor
+from repro.workloads.cpu_mapping import cpu_spec_for_profile
+from repro.workloads.spec2000 import get_profile
 from repro.workloads.tracegen import (
     COMPUTE_SPEC,
     MEMORY_SPEC,
+    MIXED_SPEC,
     CpuWorkloadSpec,
     make_trace,
 )
@@ -37,6 +41,14 @@ class TestAccessors:
         addresses = [accessor.next_address() for _ in range(3)]
         assert addresses == [0, 64, 0]
 
+    @pytest.mark.parametrize("size_bytes", [8, 64, 4096, 16 * 1024, 24 * 1000])
+    def test_hot_set_draws_match_randrange(self, size_bytes):
+        accessor = HotSetAccessor(0x1000, size_bytes, random.Random(5))
+        twin = random.Random(5)
+        slots = size_bytes // 8
+        for _ in range(500):
+            assert accessor.next_address() == 0x1000 + twin.randrange(slots) * 8
+
     def test_bad_configs_rejected(self):
         with pytest.raises(ConfigurationError):
             HotSetAccessor(0, 0, random.Random(0))
@@ -52,6 +64,17 @@ class TestCpuWorkloadSpec:
     def test_rejects_bad_ilp(self):
         with pytest.raises(ConfigurationError):
             CpuWorkloadSpec(name="bad", ilp=0)
+
+    def test_rejects_more_chains_than_registers(self):
+        # Each chain owns one register, so this used to fail only at the
+        # first fetch of a pipeline run.
+        with pytest.raises(ConfigurationError, match="ilp must be at most 16"):
+            CpuWorkloadSpec(name="bad", ilp=NUM_ARCH_REGS + 1)
+        spec = CpuWorkloadSpec(name="widest", ilp=NUM_ARCH_REGS)
+        uops = take(make_trace(spec, seed=1), 2 * NUM_ARCH_REGS)
+        assert {u.dest for u in uops if u.dest is not None} <= set(
+            range(NUM_ARCH_REGS)
+        )
 
 
 class TestMakeTrace:
@@ -105,3 +128,57 @@ class TestMakeTrace:
         for i, uop in enumerate(uops[:-1]):
             if uop.opclass is OpClass.BRANCH:
                 assert uop.target == uops[i + 1].pc
+
+
+
+#: SHA-256 of the first 20k uops of each trace, captured before the
+#: hot-set draw inlined ``Random.randrange``.
+_TRACE_DIGESTS = {
+    "compute": "0b496f7fd8cbea3f05f5bd13f767149a93f5e9091d660a42f32165fe4f2354a0",
+    "memory": "60216030edc1dfc1b3d7a8d01c6bd53ec7bf6aae4e7fca1f44b466d0ceebdde5",
+    "mixed": "252ff1c3758326a2b97b3f463f645a2659f94a89b38587d42309302bf0e33e99",
+    "gcc": "e9686511ab91b866dcba780a6187bda8c27e89251e567fa1237e53bc0a99b639",
+    "eon": "c912f1b2adae43cd8f7a571a87bded23c4c0e1ef0608b2ec47f8370b9aca8364",
+}
+
+
+def _trace_digest(program, n=20_000):
+    """SHA-256 over every field of the first ``n`` uops of ``program``."""
+    digest = hashlib.sha256()
+    for uop in itertools.islice(program.uops(), n):
+        digest.update(
+            repr(
+                (uop.opclass.value, uop.pc, uop.dest, uop.srcs, uop.address,
+                 uop.taken, uop.target)
+            ).encode()
+        )
+    return digest.hexdigest()
+
+
+class TestTraceDigests:
+    """The exact uop streams, pinned.
+
+    Hot-set addresses come from an inlined copy of ``Random.randrange``'s
+    rejection loop; these digests fail if it ever draws a different
+    stream than the library call on a supported Python.
+    """
+
+    @pytest.mark.parametrize(
+        ("key", "spec", "seed", "thread_index"),
+        [
+            ("compute", COMPUTE_SPEC, 1, 0),
+            ("memory", MEMORY_SPEC, 2, 1),
+            ("mixed", MIXED_SPEC, 3, 0),
+        ],
+    )
+    def test_representative_specs(self, key, spec, seed, thread_index):
+        program = make_trace(spec, seed=seed, thread_index=thread_index)
+        assert _trace_digest(program) == _TRACE_DIGESTS[key]
+
+    @pytest.mark.parametrize(
+        ("key", "seed", "thread_index"), [("gcc", 1, 0), ("eon", 2, 1)]
+    )
+    def test_mapped_profiles(self, key, seed, thread_index):
+        spec = cpu_spec_for_profile(get_profile(key))
+        program = make_trace(spec, seed=seed, thread_index=thread_index)
+        assert _trace_digest(program) == _TRACE_DIGESTS[key]
