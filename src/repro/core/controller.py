@@ -69,6 +69,8 @@ class FairnessParams:
             raise ConfigurationError(
                 f"fairness target must be in [0, 1], got {self.fairness_target}"
             )
+        if not (math.isfinite(self.miss_lat) and math.isfinite(self.sample_period)):
+            raise ConfigurationError("miss_lat and sample_period must be finite")
         if self.miss_lat < 0:
             raise ConfigurationError("miss_lat must be non-negative")
         if self.sample_period <= 0:

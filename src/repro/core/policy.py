@@ -27,11 +27,11 @@ from __future__ import annotations
 
 import abc
 import math
-from typing import Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from repro.errors import ConfigurationError
 
-__all__ = ["SwitchPolicy", "NoFairnessPolicy", "TimeSharingPolicy"]
+__all__ = ["SwitchPolicy", "NoFairnessPolicy", "TimeSharingPolicy", "overridden_hook"]
 
 
 class SwitchPolicy(abc.ABC):
@@ -86,6 +86,16 @@ class SwitchPolicy(abc.ABC):
         policies that do not care about dispatch order.
         """
         return None
+
+
+def overridden_hook(policy: SwitchPolicy, hook: str) -> Optional[Callable[..., Any]]:
+    """``policy``'s bound ``hook``, or None when the policy keeps the
+    :class:`SwitchPolicy` default (an ``inf`` answer or a no-op), which
+    a substrate then skips instead of calling it on every event."""
+    if getattr(type(policy), hook) is getattr(SwitchPolicy, hook):
+        return None
+    bound: Callable[..., Any] = getattr(policy, hook)
+    return bound
 
 
 class NoFairnessPolicy(SwitchPolicy):

@@ -42,9 +42,9 @@ from collections import deque
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from math import ceil, isinf
-from typing import Any, Callable, Optional, Sequence
+from typing import Optional, Sequence
 
-from repro.core.policy import NoFairnessPolicy, SwitchPolicy
+from repro.core.policy import NoFairnessPolicy, SwitchPolicy, overridden_hook
 from repro.cpu.branch import BranchPredictor
 from repro.cpu.hierarchy import AccessResult, MemoryHierarchy
 from repro.cpu.isa import NUM_ARCH_REGS, MicroOp, OpClass
@@ -177,16 +177,6 @@ class CpuRunResult:
         return sum(self.switch_latencies) / len(self.switch_latencies)
 
 
-def _overridden(policy: SwitchPolicy, hook: str) -> Optional[Callable[..., Any]]:
-    """``policy``'s bound ``hook``, or None when the policy keeps the
-    :class:`SwitchPolicy` default (an ``inf`` answer or a no-op), which
-    the pipeline then skips instead of calling every cycle."""
-    if getattr(type(policy), hook) is getattr(SwitchPolicy, hook):
-        return None
-    bound: Callable[..., Any] = getattr(policy, hook)
-    return bound
-
-
 class OooPipeline:
     """The core. One instance simulates one run (single- or multi-thread)."""
 
@@ -202,7 +192,7 @@ class OooPipeline:
         self.policy = policy if policy is not None else NoFairnessPolicy()
         # Selection hook: consulted only when the policy overrides it,
         # so the default round-robin dispatch stays untouched otherwise.
-        self._policy_select = _overridden(self.policy, "select_thread")
+        self._policy_select = overridden_hook(self.policy, "select_thread")
         self.hierarchy = MemoryHierarchy(config)
         self.predictor = BranchPredictor(
             config.predictor_history_bits,
@@ -283,10 +273,10 @@ class OooPipeline:
         store_access = hierarchy.store_access
         predict = self.predictor.predict_and_update
         pick_ready = self._pick_ready
-        instruction_budget = _overridden(policy, "instruction_budget")
-        cycle_budget = _overridden(policy, "cycle_budget")
-        next_boundary = _overridden(policy, "next_boundary")
-        on_retired = _overridden(policy, "on_retired")
+        instruction_budget = overridden_hook(policy, "instruction_budget")
+        cycle_budget = overridden_hook(policy, "cycle_budget")
+        next_boundary = overridden_hook(policy, "next_boundary")
+        on_retired = overridden_hook(policy, "on_retired")
         on_boundary = policy.on_boundary
 
         # Decode table: op class -> (issue port, kind, execute latency),

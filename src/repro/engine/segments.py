@@ -9,8 +9,7 @@ the engine consumes them.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from math import isfinite
 from typing import Callable, Iterable, Iterator, Optional
 
 from repro.errors import ConfigurationError, WorkloadError
@@ -18,7 +17,6 @@ from repro.errors import ConfigurationError, WorkloadError
 __all__ = ["Segment", "SegmentStream", "stream_from_segments"]
 
 
-@dataclass(frozen=True)
 class Segment:
     """A run of instructions between two last-level cache misses.
 
@@ -36,27 +34,81 @@ class Segment:
         Stall latency of the terminating event, when it differs from
         the machine's default memory latency (Section 6's variable-
         latency events: L1 misses, pause hints...). None = default.
+
+    Segments are immutable values with the behaviour of a frozen
+    dataclass (field equality and hash, a field-by-field ``repr``,
+    ``__match_args__``). The class is hand-written with ``__slots__``
+    because workloads build one per simulated miss: construction is the
+    segment generator's largest cost after the random draws.
     """
+
+    __slots__ = ("instructions", "cycles", "ends_with_miss", "miss_latency")
+    __match_args__ = __slots__
 
     instructions: float
     cycles: float
-    ends_with_miss: bool = True
-    miss_latency: Optional[float] = None
+    ends_with_miss: bool
+    miss_latency: Optional[float]
 
-    def __post_init__(self) -> None:
-        if not (self.instructions > 0 and math.isfinite(self.instructions)):
+    def __init__(
+        self,
+        instructions: float,
+        cycles: float,
+        ends_with_miss: bool = True,
+        miss_latency: Optional[float] = None,
+    ) -> None:
+        if not (instructions > 0 and isfinite(instructions)):
             raise ConfigurationError(
-                f"segment instructions must be positive, got {self.instructions}"
+                f"segment instructions must be positive, got {instructions}"
             )
-        if not (self.cycles > 0 and math.isfinite(self.cycles)):
-            raise ConfigurationError(f"segment cycles must be positive, got {self.cycles}")
-        if self.miss_latency is not None and self.miss_latency < 0:
+        if not (cycles > 0 and isfinite(cycles)):
+            raise ConfigurationError(f"segment cycles must be positive, got {cycles}")
+        if miss_latency is not None and miss_latency < 0:
             raise ConfigurationError("miss_latency must be non-negative")
+        _set_instructions(self, instructions)
+        _set_cycles(self, cycles)
+        _set_ends_with_miss(self, ends_with_miss)
+        _set_miss_latency(self, miss_latency)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _fields(self) -> tuple:
+        return (self.instructions, self.cycles, self.ends_with_miss, self.miss_latency)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()  # type: ignore[attr-defined]
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return (
+            f"Segment(instructions={self.instructions!r}, cycles={self.cycles!r}, "
+            f"ends_with_miss={self.ends_with_miss!r}, "
+            f"miss_latency={self.miss_latency!r})"
+        )
+
+    def __reduce__(self) -> tuple:
+        return (Segment, self._fields())
 
     @property
     def ipc(self) -> float:
         """The segment's retirement rate (its ``IPC_no_miss``)."""
         return self.instructions / self.cycles
+
+
+# ``__init__`` stores through the slot descriptors: ``__setattr__``
+# refuses every assignment, which is what keeps segments immutable.
+_set_instructions = Segment.instructions.__set__  # type: ignore[attr-defined]
+_set_cycles = Segment.cycles.__set__  # type: ignore[attr-defined]
+_set_ends_with_miss = Segment.ends_with_miss.__set__  # type: ignore[attr-defined]
+_set_miss_latency = Segment.miss_latency.__set__  # type: ignore[attr-defined]
 
 
 class SegmentStream:

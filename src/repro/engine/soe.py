@@ -20,15 +20,27 @@ Semantics mirror Section 4.1's machine:
   instruction budget (the fairness mechanism's deficit counter) and a
   cycle budget (time sharing), and receives retirement/miss callbacks;
 * when no thread is ready (all waiting on misses) the core idles.
+
+:meth:`SoeEngine.run` is one event loop. Each iteration dispatches a
+thread and pays the switch overhead, idles until the earliest pending
+miss resolves, or executes the active thread up to its next event and
+handles that event (segment end, budget switch, boundary), all inline.
+Policy hooks that a policy leaves at the :class:`SwitchPolicy` default
+are bound once as absent and never called; with no policy boundary and
+no recorder, no boundary check runs at all. Methods remain for the rare
+paths only: a policy's ``select_thread``, firing due boundaries (under
+the :data:`MAX_EVENTS` watchdog), inactive spans that cross a boundary,
+and idling up to the ``max_cycles`` cap. docs/PERFORMANCE.md records
+what this layout saves and how it is measured.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
-from repro.core.policy import NoFairnessPolicy, SwitchPolicy
+from repro.core.policy import NoFairnessPolicy, SwitchPolicy, overridden_hook
 from repro.engine.results import SoeRunResult, ThreadStats
 from repro.engine.segments import SegmentStream
 from repro.engine.thread import EngineThread
@@ -58,6 +70,13 @@ class SoeParams:
     max_cycles_quota: float = 50_000.0
 
     def __post_init__(self) -> None:
+        if not all(
+            math.isfinite(value)
+            for value in (self.miss_lat, self.switch_lat, self.max_cycles_quota)
+        ):
+            # A NaN latency would make the clock NaN, and no cap test
+            # would ever stop the run.
+            raise ConfigurationError(f"machine parameters must be finite: {self}")
         if self.miss_lat < 0 or self.switch_lat < 0:
             raise ConfigurationError("latencies must be non-negative")
         if self.max_cycles_quota <= 0:
@@ -80,6 +99,13 @@ class RunLimits:
     max_cycles: float = 5e9
 
     def __post_init__(self) -> None:
+        if not all(
+            math.isfinite(value)
+            for value in (
+                self.min_instructions, self.warmup_instructions, self.max_cycles
+            )
+        ):
+            raise ConfigurationError(f"run limits must be finite: {self}")
         if self.min_instructions <= 0:
             raise ConfigurationError("min_instructions must be positive")
         if self.warmup_instructions < 0:
@@ -135,37 +161,15 @@ class SoeEngine:
         self._active: Optional[EngineThread] = None
         self._dispatch_seq = 0
         self._dispatch_cycles = 0.0
-        # Hot-path caches: the policy/recorder/params identities are
-        # fixed for the engine's lifetime, so bind their methods and
-        # scalars once instead of re-resolving attributes per event.
-        policy = self.policy
-        self._policy_next_boundary = policy.next_boundary
-        self._policy_instruction_budget = policy.instruction_budget
-        self._policy_cycle_budget = policy.cycle_budget
-        self._policy_on_retired = policy.on_retired
-        # Selection hook: consulted only when the policy overrides it,
-        # so the default round-robin path below stays byte-identical for
-        # policies that do not reorder dispatch.
-        self._policy_select = (
-            policy.select_thread
-            if type(policy).select_thread is not SwitchPolicy.select_thread
-            else None
-        )
-        self._recorder_next_boundary = (
-            recorder.next_boundary if recorder is not None else None
-        )
-        self._switch_lat = params.switch_lat
-        self._miss_lat = params.miss_lat
-        self._max_cycles_quota = params.max_cycles_quota
 
     # ------------------------------------------------------------------
     # Boundary plumbing (policy Delta boundaries + recorder intervals)
     # ------------------------------------------------------------------
-    def _next_boundary(self) -> float:
-        boundary = self._policy_next_boundary(self.now)
-        recorder_next = self._recorder_next_boundary
-        if recorder_next is not None:
-            boundary = min(boundary, recorder_next(self.now))
+    def _next_boundary(self, now: float) -> float:
+        boundary = self.policy.next_boundary(now)
+        recorder = self.recorder
+        if recorder is not None:
+            boundary = min(boundary, recorder.next_boundary(now))
         return boundary
 
     def _fire_due_boundaries(self) -> None:
@@ -173,7 +177,7 @@ class SoeEngine:
         recorder = self.recorder
         threshold = self.now + _EPS
         # Fast path: nothing due (the overwhelmingly common case).
-        if self._policy_next_boundary(self.now) > threshold and (
+        if policy.next_boundary(self.now) > threshold and (
             recorder is None or recorder.next_boundary(self.now) > threshold
         ):
             return
@@ -205,26 +209,12 @@ class SoeEngine:
         )
 
     def _elapse_inactive(self, duration: float, kind: str) -> None:
-        """Pass non-executing time (idle or switch overhead), splitting
-        at boundaries so sampling periods stay exact."""
-        if kind == "idle" and self._emit_switch is not None:
-            self._emit_switch(stall(self.now, duration, "engine"))
-        if duration <= _EPS:
-            return
-        if self._next_boundary() == math.inf:
-            # No boundary can fire inside the span (nothing advances a
-            # policy/recorder schedule while the core is not executing),
-            # so the whole duration elapses in one step -- the same
-            # single `+=` the loop below would perform.
-            self.now += duration
-            if kind == "idle":
-                self.idle_cycles += duration
-            else:
-                self.switch_overhead_cycles += duration
-            return
+        """Pass non-executing time (``kind`` is ``"idle"`` or
+        ``"switch"`` overhead) that may cross boundaries, splitting it
+        at each one so sampling periods stay exact."""
         remaining = duration
         while remaining > _EPS:
-            boundary = self._next_boundary()
+            boundary = self._next_boundary(self.now)
             step = min(remaining, max(boundary - self.now, 0.0))
             if step <= _EPS:
                 self._fire_due_boundaries()
@@ -244,56 +234,48 @@ class SoeEngine:
             remaining -= step
             self._fire_due_boundaries()
 
-    # ------------------------------------------------------------------
-    # Scheduling
-    # ------------------------------------------------------------------
-    def _pick_ready(self) -> Optional[EngineThread]:
-        """Least-recently-dispatched ready thread (round-robin order),
-        unless the policy overrides dispatch via ``select_thread``."""
-        threshold = self.now + _EPS
-        select = self._policy_select
-        if select is not None:
-            ready = tuple(
-                t.thread_id
-                for t in self.threads
-                if not t.done and t.ready_at <= threshold
-            )
-            if not ready:
-                return None
-            choice = select(ready, self.now)
-            if choice is not None:
-                if choice not in ready:
-                    raise SimulationError(
-                        f"policy selected thread {choice!r} at t={self.now:.1f}, "
-                        f"but the ready set is {ready}"
-                    )
-                return self.threads[choice]
-        best: Optional[EngineThread] = None
-        best_seq = 0
-        for t in self.threads:
-            if not t.done and t.ready_at <= threshold:
-                seq = t.last_dispatch_seq
-                if best is None or seq < best_seq:
-                    best = t
-                    best_seq = seq
-        return best
+    def _idle_to_cap(self, cap: float) -> None:
+        """Idle up to the hard cycle cap: every pending ``ready_at`` lies
+        at or beyond it.
 
-    def _dispatch(self, thread: EngineThread) -> None:
-        thread.last_dispatch_seq = self._dispatch_seq
-        self._dispatch_seq += 1
-        self._active = thread
-        self._dispatch_cycles = 0.0
-        self._elapse_inactive(self._switch_lat, "switch")
-        self.policy.on_run_start(thread.thread_id, self.now)
+        A naive ``min(target, cap) - now`` elapse is non-positive once
+        ``now`` sits within _EPS of the cap, which would advance nothing
+        and spin the run loop forever on an all-idle span; elapse
+        straight to the cap and pin ``now`` there so the loop's
+        max_cycles check terminates.
+        """
+        remaining = cap - self.now
+        if remaining > _EPS:
+            if self._emit_switch is not None:
+                self._emit_switch(stall(self.now, remaining, "engine"))
+            self._elapse_inactive(remaining, "idle")
+        if self.now < cap:
+            self.idle_cycles += cap - self.now
+            self.now = cap
 
-    def _switch_out(self, reason: str) -> None:
-        assert self._active is not None
-        if self._emit_switch is not None:
-            self._emit_switch(
-                thread_switch(self.now, self._active.thread_id, reason, "engine")
+    def _select_ready(
+        self, select: Callable[[tuple[int, ...], float], Optional[int]]
+    ) -> Optional[EngineThread]:
+        """The ready thread the policy's ``select_thread`` picks, or None
+        when no thread is ready or the policy defers to round robin."""
+        now = self.now
+        threshold = now + _EPS
+        ready = tuple(
+            t.thread_id
+            for t in self.threads
+            if not t.done and t.ready_at <= threshold
+        )
+        if not ready:
+            return None
+        choice = select(ready, now)
+        if choice is None:
+            return None
+        if choice not in ready:
+            raise SimulationError(
+                f"policy selected thread {choice!r} at t={now:.1f}, "
+                f"but the ready set is {ready}"
             )
-        self.policy.on_switch_out(self._active.thread_id, reason, self.now)
-        self._active = None
+        return self.threads[choice]
 
     # ------------------------------------------------------------------
     # Main loop
@@ -307,26 +289,248 @@ class SoeEngine:
         if limits.warmup_instructions == 0:
             snapshot = _Snapshot(self)
 
-        finished = self._finished
-        step_active = self._step_active
-        pick_ready = self._pick_ready
-        max_cycles = limits.max_cycles
+        # Everything the loop reads per event is bound to a local once.
+        # Policy hooks left at the SwitchPolicy default (None here) are
+        # not called: their answer is ``inf`` or nothing. In particular
+        # the default round robin stays untouched unless the policy
+        # overrides ``select_thread``, and with no recorder and the
+        # default ``inf`` schedule no boundary check runs at all.
+        threads = self.threads
+        policy = self.policy
+        instruction_budget = overridden_hook(policy, "instruction_budget")
+        cycle_budget = overridden_hook(policy, "cycle_budget")
+        on_retired = overridden_hook(policy, "on_retired")
+        select = overridden_hook(policy, "select_thread")
+        next_boundary: Optional[Callable[[float], float]] = (
+            self._next_boundary
+            if self.recorder is not None
+            else overridden_hook(policy, "next_boundary")
+        )
+        on_run_start = policy.on_run_start
+        on_miss = policy.on_miss
+        on_switch_out = policy.on_switch_out
+        fire_due_boundaries = self._fire_due_boundaries
+        emit = self._emit_switch
+        switch_lat = self.params.switch_lat
+        miss_lat = self.params.miss_lat
+        max_cycles_quota = self.params.max_cycles_quota
+        min_instructions = limits.min_instructions
         warmup_instructions = limits.warmup_instructions
-        while not finished(limits):
-            if self.now >= max_cycles:
+        max_cycles = limits.max_cycles
+        inf = math.inf
+        isfinite = math.isfinite
+
+        # Loop state. ``self.now`` is written after every change of
+        # ``now``, so callbacks and recorders always read the clock.
+        now = self.now
+        active = self._active
+        dispatch_seq = self._dispatch_seq
+        dispatch_cycles = self._dispatch_cycles
+        # Only an execution step retires instructions or exhausts a
+        # stream, so the stop and warmup tests run after steps alone.
+        stepped = True
+        while True:
+            if stepped:
+                for t in threads:
+                    if not t.done and t.retired < min_instructions:
+                        break
+                else:
+                    break  # every thread finished
+            if now >= max_cycles:
                 break
-            if snapshot is None and self._total_retired() >= warmup_instructions:
+            if (
+                stepped
+                and snapshot is None
+                and sum(t.retired for t in threads) >= warmup_instructions
+            ):
                 snapshot = _Snapshot(self)
+            stepped = False
 
-            if self._active is None:
-                thread = pick_ready()
+            if active is None:
+                # Dispatch the policy's pick, else the least recently
+                # dispatched ready thread; with none ready, idle until
+                # the earliest pending miss resolves.
+                thread = None if select is None else self._select_ready(select)
                 if thread is None:
-                    self._idle_until_ready(limits)
-                    continue
-                self._dispatch(thread)
+                    threshold = now + _EPS
+                    best_seq = 0
+                    for t in threads:
+                        if not t.done and t.ready_at <= threshold and (
+                            thread is None or t.last_dispatch_seq < best_seq
+                        ):
+                            thread = t
+                            best_seq = t.last_dispatch_seq
+                if thread is not None:
+                    thread.last_dispatch_seq = dispatch_seq
+                    dispatch_seq += 1
+                    active = self._active = thread
+                    dispatch_cycles = 0.0
+                    duration = switch_lat
+                else:
+                    target: Optional[float] = None
+                    for t in threads:
+                        if not t.done and (target is None or t.ready_at < target):
+                            target = t.ready_at
+                    if target is None:
+                        raise SimulationError("no runnable threads and none pending")
+                    if target <= now + _EPS:
+                        raise SimulationError("idle requested while a thread is ready")
+                    if target >= max_cycles:
+                        self._idle_to_cap(max_cycles)
+                        now = self.now
+                        continue
+                    duration = target - now
+                    if emit is not None:
+                        emit(stall(now, duration, "engine"))
+                # Elapse the switch overhead or idle span. Unless a
+                # boundary falls inside it, that is one step.
+                if duration > _EPS:
+                    boundary = inf if next_boundary is None else next_boundary(now)
+                    if boundary - now >= duration:
+                        now += duration
+                        if abs(boundary - now) <= _EPS:
+                            now = boundary  # see _elapse_inactive
+                        self.now = now
+                        if thread is None:
+                            self.idle_cycles += duration
+                        else:
+                            self.switch_overhead_cycles += duration
+                        if next_boundary is not None and (
+                            next_boundary(now) <= now + _EPS
+                        ):
+                            fire_due_boundaries()
+                    else:
+                        kind = "idle" if thread is None else "switch"
+                        self._elapse_inactive(duration, kind)
+                        now = self.now
+                if thread is not None:
+                    on_run_start(thread.thread_id, now)
                 continue
-            step_active(limits)
 
+            # Execute the active thread up to its next event: segment
+            # end (a miss), instruction or cycle budget, a boundary, or
+            # the run's cycle cap.
+            stepped = True
+            tid = active.thread_id
+            if next_boundary is None:
+                t_boundary = inf
+            else:
+                t_boundary = next_boundary(now) - now
+                if t_boundary < 0.0:
+                    t_boundary = 0.0
+                if t_boundary <= _EPS:
+                    fire_due_boundaries()
+                    continue
+            segment = active.segment
+            if segment is None:
+                raise SimulationError(f"thread {tid} has no active segment")
+            ipc = active.segment_ipc
+            t_segment = segment.cycles - active.segment_cycles_done
+            if t_segment < 0.0:
+                t_segment = 0.0
+            t_instr = inf
+            if instruction_budget is not None:
+                budget = instruction_budget(tid)
+                if isfinite(budget):
+                    t_instr = budget / ipc
+            t_cycle = max_cycles_quota - dispatch_cycles
+            if cycle_budget is not None:
+                t_cycle = min(cycle_budget(tid), t_cycle)
+            if t_cycle < 0.0:
+                t_cycle = 0.0
+            t_limit = max_cycles - now
+            if t_limit < 0.0:
+                t_limit = 0.0
+            dt = t_segment  # min() of the five spans, unrolled
+            if t_instr < dt:
+                dt = t_instr
+            if t_cycle < dt:
+                dt = t_cycle
+            if t_boundary < dt:
+                dt = t_boundary
+            if t_limit < dt:
+                dt = t_limit
+            if t_limit <= _EPS:
+                # ``now`` sits within _EPS below the cap: nothing more
+                # can run, and the cap test above would never fire.
+                break
+
+            if dt <= _EPS:
+                # A zero budget at dispatch time: treat as an immediate
+                # forced switch so the engine cannot spin.
+                if t_segment <= _EPS:
+                    reason = "segment"
+                elif t_instr <= _EPS:
+                    reason = "quota"
+                else:
+                    reason = "cycle_quota"
+            else:
+                retired = dt * ipc
+                active.segment_cycles_done += dt
+                active.retired += retired
+                active.run_cycles += dt
+                dispatch_cycles += dt
+                now += dt
+                self.now = now
+                if on_retired is not None:
+                    on_retired(tid, retired, dt)
+                if next_boundary is not None and next_boundary(now) <= now + _EPS:
+                    fire_due_boundaries()
+                if dt >= t_segment - _EPS and (
+                    segment.cycles - active.segment_cycles_done <= _EPS
+                ):
+                    reason = "segment"
+                elif dt >= t_instr - _EPS:
+                    reason = "quota"
+                elif dt >= t_cycle - _EPS:
+                    reason = "cycle_quota"
+                else:
+                    continue  # the step ended at a boundary: keep running
+
+            if reason == "segment":
+                # The segment ends: its miss parks the thread for the
+                # miss latency (a miss-free join keeps it running), and
+                # the thread's stream supplies the next segment.
+                if segment.ends_with_miss:
+                    latency = segment.miss_latency
+                    if latency is None:
+                        latency = miss_lat
+                    active.misses += 1
+                    active.ready_at = now + latency
+                else:
+                    latency = None
+                    active.ready_at = now
+                following = next(active.iterator, None)
+                if following is None:
+                    active.segment = None
+                    active.done = True
+                else:
+                    active.segment = following
+                    active.segment_ipc = following.instructions / following.cycles
+                    active.segment_cycles_done = 0.0
+                if emit is not None:
+                    emit(segment_end(now, tid, latency))
+                if latency is not None:
+                    active.miss_switches += 1
+                    on_miss(tid, now, latency=latency)
+                    reason = "miss"
+                elif active.done:
+                    reason = "done"
+                else:
+                    continue  # a miss-free join: keep executing
+            elif reason == "quota":
+                active.forced_switches += 1
+                active.ready_at = now
+            else:
+                active.cycle_quota_switches += 1
+                active.ready_at = now
+            if emit is not None:
+                emit(thread_switch(now, tid, reason, "engine"))
+            on_switch_out(tid, reason, now)
+            active = self._active = None
+
+        self._dispatch_seq = dispatch_seq
+        self._dispatch_cycles = dispatch_cycles
         if snapshot is None:
             # The run ended inside warmup; measure the whole run instead
             # of returning an empty window.
@@ -337,129 +541,6 @@ class SoeEngine:
             snapshot.threads = [(0.0, 0.0, 0, 0, 0, 0) for _ in self.threads]
         PROFILE.record_cycles(self.now)
         return self._build_result(snapshot)
-
-    # ------------------------------------------------------------------
-    def _finished(self, limits: RunLimits) -> bool:
-        for thread in self.threads:
-            if thread.done:
-                continue
-            if thread.retired < limits.min_instructions:
-                return False
-        return True
-
-    def _total_retired(self) -> float:
-        return sum(t.retired for t in self.threads)
-
-    def _idle_until_ready(self, limits: RunLimits) -> None:
-        pending = [t.ready_at for t in self.threads if not t.done]
-        if not pending:
-            raise SimulationError("no runnable threads and none pending")
-        target = min(pending)
-        if target <= self.now + _EPS:
-            raise SimulationError("idle requested while a thread is ready")
-        cap = limits.max_cycles
-        if target >= cap:
-            # Every pending ``ready_at`` lies at or beyond the hard
-            # cycle cap. The naive ``min(target, cap) - now`` elapse is
-            # non-positive once ``now`` sits within _EPS of the cap,
-            # which would advance nothing and spin the run loop forever
-            # on an all-idle span; elapse straight to the cap and pin
-            # ``now`` there so the loop's max_cycles check terminates.
-            remaining = cap - self.now
-            if remaining > _EPS:
-                self._elapse_inactive(remaining, "idle")
-            if self.now < cap:
-                self.idle_cycles += cap - self.now
-                self.now = cap
-            return
-        self._elapse_inactive(target - self.now, "idle")
-
-    def _step_active(self, limits: RunLimits) -> None:
-        thread = self._active
-        assert thread is not None
-        tid = thread.thread_id
-
-        boundary = self._next_boundary()
-        t_boundary = max(boundary - self.now, 0.0)
-        if t_boundary <= _EPS:
-            self._fire_due_boundaries()
-            return
-
-        # Inlined EngineThread.ipc / cycles_to_segment_end / advance /
-        # at_segment_end: this is the hottest method of the engine, and
-        # each property is a function call the loop pays per event. The
-        # arithmetic (values and operation order) is exactly the
-        # originals', so results stay bit-identical.
-        segment = thread.segment
-        if segment is None:
-            raise SimulationError(f"thread {tid} has no active segment")
-        ipc = thread._segment_ipc
-        t_segment = segment.cycles - thread.segment_cycles_done
-        if t_segment < 0.0:
-            t_segment = 0.0
-        instr_budget = self._policy_instruction_budget(tid)
-        t_instr = instr_budget / ipc if math.isfinite(instr_budget) else math.inf
-        cycle_budget = min(
-            self._policy_cycle_budget(tid),
-            self._max_cycles_quota - self._dispatch_cycles,
-        )
-        t_cycle = max(cycle_budget, 0.0)
-
-        t_limit = max(limits.max_cycles - self.now, 0.0)
-        dt = min(t_segment, t_instr, t_cycle, t_boundary, t_limit)
-        if t_limit <= _EPS:
-            return  # the run loop's max_cycles check will stop us
-        if dt <= _EPS:
-            # A zero budget at dispatch time: treat as an immediate
-            # forced switch so the engine cannot spin.
-            if t_segment <= _EPS:
-                self._complete_segment(thread)
-            elif t_instr <= _EPS:
-                thread.forced_switches += 1
-                thread.ready_at = self.now
-                self._switch_out("quota")
-            else:
-                thread.cycle_quota_switches += 1
-                thread.ready_at = self.now
-                self._switch_out("cycle_quota")
-            return
-
-        retired = dt * ipc
-        thread.segment_cycles_done += dt
-        thread.retired += retired
-        thread.run_cycles += dt
-        self._dispatch_cycles += dt
-        self.now += dt
-        self._policy_on_retired(tid, retired, dt)
-        self._fire_due_boundaries()
-
-        if dt >= t_segment - _EPS and (
-            segment.cycles - thread.segment_cycles_done <= _EPS
-        ):
-            self._complete_segment(thread)
-        elif dt >= t_instr - _EPS:
-            thread.forced_switches += 1
-            thread.ready_at = self.now
-            self._switch_out("quota")
-        elif dt >= t_cycle - _EPS:
-            thread.cycle_quota_switches += 1
-            thread.ready_at = self.now
-            self._switch_out("cycle_quota")
-        # else: the step ended at a boundary; keep running the same thread.
-
-    def _complete_segment(self, thread: EngineThread) -> None:
-        latency = thread.finish_segment(self.now, self._miss_lat)
-        if self._emit_switch is not None:
-            self._emit_switch(segment_end(self.now, thread.thread_id, latency))
-        if latency is not None:
-            thread.miss_switches += 1
-            self.policy.on_miss(thread.thread_id, self.now, latency=latency)
-            self._switch_out("miss")
-        elif thread.done:
-            self._switch_out("done")
-        else:
-            # A rare miss-free join between segments: keep executing.
-            pass
 
     # ------------------------------------------------------------------
     def _build_result(self, snapshot: _Snapshot) -> SoeRunResult:

@@ -5,42 +5,42 @@ from __future__ import annotations
 from typing import Iterator, Optional
 
 from repro.engine.segments import Segment, SegmentStream
-from repro.errors import SimulationError
 
 __all__ = ["EngineThread"]
-
-_EPS = 1e-9
 
 
 class EngineThread:
     """One hardware thread context in the segment engine.
 
-    Tracks the position inside the current segment (retirement within a
-    segment is uniform at the segment's IPC, so positions are continuous)
-    and the raw lifetime statistics the engine reports.
+    A plain record that :meth:`repro.engine.soe.SoeEngine.run` updates
+    in place: the position inside the current segment (retirement
+    within a segment is uniform at the segment's IPC, so positions are
+    continuous) and the raw lifetime statistics the engine reports.
     """
 
     __slots__ = (
-        "thread_id", "_iterator", "segment", "segment_cycles_done",
-        "ready_at", "done", "last_dispatch_seq", "retired", "run_cycles",
-        "misses", "miss_switches", "forced_switches",
-        "cycle_quota_switches", "_segment_ipc",
+        "thread_id", "iterator", "segment", "segment_ipc",
+        "segment_cycles_done", "ready_at", "done", "last_dispatch_seq",
+        "retired", "run_cycles", "misses", "miss_switches",
+        "forced_switches", "cycle_quota_switches",
     )
 
     def __init__(self, thread_id: int, stream: SegmentStream) -> None:
         self.thread_id = thread_id
-        self._iterator: Iterator[Segment] = stream.segments()
-        self.segment: Optional[Segment] = None
+        self.iterator: Iterator[Segment] = stream.segments()
+        #: the segment executing now; None once the stream is exhausted
+        self.segment: Optional[Segment] = next(self.iterator, None)
+        #: the current segment's retirement rate, cached at segment load
+        self.segment_ipc = 0.0
+        if self.segment is not None:
+            self.segment_ipc = self.segment.instructions / self.segment.cycles
         self.segment_cycles_done = 0.0
         #: absolute time at which the thread may run again (misses resolve here)
         self.ready_at = 0.0
         #: set when the segment stream is exhausted
-        self.done = False
+        self.done = self.segment is None
         #: scheduling recency (engine bumps this at each dispatch)
         self.last_dispatch_seq = -1
-        #: the active segment's retirement rate, cached at segment load
-        #: so the hot path pays no per-event property/division churn
-        self._segment_ipc = 0.0
 
         # Lifetime statistics (the engine snapshots these at warmup).
         self.retired = 0.0
@@ -49,91 +49,3 @@ class EngineThread:
         self.miss_switches = 0
         self.forced_switches = 0
         self.cycle_quota_switches = 0
-
-        self._load_next_segment()
-
-    # ------------------------------------------------------------------
-    def _load_next_segment(self) -> None:
-        try:
-            segment = next(self._iterator)
-        except StopIteration:
-            self.segment = None
-            self.done = True
-            return
-        self.segment = segment
-        self._segment_ipc = segment.instructions / segment.cycles
-        self.segment_cycles_done = 0.0
-
-    # ------------------------------------------------------------------
-    @property
-    def ipc(self) -> float:
-        """Retirement rate of the current segment."""
-        if self.segment is None:
-            raise SimulationError(f"thread {self.thread_id} has no active segment")
-        return self._segment_ipc
-
-    @property
-    def cycles_to_segment_end(self) -> float:
-        segment = self.segment
-        if segment is None:
-            raise SimulationError(f"thread {self.thread_id} has no active segment")
-        remaining = segment.cycles - self.segment_cycles_done
-        return remaining if remaining > 0.0 else 0.0
-
-    def is_ready(self, now: float) -> bool:
-        return not self.done and self.ready_at <= now + _EPS
-
-    # ------------------------------------------------------------------
-    def advance(self, cycles: float) -> float:
-        """Execute for ``cycles`` within the current segment.
-
-        Returns the number of instructions retired. The caller must not
-        advance past the segment end.
-        """
-        segment = self.segment
-        if segment is None:
-            raise SimulationError(f"thread {self.thread_id} advanced with no segment")
-        if cycles < 0:
-            raise SimulationError("cannot advance a negative duration")
-        remaining = segment.cycles - self.segment_cycles_done
-        if remaining < 0.0:
-            remaining = 0.0
-        if cycles > remaining + 1e-6:
-            raise SimulationError(
-                f"thread {self.thread_id} advanced {cycles} cycles past segment end "
-                f"({remaining} remaining)"
-            )
-        instructions = cycles * self._segment_ipc
-        self.segment_cycles_done += cycles
-        self.retired += instructions
-        self.run_cycles += cycles
-        return instructions
-
-    @property
-    def at_segment_end(self) -> bool:
-        if self.segment is None:
-            return True
-        return self.cycles_to_segment_end <= _EPS
-
-    def finish_segment(self, now: float, miss_lat: float) -> Optional[float]:
-        """Complete the current segment and load the next one.
-
-        Returns the terminating event's stall latency when the segment
-        ended with a miss (``ready_at`` is pushed out by that latency;
-        per-segment latencies override the machine default), or None
-        for a miss-free join.
-        """
-        if self.segment is None:
-            raise SimulationError(f"thread {self.thread_id} has no segment to finish")
-        segment = self.segment
-        if segment.ends_with_miss:
-            latency = (
-                miss_lat if segment.miss_latency is None else segment.miss_latency
-            )
-            self.misses += 1
-            self.ready_at = now + latency
-        else:
-            latency = None
-            self.ready_at = now
-        self._load_next_segment()
-        return latency

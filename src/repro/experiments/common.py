@@ -74,9 +74,14 @@ class EvalConfig:
         object.__setattr__(
             self, "policy_params", tuple(sorted(self.policy_params))
         )
-        # Validate parameter names eagerly so a bad config fails at
-        # construction, not inside a worker process.
+        # Validate parameter names, machine parameters and run lengths
+        # eagerly so a bad config fails at construction (or at service
+        # admission), not inside a worker process.
         self.policy_config(1.0)
+        self.fairness_params(1.0)
+        self.soe_params()
+        self.run_limits()
+        RunLimits(min_instructions=self.st_min_instructions)
 
     @classmethod
     def paper_scale(cls) -> "EvalConfig":

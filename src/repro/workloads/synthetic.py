@@ -21,7 +21,7 @@ import functools
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from repro.engine.segments import Segment, SegmentStream
 from repro.errors import ConfigurationError
@@ -33,6 +33,13 @@ __all__ = [
     "uniform_stream",
     "phased_stream",
 ]
+
+
+# Constants of ``random.Random.normalvariate`` (Kinderman-Monahan), which
+# ``SegmentDistribution.sampler`` inlines.
+_NV_MAGICCONST = 4 * math.exp(-0.5) / math.sqrt(2.0)
+_exp = math.exp
+_log = math.log
 
 
 def _lognormal_params(mean: float, cv: float) -> tuple[float, float]:
@@ -67,6 +74,11 @@ class SegmentDistribution:
     ipc_cv: float = 0.0
 
     def __post_init__(self) -> None:
+        if not all(
+            math.isfinite(value)
+            for value in (self.ipc_no_miss, self.ipm, self.ipm_cv, self.ipc_cv)
+        ):
+            raise ConfigurationError(f"segment distribution must be finite: {self}")
         if self.ipc_no_miss <= 0 or self.ipm <= 0:
             raise ConfigurationError("ipc_no_miss and ipm must be positive")
         if self.ipm_cv < 0 or self.ipc_cv < 0:
@@ -90,31 +102,48 @@ class SegmentDistribution:
             instructions=self.ipm, cycles=self.ipm / self.ipc_no_miss
         )
 
-    @functools.cached_property
-    def _ipm_lognormal(self) -> tuple[float, float]:
-        """(mu, sigma) of the segment-length lognormal, computed once."""
-        return _lognormal_params(self.ipm, self.ipm_cv)
+    def sampler(self, rng: random.Random) -> Callable[[], Segment]:
+        """A zero-argument function that draws one segment from ``rng``.
 
-    @functools.cached_property
-    def _ipc_lognormal(self) -> tuple[float, float]:
-        """(mu, sigma) of the retirement-rate lognormal, computed once."""
-        return _lognormal_params(self.ipc_no_miss, self.ipc_cv)
+        Lengths and rates are lognormal (``Random.lognormvariate``
+        inlined: Kinderman-Monahan over ``rng.random``, the same draws
+        in the same order), clamped at 1 instruction and 0.05 IPC.
+        """
+        if self.ipm_cv == 0 and self.ipc_cv == 0:
+            constant = self._constant_segment
+            return lambda: constant
+        ipm, ipc_no_miss = self.ipm, self.ipc_no_miss
+        vary_ipm, vary_ipc = self.ipm_cv > 0, self.ipc_cv > 0
+        ipm_mu, ipm_sigma = _lognormal_params(self.ipm, self.ipm_cv)
+        ipc_mu, ipc_sigma = _lognormal_params(self.ipc_no_miss, self.ipc_cv)
+        uniform = rng.random
+
+        def lognormal(mu: float, sigma: float) -> float:
+            while True:
+                u1 = uniform()
+                u2 = 1.0 - uniform()
+                z = _NV_MAGICCONST * (u1 - 0.5) / u2
+                if z * z / 4.0 <= -_log(u2):
+                    return _exp(mu + z * sigma)
+
+        def draw() -> Segment:
+            instructions = ipm
+            if vary_ipm:
+                instructions = lognormal(ipm_mu, ipm_sigma)
+                if not instructions > 1.0:
+                    instructions = 1.0
+            ipc = ipc_no_miss
+            if vary_ipc:
+                ipc = lognormal(ipc_mu, ipc_sigma)
+                if not ipc > 0.05:
+                    ipc = 0.05
+            return Segment(instructions, instructions / ipc)
+
+        return draw
 
     def draw(self, rng: random.Random) -> Segment:
         """Draw one segment."""
-        if self.ipm_cv == 0 and self.ipc_cv == 0:
-            return self._constant_segment
-        if self.ipm_cv > 0:
-            mu, sigma = self._ipm_lognormal
-            instructions = max(1.0, rng.lognormvariate(mu, sigma))
-        else:
-            instructions = self.ipm
-        if self.ipc_cv > 0:
-            mu, sigma = self._ipc_lognormal
-            ipc = max(0.05, rng.lognormvariate(mu, sigma))
-        else:
-            ipc = self.ipc_no_miss
-        return Segment(instructions=instructions, cycles=instructions / ipc)
+        return self.sampler(rng)()
 
 
 @dataclass(frozen=True)
@@ -143,12 +172,17 @@ def _generate(
     offsets same-benchmark pairs by 1,000,000 instructions).
     """
     rng = random.Random(seed)
+    # One sampler per phase, all drawing from the one rng, so the draw
+    # order is the phase order.
+    schedule = [
+        (phase.instructions, phase.distribution.sampler(rng)) for phase in phases
+    ]
     to_skip = skip_instructions
     while True:
-        for phase in phases:
+        for length, draw in schedule:
             produced = 0.0
-            while produced < phase.instructions:
-                segment = phase.distribution.draw(rng)
+            while produced < length:
+                segment = draw()
                 produced += segment.instructions
                 if to_skip > 0:
                     if segment.instructions <= to_skip:

@@ -41,6 +41,9 @@ class TestFairnessParams:
             {"fairness_target": -0.1},
             {"fairness_target": 0.5, "miss_lat": -1},
             {"fairness_target": 0.5, "sample_period": 0},
+            {"fairness_target": 0.5, "sample_period": math.inf},
+            {"fairness_target": 0.5, "sample_period": math.nan},
+            {"fairness_target": 0.5, "miss_lat": math.nan},
         ],
     )
     def test_rejects_bad_values(self, kwargs):

@@ -36,6 +36,10 @@ class TestSoeParams:
             {"miss_lat": -1},
             {"switch_lat": -1},
             {"max_cycles_quota": 0},
+            {"miss_lat": math.nan},
+            {"switch_lat": math.inf},
+            {"max_cycles_quota": math.nan},
+            {"max_cycles_quota": math.inf},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -50,6 +54,10 @@ class TestRunLimits:
             {"min_instructions": 0},
             {"warmup_instructions": -1},
             {"max_cycles": 0},
+            {"min_instructions": math.nan},
+            {"warmup_instructions": math.inf},
+            {"max_cycles": math.nan},
+            {"max_cycles": math.inf},
         ],
     )
     def test_rejects_bad_values(self, kwargs):

@@ -1,10 +1,11 @@
 """Regression tests for segment-engine edge cases.
 
-Covers three historical bugs -- the all-idle spin at the ``max_cycles``
-cap, float drift across boundary-split inactive spans, and the
-double-query of ``policy.next_boundary`` in the boundary-firing loop --
-plus golden pins of ``_step_active``'s zero-budget tie-breaking order
-and the miss-free segment join.
+Covers four historical bugs -- the all-idle spin at the ``max_cycles``
+cap, the spin of a step that starts within _EPS below that cap, float
+drift across boundary-split inactive spans, and the double-query of
+``policy.next_boundary`` in the boundary-firing loop -- plus golden
+pins of the run loop's zero-budget tie-breaking order and the miss-free
+segment join.
 """
 
 import math
@@ -29,8 +30,8 @@ def _two_segment_stream(miss_latency):
 
 
 class TestIdleAtMaxCyclesCap:
-    """``_idle_until_ready`` when every pending ``ready_at`` exceeds
-    ``max_cycles``: the elapse must still terminate the run loop."""
+    """Idling when every pending ``ready_at`` exceeds ``max_cycles``:
+    the elapse must still terminate the run loop."""
 
     def test_all_idle_span_at_the_cap_terminates(self):
         # Both threads miss with an astronomically long latency after 10
@@ -46,6 +47,19 @@ class TestIdleAtMaxCyclesCap:
         assert result.cycles == pytest.approx(cap)
         for stats in result.threads:
             assert stats.retired == 25.0
+
+    def test_dispatch_within_eps_below_the_cap_terminates(self):
+        # Thread 0 misses at t=10, a hair below the cap, and thread 1 is
+        # dispatched with nothing left to run: the step must end the
+        # run. Pre-fix, the step returned without advancing and the run
+        # loop spun forever, since ``now`` never reached the cap.
+        streams = [_two_segment_stream(1e12), _two_segment_stream(1e12)]
+        engine = SoeEngine(streams, params=SoeParams(switch_lat=0.0))
+        result = engine.run(
+            RunLimits(min_instructions=100.0, max_cycles=10.0 + 1e-10)
+        )
+        assert engine.now == 10.0
+        assert [t.retired for t in result.threads] == [25.0, 0.0]
 
     def test_idle_elapses_to_a_distant_cap(self):
         # Same all-idle span with the cap well beyond now: the engine
@@ -193,54 +207,56 @@ class BudgetStub(SwitchPolicy):
         self.switch_reasons.append((thread_id, reason, now))
 
 
-def _engine_with_active_thread(policy):
-    """An engine with thread 0 freshly dispatched at now=0."""
+def _first_step(policy, finished_segment=False):
+    """An engine run just far enough for thread 0's first step: it is
+    dispatched at t=25, and the cap stops the run at thread 1's
+    dispatch. ``finished_segment`` marks thread 0's first segment as
+    fully executed before the run starts."""
     streams = [
         stream_from_segments([Segment(25.0, 10.0), Segment(25.0, 10.0)]),
         stream_from_segments([Segment(25.0, 10.0)]),
     ]
-    engine = SoeEngine(streams, policy, SoeParams(switch_lat=0.0))
-    engine._dispatch(engine.threads[0])
+    engine = SoeEngine(streams, policy, SoeParams(switch_lat=25.0))
+    if finished_segment:
+        thread = engine.threads[0]
+        thread.segment_cycles_done = thread.segment.cycles
+    engine.run(RunLimits(max_cycles=30.0))
     return engine
 
 
 class TestZeroBudgetTieBreaking:
-    """Golden pins of ``_step_active``'s zero-dt classification order:
+    """Golden pins of the run loop's zero-dt classification order:
     segment end beats instruction quota beats cycle quota."""
 
     def test_segment_end_wins_over_both_zero_budgets(self):
         policy = BudgetStub(instr=0.0, cycle=0.0)
-        engine = _engine_with_active_thread(policy)
+        engine = _first_step(policy, finished_segment=True)
         thread = engine.threads[0]
-        thread.segment_cycles_done = thread.segment.cycles
-        engine._step_active(RunLimits())
         assert thread.misses == 1
         assert thread.forced_switches == 0
         assert thread.cycle_quota_switches == 0
-        assert policy.switch_reasons == [(0, "miss", 0.0)]
-        assert thread.ready_at == 300.0  # parked for the default miss_lat
+        assert policy.switch_reasons == [(0, "miss", 25.0)]
+        assert thread.ready_at == 325.0  # parked for the default miss_lat
 
     def test_instruction_quota_wins_over_zero_cycle_budget(self):
         policy = BudgetStub(instr=0.0, cycle=0.0)
-        engine = _engine_with_active_thread(policy)
+        engine = _first_step(policy)
         thread = engine.threads[0]
-        engine._step_active(RunLimits())
         assert thread.forced_switches == 1
         assert thread.misses == 0
         assert thread.cycle_quota_switches == 0
-        assert policy.switch_reasons == [(0, "quota", 0.0)]
-        assert thread.ready_at == 0.0  # immediately runnable again
+        assert policy.switch_reasons == [(0, "quota", 25.0)]
+        assert thread.ready_at == 25.0  # immediately runnable again
 
     def test_cycle_quota_is_the_final_tiebreak(self):
         policy = BudgetStub(instr=math.inf, cycle=0.0)
-        engine = _engine_with_active_thread(policy)
+        engine = _first_step(policy)
         thread = engine.threads[0]
-        engine._step_active(RunLimits())
         assert thread.cycle_quota_switches == 1
         assert thread.misses == 0
         assert thread.forced_switches == 0
-        assert policy.switch_reasons == [(0, "cycle_quota", 0.0)]
-        assert thread.ready_at == 0.0
+        assert policy.switch_reasons == [(0, "cycle_quota", 25.0)]
+        assert thread.ready_at == 25.0
 
 
 class TestMissFreeSegmentJoin:
@@ -279,10 +295,10 @@ class TestMissFreeSegmentJoin:
         ]
         engine = SoeEngine(streams, params=SoeParams(switch_lat=0.0))
         thread = engine.threads[0]
-        engine._dispatch(thread)
-        # One step runs segment A to its end and completes it: the
-        # miss-free join leaves the thread active on segment B.
-        engine._step_active(RunLimits())
+        # The cap stops the run right after the step that runs segment
+        # A to its end: the miss-free join leaves the thread active on
+        # segment B.
+        engine.run(RunLimits(max_cycles=40.0))
         assert engine.now == 40.0
         assert engine._active is thread  # still running
         assert thread.ready_at == engine.now

@@ -18,17 +18,24 @@ wakeup) were captured from the per-stage pipeline, before its stages
 were fused into one cycle loop, and cover paths the first three miss.
 The last two (one port of each kind, same-cycle wakeup under quota
 switches) were captured from the RS-scan issue stage before it became
-wakeup driven.
+wakeup driven. The segment-engine scenarios after the first two (time
+sharing, three threads under ICOUNT, an interval recorder, measured
+event latencies, miss-free joins, a zero budget at dispatch, a run cut
+by ``max_cycles`` while every thread waits) were captured from the
+per-event helper methods, before the engine's event loop was fused.
 """
 
 from __future__ import annotations
 
 from repro.core.controller import FairnessController, FairnessParams
 from repro.core.icount import IcountPolicy
-from repro.core.policy import TimeSharingPolicy
+from repro.core.policy import SwitchPolicy, TimeSharingPolicy
 from repro.cpu.machine import MachineConfig
 from repro.cpu.soe_core import run_cpu_single_thread, run_cpu_soe
-from repro.engine.soe import RunLimits, SoeParams, run_soe
+from repro.engine.recorder import IntervalRecorder, IntervalSample
+from repro.engine.segments import Segment, stream_from_segments
+from repro.engine.soe import RunLimits, SoeEngine, SoeParams, run_soe
+from repro.workloads.events import EventType, multi_event_stream
 from repro.workloads.synthetic import uniform_stream
 from repro.workloads.tracegen import (
     COMPUTE_SPEC,
@@ -57,6 +64,30 @@ def _mixed_memory_pair():
         make_trace(MIXED_SPEC, seed=3, thread_index=0),
         make_trace(MEMORY_SPEC, seed=4, thread_index=1),
     ]
+
+
+def _variable_pair():
+    return [
+        uniform_stream(2.5, 15_000, ipm_cv=0.5, ipc_cv=0.3, seed=1),
+        uniform_stream(1.2, 800, ipm_cv=1.0, seed=2),
+    ]
+
+
+_WARM_LIMITS = RunLimits(min_instructions=50_000, warmup_instructions=10_000)
+
+
+class _EveryThirdDispatchZeroBudget(SwitchPolicy):
+    """Grants no instructions on every third dispatch, so the engine
+    must force a switch before the thread retires anything."""
+
+    def __init__(self) -> None:
+        self.dispatches = 0
+
+    def on_run_start(self, thread_id: int, now: float) -> None:
+        self.dispatches += 1
+
+    def instruction_budget(self, thread_id: int) -> float:
+        return 0.0 if self.dispatches % 3 == 0 else 1_500.0
 
 
 def _three_threads():
@@ -313,3 +344,145 @@ class TestSegmentEngineGolden:
         ]
         assert result.idle_cycles == 4.944414702855283
         assert result.switch_overhead_cycles == 2525.0
+
+    def test_time_sharing(self):
+        """Only ``cycle_budget`` and ``on_retired`` are overridden."""
+        result = run_soe(
+            _variable_pair(), TimeSharingPolicy(cycle_quota=2_000.0),
+            limits=_WARM_LIMITS,
+        )
+        assert result.cycles == 137354.02799965985
+        assert _thread_tuples(result) == [
+            (257737.40137865447, 93986.45341553983, 18, 18, 0, 38),
+            (47755.05053210322, 39795.87544341936, 53, 53, 0, 4),
+        ]
+        assert result.idle_cycles == 746.699140700679
+        assert result.switch_overhead_cycles == 2825.0
+
+    def test_three_threads_icount(self):
+        """A ``select_thread`` policy picks among three ready threads."""
+        result = run_soe(
+            _variable_pair()
+            + [uniform_stream(2.0, 3_000, ipm_cv=0.7, ipc_cv=0.1, seed=3)],
+            IcountPolicy(3),
+            limits=_WARM_LIMITS,
+        )
+        assert result.cycles == 160023.57617657038
+        assert _thread_tuples(result) == [
+            (148575.91257009056, 51715.80695282461, 11, 11, 0, 0),
+            (50155.05053210322, 41795.87544341936, 53, 53, 0, 0),
+            (126935.4380600517, 63886.89378032638, 41, 41, 0, 0),
+        ]
+        assert result.idle_cycles == 0.0
+        assert result.switch_overhead_cycles == 2625.0
+
+    def test_interval_recorder_with_controller(self):
+        """Fig. 5's setup: recorder and ``Delta`` boundaries interleave,
+        and the recorder reads the engine at each of its boundaries."""
+        controller = FairnessController(
+            2, FairnessParams(fairness_target=0.5, sample_period=25_000.0)
+        )
+        recorder = IntervalRecorder(interval=20_000.0)
+        engine = SoeEngine(
+            _variable_pair(), controller, SoeParams(), recorder=recorder
+        )
+        result = engine.run(_WARM_LIMITS)
+        assert result.cycles == 166537.06998771278
+        assert _thread_tuples(result) == [
+            (313610.38610858936, 121246.07647823461, 23, 23, 29, 0),
+            (50155.05053210322, 41795.87544341936, 53, 53, 0, 0),
+        ]
+        assert result.idle_cycles == 870.1180660586906
+        assert result.switch_overhead_cycles == 2625.0
+        assert len(controller.history) == 6
+        assert [s.time for s in recorder.samples] == [
+            20_000.0 * k for k in range(1, 9)
+        ]
+        assert recorder.samples[-1] == IntervalSample(
+            time=160000.0,
+            retired=(31026.325141143403, 4736.774743085945),
+            ipcs=(1.5513162570571701, 0.23683873715429726),
+            cumulative_retired=(314888.943716304, 43610.05313466387),
+        )
+        assert sum(sum(s.ipcs) for s in recorder.samples) == 17.924949842548394
+
+    def test_measured_event_latencies(self):
+        """Per-segment latencies reach ``on_miss`` and the latency
+        monitor (Section 6's variable-latency events)."""
+        controller = FairnessController(
+            2,
+            FairnessParams(
+                fairness_target=0.5, sample_period=25_000.0,
+                measure_miss_latency=True,
+            ),
+        )
+        events = [EventType(ipm=600.0, latency=300.0),
+                  EventType(ipm=2_000.0, latency=30.0)]
+        result = run_soe(
+            [
+                multi_event_stream(2.0, events, seed=4),
+                uniform_stream(2.5, 10_000, ipm_cv=0.5, seed=5),
+            ],
+            controller,
+            limits=_WARM_LIMITS,
+        )
+        assert result.cycles == 135808.97533071358
+        assert _thread_tuples(result) == [
+            (50516.79612050653, 25258.398060253265, 91, 91, 12, 0),
+            (255112.0527959327, 102044.82111837307, 27, 27, 70, 0),
+        ]
+        assert result.idle_cycles == 3505.7561520873096
+        assert result.switch_overhead_cycles == 5000.0
+        assert controller.measured_latencies == [228.94736842105263, 300.0]
+
+    def test_miss_free_joins_and_exhaustion(self):
+        """Segments that end without a miss keep the thread running;
+        finite streams run out and switch out as ``done``."""
+        first = [
+            Segment(400, 200, ends_with_miss=False), Segment(300, 100),
+            Segment(250, 250, ends_with_miss=False),
+            Segment(1000, 400, ends_with_miss=False), Segment(500, 300),
+        ]
+        second = [
+            Segment(2000, 1000), Segment(150, 100, ends_with_miss=False),
+            Segment(700, 350),
+        ]
+        result = run_soe(
+            [stream_from_segments(first), stream_from_segments(second)],
+            limits=RunLimits(min_instructions=20_000),
+        )
+        assert result.cycles == 2800.0
+        assert _thread_tuples(result) == [
+            (2450.0, 1250.0, 2, 2, 0, 0),
+            (2850.0, 1450.0, 2, 2, 0, 0),
+        ]
+        assert result.idle_cycles == 0.0
+        assert result.switch_overhead_cycles == 100.0
+
+    def test_zero_instruction_budget_at_dispatch(self):
+        result = run_soe(
+            _variable_pair(), _EveryThirdDispatchZeroBudget(), limits=_WARM_LIMITS
+        )
+        assert result.cycles == 77745.64139590945
+        assert _thread_tuples(result) == [
+            (90461.44711130626, 34442.64696755506, 5, 5, 110, 0),
+            (45878.487407106986, 38232.07283925583, 51, 51, 20, 0),
+        ]
+        assert result.idle_cycles == 420.9215890985288
+        assert result.switch_overhead_cycles == 4650.0
+
+    def test_max_cycles_with_every_thread_idle(self):
+        """Both threads wait on misses that resolve past the cap, so the
+        run idles up to ``max_cycles`` and stops there."""
+        result = run_soe(
+            [uniform_stream(2.0, 1_000, seed=1), uniform_stream(1.5, 600, seed=2)],
+            params=SoeParams(miss_lat=40_000.0),
+            limits=RunLimits(min_instructions=1e9, max_cycles=1_000_000.0),
+        )
+        assert result.cycles == 1000000.0
+        assert _thread_tuples(result) == [
+            (25000.0, 12500.0, 25, 25, 0, 0),
+            (15000.0, 10000.0, 25, 25, 0, 0),
+        ]
+        assert result.idle_cycles == 976250.0
+        assert result.switch_overhead_cycles == 1250.0

@@ -1,5 +1,6 @@
 """Job spec parsing, validation, and content-addressed identity."""
 
+import json
 from dataclasses import replace
 
 import pytest
@@ -68,10 +69,26 @@ class TestParseJobSpec:
             {"tenant": "acme", "pair": "gcc:eon", "deadline_s": 0},
             {"tenant": "acme", "pair": "gcc:eon", "deadline_s": -1},
             {"tenant": "acme", "pair": "gcc:eon", "deadline_s": "soon"},
+            {"tenant": "acme", "pair": "gcc:eon",
+             "config": {"switch_lat": float("inf")}},
+            {"tenant": "acme", "pair": "gcc:eon",
+             "config": {"sample_period": float("inf")}},
+            {"tenant": "acme", "pair": "gcc:eon",
+             "config": {"max_cycles_quota": float("nan")}},
         ],
     )
     def test_malformed_specs_raise_configuration_error(self, payload):
         with pytest.raises(ConfigurationError):
+            parse_job_spec(payload)
+
+    def test_refuses_a_nan_latency_parsed_from_json(self):
+        # ``json.loads`` accepts the non-standard ``NaN`` literal; a NaN
+        # miss latency would hang the engine, and nothing downstream of
+        # admission re-validates.
+        payload = json.loads(
+            '{"tenant": "acme", "pair": "gcc:eon", "config": {"miss_lat": NaN}}'
+        )
+        with pytest.raises(ConfigurationError, match="must be finite"):
             parse_job_spec(payload)
 
     def test_to_json_round_trips_through_the_parser(self):

@@ -1,6 +1,7 @@
 """Tests for synthetic segment-stream generators."""
 
 import itertools
+import math
 
 import pytest
 
@@ -53,6 +54,10 @@ class TestSegmentDistribution:
             SegmentDistribution(0, 100)
         with pytest.raises(ConfigurationError):
             SegmentDistribution(2, 100, ipm_cv=-1)
+        for bad in ({"ipc_no_miss": math.nan}, {"ipm": math.inf},
+                    {"ipm_cv": math.nan}, {"ipc_cv": math.inf}):
+            with pytest.raises(ConfigurationError):
+                SegmentDistribution(**{"ipc_no_miss": 2, "ipm": 100, **bad})
 
 
 class TestUniformStream:
