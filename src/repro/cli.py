@@ -380,11 +380,6 @@ def _serve(arg_list: list) -> int:
              "and a retry-after hint (default 64)",
     )
     parser.add_argument(
-        "--quantum", type=float, default=1.0,
-        help="DRR quantum credited per scheduling visit (default 1.0; "
-             "job cost is 1, so 1.0 = strict round robin)",
-    )
-    parser.add_argument(
         "--task-timeout", type=float, default=None, metavar="SECONDS",
         help="wall-clock budget per job attempt (job deadlines tighten "
              "this per job; default: no timeout)",
@@ -442,7 +437,6 @@ def _serve(arg_list: list) -> int:
         port=args.port,
         jobs=args.jobs,
         queue_depth=args.queue_depth,
-        quantum=args.quantum,
         task_timeout=args.task_timeout,
         retries=args.retries,
         retry_backoff=args.retry_backoff,

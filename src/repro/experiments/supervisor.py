@@ -121,12 +121,20 @@ class SupervisionPolicy:
     backoff_seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.task_timeout is not None and self.task_timeout <= 0:
-            raise ConfigurationError("task timeout must be positive seconds")
+        # NaN fails every comparison and inf never comes due, so both
+        # are refused: None is the one way to say "no timeout".
+        if self.task_timeout is not None and not (
+            math.isfinite(self.task_timeout) and self.task_timeout > 0
+        ):
+            raise ConfigurationError(
+                "task timeout must be finite positive seconds"
+            )
         if self.retries < 0:
             raise ConfigurationError("retries must be >= 0")
-        if self.retry_backoff < 0:
-            raise ConfigurationError("retry backoff must be >= 0 seconds")
+        if not (math.isfinite(self.retry_backoff) and self.retry_backoff >= 0):
+            raise ConfigurationError(
+                "retry backoff must be finite seconds >= 0"
+            )
 
     @property
     def max_attempts(self) -> int:

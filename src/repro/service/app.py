@@ -91,8 +91,6 @@ class ServiceConfig:
     jobs: int = 1
     #: Per-tenant queue bound (admission control).
     queue_depth: int = 64
-    #: DRR quantum (cost per job is 1).
-    quantum: float = 1.0
     task_timeout: Optional[float] = None
     retries: int = 2
     retry_backoff: float = 0.0
@@ -143,9 +141,7 @@ class ServiceApp:
         self.config = config
         self._lock = threading.Lock()
         self.jobs: Dict[str, Job] = {}
-        self.scheduler = DrrScheduler(
-            depth=config.queue_depth, quantum=config.quantum
-        )
+        self.scheduler = DrrScheduler(depth=config.queue_depth)
         self.breaker = CircuitBreaker(
             window=config.breaker_window,
             threshold=config.breaker_threshold,
@@ -306,10 +302,7 @@ class ServiceApp:
             if not admission.accepted:
                 if sink.wants(_TRACE_RUNNER):
                     sink.emit(
-                        queue_event(
-                            "reject", spec.tenant,
-                            admission.depth, admission.deficit,
-                        )
+                        queue_event("reject", spec.tenant, admission.depth)
                     )
                     sink.emit(
                         job_event(
@@ -336,10 +329,7 @@ class ServiceApp:
                 self.journal.record_spec(jid, spec.to_json())
             if sink.wants(_TRACE_RUNNER):
                 sink.emit(
-                    queue_event(
-                        "enqueue", spec.tenant,
-                        admission.depth, admission.deficit,
-                    )
+                    queue_event("enqueue", spec.tenant, admission.depth)
                 )
                 sink.emit(job_event("submitted", spec.tenant, jid))
             self.pool.wake()
@@ -544,7 +534,6 @@ class ServiceApp:
                         "dispatch",
                         job.spec.tenant,
                         self.scheduler.tenant_depth(job.spec.tenant),
-                        self.scheduler.tenant_deficit(job.spec.tenant),
                     )
                 )
                 sink.emit(job_event("dispatched", job.spec.tenant, job.id))

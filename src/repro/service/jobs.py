@@ -19,6 +19,7 @@ same cell share the simulation but keep separate job records.
 from __future__ import annotations
 
 import hashlib
+import math
 import re
 from dataclasses import dataclass, fields, replace
 from typing import Mapping, Optional
@@ -81,8 +82,12 @@ class JobSpec:
                 "tenant must be 1-64 characters of [A-Za-z0-9_-], "
                 f"got {self.tenant!r}"
             )
-        if self.deadline_s is not None and self.deadline_s <= 0:
-            raise ConfigurationError("deadline_s must be positive seconds")
+        if self.deadline_s is not None and not (
+            math.isfinite(self.deadline_s) and self.deadline_s > 0
+        ):
+            raise ConfigurationError(
+                "deadline_s must be finite positive seconds"
+            )
         for benchmark in (self.pair.first, self.pair.second):
             try:
                 get_profile(benchmark)

@@ -3,14 +3,12 @@
 The paper keeps two SMT threads fair with per-thread deficit counters
 (Eq. 9): each thread earns quota every sample period, spends it as it
 retires instructions, and carries the shortfall forward. The service
-applies the identical discipline one level up. Every tenant owns a
-FIFO queue and a deficit counter; each scheduling round visits the
-backlogged tenants in a fixed rotation, credits each visit with one
-``quantum``, and dispatches jobs while the tenant can pay one unit of
-cost per job. A tenant that missed its turn (its queue was empty, or a
-single large credit was not yet spendable) keeps the credit, exactly
-like the paper's carried deficit -- so over any backlogged interval no
-tenant is starved: with ``quantum=1`` the dispatch counts of any two
+applies the same discipline one level up with deficit round robin.
+Every job costs one unit and every visit credits one unit, so each
+visit to a backlogged tenant pays for exactly one job and leaves no
+credit to carry: the scheduler visits the backlogged tenants in a fixed
+rotation and dispatches one job per visit. Over any backlogged interval
+no tenant is starved, and the dispatch counts of any two
 continuously-backlogged tenants differ by at most 1.
 
 Admission is *bounded*: each tenant's queue holds at most ``depth``
@@ -24,7 +22,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Deque, Dict, List, Optional
 
 from repro.errors import ConfigurationError
 from repro.service.jobs import Job
@@ -39,16 +37,8 @@ class Admission:
     accepted: bool
     #: Queue depth after the decision (the tenant's backlog).
     depth: int
-    #: The tenant's deficit counter at decision time.
-    deficit: float
     #: Client backoff hint when rejected (None when accepted).
     retry_after_s: Optional[float] = None
-
-
-@dataclass
-class _TenantLane:
-    queue: deque
-    deficit: float = 0.0
 
 
 class DrrScheduler:
@@ -62,19 +52,13 @@ class DrrScheduler:
         self,
         *,
         depth: int = 64,
-        quantum: float = 1.0,
-        cost: float = 1.0,
         retry_after_base_s: float = 0.5,
     ) -> None:
         if depth < 1:
             raise ConfigurationError("queue depth must be >= 1")
-        if quantum <= 0 or cost <= 0:
-            raise ConfigurationError("quantum and cost must be positive")
         self.depth = depth
-        self.quantum = quantum
-        self.cost = cost
         self.retry_after_base_s = retry_after_base_s
-        self._lanes: Dict[str, _TenantLane] = {}
+        self._lanes: Dict[str, Deque[Job]] = {}
         #: Fixed visit rotation: tenants in first-seen order. A stable
         #: order keeps scheduling a pure function of the submissions.
         self._rotation: List[str] = []
@@ -85,21 +69,15 @@ class DrrScheduler:
     @property
     def backlog(self) -> int:
         """Queued jobs across every tenant."""
-        return sum(len(lane.queue) for lane in self._lanes.values())
+        return sum(len(lane) for lane in self._lanes.values())
 
     def tenant_depth(self, tenant: str) -> int:
         lane = self._lanes.get(tenant)
-        return len(lane.queue) if lane else 0
-
-    def tenant_deficit(self, tenant: str) -> float:
-        lane = self._lanes.get(tenant)
-        return lane.deficit if lane else 0.0
+        return len(lane) if lane else 0
 
     def depths(self) -> Dict[str, int]:
         """Per-tenant backlog snapshot (the /v1/stats payload)."""
-        return {
-            tenant: len(lane.queue) for tenant, lane in self._lanes.items()
-        }
+        return {tenant: len(lane) for tenant, lane in self._lanes.items()}
 
     # -- admission ----------------------------------------------------------
 
@@ -113,20 +91,17 @@ class DrrScheduler:
         tenant = job.spec.tenant
         lane = self._lanes.get(tenant)
         if lane is None:
-            lane = _TenantLane(queue=deque())
+            lane = deque()
             self._lanes[tenant] = lane
             self._rotation.append(tenant)
-        if len(lane.queue) >= self.depth:
+        if len(lane) >= self.depth:
             return Admission(
                 accepted=False,
-                depth=len(lane.queue),
-                deficit=lane.deficit,
-                retry_after_s=self.retry_after_base_s * len(lane.queue),
+                depth=len(lane),
+                retry_after_s=self.retry_after_base_s * len(lane),
             )
-        lane.queue.append(job)
-        return Admission(
-            accepted=True, depth=len(lane.queue), deficit=lane.deficit
-        )
+        lane.append(job)
+        return Admission(accepted=True, depth=len(lane))
 
     def remove(self, job: Job) -> bool:
         """Drop a queued job (deadline expiry); True if it was queued."""
@@ -134,7 +109,7 @@ class DrrScheduler:
         if lane is None:
             return False
         try:
-            lane.queue.remove(job)
+            lane.remove(job)
         except ValueError:
             return False
         return True
@@ -144,25 +119,17 @@ class DrrScheduler:
     def next_job(self) -> Optional[Job]:
         """Dispatch the next job under DRR, or None if all queues idle.
 
-        One call performs at most one full rotation: each backlogged
-        lane visited earns ``quantum``; the first lane whose deficit
-        covers ``cost`` pays and yields its head-of-line job. An empty
-        lane spends nothing and keeps nothing (resetting an idle
-        tenant's deficit is what stops a long-idle tenant from hoarding
-        credit and then monopolizing the pool -- the same reason the
-        paper resets its counters at enforcement-mode boundaries).
+        One call performs at most one full rotation: the first
+        backlogged lane visited yields its head-of-line job, so the
+        result is None only when every queue is empty. An empty lane is
+        skipped and keeps no credit, which is what stops a long-idle
+        tenant from hoarding credit and then monopolizing the pool --
+        the same reason the paper resets its counters at
+        enforcement-mode boundaries.
         """
-        if not self._rotation:
-            return None
         for _ in range(len(self._rotation)):
-            tenant = self._rotation[self._cursor]
+            lane = self._lanes[self._rotation[self._cursor]]
             self._cursor = (self._cursor + 1) % len(self._rotation)
-            lane = self._lanes[tenant]
-            if not lane.queue:
-                lane.deficit = 0.0
-                continue
-            lane.deficit += self.quantum
-            if lane.deficit >= self.cost:
-                lane.deficit -= self.cost
-                return lane.queue.popleft()
+            if lane:
+                return lane.popleft()
         return None

@@ -22,12 +22,12 @@ exactly:
   from a trace file.
 
 Tracing is *observation only*: with any sink installed, simulation
-results are bit-identical to an untraced run (pinned by tests and the
-CI grid-smoke job). The active sink is ambient -- installed once by the
-CLI's ``--trace`` flag via :func:`tracing` and picked up by every
-engine, controller, and grid worker (workers inherit it at ``fork``) --
-mirroring how :class:`~repro.experiments.runner.ExecutionSettings`
-travel.
+results are bit-identical to an untraced run (pinned by the tier-1
+path-identity oracle, ``tests/integration/test_path_identity.py``).
+The active sink is ambient -- installed once by the CLI's ``--trace``
+flag via :func:`tracing` and picked up by every engine, controller, and
+grid worker (workers inherit it at ``fork``) -- mirroring how
+:class:`~repro.experiments.runner.ExecutionSettings` travel.
 """
 
 from __future__ import annotations

@@ -60,7 +60,9 @@ __all__ = [
 #: v3: ``task_retry`` carries the deterministic retry backoff
 #: (``backoff_s``); new service-layer events ``job``/``queue``/
 #: ``breaker`` and the sink self-report ``sink_degraded``.
-SCHEMA_VERSION = 3
+#: v4: ``queue`` drops ``deficit`` (DRR job cost and credit are both
+#: one, so the counter always read 0).
+SCHEMA_VERSION = 4
 
 CONTROLLER = "controller"
 SWITCH = "switch"
@@ -316,12 +318,10 @@ def job_event(phase: str, tenant: str, job: str, detail: Optional[str] = None) -
     }
 
 
-def queue_event(action: str, tenant: str, depth: int, deficit: float) -> dict:
+def queue_event(action: str, tenant: str, depth: int) -> dict:
     """One per-tenant DRR queue transition in the simulation service.
 
-    ``depth`` is the tenant's queue depth after the action; ``deficit``
-    the tenant's deficit-counter value (the service-layer analogue of
-    the paper's Eq. 9 per-thread deficit counters).
+    ``depth`` is the tenant's queue depth after the action.
     """
     return {
         "event": "queue",
@@ -330,7 +330,6 @@ def queue_event(action: str, tenant: str, depth: int, deficit: float) -> dict:
         "action": action,
         "tenant": tenant,
         "depth": depth,
-        "deficit": _num(deficit),
     }
 
 
@@ -505,7 +504,6 @@ EVENT_SCHEMAS: Mapping[str, tuple] = {
             "action": _enum(*_QUEUE_ACTIONS),
             "tenant": _string,
             "depth": _is_int,
-            "deficit": _is_number,
         },
     ),
     "breaker": (

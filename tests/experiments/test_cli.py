@@ -209,6 +209,12 @@ class TestRunnerFlags:
                      "--no-cache"]) == 0
         assert seen["settings"].cache_dir is None
 
+    @pytest.mark.parametrize("command", ["table2", "serve"])
+    def test_infinite_retry_backoff_is_refused(self, command):
+        """An inf backoff would park the first retry forever."""
+        with pytest.raises(ConfigurationError, match="retry backoff"):
+            main([command, "--retry-backoff", "inf"])
+
 
 class TestPolicyCli:
     BUILTINS = ("none", "fairness", "rr-timeshare", "icount",

@@ -2,8 +2,9 @@
 
 The load-bearing property is bit-identity: whatever the job count and
 whatever the cache state, a grid execution must return exactly the
-results of a serial from-scratch run. Everything else (memoization,
-cache stats, settings plumbing) is checked around that invariant.
+results of a serial uncached run. It is drawn over small grids by
+tests/integration/test_path_identity.py; this file checks what
+surrounds it (memoization, cache stats, settings plumbing).
 """
 
 import json
@@ -27,9 +28,9 @@ from repro.experiments.runner import (
     execution,
     parallel_map,
     run_grid,
-    single_thread_ipcs,
 )
 from repro.engine.results import SoeRunResult, ThreadStats
+from repro.telemetry import RingBufferSink, tracing
 from repro.workloads.pairs import BenchmarkPair
 
 #: A subset that exercises memoization: gcc appears in three pairs (in
@@ -90,19 +91,6 @@ class TestExecutionSettings:
 
 
 class TestEquivalence:
-    def test_parallel_grid_is_bit_identical_to_serial(self, config, serial_grid):
-        parallel = run_all_pairs(config, PAIRS, jobs=4)
-        assert parallel == serial_grid
-        for serial_pair, parallel_pair in zip(serial_grid, parallel):
-            assert serial_pair.ipc_st == parallel_pair.ipc_st
-            for level in config.fairness_levels:
-                serial_run = serial_pair.runs[level]
-                parallel_run = parallel_pair.runs[level]
-                assert serial_run.ipcs == parallel_run.ipcs
-                assert serial_run.total_switches == parallel_run.total_switches
-                assert serial_pair.achieved_fairness(level) == \
-                    parallel_pair.achieved_fairness(level)
-
     def test_cached_rerun_is_bit_identical(self, config, serial_grid, tmp_path):
         first = run_grid(config, PAIRS,
                          ExecutionSettings(jobs=2, cache_dir=tmp_path))
@@ -114,37 +102,31 @@ class TestEquivalence:
         assert second.stats.hits == len(PAIRS) and second.stats.misses == 0
         assert second.stats.hit_rate == 1.0
 
-    def test_full_grid_is_identical_across_jobs_and_cache(self, config,
-                                                           tmp_path):
-        cold = run_grid(config, settings=ExecutionSettings(cache_dir=tmp_path))
-        parallel = run_grid(config, settings=ExecutionSettings(jobs=2))
-        warm = run_grid(config, settings=ExecutionSettings(cache_dir=tmp_path))
-        assert parallel.results == cold.results
-        assert warm.results == cold.results
-        assert cold.stats.misses == 16 and cold.stats.hits == 0
-        assert warm.stats.hits == 16 and warm.stats.misses == 0
-        assert warm.stats.hit_rate == 1.0
-
     def test_compute_pair_matches_grid_cell(self, config, serial_grid):
         assert compute_pair(PAIRS[1], config) == serial_grid[1]
 
 
 class TestBaselineMemoization:
-    def test_shared_benchmarks_simulated_once(self, config):
-        memo = {}
-        for pair in PAIRS:
-            single_thread_ipcs(pair, config, st_memo=memo)
+    def test_shared_benchmarks_simulated_once(self, config, tmp_path):
+        journal = tmp_path / "grid.ckpt"
+        run_grid(config, PAIRS, ExecutionSettings(checkpoint=journal))
+        records = [json.loads(line) for line in journal.read_text().splitlines()]
         # 8 thread slots, but gcc@seed1 is shared by gcc:gcc and
         # gcc:eon, so only 7 distinct single-thread runs happen.
-        assert len(memo) == 7
+        assert sum(record.get("task") == "st" for record in records) == 7
 
     def test_memoized_values_are_reused_not_recomputed(self, config):
-        memo = {}
-        first = single_thread_ipcs(PAIRS[0], config, st_memo=memo)
-        poisoned = {task: -1.0 for task in memo}
-        assert single_thread_ipcs(PAIRS[0], config, st_memo=poisoned) == \
-            (-1.0, -1.0)
-        assert first == single_thread_ipcs(PAIRS[0], config)
+        sink = RingBufferSink(categories=frozenset({"runner"}))
+        with tracing(sink):
+            outcome = run_grid(config, PAIRS, ExecutionSettings())
+        st_runs = [
+            event for event in sink.events
+            if event["event"] == "task" and event["phase"] == "start"
+            and event["kind"] == "single_thread"
+        ]
+        assert len(st_runs) == 7
+        gcc_gcc, gcc_eon = outcome.results[:2]
+        assert gcc_gcc.ipc_st[0] == gcc_eon.ipc_st[0]
 
 
 class TestResultCache:

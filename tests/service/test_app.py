@@ -12,6 +12,7 @@ import time
 import pytest
 
 from repro import faults, telemetry
+from repro.errors import ConfigurationError
 from repro.service import app as app_module
 from repro.service.app import ServiceApp, ServiceConfig
 
@@ -77,6 +78,24 @@ def _await(predicate, what, timeout=_WAIT_S, poll=0.02):
             return time.monotonic()
         time.sleep(poll)
     raise AssertionError(f"timed out waiting for {what}")
+
+
+class TestServiceConfig:
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"jobs": 0},
+            {"port": -1},
+            {"task_timeout": 0.0},
+            {"task_timeout": float("nan")},
+            {"task_timeout": float("inf")},
+            {"retry_backoff": float("nan")},
+            {"retry_backoff": float("inf")},
+        ],
+    )
+    def test_invalid_settings_are_refused(self, bad):
+        with pytest.raises(ConfigurationError):
+            ServiceConfig(**bad)
 
 
 class TestLifecycle:

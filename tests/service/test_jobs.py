@@ -75,6 +75,8 @@ class TestParseJobSpec:
              "config": {"sample_period": float("inf")}},
             {"tenant": "acme", "pair": "gcc:eon",
              "config": {"max_cycles_quota": float("nan")}},
+            {"tenant": "acme", "pair": "gcc:eon", "deadline_s": float("nan")},
+            {"tenant": "acme", "pair": "gcc:eon", "deadline_s": float("inf")},
         ],
     )
     def test_malformed_specs_raise_configuration_error(self, payload):

@@ -3,6 +3,8 @@
 import itertools
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.service.jobs import Job, parse_job_spec
@@ -26,7 +28,7 @@ def _fill(scheduler, tenant, count):
 class TestConstruction:
     @pytest.mark.parametrize(
         "kwargs",
-        [{"depth": 0}, {"quantum": 0.0}, {"cost": -1.0}],
+        [{"depth": 0}, {"depth": -1}, {"depth": 0.5}],
     )
     def test_bad_parameters_are_rejected(self, kwargs):
         with pytest.raises(ConfigurationError):
@@ -51,11 +53,10 @@ class TestAdmission:
         assert scheduler.offer(_job("a", "x")).accepted is False
         assert scheduler.offer(_job("b", "x")).accepted is True
 
-    def test_accepted_admission_reports_depth_and_deficit(self):
+    def test_accepted_admission_reports_depth(self):
         scheduler = DrrScheduler(depth=4)
         verdict = scheduler.offer(_job("a", 0))
         assert verdict.accepted and verdict.depth == 1
-        assert verdict.deficit == 0.0
         assert verdict.retry_after_s is None
 
     def test_remove_drops_a_queued_job_once(self):
@@ -112,7 +113,7 @@ class TestScheduling:
         assert tenants.count("late") == 3
 
     def test_idle_tenant_deficit_resets(self):
-        """A tenant whose queue drains cannot hoard credit and then
+        """A tenant whose queue drains keeps no credit, so it cannot
         monopolize the pool when it returns."""
         scheduler = DrrScheduler()
         _fill(scheduler, "a", 1)
@@ -121,7 +122,6 @@ class TestScheduling:
         _fill(scheduler, "b", 3)
         for _ in range(3):
             scheduler.next_job()
-        assert scheduler.tenant_deficit("a") == 0.0
         # When a returns with a burst, b's fresh jobs still interleave.
         _fill(scheduler, "a", 3)
         _fill(scheduler, "b", 3)
@@ -129,17 +129,23 @@ class TestScheduling:
         assert sorted(tenants[:2]) == ["a", "b"]
         assert tenants.count("a") == 3
 
-    def test_fractional_quantum_carries_deficit_forward(self):
-        """quantum < cost means a lane must accumulate credit over
-        visits -- the textbook DRR carry behavior."""
-        scheduler = DrrScheduler(quantum=0.5, cost=1.0)
-        _fill(scheduler, "a", 2)
-        # Visit 1: deficit 0.5, not enough to pay.
-        assert scheduler.next_job() is None
-        # Visit 2: deficit 1.0, pays for one job.
-        job = scheduler.next_job()
-        assert job is not None
-        assert scheduler.tenant_deficit("a") == pytest.approx(0.0)
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from("abc"), st.booleans()), max_size=60
+        )
+    )
+    def test_backlogged_scheduler_never_returns_none(self, steps):
+        """Any interleaving of offers and dispatches: next_job() is
+        None exactly when every queue is empty, so the dispatcher never
+        leaves a worker idle while a tenant is backlogged."""
+        scheduler = DrrScheduler()
+        for index, (tenant, dispatch) in enumerate(steps):
+            if dispatch:
+                backlog = scheduler.backlog
+                job = scheduler.next_job()
+                assert (job is None) == (backlog == 0)
+            else:
+                scheduler.offer(_job(tenant, index))
 
     def test_rotation_order_is_first_seen_and_stable(self):
         scheduler = DrrScheduler()
@@ -157,7 +163,6 @@ class TestIntrospection:
         assert scheduler.depths() == {"a": 2, "b": 1}
         assert scheduler.backlog == 3
         assert scheduler.tenant_depth("ghost") == 0
-        assert scheduler.tenant_deficit("ghost") == 0.0
 
 
 def test_deterministic_replay():

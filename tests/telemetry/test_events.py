@@ -72,7 +72,7 @@ class TestBuilders:
             job_event("submitted", "tenant-a", "ab12cd34"),
             job_event("rejected", "tenant-a", "ab12cd34",
                       detail="queue full"),
-            queue_event("enqueue", "tenant-a", 3, 1.0),
+            queue_event("enqueue", "tenant-a", 3),
             breaker_event("open", 5),
             sink_degraded_event("trace.jsonl", "OSError: ENOSPC"),
         ]
@@ -91,7 +91,7 @@ class TestBuilders:
             task_failed("k", "l", 3, "crash"),
             checkpoint_event("write", 1, "p"),
             job_event("submitted", "t", "j"),
-            queue_event("enqueue", "t", 1, 0.0),
+            queue_event("enqueue", "t", 1),
             breaker_event("closed", 0),
             sink_degraded_event("p", "e"),
         )}
@@ -110,9 +110,9 @@ class TestBuilders:
             bad["policy"] = 42
             validate_event(bad)
 
-    def test_schema_version_is_three(self):
-        assert SCHEMA_VERSION == 3
-        assert task_event("start", "k", "l", 1)["v"] == 3
+    def test_schema_version_is_four(self):
+        assert SCHEMA_VERSION == 4
+        assert task_event("start", "k", "l", 1)["v"] == 4
 
     def test_nonfinite_floats_encode_as_strings(self):
         event = _sample()
