@@ -10,9 +10,7 @@ view they need in two steps:
    defs folded into their enclosing function) with its outgoing call
    and bare-callable-reference sites, its direct effects (see
    :mod:`repro.analysis.dataflow`), its module-global mutations, plus
-   the module's imports, classes, and module-level globals. Summaries
-   are plain data and round-trip through JSON, which is what makes the
-   on-disk analysis cache (:mod:`repro.analysis.cache`) possible.
+   the module's imports, classes, and module-level globals.
 2. :func:`build_graph` resolves the textual call sites of every summary
    against the project symbol table into a :class:`CallGraph`: edges
    between fully-qualified function names, with unresolved callees kept
@@ -80,13 +78,6 @@ class CallSite:
     line: int
     ref: bool = False  #: True = referenced as a value, not called
 
-    def to_json(self) -> dict:
-        return {"callee": self.callee, "line": self.line, "ref": self.ref}
-
-    @classmethod
-    def from_json(cls, data: Mapping[str, object]) -> "CallSite":
-        return cls(str(data["callee"]), int(data["line"]), bool(data["ref"]))  # type: ignore[arg-type]
-
 
 @dataclass(frozen=True)
 class DirectEffect:
@@ -96,13 +87,6 @@ class DirectEffect:
     line: int
     detail: str  #: human-readable witness, e.g. ``random.random()``
 
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "line": self.line, "detail": self.detail}
-
-    @classmethod
-    def from_json(cls, data: Mapping[str, object]) -> "DirectEffect":
-        return cls(str(data["kind"]), int(data["line"]), str(data["detail"]))  # type: ignore[arg-type]
-
 
 @dataclass(frozen=True)
 class GlobalMutation:
@@ -111,13 +95,6 @@ class GlobalMutation:
     name: str  #: the module-global being mutated
     line: int
     how: str  #: e.g. ``global-assign`` / ``.append()`` / ``[]=``
-
-    def to_json(self) -> dict:
-        return {"name": self.name, "line": self.line, "how": self.how}
-
-    @classmethod
-    def from_json(cls, data: Mapping[str, object]) -> "GlobalMutation":
-        return cls(str(data["name"]), int(data["line"]), str(data["how"]))  # type: ignore[arg-type]
 
 
 @dataclass(frozen=True)
@@ -133,35 +110,6 @@ class FunctionNode:
     effects: Tuple[DirectEffect, ...] = ()
     mutations: Tuple[GlobalMutation, ...] = ()
 
-    def to_json(self) -> dict:
-        return {
-            "qualname": self.qualname,
-            "relpath": self.relpath,
-            "name": self.name,
-            "lineno": self.lineno,
-            "cls": self.cls,
-            "calls": [site.to_json() for site in self.calls],
-            "effects": [effect.to_json() for effect in self.effects],
-            "mutations": [mutation.to_json() for mutation in self.mutations],
-        }
-
-    @classmethod
-    def from_json(cls, data: Mapping[str, object]) -> "FunctionNode":
-        return cls(
-            qualname=str(data["qualname"]),
-            relpath=str(data["relpath"]),
-            name=str(data["name"]),
-            lineno=int(data["lineno"]),  # type: ignore[arg-type]
-            cls=None if data["cls"] is None else str(data["cls"]),
-            calls=tuple(CallSite.from_json(item) for item in data["calls"]),  # type: ignore[union-attr]
-            effects=tuple(
-                DirectEffect.from_json(item) for item in data["effects"]  # type: ignore[union-attr]
-            ),
-            mutations=tuple(
-                GlobalMutation.from_json(item) for item in data["mutations"]  # type: ignore[union-attr]
-            ),
-        )
-
 
 @dataclass(frozen=True)
 class ClassNode:
@@ -170,21 +118,6 @@ class ClassNode:
     qualname: str  #: fully qualified, e.g. ``repro.engine.soe.SoeEngine``
     bases: Tuple[str, ...]
     methods: Tuple[str, ...]
-
-    def to_json(self) -> dict:
-        return {
-            "qualname": self.qualname,
-            "bases": list(self.bases),
-            "methods": list(self.methods),
-        }
-
-    @classmethod
-    def from_json(cls, data: Mapping[str, object]) -> "ClassNode":
-        return cls(
-            qualname=str(data["qualname"]),
-            bases=tuple(str(base) for base in data["bases"]),  # type: ignore[union-attr]
-            methods=tuple(str(m) for m in data["methods"]),  # type: ignore[union-attr]
-        )
 
 
 @dataclass(frozen=True)
@@ -198,23 +131,6 @@ class GlobalDef:
     #: ``fork-safe: <reason>`` marker documenting per-process
     #: reinitialization (see rule RL010).
     fork_safe: bool
-
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "line": self.line,
-            "mutable": self.mutable,
-            "fork_safe": self.fork_safe,
-        }
-
-    @classmethod
-    def from_json(cls, data: Mapping[str, object]) -> "GlobalDef":
-        return cls(
-            name=str(data["name"]),
-            line=int(data["line"]),  # type: ignore[arg-type]
-            mutable=bool(data["mutable"]),
-            fork_safe=bool(data["fork_safe"]),
-        )
 
 
 @dataclass
@@ -232,53 +148,6 @@ class ModuleSummary:
     classes: Dict[str, ClassNode] = field(default_factory=dict)
     #: module-level bindings by name
     globals: Dict[str, GlobalDef] = field(default_factory=dict)
-
-    def to_json(self) -> dict:
-        return {
-            "relpath": self.relpath,
-            "module": self.module,
-            "imports": dict(sorted(self.imports.items())),
-            "from_imports": {
-                name: list(target)
-                for name, target in sorted(self.from_imports.items())
-            },
-            "functions": {
-                qual: node.to_json()
-                for qual, node in sorted(self.functions.items())
-            },
-            "classes": {
-                qual: node.to_json()
-                for qual, node in sorted(self.classes.items())
-            },
-            "globals": {
-                name: node.to_json()
-                for name, node in sorted(self.globals.items())
-            },
-        }
-
-    @classmethod
-    def from_json(cls, data: Mapping[str, object]) -> "ModuleSummary":
-        return cls(
-            relpath=str(data["relpath"]),
-            module=str(data["module"]),
-            imports={str(k): str(v) for k, v in data["imports"].items()},  # type: ignore[union-attr]
-            from_imports={
-                str(k): (str(v[0]), str(v[1]))  # type: ignore[index]
-                for k, v in data["from_imports"].items()  # type: ignore[union-attr]
-            },
-            functions={
-                str(k): FunctionNode.from_json(v)  # type: ignore[arg-type]
-                for k, v in data["functions"].items()  # type: ignore[union-attr]
-            },
-            classes={
-                str(k): ClassNode.from_json(v)  # type: ignore[arg-type]
-                for k, v in data["classes"].items()  # type: ignore[union-attr]
-            },
-            globals={
-                str(k): GlobalDef.from_json(v)  # type: ignore[arg-type]
-                for k, v in data["globals"].items()  # type: ignore[union-attr]
-            },
-        )
 
 
 # ---------------------------------------------------------------------------

@@ -106,18 +106,6 @@ def build_parser() -> argparse.ArgumentParser:
         "to FILE as JSON ('-' for stdout)",
     )
     parser.add_argument(
-        "--cache-dir",
-        metavar="DIR",
-        help="content-hash cache directory: unchanged files skip "
-        "parsing and per-file rules on warm runs",
-    )
-    parser.add_argument(
-        "--changed-only",
-        action="store_true",
-        help="report only findings in files analyzed fresh this run "
-        "(needs --cache-dir to have any effect; developer loop mode)",
-    )
-    parser.add_argument(
         "--eq-table",
         action="store_true",
         help="print the paper-equation traceability table and exit",
@@ -167,11 +155,12 @@ def _annotation_escape(text: str) -> str:
     )
 
 
-def _render_github(result: LintResult) -> str:
+def _render_github(result: LintResult, ratchet: bool) -> str:
     """GitHub Actions workflow annotations, one per *active* finding.
 
     Baselined and suppressed findings are omitted: annotations surface
-    what the ratchet would fail on, not grandfathered history.
+    what the ratchet would fail on, not grandfathered history. Under
+    ``--ratchet`` each stale baseline entry is an error annotation too.
     """
     lines: List[str] = []
     for finding in result.active:
@@ -181,6 +170,12 @@ def _render_github(result: LintResult) -> str:
             f"col={finding.col + 1},title={finding.rule}::"
             f"{_annotation_escape(finding.message)}"
         )
+    if ratchet:
+        for entry in result.stale_baseline:
+            lines.append(
+                "::error title=stale baseline entry::"
+                f"{_annotation_escape(entry)}"
+            )
     lines.append(
         f"repro-lint: {len(result.active)} finding(s) across "
         f"{result.files_checked} files"
@@ -244,10 +239,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             select=_split(args.select),
             disable=_split(args.disable),
             baseline=baseline,
-            cache_dir=(
-                pathlib.Path(args.cache_dir) if args.cache_dir else None
-            ),
-            changed_only=args.changed_only,
         )
     except ConfigurationError as exc:
         print(f"repro-lint: error: {exc}", file=sys.stderr)
@@ -277,7 +268,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 0
 
     if args.format == "github":
-        text = _render_github(result)
+        text = _render_github(result, ratchet=args.ratchet)
     else:
         text = _render(result, quiet=args.quiet, ratchet=args.ratchet)
     print(text)

@@ -7,17 +7,15 @@ sorted by (path, line, col, rule), and the JSON report round-trips
 byte-identically for identical inputs — the same property the
 simulators guarantee, applied to the tool that polices it.
 
-Analysis runs in two phases:
+Analysis runs in two phases over every discovered file, cold on every
+run:
 
-1. **Per file** — parse, suppression pragmas, equation scan, every
-   per-file rule, and the whole-program
-   :class:`~repro.analysis.callgraph.ModuleSummary`. This phase is
-   memoized by content hash under ``--cache-dir``
-   (:mod:`repro.analysis.cache`); a warm run skips it entirely for
-   unchanged files.
-2. **Whole program** — the equation table, the call graph, effect
-   propagation, and every rule's ``finalize`` pass, always computed
-   fresh from the (possibly cached) per-file results.
+1. **Per file** — parse, suppression pragmas, and every active
+   per-file rule.
+2. **Whole program** — the equation table, the call graph and its
+   :class:`~repro.analysis.callgraph.ModuleSummary` inputs, effect
+   propagation, and every rule's ``finalize`` pass, all built from the
+   modules parsed in phase 1.
 """
 
 from __future__ import annotations
@@ -28,9 +26,7 @@ from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Set
 
 from repro.analysis.baseline import Baseline, apply_baseline
-from repro.analysis.cache import AnalysisCache, FileRecord, content_hash
-from repro.analysis.callgraph import ModuleSummary, summarize_module
-from repro.analysis.eqmap import EqClaim, EqMention, EqTable, scan_module, table_from_scans
+from repro.analysis.eqmap import EqTable, build_table
 from repro.analysis.findings import Finding, Severity
 from repro.analysis.registry import (
     ModuleInfo,
@@ -105,11 +101,6 @@ class LintResult:
     eq_table: Optional[EqTable] = None
     files_checked: int = 0
     rules_run: List[str] = field(default_factory=list)
-    #: Files analyzed fresh this run (= cache misses; all files when
-    #: caching is off). ``--changed-only`` reports only these.
-    changed_files: List[str] = field(default_factory=list)
-    cache_hits: int = 0
-    cache_misses: int = 0
     #: The assembled project view (for ``--graph``); not serialized.
     project: Optional[ProjectInfo] = field(default=None, repr=False)
 
@@ -137,8 +128,6 @@ class LintResult:
         return counts
 
     def to_json(self) -> Dict[str, object]:
-        # Cache statistics are deliberately absent: the report must be
-        # byte-identical for identical inputs, cold or warm.
         return {
             "version": 1,
             "summary": {
@@ -246,92 +235,36 @@ def _load_module(path: Path, relpath: str) -> ModuleInfo:
     return ModuleInfo(relpath=relpath, tree=tree, source=source)
 
 
-def _analyze_file(
-    module: ModuleInfo, source_hash: str, rules: Sequence[Rule]
-) -> FileRecord:
-    """The cacheable per-file phase: all rules, pragmas, scans, summary."""
-    findings: List[Finding] = []
-    for rule in rules:
-        if rule.meta.applies_to(module.relpath):
-            findings.extend(rule.check_module(module))
-    claims, mentions = scan_module(module)
-    return FileRecord(
-        content_hash=source_hash,
-        findings=sorted(findings),
-        suppressions=parse_suppressions(module.source),
-        claims=claims,
-        mentions=mentions,
-        summary=summarize_module(module),
-    )
-
-
 def run_lint(
     repo_root: Optional[Path] = None,
     targets: Sequence[str] = (DEFAULT_TARGET,),
     select: Sequence[str] = (),
     disable: Sequence[str] = (),
     baseline: Optional[Baseline] = None,
-    cache_dir: Optional[Path] = None,
-    changed_only: bool = False,
 ) -> LintResult:
-    """Lint ``targets`` (repo-relative files or directories) end to end.
-
-    With ``cache_dir``, unchanged files reuse their cached per-file
-    analysis (all rules run on a miss, so the cache is valid for every
-    ``select``/``disable`` combination). With ``changed_only``, the
-    report keeps only findings anchored in files analyzed fresh this
-    run — a developer loop mode; baseline staleness is not reported
-    because unchanged files were not re-examined.
-    """
+    """Lint ``targets`` (repo-relative files or directories) end to end."""
     root = (repo_root or default_repo_root()).resolve()
     relpaths = discover_files(root, targets)
-
-    cache = AnalysisCache.load(Path(cache_dir)) if cache_dir else None
-    per_file_rules = all_rules()
     active_rules: List[Rule] = select_rules(select, disable)
-    active_ids = {rule.meta.id for rule in active_rules}
 
-    modules: List[ModuleInfo] = []
-    summaries: Dict[str, ModuleSummary] = {}
+    modules = [_load_module(root / relpath, relpath) for relpath in relpaths]
     suppression_map: Dict[str, Suppressions] = {}
     raw: List[Finding] = []
-    claims: List[EqClaim] = []
-    mentions: List[EqMention] = []
-    changed: List[str] = []
-
-    for relpath in relpaths:
-        path = root / relpath
-        source = path.read_text()
-        source_hash = content_hash(source)
-        record = cache.lookup(relpath, source_hash) if cache else None
-        if record is None or record.summary is None:
-            module = _load_module(path, relpath)
-            modules.append(module)
-            changed.append(relpath)
-            record = _analyze_file(module, source_hash, per_file_rules)
-            if cache is not None:
-                cache.store(relpath, record)
-        assert record.summary is not None  # _analyze_file always builds one
-        summaries[relpath] = record.summary
-        suppression_map[relpath] = record.suppressions
-        claims.extend(record.claims)
-        mentions.extend(record.mentions)
-        raw.extend(f for f in record.findings if f.rule in active_ids)
-
-    if cache is not None:
-        cache.prune(tuple(relpaths))
-        cache.save()
+    for module in modules:
+        suppression_map[module.relpath] = parse_suppressions(module.source)
+        for rule in active_rules:
+            if rule.meta.applies_to(module.relpath):
+                raw.extend(rule.check_module(module))
 
     paper_path = root / "PAPER.md"
     eq_table: Optional[EqTable] = None
     if paper_path.exists():
-        eq_table = table_from_scans(claims, mentions, paper_path.read_text())
+        eq_table = build_table(modules, paper_path.read_text())
 
     project = ProjectInfo(
         modules=modules,
         eq_table=eq_table,
         repo_root=root,
-        summaries=summaries,
         suppressions=suppression_map,
     )
     for rule in active_rules:
@@ -350,12 +283,6 @@ def run_lint(
     if baseline is not None:
         kept, stale = apply_baseline(kept, baseline)
 
-    if changed_only:
-        changed_set = set(changed)
-        kept = [f for f in kept if f.path in changed_set]
-        suppressed = [f for f in suppressed if f.path in changed_set]
-        stale = []
-
     return LintResult(
         findings=sorted(kept),
         suppressed=sorted(suppressed),
@@ -363,9 +290,6 @@ def run_lint(
         eq_table=eq_table,
         files_checked=len(relpaths),
         rules_run=[rule.meta.id for rule in active_rules],
-        changed_files=changed,
-        cache_hits=cache.hits if cache else 0,
-        cache_misses=cache.misses if cache else len(relpaths),
         project=project,
     )
 
@@ -418,9 +342,6 @@ def check_project(
     }
     project = ProjectInfo(
         modules=modules,
-        summaries={
-            module.relpath: summarize_module(module) for module in modules
-        },
         suppressions=suppression_map,
         docs=dict(docs or {}),
     )

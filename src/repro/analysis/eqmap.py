@@ -33,7 +33,6 @@ __all__ = [
     "EqTable",
     "parse_paper_equations",
     "scan_module",
-    "table_from_scans",
     "build_table",
 ]
 
@@ -276,22 +275,6 @@ class EqTable:
         }
 
 
-def table_from_scans(
-    claims: List[EqClaim], mentions: List[EqMention], paper_text: str
-) -> EqTable:
-    """Assemble the table from pre-scanned claims/mentions.
-
-    The analysis cache stores each file's scan results, so warm lint
-    runs rebuild the table without re-parsing any module.
-    """
-    numbers = parse_paper_equations(paper_text)
-    registry = {
-        number: EQUATION_TITLES.get(number, "(no curated statement)")
-        for number in numbers
-    }
-    return EqTable(registry=registry, claims=claims, mentions=mentions)
-
-
 def build_table(
     modules: List[ModuleInfo], paper_text: str
 ) -> EqTable:
@@ -302,4 +285,8 @@ def build_table(
         module_claims, module_mentions = scan_module(module)
         claims.extend(module_claims)
         mentions.extend(module_mentions)
-    return table_from_scans(claims, mentions, paper_text)
+    registry = {
+        number: EQUATION_TITLES.get(number, "(no curated statement)")
+        for number in parse_paper_equations(paper_text)
+    }
+    return EqTable(registry=registry, claims=claims, mentions=mentions)

@@ -35,7 +35,7 @@ from typing import (
 if TYPE_CHECKING:  # pragma: no cover
     from pathlib import Path
 
-    from repro.analysis.callgraph import CallGraph, ModuleSummary
+    from repro.analysis.callgraph import CallGraph
     from repro.analysis.dataflow import Taint
     from repro.analysis.eqmap import EqTable
     from repro.analysis.suppressions import Suppressions
@@ -92,11 +92,11 @@ class ModuleInfo:
 class ProjectInfo:
     """Everything the engine learned, for cross-file ``finalize`` passes.
 
-    ``modules`` holds the files parsed *this run* — on a warm-cache run
-    that may be a subset of the project (or empty). Whole-program rules
-    therefore go through :meth:`find_module` (which falls back to disk)
-    and :attr:`summaries` (which always covers every discovered file),
-    never through ``modules`` directly.
+    ``modules`` holds every discovered file, parsed once per run; the
+    call graph (:meth:`graph`) is built from their summaries on first
+    use. :meth:`find_module` also reaches files outside the linted
+    targets (e.g. ``telemetry/events.py`` when only ``src/repro/core``
+    is linted) by reading them from ``repo_root``.
     """
 
     modules: List[ModuleInfo] = field(default_factory=list)
@@ -104,8 +104,6 @@ class ProjectInfo:
     eq_table: "Optional[EqTable]" = None
     #: Repository root for on-demand file loading (None = in-memory only).
     repo_root: "Optional[Path]" = None
-    #: relpath -> whole-program summary, for every discovered file.
-    summaries: "Dict[str, ModuleSummary]" = field(default_factory=dict)
     #: relpath -> parsed suppression pragmas, for every discovered file.
     suppressions: "Dict[str, Suppressions]" = field(default_factory=dict)
     #: In-memory documentation overrides (tests); falls back to disk.
@@ -121,9 +119,10 @@ class ProjectInfo:
     def find_module(self, relpath: str) -> Optional[ModuleInfo]:
         """A parsed module by repo-relative path, loading lazily.
 
-        Prefers modules parsed this run; otherwise reads + parses from
-        ``repo_root``. Returns None when the file does not exist (or
-        fails to parse), so rules can degrade gracefully.
+        Prefers the linted modules; a file outside the lint targets is
+        read + parsed from ``repo_root``. Returns None when the file
+        does not exist (or fails to parse), so rules can degrade
+        gracefully.
         """
         if relpath in self._module_cache:
             return self._module_cache[relpath]
@@ -165,12 +164,12 @@ class ProjectInfo:
         if self._graph is None:
             from repro.analysis.callgraph import build_graph, summarize_module
 
-            if not self.summaries:
-                self.summaries = {
+            self._graph = build_graph(
+                {
                     module.relpath: summarize_module(module)
                     for module in self.modules
                 }
-            self._graph = build_graph(self.summaries)
+            )
         return self._graph
 
     def taints(self) -> "Dict[str, Dict[str, Taint]]":

@@ -32,8 +32,9 @@ The simulation service (``docs/SERVICE.md``)::
     python -m repro status --url http://127.0.0.1:8100 JOB_ID
     python -m repro watch --url http://127.0.0.1:8100 JOB_ID
 
-Exit codes: 0 success; 2 grid aborted with failed tasks; 3 degraded
-(``--on-failure degrade`` with failures); 130 interrupted and drained.
+Exit codes: 0 success; 2 usage or configuration error, or grid aborted
+with failed tasks; 3 degraded (``--on-failure degrade`` with failures);
+130 interrupted and drained.
 """
 
 from __future__ import annotations
@@ -487,7 +488,20 @@ def _trace_summary(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    arg_list = list(sys.argv[1:] if argv is None else argv)
+    """Run one command; a configuration error prints and exits 2.
+
+    Exit 2 is also what argparse gives a malformed flag, so every
+    usage error, whether argparse or the config validators catch it,
+    ends the same way: ``error: <message>`` on stderr, no traceback.
+    """
+    try:
+        return _dispatch(list(sys.argv[1:] if argv is None else argv))
+    except ConfigurationError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
+
+
+def _dispatch(arg_list: list) -> int:
     if arg_list and arg_list[0] == "lint":
         # The lint subcommand owns its flag set (see repro.analysis.cli).
         from repro.analysis.cli import main as lint_main

@@ -9,7 +9,6 @@ from repro.experiments.common import (
     PairResult,
     format_table,
     run_all_pairs,
-    run_pair,
 )
 from repro.experiments.registry import (
     Experiment,
@@ -39,5 +38,4 @@ __all__ = [
     "parallel_map",
     "run_all_pairs",
     "run_grid",
-    "run_pair",
 ]

@@ -22,7 +22,6 @@ from repro.workloads.pairs import BenchmarkPair
 __all__ = [
     "EvalConfig",
     "PairResult",
-    "run_pair",
     "run_all_pairs",
     "format_table",
 ]
@@ -171,13 +170,6 @@ class PairResult:
                 "check the run limits and workload streams"
             )
         return self._run_at(level).total_ipc / baseline_ipc
-
-
-def run_pair(pair: BenchmarkPair, config: EvalConfig = EvalConfig()) -> PairResult:
-    """Run one pair at every configured fairness level."""
-    from repro.experiments import runner
-
-    return runner.compute_pair(pair, config)
 
 
 def run_all_pairs(

@@ -115,10 +115,8 @@ class SupervisionPolicy:
     #: Base seconds of the deterministic exponential retry backoff
     #: (0 = respawn immediately, the historical behavior). Attempt
     #: ``n``'s retry is delayed by ``backoff_delay(retry_backoff, n,
-    #: index=task_index, seed=backoff_seed)``.
+    #: index=task_index)``.
     retry_backoff: float = 0.0
-    #: Seed of the deterministic backoff jitter (see :func:`backoff_delay`).
-    backoff_seed: int = 0
 
     def __post_init__(self) -> None:
         # NaN fails every comparison and inf never comes due, so both
@@ -142,9 +140,7 @@ class SupervisionPolicy:
 
     def delay_for(self, index: int, attempt: int) -> float:
         """Backoff before the retry that follows failed ``attempt``."""
-        return backoff_delay(
-            self.retry_backoff, attempt, index=index, seed=self.backoff_seed
-        )
+        return backoff_delay(self.retry_backoff, attempt, index=index)
 
 
 def backoff_delay(

@@ -6,16 +6,14 @@ from repro.metrics.report import (
     summarize_achieved_fairness,
     truncated_fairness,
 )
-from repro.metrics.summary import geomean, mean, stdev
-from repro.metrics.throughput import normalized_throughput, soe_speedup_over_single_thread
+from repro.metrics.summary import mean, stdev
+from repro.metrics.throughput import soe_speedup_over_single_thread
 
 __all__ = [
     "FairnessSummary",
     "bar_chart",
-    "geomean",
     "line_chart",
     "mean",
-    "normalized_throughput",
     "soe_speedup_over_single_thread",
     "stdev",
     "summarize_achieved_fairness",

@@ -7,7 +7,7 @@ from typing import Sequence
 
 from repro.errors import ConfigurationError
 
-__all__ = ["mean", "stdev", "geomean"]
+__all__ = ["mean", "stdev"]
 
 
 def mean(values: Sequence[float]) -> float:
@@ -25,12 +25,3 @@ def stdev(values: Sequence[float]) -> float:
         return 0.0
     m = mean(values)
     return math.sqrt(sum((v - m) ** 2 for v in values) / (len(values) - 1))
-
-
-def geomean(values: Sequence[float]) -> float:
-    """Geometric mean of positive values."""
-    if not values:
-        raise ConfigurationError("geomean of an empty sequence")
-    if any(v <= 0 for v in values):
-        raise ConfigurationError("geomean requires positive values")
-    return math.exp(sum(math.log(v) for v in values) / len(values))

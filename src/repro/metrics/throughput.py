@@ -6,7 +6,7 @@ from typing import Sequence
 
 from repro.errors import ConfigurationError
 
-__all__ = ["soe_speedup_over_single_thread", "normalized_throughput"]
+__all__ = ["soe_speedup_over_single_thread"]
 
 
 def soe_speedup_over_single_thread(
@@ -26,10 +26,3 @@ def soe_speedup_over_single_thread(
     if mean_st <= 0:
         raise ConfigurationError("single-thread IPCs must be positive")
     return total_soe_ipc / mean_st
-
-
-def normalized_throughput(ipc_with_fairness: float, ipc_without: float) -> float:
-    """Figure 7's y-axis: throughput normalized to the F = 0 run."""
-    if ipc_without <= 0:
-        raise ConfigurationError("baseline throughput must be positive")
-    return ipc_with_fairness / ipc_without

@@ -4,7 +4,6 @@ import ast
 import textwrap
 
 from repro.analysis.callgraph import (
-    ModuleSummary,
     build_graph,
     module_dotted_name,
     summarize_module,
@@ -148,23 +147,6 @@ class TestSummarizeModule:
         assert any(
             s.callee == "target" for s in summary.functions["outer"].calls
         )
-
-    def test_json_round_trip(self):
-        summary = summarize_module(
-            _mod(
-                "src/repro/m.py",
-                """
-                import random
-
-                _LOG = []
-
-                class C:
-                    def m(self):
-                        _LOG.append(random.random())
-                """,
-            )
-        )
-        assert ModuleSummary.from_json(summary.to_json()) == summary
 
 
 class TestBuildGraph:

@@ -155,6 +155,17 @@ class TestGithubFormat:
         assert "::" not in out
         assert "0 finding(s)" in out
 
+    def test_ratchet_annotates_stale_baseline_entries(self, tmp_path, capsys):
+        repo = _mini_repo(tmp_path, DIRTY)
+        assert run_cli(repo, "--write-baseline") == 0
+        (repo / "src/repro/core/model.py").write_text(CLEAN)
+        capsys.readouterr()
+        assert run_cli(repo, "--ratchet", "--format", "github") == 1
+        out = capsys.readouterr().out
+        assert "::error title=stale baseline entry::" in out
+        assert run_cli(repo, "--format", "github") == 0
+        assert "::" not in capsys.readouterr().out
+
 
 class TestGraphOutput:
     def test_graph_to_file(self, tmp_path):
@@ -171,18 +182,3 @@ class TestGraphOutput:
         out = capsys.readouterr().out
         graph = json.loads(out[out.index("{"):])
         assert "repro.core.model.f" in graph["functions"]
-
-
-class TestCacheFlags:
-    def test_cache_dir_and_changed_only(self, tmp_path, capsys):
-        repo = _mini_repo(tmp_path, DIRTY)
-        cache = tmp_path / "cache"
-        assert run_cli(repo, "--no-baseline", "--cache-dir", str(cache)) == 1
-        assert (cache / "repro-lint-cache.json").is_file()
-        capsys.readouterr()
-        # Warm + --changed-only: nothing changed, so nothing reported —
-        # the finding still exists, as a plain warm run shows.
-        assert run_cli(repo, "--no-baseline", "--cache-dir", str(cache),
-                       "--changed-only") == 0
-        assert "0 finding(s)" in capsys.readouterr().out
-        assert run_cli(repo, "--no-baseline", "--cache-dir", str(cache)) == 1

@@ -55,10 +55,10 @@ class TestBackoffDelay:
 
 class TestPolicyDelay:
     def test_policy_routes_its_seed_and_base(self):
-        policy = SupervisionPolicy(retry_backoff=0.5, backoff_seed=9)
-        assert policy.delay_for(4, 2) == backoff_delay(
-            0.5, 2, index=4, seed=9
-        )
+        policy = SupervisionPolicy(retry_backoff=0.5)
+        assert policy.delay_for(4, 2) == backoff_delay(0.5, 2, index=4)
+        # The seed decorrelates otherwise identical retry schedules.
+        assert backoff_delay(0.5, 2, index=4, seed=9) != policy.delay_for(4, 2)
 
     def test_default_policy_has_no_backoff(self):
         assert SupervisionPolicy().delay_for(0, 1) == 0.0
@@ -212,8 +212,7 @@ class TestRetryTelemetry:
         plan = faults.FaultPlan(
             specs=(faults.FaultSpec(kind="crash", index=0, count=1),)
         )
-        policy = SupervisionPolicy(retries=1, retry_backoff=0.05,
-                                   backoff_seed=3)
+        policy = SupervisionPolicy(retries=1, retry_backoff=0.05)
         sink = telemetry.RingBufferSink()
         with telemetry.tracing(sink), faults.fault_injection(plan):
             with TaskPool(_double, jobs=1, policy=policy) as pool:
@@ -225,5 +224,8 @@ class TestRetryTelemetry:
         ]
         assert len(retries) == 1
         assert retries[0]["reason"] == "crash"
-        assert retries[0]["backoff_s"] == policy.delay_for(0, 1)
+        assert retries[0]["backoff_s"] == backoff_delay(0.05, 1, index=0)
+        assert retries[0]["backoff_s"] != backoff_delay(
+            0.05, 1, index=0, seed=3
+        )
         telemetry.validate_event(retries[0])

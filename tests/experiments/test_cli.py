@@ -2,6 +2,10 @@
 
 import inspect
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -51,15 +55,43 @@ class TestCli:
         out = capsys.readouterr().out
         assert "Ablations" in out
 
-    def test_unknown_experiment_propagates(self):
-        with pytest.raises(ConfigurationError):
-            main(["fig99"])
+    def test_unknown_experiment_exits_2(self, capsys):
+        assert main(["fig99"]) == 2
+        assert "error: unknown experiment 'fig99'" in capsys.readouterr().err
 
     def test_parser_runner_defaults(self):
         args = build_parser().parse_args(["fig3"])
         assert args.jobs == 1
         assert args.cache_dir is None
         assert not args.no_cache
+
+
+class TestUsageErrors:
+    """Configuration errors end like argparse errors: a message, exit 2."""
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["fig6", "--jobs", "0"], "jobs must be a positive"),
+            (["fig6", "--inject-faults", "bogus@1"], "unknown fault kind"),
+            (["serve", "--port", "99999"], "port must be in"),
+        ],
+    )
+    def test_python_m_repro_prints_the_error_without_traceback(
+        self, args, message
+    ):
+        env = dict(os.environ)
+        src = pathlib.Path(cli.__file__).resolve().parents[1]
+        env["PYTHONPATH"] = str(src)
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", *args],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 2, done.stderr
+        assert done.stderr.startswith("error: ")
+        assert message in done.stderr
+        assert "Traceback" not in done.stderr
+        assert done.stdout == ""
 
 
 class TestConfigPlumbing:
@@ -210,10 +242,10 @@ class TestRunnerFlags:
         assert seen["settings"].cache_dir is None
 
     @pytest.mark.parametrize("command", ["table2", "serve"])
-    def test_infinite_retry_backoff_is_refused(self, command):
+    def test_infinite_retry_backoff_is_refused(self, command, capsys):
         """An inf backoff would park the first retry forever."""
-        with pytest.raises(ConfigurationError, match="retry backoff"):
-            main([command, "--retry-backoff", "inf"])
+        assert main([command, "--retry-backoff", "inf"]) == 2
+        assert "retry backoff" in capsys.readouterr().err
 
 
 class TestPolicyCli:
@@ -247,13 +279,13 @@ class TestPolicyCli:
         assert main(["fake-policy", "--policy", "drr-arbiter"]) == 0
         assert received["config"].policy == "drr-arbiter"
 
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(ConfigurationError, match="unknown policy"):
-            main(["fig3", "--policy", "nope"])
+    def test_unknown_policy_rejected(self, capsys):
+        assert main(["fig3", "--policy", "nope"]) == 2
+        assert "unknown policy" in capsys.readouterr().err
 
-    def test_policies_flag_only_valid_for_frontier(self):
-        with pytest.raises(ConfigurationError, match="frontier"):
-            main(["fig3", "--policies", "none,fairness"])
+    def test_policies_flag_only_valid_for_frontier(self, capsys):
+        assert main(["fig3", "--policies", "none,fairness"]) == 2
+        assert "frontier" in capsys.readouterr().err
 
     def test_frontier_honors_the_policies_flag(self, monkeypatch, capsys):
         from repro.experiments import frontier, registry

@@ -605,15 +605,17 @@ class TestFaultCli:
         assert main([fake_grid_experiment, "--resume", str(journal)]) == 0
 
     def test_conflicting_checkpoint_and_resume_rejected(
-        self, fake_grid_experiment
+        self, fake_grid_experiment, capsys
     ):
         from repro.cli import main
 
-        with pytest.raises(ConfigurationError, match="different journals"):
-            main([fake_grid_experiment, "--checkpoint", "a", "--resume", "b"])
+        assert main(
+            [fake_grid_experiment, "--checkpoint", "a", "--resume", "b"]
+        ) == 2
+        assert "different journals" in capsys.readouterr().err
 
-    def test_malformed_fault_spec_rejected(self, fake_grid_experiment):
+    def test_malformed_fault_spec_rejected(self, fake_grid_experiment, capsys):
         from repro.cli import main
 
-        with pytest.raises(ConfigurationError, match="malformed fault"):
-            main([fake_grid_experiment, "--inject-faults", "bogus"])
+        assert main([fake_grid_experiment, "--inject-faults", "bogus"]) == 2
+        assert "malformed fault" in capsys.readouterr().err

@@ -8,7 +8,8 @@ paper numbers (tests/conformance/ checks those at the default scale).
 import pytest
 
 from repro.experiments import fig6, fig7, fig8
-from repro.experiments.common import EvalConfig, run_all_pairs, run_pair
+from repro.experiments.common import EvalConfig, run_all_pairs
+from repro.experiments.runner import compute_pair
 from repro.workloads.pairs import BenchmarkPair, evaluation_pairs
 
 
@@ -39,7 +40,7 @@ class TestPairGrid:
             assert pair_result.normalized_throughput(0.0) == pytest.approx(1.0)
 
     def test_single_pair_runner(self, config):
-        result = run_pair(BenchmarkPair("gcc", "eon"), config)
+        result = compute_pair(BenchmarkPair("gcc", "eon"), config)
         assert result.pair.label == "gcc:eon"
         assert result.baseline.total_ipc > 0
 

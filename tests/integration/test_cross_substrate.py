@@ -110,12 +110,13 @@ class TestEngineModelAgreement:
 
 class TestWorkloadDeterminismAcrossLayers:
     def test_same_seed_same_results_everywhere(self):
-        from repro.experiments.common import EvalConfig, run_pair
+        from repro.experiments.common import EvalConfig
+        from repro.experiments.runner import compute_pair
         from repro.workloads.pairs import BenchmarkPair
 
         config = EvalConfig.quick()
-        a = run_pair(BenchmarkPair("gcc", "eon"), config)
-        b = run_pair(BenchmarkPair("gcc", "eon"), config)
+        a = compute_pair(BenchmarkPair("gcc", "eon"), config)
+        b = compute_pair(BenchmarkPair("gcc", "eon"), config)
         assert a.ipc_st == b.ipc_st
         for level in config.fairness_levels:
             assert a.runs[level].ipcs == b.runs[level].ipcs

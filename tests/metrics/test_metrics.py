@@ -7,11 +7,8 @@ from repro.metrics.report import (
     summarize_achieved_fairness,
     truncated_fairness,
 )
-from repro.metrics.summary import geomean, mean, stdev
-from repro.metrics.throughput import (
-    normalized_throughput,
-    soe_speedup_over_single_thread,
-)
+from repro.metrics.summary import mean, stdev
+from repro.metrics.throughput import soe_speedup_over_single_thread
 
 
 class TestThroughputMetrics:
@@ -22,14 +19,11 @@ class TestThroughputMetrics:
     def test_speedup_below_one_possible(self):
         assert soe_speedup_over_single_thread(1.0, [2.0, 2.0]) == pytest.approx(0.5)
 
-    def test_normalized_throughput(self):
-        assert normalized_throughput(1.8, 2.0) == pytest.approx(0.9)
-
     def test_rejects_degenerate_inputs(self):
         with pytest.raises(ConfigurationError):
             soe_speedup_over_single_thread(1.0, [])
         with pytest.raises(ConfigurationError):
-            normalized_throughput(1.0, 0.0)
+            soe_speedup_over_single_thread(1.0, [0.0])
 
 
 class TestTruncatedFairness:
@@ -94,14 +88,7 @@ class TestSummaryStats:
     def test_stdev_single_value(self):
         assert stdev([5.0]) == 0.0
 
-    def test_geomean(self):
-        assert geomean([1.0, 4.0]) == pytest.approx(2.0)
-
-    def test_geomean_rejects_non_positive(self):
-        with pytest.raises(ConfigurationError):
-            geomean([1.0, 0.0])
-
     def test_empty_rejected(self):
-        for fn in (mean, stdev, geomean):
+        for fn in (mean, stdev):
             with pytest.raises(ConfigurationError):
                 fn([])
