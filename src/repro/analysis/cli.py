@@ -27,6 +27,7 @@ from repro.analysis.engine import (
     DEFAULT_BASELINE,
     DEFAULT_TARGET,
     LintResult,
+    build_eq_table,
     default_repo_root,
     run_lint,
 )
@@ -228,30 +229,34 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     baseline_path = repo_root / args.baseline
 
     try:
-        baseline = (
-            None
-            if (args.no_baseline or args.write_baseline)
-            else Baseline.load(baseline_path)
-        )
-        result = run_lint(
-            repo_root=repo_root,
-            targets=tuple(args.targets),
-            select=_split(args.select),
-            disable=_split(args.disable),
-            baseline=baseline,
-        )
+        if args.eq_table:
+            # The table needs only the docstring scan, not a lint pass.
+            table = build_eq_table(repo_root, tuple(args.targets))
+        else:
+            baseline = (
+                None
+                if (args.no_baseline or args.write_baseline)
+                else Baseline.load(baseline_path)
+            )
+            result = run_lint(
+                repo_root=repo_root,
+                targets=tuple(args.targets),
+                select=_split(args.select),
+                disable=_split(args.disable),
+                baseline=baseline,
+            )
     except ConfigurationError as exc:
         print(f"repro-lint: error: {exc}", file=sys.stderr)
         return 2
 
     if args.eq_table:
-        if result.eq_table is None:
+        if table is None:
             print("repro-lint: error: PAPER.md not found", file=sys.stderr)
             return 2
         text = (
-            result.eq_table.render_markdown()
+            table.render_markdown()
             if args.format == "markdown"
-            else result.eq_table.render_text()
+            else table.render_text()
         )
         print(text)
         if args.output:

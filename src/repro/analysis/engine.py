@@ -41,6 +41,7 @@ from repro.errors import ConfigurationError
 __all__ = [
     "LintResult",
     "run_lint",
+    "build_eq_table",
     "discover_files",
     "default_repo_root",
     "check_source",
@@ -235,6 +236,31 @@ def _load_module(path: Path, relpath: str) -> ModuleInfo:
     return ModuleInfo(relpath=relpath, tree=tree, source=source)
 
 
+def _load_modules(root: Path, targets: Sequence[str]) -> List[ModuleInfo]:
+    return [
+        _load_module(root / relpath, relpath)
+        for relpath in discover_files(root, targets)
+    ]
+
+
+def _eq_table(root: Path, modules: List[ModuleInfo]) -> Optional[EqTable]:
+    paper_path = root / "PAPER.md"
+    if not paper_path.exists():
+        return None
+    return build_table(modules, paper_path.read_text())
+
+
+def build_eq_table(
+    repo_root: Optional[Path] = None,
+    targets: Sequence[str] = (DEFAULT_TARGET,),
+) -> Optional[EqTable]:
+    """The equation table :func:`run_lint` would report for ``targets``,
+    built from the docstring scan alone: no rule and no whole-program
+    pass runs. None when the repo has no PAPER.md."""
+    root = (repo_root or default_repo_root()).resolve()
+    return _eq_table(root, _load_modules(root, targets))
+
+
 def run_lint(
     repo_root: Optional[Path] = None,
     targets: Sequence[str] = (DEFAULT_TARGET,),
@@ -244,10 +270,9 @@ def run_lint(
 ) -> LintResult:
     """Lint ``targets`` (repo-relative files or directories) end to end."""
     root = (repo_root or default_repo_root()).resolve()
-    relpaths = discover_files(root, targets)
+    modules = _load_modules(root, targets)
     active_rules: List[Rule] = select_rules(select, disable)
 
-    modules = [_load_module(root / relpath, relpath) for relpath in relpaths]
     suppression_map: Dict[str, Suppressions] = {}
     raw: List[Finding] = []
     for module in modules:
@@ -256,11 +281,7 @@ def run_lint(
             if rule.meta.applies_to(module.relpath):
                 raw.extend(rule.check_module(module))
 
-    paper_path = root / "PAPER.md"
-    eq_table: Optional[EqTable] = None
-    if paper_path.exists():
-        eq_table = build_table(modules, paper_path.read_text())
-
+    eq_table = _eq_table(root, modules)
     project = ProjectInfo(
         modules=modules,
         eq_table=eq_table,
@@ -288,7 +309,7 @@ def run_lint(
         suppressed=sorted(suppressed),
         stale_baseline=stale,
         eq_table=eq_table,
-        files_checked=len(relpaths),
+        files_checked=len(modules),
         rules_run=[rule.meta.id for rule in active_rules],
         project=project,
     )

@@ -151,8 +151,9 @@ def scan_module(module: ModuleInfo) -> Tuple[List[EqClaim], List[EqMention]]:
                 visit(child, f"{prefix}{child.name}.")
             elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, prefix)
-            elif not isinstance(child, (ast.Lambda,)):
-                # Plain statements may nest defs (e.g. under `if`).
+            elif not isinstance(child, ast.expr):
+                # Plain statements may nest defs (e.g. under `if`);
+                # expressions never do, so they are not walked.
                 visit_children_only(child, prefix)
 
     def visit_children_only(node: ast.AST, prefix: str) -> None:
@@ -161,7 +162,7 @@ def scan_module(module: ModuleInfo) -> Tuple[List[EqClaim], List[EqMention]]:
                 visit(child, f"{prefix}{child.name}.")
             elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, prefix)
-            else:
+            elif not isinstance(child, ast.expr):
                 visit_children_only(child, prefix)
 
     visit(module.tree, "")

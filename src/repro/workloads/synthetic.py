@@ -12,19 +12,31 @@ behaviour the paper studies.
 All generators are deterministic given a seed, and restartable: each
 call to ``stream()`` replays the identical segment sequence, which is
 what lets the single-thread reference run and every SOE configuration
-see the same workload.
+see the same workload. Like the paper's recorded traces, each stream is
+drawn once per process and replayed from a recording after that (see
+:class:`_StreamMemo`).
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import random
+from array import array
+from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, Optional, Sequence, Tuple
 
-from repro.engine.segments import Segment, SegmentStream
-from repro.errors import ConfigurationError
+from repro.engine.segments import (
+    Segment,
+    SegmentStream,
+    _set_cycles,
+    _set_ends_with_miss,
+    _set_instructions,
+    _set_miss_latency,
+)
+from repro.errors import ConfigurationError, WorkloadError
 
 __all__ = [
     "SegmentDistribution",
@@ -93,7 +105,7 @@ class SegmentDistribution:
     def _constant_segment(self) -> Segment:
         """The one segment a fully deterministic distribution produces.
 
-        When both coefficients of variation are zero, ``draw`` consumes
+        When both coefficients of variation are zero, a draw consumes
         no randomness and every draw is identical, so the (frozen)
         segment is built once and shared -- the dominant case in the
         paper's uniform-workload sweeps.
@@ -140,10 +152,6 @@ class SegmentDistribution:
             return Segment(instructions, instructions / ipc)
 
         return draw
-
-    def draw(self, rng: random.Random) -> Segment:
-        """Draw one segment."""
-        return self.sampler(rng)()
 
 
 @dataclass(frozen=True)
@@ -198,19 +206,164 @@ def _generate(
                 yield segment
 
 
+#: Most segments the stream memo keeps recorded in one process: two
+#: 8-byte columns each, so about 2 MiB. A default evaluation grid draws
+#: about 71k distinct segments.
+MEMO_SEGMENTS = 1 << 17
+
+_StreamKey = Tuple[Tuple[Phase, ...], int, float]
+
+
+class _Recording:
+    """The segments of one stream drawn so far, and the generator that
+    draws the rest.
+
+    Synthetic segments always end with a miss and use the machine's
+    default miss latency, so only the two numeric fields are recorded;
+    :func:`_replay` refuses a drawn segment for which that is false.
+    """
+
+    __slots__ = ("instructions", "cycles", "live", "evicted")
+
+    def __init__(self, live: Iterator[Segment]) -> None:
+        self.instructions = array("d")
+        self.cycles = array("d")
+        #: the live generator, positioned at the end of the columns;
+        #: None once an evicted recording has handed it to an iterator
+        self.live: Optional[Iterator[Segment]] = live
+        #: dropped from the memo: the columns stop growing
+        self.evicted = False
+
+
+class _StreamMemo:
+    """Recordings of the synthetic streams drawn in this process.
+
+    The evaluation replays each stream many times: the single-thread
+    reference run and every SOE run of every fairness level read the
+    same sequence. A recording is keyed by everything the sequence
+    depends on, ``(phases, seed, skip_instructions)``, so a replay is
+    the draw itself, float for float. At most :data:`MEMO_SEGMENTS`
+    segments stay recorded; past that, whole least-recently-used
+    streams are evicted. Iterators already reading an evicted recording
+    still see the full sequence (:func:`_replay`).
+
+    One process never advances a stream from two threads: grid tasks
+    and service jobs run one at a time in each pool worker process, and
+    an inline run simulates in the calling thread. Iterators of one
+    stream may interleave freely within a thread.
+    """
+
+    def __init__(self, capacity: int) -> None:
+        self.capacity = capacity
+        self.recordings: "OrderedDict[_StreamKey, _Recording]" = OrderedDict()
+        #: segments held in the recordings of ``recordings``
+        self.size = 0
+
+    def recording(self, key: _StreamKey) -> _Recording:
+        """The recording of ``key``, started if there is none."""
+        recording = self.recordings.get(key)
+        if recording is None:
+            recording = self.recordings[key] = _Recording(_generate(*key))
+        else:
+            self.recordings.move_to_end(key)
+        return recording
+
+    def evict(self) -> None:
+        """Drop least-recently-used recordings until ``size`` fits."""
+        while self.size > self.capacity and self.recordings:
+            _, recording = self.recordings.popitem(last=False)
+            recording.evicted = True
+            self.size -= len(recording.instructions)
+
+
+# A forked child inherits recordings that replay exactly what it would
+# draw, so what ran earlier in a process never changes a result.
+# fork-safe: per-process, content-addressed, result-invariant
+_MEMO = _StreamMemo(MEMO_SEGMENTS)
+
+
+def _replay(memo: _StreamMemo, key: _StreamKey) -> Iterator[Segment]:
+    """Iterate ``key``'s stream through its recording in ``memo``.
+
+    Recorded segments are rebuilt through the slot setters: they passed
+    ``Segment.__init__``'s checks when drawn. Past the recorded end the
+    iterator draws from the live generator and records what it draws.
+    Once the recording is evicted it stops growing: the first iterator
+    past its end takes the live generator over, and any other one
+    redraws the stream from the start.
+    """
+    recording = memo.recording(key)
+    instructions, cycles = recording.instructions, recording.cycles
+    record_instructions, record_cycles = instructions.append, cycles.append
+    # Replay binds the segment builders locally: it runs once per segment.
+    new_segment, set_instructions = object.__new__, _set_instructions
+    set_cycles, set_ends_with_miss = _set_cycles, _set_ends_with_miss
+    set_miss_latency = _set_miss_latency
+    position = 0
+    while True:
+        end = len(instructions)
+        if position < end:
+            while position < end:
+                segment = new_segment(Segment)
+                set_instructions(segment, instructions[position])
+                set_cycles(segment, cycles[position])
+                set_ends_with_miss(segment, True)
+                set_miss_latency(segment, None)
+                position += 1
+                yield segment
+            continue  # the columns may have grown while this one replayed
+        live = recording.live
+        if recording.evicted:
+            if live is None:
+                yield from itertools.islice(_generate(*key), position, None)
+            else:
+                recording.live = None
+                del recording, instructions, cycles, record_instructions, record_cycles
+                yield from live
+            return
+        capacity = memo.capacity
+        for segment in live:  # type: ignore[union-attr]
+            if segment.ends_with_miss is not True or segment.miss_latency is not None:
+                raise WorkloadError(
+                    "a synthetic segment must end with a default-latency "
+                    f"miss: {segment}"
+                )
+            record_instructions(segment.instructions)
+            record_cycles(segment.cycles)
+            position += 1
+            memo.size += 1
+            if memo.size > capacity:
+                memo.evict()
+            yield segment
+            # Another iterator may have drawn ahead, or the recording
+            # been evicted, while this one was suspended.
+            if position != len(instructions) or recording.evicted:
+                break
+        else:
+            return
+
+
 def make_stream(
     phases: Sequence[Phase],
     seed: int = 0,
     skip_instructions: float = 0.0,
     name: str = "",
 ) -> SegmentStream:
-    """A restartable stream cycling through ``phases`` forever."""
+    """A restartable stream cycling through ``phases`` forever.
+
+    The stream is recorded once per process and replayed after that,
+    unless every phase is constant: drawing from those costs no more
+    than a replay.
+    """
     if not phases:
         raise ConfigurationError("at least one phase is required")
-    phase_list = list(phases)
-    return SegmentStream(
-        lambda: _generate(phase_list, seed, skip_instructions), name=name
-    )
+    key = (tuple(phases), seed, skip_instructions)
+    if all(
+        phase.distribution.ipm_cv == 0 and phase.distribution.ipc_cv == 0
+        for phase in key[0]
+    ):
+        return SegmentStream(lambda: _generate(*key), name=name)
+    return SegmentStream(lambda: _replay(_MEMO, key), name=name)
 
 
 def uniform_stream(

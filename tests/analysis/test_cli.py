@@ -10,6 +10,8 @@ import json
 import pytest
 
 from repro.analysis.cli import main as lint_main
+from repro.analysis.engine import run_lint
+from repro.analysis.registry import ProjectInfo, all_rules
 
 CLEAN = 'def f(x: float) -> float:\n    """Eq. 1: identity."""\n    return x\n'
 DIRTY = (
@@ -111,6 +113,27 @@ class TestOutputs:
         assert "traceability" in capsys.readouterr().out
         assert run_cli(repo, "--eq-table", "--format", "markdown") == 0
         assert "| " in capsys.readouterr().out
+
+    def test_eq_table_needs_no_rule(self, monkeypatch, capsys):
+        """``--eq-table`` prints exactly the table a full run reports,
+        with no rule and no whole-program pass run."""
+        target = "src/repro/core"
+        table = run_lint(targets=(target,)).eq_table
+        expected = {
+            "text": table.render_text() + "\n",
+            "markdown": table.render_markdown() + "\n",
+        }
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("--eq-table ran a rule")
+
+        for rule in all_rules():
+            monkeypatch.setattr(type(rule), "check_module", refuse)
+            monkeypatch.setattr(type(rule), "finalize", refuse)
+        monkeypatch.setattr(ProjectInfo, "graph", refuse)
+        for fmt, text in expected.items():
+            assert lint_main(["--eq-table", "--format", fmt, target]) == 0
+            assert capsys.readouterr().out == text
 
     def test_list_rules(self, tmp_path, capsys):
         assert lint_main(["--list-rules"]) == 0

@@ -8,6 +8,10 @@ bit-identical. Each digest is the SHA-256 of the first
 ``(instructions, cycles, ends_with_miss)``. The draws go through
 ``random.Random.random``, whose output is the same on every CPython
 version the project supports.
+
+Streams are recorded once per process and replayed after that
+(``repro.workloads.synthetic._StreamMemo``), so the digests are also
+checked on replays, on interleaved iterators and across evictions.
 """
 
 from __future__ import annotations
@@ -54,15 +58,19 @@ PROFILE_DIGESTS = {
 }
 
 
-def _digest(stream) -> str:
+def _digest_of(segments) -> str:
     h = hashlib.sha256()
-    for segment in itertools.islice(stream.segments(), SEGMENTS):
+    for segment in segments:
         h.update(
             struct.pack(
                 "<dd?", segment.instructions, segment.cycles, segment.ends_with_miss
             )
         )
     return h.hexdigest()
+
+
+def _digest(stream) -> str:
+    return _digest_of(itertools.islice(stream.segments(), SEGMENTS))
 
 
 def test_every_profile_is_pinned():
@@ -97,3 +105,44 @@ def test_phased_stream():
     assert _digest(stream) == (
         "08a406af58a5630eaa5e479807af7673bf188025dabc4e5102b9d90431a134ab"
     )
+
+
+@pytest.mark.parametrize("name", sorted(PROFILE_DIGESTS))
+def test_profile_stream_replayed(name, fresh_memo):
+    """The first pass draws and records the stream; the second replays
+    the recording."""
+    fresh_memo()
+    stream = get_profile(name).stream(seed=1)
+    assert _digest(stream) == PROFILE_DIGESTS[name]
+    assert _digest(stream) == PROFILE_DIGESTS[name]
+
+
+def test_interleaved_iterators(fresh_memo):
+    """Two iterators of one stream, advanced alternately in uneven
+    steps, each see the whole sequence: the leader draws, the other
+    replays, and they swap roles."""
+    fresh_memo()
+    stream = get_profile("gcc").stream(seed=1)
+    iterators = [stream.segments(), stream.segments()]
+    seen = [[], []]
+    steps = itertools.cycle([(0, 7), (1, 3), (1, 11), (0, 2), (0, 13), (1, 1)])
+    while min(len(s) for s in seen) < SEGMENTS:
+        which, count = next(steps)
+        seen[which].extend(itertools.islice(iterators[which], count))
+    for segments in seen:
+        assert _digest_of(segments[:SEGMENTS]) == PROFILE_DIGESTS["gcc"]
+
+
+def test_eviction_keeps_every_iterator_whole(fresh_memo):
+    """With a memo smaller than one pass, the stream is evicted while
+    two iterators read it: the leader keeps the live generator, the one
+    behind redraws, and a later re-read records the stream again."""
+    memo = fresh_memo(capacity=1_000)
+    stream = get_profile("mcf").stream(seed=1)
+    behind, leader = stream.segments(), stream.segments()
+    head = list(itertools.islice(behind, 500))
+    assert _digest_of(itertools.islice(leader, SEGMENTS)) == PROFILE_DIGESTS["mcf"]
+    assert memo.size <= memo.capacity
+    rest = itertools.islice(behind, SEGMENTS - len(head))
+    assert _digest_of([*head, *rest]) == PROFILE_DIGESTS["mcf"]
+    assert _digest(stream) == PROFILE_DIGESTS["mcf"]

@@ -6,6 +6,9 @@ import math
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.workloads import synthetic
+from repro.workloads.pairs import SAME_BENCHMARK_OFFSET
+from repro.workloads.spec2000 import get_profile
 from repro.workloads.synthetic import (
     Phase,
     SegmentDistribution,
@@ -24,7 +27,7 @@ class TestSegmentDistribution:
         import random
 
         dist = SegmentDistribution(ipc_no_miss=2.5, ipm=1_000)
-        segment = dist.draw(random.Random(0))
+        segment = dist.sampler(random.Random(0))()
         assert segment.instructions == pytest.approx(1_000)
         assert segment.cycles == pytest.approx(400)
 
@@ -32,9 +35,9 @@ class TestSegmentDistribution:
         import random
 
         dist = SegmentDistribution(2.0, 500, ipm_cv=0.0, ipc_cv=0.0)
-        rng = random.Random(42)
+        draw = dist.sampler(random.Random(42))
         for _ in range(10):
-            segment = dist.draw(rng)
+            segment = draw()
             assert segment.instructions == pytest.approx(500)
             assert segment.ipc == pytest.approx(2.0)
 
@@ -42,8 +45,8 @@ class TestSegmentDistribution:
         import random
 
         dist = SegmentDistribution(2.0, 1_000, ipm_cv=0.7)
-        rng = random.Random(7)
-        draws = [dist.draw(rng).instructions for _ in range(20_000)]
+        draw = dist.sampler(random.Random(7))
+        draws = [draw().instructions for _ in range(20_000)]
         assert sum(draws) / len(draws) == pytest.approx(1_000, rel=0.05)
 
     def test_cpm_property(self):
@@ -119,3 +122,41 @@ class TestPhasedStream:
     def test_rejects_non_positive_phase_length(self):
         with pytest.raises(ConfigurationError):
             Phase(SegmentDistribution(2.0, 100), 0)
+
+
+class TestStreamMemo:
+    """Streams are recorded once per process and replayed."""
+
+    def test_skip_offset_replay_equals_fresh_draw(self, fresh_memo):
+        """gcc:gcc's second thread, drawn then replayed, against the
+        generator itself."""
+        stream = get_profile("gcc").stream(
+            seed=2, skip_instructions=SAME_BENCHMARK_OFFSET
+        )
+        phases = tuple(get_profile("gcc")._phases())
+        fresh = list(
+            itertools.islice(
+                synthetic._generate(phases, 2, SAME_BENCHMARK_OFFSET), 5_000
+            )
+        )
+        memo = fresh_memo()
+        assert take(stream, 5_000) == fresh
+        assert take(stream, 5_000) == fresh
+        assert memo.size == 5_000
+
+    def test_recorded_total_stays_under_cap(self, fresh_memo):
+        memo = fresh_memo(capacity=3_000)
+        for seed in range(4):
+            take(uniform_stream(2.0, 1_000, ipm_cv=0.5, seed=seed), 1_200)
+            assert memo.size <= memo.capacity
+            assert memo.size == sum(
+                len(recording.instructions)
+                for recording in memo.recordings.values()
+            )
+        # The two most recently used streams are kept whole.
+        assert [key[1] for key in memo.recordings] == [2, 3]
+
+    def test_constant_streams_are_not_recorded(self, fresh_memo):
+        memo = fresh_memo()
+        take(uniform_stream(2.0, 1_000, seed=1), 100)
+        assert memo.size == 0 and not memo.recordings
