@@ -7,13 +7,15 @@ model
 fairness
     The fairness metric (Eq. 4) and related single-number metrics.
 counters
-    Per-thread hardware counters (``Instrs``, ``Cycles``, ``Misses``).
+    One window's hardware counters (``Instrs``, ``Cycles``, ``Misses``).
 estimator
     Runtime single-thread IPC estimation (Eqs. 11-13).
 quota
     The ``IPSw_j`` quota computation (Eq. 9).
 deficit
-    Deficit counters that maintain the quota as a long-run average.
+    :class:`DeficitPolicy`, the counters and deficit counters (which
+    maintain the quota as a long-run average) behind every
+    deficit-based policy.
 policy
     The engine-agnostic :class:`SwitchPolicy` interface plus baselines.
 controller
@@ -26,8 +28,8 @@ icount / lfoc / drr
 """
 
 from repro.core.controller import FairnessController, FairnessParams, SamplePoint
-from repro.core.counters import CounterSample, HardwareCounters
-from repro.core.deficit import DeficitCounter
+from repro.core.counters import CounterSample
+from repro.core.deficit import DeficitPolicy
 from repro.core.estimator import IpcStEstimator, ThreadEstimate
 from repro.core.fairness import (
     fairness,
@@ -56,11 +58,10 @@ from repro.core.quota import quotas_from_estimates
 
 __all__ = [
     "CounterSample",
-    "DeficitCounter",
+    "DeficitPolicy",
     "DrrArbiterPolicy",
     "FairnessController",
     "FairnessParams",
-    "HardwareCounters",
     "IcountPolicy",
     "IpcStEstimator",
     "LfocClusterPolicy",

@@ -26,11 +26,9 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.core.counters import HardwareCounters
-from repro.core.deficit import DeficitCounter
+from repro.core.deficit import DeficitPolicy
 from repro.core.estimator import IpcStEstimator, ThreadEstimate
 from repro.core.latency import MissLatencyMonitor
-from repro.core.policy import SwitchPolicy
 from repro.core.quota import quotas_from_estimates
 from repro.errors import ConfigurationError
 from repro.telemetry import CONTROLLER as _TRACE_CONTROLLER
@@ -75,8 +73,14 @@ class FairnessParams:
             raise ConfigurationError("miss_lat must be non-negative")
         if self.sample_period <= 0:
             raise ConfigurationError("sample_period must be positive")
-        if self.weights is not None and any(w <= 0 for w in self.weights):
-            raise ConfigurationError("weights must be positive")
+        if not 0 < self.min_quota < math.inf:
+            raise ConfigurationError(
+                f"min_quota must be finite and positive, got {self.min_quota}"
+            )
+        if self.deficit_cap is not None and not 0 < self.deficit_cap < math.inf:
+            raise ConfigurationError(f"deficit_cap must be finite and positive: {self}")
+        if self.weights is not None and not all(0 < w < math.inf for w in self.weights):
+            raise ConfigurationError(f"weights must be finite and positive: {self}")
 
 
 @dataclass(frozen=True)
@@ -90,7 +94,7 @@ class SamplePoint:
     window_instructions: tuple[float, ...] = field(default=())
 
 
-class FairnessController(SwitchPolicy):
+class FairnessController(DeficitPolicy):
     """Runtime fairness enforcement (paper Sections 2.3, 3)."""
 
     def __init__(
@@ -100,23 +104,18 @@ class FairnessController(SwitchPolicy):
         *,
         sink: Optional[TraceSink] = None,
     ) -> None:
-        if num_threads < 1:
-            raise ConfigurationError("need at least one thread")
+        super().__init__(
+            num_threads, sample_period=params.sample_period, cap=params.deficit_cap
+        )
         if params.weights is not None and len(params.weights) != num_threads:
             raise ConfigurationError(
                 f"expected {num_threads} weights, got {len(params.weights)}"
             )
         self.params = params
-        self._counters = [HardwareCounters() for _ in range(num_threads)]
-        self._deficits = [
-            DeficitCounter(params.deficit_cap) for _ in range(num_threads)
-        ]
         self._estimator = IpcStEstimator(num_threads, params.miss_lat, params.smoothing)
         self._latency_monitor: Optional[MissLatencyMonitor] = None
         if params.measure_miss_latency:
             self._latency_monitor = MissLatencyMonitor(num_threads, params.miss_lat)
-        self._quotas = [math.inf] * num_threads
-        self._next_boundary = params.sample_period
         self._history: list[SamplePoint] = []
         # Tracing is observation only: the resolved sink (explicit, or
         # the ambient one; None when tracing is off) never feeds back
@@ -127,15 +126,6 @@ class FairnessController(SwitchPolicy):
     # Introspection (used by recorders and experiments)
     # ------------------------------------------------------------------
     @property
-    def num_threads(self) -> int:
-        return len(self._counters)
-
-    @property
-    def quotas(self) -> list[float]:
-        """The ``IPSw_j`` quotas currently in force."""
-        return list(self._quotas)
-
-    @property
     def estimates(self) -> list[Optional[ThreadEstimate]]:
         """Latest per-thread estimates (None before the first sample)."""
         return self._estimator.estimates
@@ -144,9 +134,6 @@ class FairnessController(SwitchPolicy):
     def history(self) -> list[SamplePoint]:
         """All ``Delta`` boundaries seen so far, in time order."""
         return list(self._history)
-
-    def deficit_remaining(self, thread_id: int) -> float:
-        return self._deficits[thread_id].remaining
 
     @property
     def measured_latencies(self) -> Optional[list[float]]:
@@ -159,25 +146,13 @@ class FairnessController(SwitchPolicy):
     # ------------------------------------------------------------------
     # SwitchPolicy interface
     # ------------------------------------------------------------------
-    def on_run_start(self, thread_id: int, now: float) -> None:
-        self._deficits[thread_id].grant(self._quotas[thread_id])
-
-    def instruction_budget(self, thread_id: int) -> float:
-        return self._deficits[thread_id].remaining
-
-    def on_retired(self, thread_id: int, instructions: float, cycles: float) -> None:
-        self._counters[thread_id].retire(instructions, cycles)
-        self._deficits[thread_id].consume(instructions)
-
     def on_miss(
         self, thread_id: int, now: float, latency: Optional[float] = None
     ) -> None:
-        self._counters[thread_id].record_miss()
-        if self._latency_monitor is not None and latency is not None:
-            self._latency_monitor.record(thread_id, latency)
-
-    def next_boundary(self, now: float) -> float:
-        return self._next_boundary
+        self._misses[thread_id] += 1
+        monitor = self._latency_monitor
+        if monitor is not None and latency is not None:
+            monitor.record(thread_id, latency)
 
     def on_boundary(self, now: float) -> None:
         """Recalculate estimates and quotas at a ``Delta`` boundary.
@@ -187,7 +162,7 @@ class FairnessController(SwitchPolicy):
         cycles are used as an estimation for the following Delta
         cycles").
         """
-        samples = [c.sample_and_reset() for c in self._counters]
+        samples = self.sample_and_reset(now)
         miss_lats = None
         if self._latency_monitor is not None:
             miss_lats = self._latency_monitor.sample_and_reset()
@@ -216,8 +191,6 @@ class FairnessController(SwitchPolicy):
                     misses=[s.misses for s in samples],
                     ipc_st=[e.ipc_st for e in estimates],
                     quotas=list(self._quotas),
-                    deficits=[d.remaining for d in self._deficits],
+                    deficits=list(self._deficits),
                 )
             )
-        while self._next_boundary <= now:
-            self._next_boundary += self.params.sample_period

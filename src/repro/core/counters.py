@@ -13,16 +13,16 @@ The fairness mechanism needs three counters per thread, sampled every
 From a sample the paper derives ``IPM`` (Eq. 11), ``CPM`` (Eq. 12) and
 the estimated single-thread IPC (Eq. 13). The ``max(Misses, 1)`` in
 Eqs. 11-12 covers the rare window in which a thread missed zero times.
+:class:`~repro.core.deficit.DeficitPolicy` accumulates the counters.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 
-__all__ = ["CounterSample", "HardwareCounters"]
+__all__ = ["CounterSample"]
 
 
 @dataclass(frozen=True)
@@ -64,44 +64,3 @@ class CounterSample:
         """True when the thread retired nothing during the window."""
         # repro-lint: disable=RL004 - exact zero means "never retired"
         return self.instructions == 0
-
-
-class HardwareCounters:
-    """Mutable accumulator behind one thread's :class:`CounterSample`.
-
-    The simulators call :meth:`retire` as instructions retire and
-    :meth:`record_miss` when a miss triggers a thread switch; the
-    fairness controller calls :meth:`sample_and_reset` at every
-    ``Delta`` boundary.
-    """
-
-    def __init__(self) -> None:
-        self._instructions = 0.0
-        self._cycles = 0.0
-        self._misses = 0
-
-    def retire(self, instructions: float, cycles: float) -> None:
-        """Account ``instructions`` retired over ``cycles`` running cycles."""
-        if instructions < 0 or cycles < 0:
-            raise ConfigurationError("cannot retire negative work")
-        if not (math.isfinite(instructions) and math.isfinite(cycles)):
-            raise ConfigurationError("retired work must be finite")
-        self._instructions += instructions
-        self._cycles += cycles
-
-    def record_miss(self) -> None:
-        """Account one switch-causing last-level cache miss."""
-        self._misses += 1
-
-    @property
-    def current(self) -> CounterSample:
-        """A snapshot of the counters without resetting them."""
-        return CounterSample(self._instructions, self._cycles, self._misses)
-
-    def sample_and_reset(self) -> CounterSample:
-        """Snapshot the window's counters and clear them for the next window."""
-        sample = self.current
-        self._instructions = 0.0
-        self._cycles = 0.0
-        self._misses = 0
-        return sample

@@ -19,11 +19,7 @@ point on the fairness/throughput frontier.
 
 from __future__ import annotations
 
-from typing import Optional
-
-from repro.core.deficit import DeficitCounter
-from repro.core.policy import SwitchPolicy
-from repro.errors import ConfigurationError
+from repro.core.deficit import DeficitPolicy
 
 __all__ = ["DrrArbiterPolicy"]
 
@@ -34,41 +30,20 @@ __all__ = ["DrrArbiterPolicy"]
 DEFAULT_QUANTUM = 5_000.0
 
 
-class DrrArbiterPolicy(SwitchPolicy):
+class DrrArbiterPolicy(DeficitPolicy):
     """Deficit round robin over switch grants.
 
     Every dispatch grants the thread ``quantum`` instructions on top of
     any carried-over deficit; the thread is forced out when the credit
     is spent. Miss-induced early switches leave the remainder as
     carried-over credit, exactly like the paper's deficit counters --
-    the difference is solely the fixed, estimate-free grant size.
+    the difference is solely the fixed, estimate-free grant size, which
+    no ``Delta`` boundary ever changes.
     """
 
-    def __init__(
-        self,
-        num_threads: int,
-        quantum: float = DEFAULT_QUANTUM,
-        cap: Optional[float] = None,
-    ) -> None:
-        if num_threads < 1:
-            raise ConfigurationError("need at least one thread")
-        if not (quantum > 0):
-            raise ConfigurationError("quantum must be positive")
-        self._quantum = float(quantum)
-        self._deficits = [DeficitCounter(cap) for _ in range(num_threads)]
+    def __init__(self, num_threads: int, quantum: float = DEFAULT_QUANTUM) -> None:
+        super().__init__(num_threads, quota=float(quantum))
 
     @property
     def quantum(self) -> float:
-        return self._quantum
-
-    def deficit_remaining(self, thread_id: int) -> float:
-        return self._deficits[thread_id].remaining
-
-    def on_run_start(self, thread_id: int, now: float) -> None:
-        self._deficits[thread_id].grant(self._quantum)
-
-    def instruction_budget(self, thread_id: int) -> float:
-        return self._deficits[thread_id].remaining
-
-    def on_retired(self, thread_id: int, instructions: float, cycles: float) -> None:
-        self._deficits[thread_id].consume(instructions)
+        return self._quotas[0]

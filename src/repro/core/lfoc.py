@@ -31,12 +31,9 @@ cluster-appropriate aggressiveness.
 from __future__ import annotations
 
 import math
-from typing import Optional
 
-from repro.core.counters import HardwareCounters
-from repro.core.deficit import DeficitCounter
+from repro.core.deficit import DeficitPolicy
 from repro.core.estimator import IpcStEstimator, ThreadEstimate
-from repro.core.policy import SwitchPolicy
 from repro.core.quota import quotas_from_estimates
 from repro.errors import ConfigurationError
 
@@ -48,7 +45,7 @@ __all__ = ["LfocClusterPolicy"]
 DEFAULT_IPM_THRESHOLD = 5_000.0
 
 
-class LfocClusterPolicy(SwitchPolicy):
+class LfocClusterPolicy(DeficitPolicy):
     """Cluster threads by IPM profile, enforce quotas per cluster."""
 
     def __init__(
@@ -60,42 +57,31 @@ class LfocClusterPolicy(SwitchPolicy):
         ipm_threshold: float = DEFAULT_IPM_THRESHOLD,
         min_quota: float = 1.0,
     ) -> None:
-        if num_threads < 1:
-            raise ConfigurationError("need at least one thread")
         if not 0.0 <= fairness_target <= 1.0:
             raise ConfigurationError(
                 f"fairness target must be in [0, 1], got {fairness_target}"
             )
+        if not (math.isfinite(miss_lat) and math.isfinite(sample_period)):
+            raise ConfigurationError("miss_lat and sample_period must be finite")
         if miss_lat < 0:
             raise ConfigurationError("miss_lat must be non-negative")
-        if sample_period <= 0:
-            raise ConfigurationError("sample_period must be positive")
         if not (ipm_threshold > 0):
             raise ConfigurationError("ipm_threshold must be positive")
+        if not 0 < min_quota < math.inf:
+            raise ConfigurationError(
+                f"min_quota must be finite and positive, got {min_quota}"
+            )
+        super().__init__(num_threads, sample_period=float(sample_period))
         self._fairness_target = float(fairness_target)
         self._miss_lat = float(miss_lat)
-        self._sample_period = float(sample_period)
         self._ipm_threshold = float(ipm_threshold)
         self._min_quota = float(min_quota)
-        self._counters = [HardwareCounters() for _ in range(num_threads)]
-        self._deficits = [DeficitCounter() for _ in range(num_threads)]
         self._estimator = IpcStEstimator(num_threads, miss_lat)
-        self._quotas = [math.inf] * num_threads
-        self._next_boundary = self._sample_period
         self._clusters: tuple[tuple[int, ...], tuple[int, ...]] = ((), ())
 
     # ------------------------------------------------------------------
     # Introspection (used by tests and experiments)
     # ------------------------------------------------------------------
-    @property
-    def num_threads(self) -> int:
-        return len(self._counters)
-
-    @property
-    def quotas(self) -> list[float]:
-        """The per-thread quotas currently in force."""
-        return list(self._quotas)
-
     @property
     def clusters(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """``(hungry, light)`` thread ids from the last ``Delta`` boundary."""
@@ -116,28 +102,9 @@ class LfocClusterPolicy(SwitchPolicy):
     # ------------------------------------------------------------------
     # SwitchPolicy interface
     # ------------------------------------------------------------------
-    def on_run_start(self, thread_id: int, now: float) -> None:
-        self._deficits[thread_id].grant(self._quotas[thread_id])
-
-    def instruction_budget(self, thread_id: int) -> float:
-        return self._deficits[thread_id].remaining
-
-    def on_retired(self, thread_id: int, instructions: float, cycles: float) -> None:
-        self._counters[thread_id].retire(instructions, cycles)
-        self._deficits[thread_id].consume(instructions)
-
-    def on_miss(
-        self, thread_id: int, now: float, latency: Optional[float] = None
-    ) -> None:
-        self._counters[thread_id].record_miss()
-
-    def next_boundary(self, now: float) -> float:
-        return self._next_boundary
-
     def on_boundary(self, now: float) -> None:
         """Re-cluster and recompute cluster-role quotas at a boundary."""
-        samples = [c.sample_and_reset() for c in self._counters]
-        estimates = self._estimator.update_all(samples)
+        estimates = self._estimator.update_all(self.sample_and_reset(now))
         hungry, light = self._cluster(estimates)
         self._clusters = (hungry, light)
         quotas = [math.inf] * self.num_threads
@@ -164,5 +131,3 @@ class LfocClusterPolicy(SwitchPolicy):
             for tid, quota in zip(hungry, cluster_quotas):
                 quotas[tid] = quota
         self._quotas = quotas
-        while self._next_boundary <= now:
-            self._next_boundary += self._sample_period

@@ -29,6 +29,7 @@ Discoverable from the command line via ``python -m repro policies``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional
 
@@ -135,6 +136,8 @@ class PolicyConfig:
             raise ConfigurationError(
                 f"policy level must be in [0, 1], got {self.level}"
             )
+        if not (math.isfinite(self.miss_lat) and math.isfinite(self.sample_period)):
+            raise ConfigurationError("miss_lat and sample_period must be finite")
         if self.miss_lat < 0:
             raise ConfigurationError("miss_lat must be non-negative")
         if self.sample_period <= 0:

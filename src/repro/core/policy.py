@@ -20,7 +20,7 @@ surface is captured here as :class:`SwitchPolicy`, implemented by:
 Both the segment-level engine (:mod:`repro.engine`) and the detailed
 out-of-order core (:mod:`repro.cpu`) drive their policies through this
 interface, which is what lets the same controller code run on either
-substrate.
+substrate. Both skip the hooks a policy leaves at the default.
 """
 
 from __future__ import annotations
@@ -69,7 +69,11 @@ class SwitchPolicy(abc.ABC):
 
     def next_boundary(self, now: float) -> float:
         """Absolute time of the next policy event (e.g. the ``Delta``
-        sampling boundary); ``math.inf`` when the policy has none."""
+        sampling boundary); ``math.inf`` when the policy has none.
+
+        The schedule may change only inside :meth:`on_boundary`, so a
+        substrate reads it again only after boundaries fire.
+        """
         return math.inf
 
     def on_boundary(self, now: float) -> None:

@@ -68,8 +68,8 @@ def quotas_from_estimates(
         would switch a thread out before it retires anything, which can
         never help fairness; the paper's hardware would round up anyway.
     weights:
-        Optional per-thread priority weights (all positive). ``None``
-        means equal weights -- the paper's mechanism.
+        Optional per-thread priority weights (all finite and positive).
+        ``None`` means equal weights -- the paper's mechanism.
 
     Returns
     -------
@@ -83,15 +83,19 @@ def quotas_from_estimates(
         raise ConfigurationError(
             f"fairness target must be in [0, 1], got {fairness_target}"
         )
-    if min_quota <= 0:
-        raise ConfigurationError("min_quota must be positive")
+    if not 0 < min_quota < math.inf:
+        raise ConfigurationError(
+            f"min_quota must be finite and positive, got {min_quota}"
+        )
     if weights is not None:
         if len(weights) != len(estimates):
             raise ConfigurationError(
                 f"expected {len(estimates)} weights, got {len(weights)}"
             )
-        if any(w <= 0 for w in weights):
-            raise ConfigurationError("weights must be positive")
+        if not all(0 < w < math.inf for w in weights):
+            raise ConfigurationError(
+                f"weights must be finite and positive, got {list(weights)}"
+            )
     # repro-lint: disable=RL004 - F=0 is an exact, validated sentinel input
     if fairness_target == 0.0:
         return [math.inf] * len(estimates)

@@ -277,6 +277,9 @@ class OooPipeline:
         cycle_budget = overridden_hook(policy, "cycle_budget")
         next_boundary = overridden_hook(policy, "next_boundary")
         on_retired = overridden_hook(policy, "on_retired")
+        on_run_start = overridden_hook(policy, "on_run_start")
+        on_miss = overridden_hook(policy, "on_miss")
+        on_switch_out = overridden_hook(policy, "on_switch_out")
         on_boundary = policy.on_boundary
 
         # Decode table: op class -> (issue port, kind, execute latency),
@@ -371,7 +374,8 @@ class OooPipeline:
                 and active.cursor.exhausted
             ):
                 # The active thread ran out of trace: release the core.
-                policy.on_switch_out(active.thread_id, "done", float(now))
+                if on_switch_out is not None:
+                    on_switch_out(active.thread_id, "done", float(now))
                 active = None
 
             if active is None:
@@ -410,7 +414,8 @@ class OooPipeline:
                     # from the switch: cycles the previous thread's idle
                     # gap already paid are not switch overhead.
                     switch_started_at = now
-                policy.on_run_start(active.thread_id, float(now))
+                if on_run_start is not None:
+                    on_run_start(active.thread_id, float(now))
 
             # Retire: in order, up to retire_width uops.
             retired_now = 0
@@ -429,10 +434,11 @@ class OooPipeline:
                         # hit the L2 (the dMT-style Section 6 variant).
                         active.misses += 1
                         active.miss_switches += 1
-                        policy.on_miss(
-                            active.thread_id, float(now),
-                            latency=float(access.ready_at - head.access_issued_at),
-                        )
+                        if on_miss is not None:
+                            on_miss(
+                                active.thread_id, float(now),
+                                latency=float(access.ready_at - head.access_issued_at),
+                            )
                         switch_reason = "miss"
                         ready_at = access.ready_at
                     break
@@ -677,7 +683,8 @@ class OooPipeline:
                 pending_branch = None
                 active.producers = [None] * NUM_ARCH_REGS
                 active.ready_at = ready_at
-                policy.on_switch_out(active.thread_id, switch_reason, float(now))
+                if on_switch_out is not None:
+                    on_switch_out(active.thread_id, switch_reason, float(now))
                 active = None
                 # Drain: the next thread cannot start fetching before this.
                 fetch_resume_at = now + drain_latency

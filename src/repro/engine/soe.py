@@ -26,8 +26,8 @@ thread and pays the switch overhead, idles until the earliest pending
 miss resolves, or executes the active thread up to its next event and
 handles that event (segment end, budget switch, boundary), all inline.
 Policy hooks that a policy leaves at the :class:`SwitchPolicy` default
-are bound once as absent and never called; with no policy boundary and
-no recorder, no boundary check runs at all. Methods remain for the rare
+are bound once as absent and never called, and the next boundary is
+read again only after boundaries fire. Methods remain for the rare
 paths only: a policy's ``select_thread``, firing due boundaries (under
 the :data:`MAX_EVENTS` watchdog), inactive spans that cross a boundary,
 and idling up to the ``max_cycles`` cap. docs/PERFORMANCE.md records
@@ -293,22 +293,20 @@ class SoeEngine:
         # Policy hooks left at the SwitchPolicy default (None here) are
         # not called: their answer is ``inf`` or nothing. In particular
         # the default round robin stays untouched unless the policy
-        # overrides ``select_thread``, and with no recorder and the
-        # default ``inf`` schedule no boundary check runs at all.
+        # overrides ``select_thread``, and an F = 0 run calls no policy
+        # code at all.
         threads = self.threads
         policy = self.policy
         instruction_budget = overridden_hook(policy, "instruction_budget")
         cycle_budget = overridden_hook(policy, "cycle_budget")
         on_retired = overridden_hook(policy, "on_retired")
         select = overridden_hook(policy, "select_thread")
-        next_boundary: Optional[Callable[[float], float]] = (
-            self._next_boundary
-            if self.recorder is not None
-            else overridden_hook(policy, "next_boundary")
+        next_boundary = (
+            self._next_boundary if self.recorder is not None else policy.next_boundary
         )
-        on_run_start = policy.on_run_start
-        on_miss = policy.on_miss
-        on_switch_out = policy.on_switch_out
+        on_run_start = overridden_hook(policy, "on_run_start")
+        on_miss = overridden_hook(policy, "on_miss")
+        on_switch_out = overridden_hook(policy, "on_switch_out")
         fire_due_boundaries = self._fire_due_boundaries
         emit = self._emit_switch
         switch_lat = self.params.switch_lat
@@ -318,11 +316,14 @@ class SoeEngine:
         warmup_instructions = limits.warmup_instructions
         max_cycles = limits.max_cycles
         inf = math.inf
-        isfinite = math.isfinite
 
         # Loop state. ``self.now`` is written after every change of
         # ``now``, so callbacks and recorders always read the clock.
+        # ``boundary`` is the next policy/recorder boundary: a schedule
+        # changes only inside ``on_boundary`` (the SwitchPolicy
+        # contract), so it is read again only after boundaries fire.
         now = self.now
+        boundary = next_boundary(now)
         active = self._active
         dispatch_seq = self._dispatch_seq
         dispatch_cycles = self._dispatch_cycles
@@ -378,14 +379,15 @@ class SoeEngine:
                     if target >= max_cycles:
                         self._idle_to_cap(max_cycles)
                         now = self.now
+                        boundary = next_boundary(now)
                         continue
                     duration = target - now
                     if emit is not None:
                         emit(stall(now, duration, "engine"))
                 # Elapse the switch overhead or idle span. Unless a
-                # boundary falls inside it, that is one step.
+                # boundary falls inside it, that is one step. (With no
+                # schedule, ``boundary`` is inf and never falls inside.)
                 if duration > _EPS:
-                    boundary = inf if next_boundary is None else next_boundary(now)
                     if boundary - now >= duration:
                         now += duration
                         if abs(boundary - now) <= _EPS:
@@ -395,15 +397,15 @@ class SoeEngine:
                             self.idle_cycles += duration
                         else:
                             self.switch_overhead_cycles += duration
-                        if next_boundary is not None and (
-                            next_boundary(now) <= now + _EPS
-                        ):
+                        if boundary <= now + _EPS:
                             fire_due_boundaries()
+                            boundary = next_boundary(now)
                     else:
                         kind = "idle" if thread is None else "switch"
                         self._elapse_inactive(duration, kind)
                         now = self.now
-                if thread is not None:
+                        boundary = next_boundary(now)
+                if thread is not None and on_run_start is not None:
                     on_run_start(thread.thread_id, now)
                 continue
 
@@ -412,15 +414,11 @@ class SoeEngine:
             # the run's cycle cap.
             stepped = True
             tid = active.thread_id
-            if next_boundary is None:
-                t_boundary = inf
-            else:
-                t_boundary = next_boundary(now) - now
-                if t_boundary < 0.0:
-                    t_boundary = 0.0
-                if t_boundary <= _EPS:
-                    fire_due_boundaries()
-                    continue
+            t_boundary = boundary - now
+            if t_boundary <= _EPS:
+                fire_due_boundaries()
+                boundary = next_boundary(now)
+                continue
             segment = active.segment
             if segment is None:
                 raise SimulationError(f"thread {tid} has no active segment")
@@ -431,7 +429,7 @@ class SoeEngine:
             t_instr = inf
             if instruction_budget is not None:
                 budget = instruction_budget(tid)
-                if isfinite(budget):
+                if -inf < budget < inf:  # finite
                     t_instr = budget / ipc
             t_cycle = max_cycles_quota - dispatch_cycles
             if cycle_budget is not None:
@@ -474,8 +472,9 @@ class SoeEngine:
                 self.now = now
                 if on_retired is not None:
                     on_retired(tid, retired, dt)
-                if next_boundary is not None and next_boundary(now) <= now + _EPS:
+                if boundary <= now + _EPS:
                     fire_due_boundaries()
+                    boundary = next_boundary(now)
                 if dt >= t_segment - _EPS and (
                     segment.cycles - active.segment_cycles_done <= _EPS
                 ):
@@ -512,7 +511,8 @@ class SoeEngine:
                     emit(segment_end(now, tid, latency))
                 if latency is not None:
                     active.miss_switches += 1
-                    on_miss(tid, now, latency=latency)
+                    if on_miss is not None:
+                        on_miss(tid, now, latency)
                     reason = "miss"
                 elif active.done:
                     reason = "done"
@@ -526,7 +526,8 @@ class SoeEngine:
                 active.ready_at = now
             if emit is not None:
                 emit(thread_switch(now, tid, reason, "engine"))
-            on_switch_out(tid, reason, now)
+            if on_switch_out is not None:
+                on_switch_out(tid, reason, now)
             active = self._active = None
 
         self._dispatch_seq = dispatch_seq

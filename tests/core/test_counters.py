@@ -1,8 +1,11 @@
-"""Tests for the per-thread hardware counters (Section 3.1)."""
+"""Tests for the per-thread hardware counters (Section 3.1): the
+:class:`CounterSample` window and its accumulation in
+:class:`DeficitPolicy`."""
 
 import pytest
 
-from repro.core.counters import CounterSample, HardwareCounters
+from repro.core.counters import CounterSample
+from repro.core.deficit import DeficitPolicy
 from repro.errors import ConfigurationError
 
 
@@ -50,46 +53,63 @@ class TestCounterSample:
 
 
 class TestHardwareCounters:
+    """The three per-thread counters as :class:`DeficitPolicy` keeps
+    them: fed by ``on_retired``/``on_miss``, closed into one
+    :class:`CounterSample` per thread at each ``Delta`` boundary."""
+
     def test_accumulates_retirement(self):
-        counters = HardwareCounters()
-        counters.retire(100, 40)
-        counters.retire(200, 90)
-        sample = counters.current
+        policy = DeficitPolicy(1)
+        policy.on_retired(0, 100, 40)
+        policy.on_retired(0, 200, 90)
+        (sample,) = policy.sample_and_reset(0.0)
         assert sample.instructions == pytest.approx(300)
         assert sample.cycles == pytest.approx(130)
 
     def test_counts_misses(self):
-        counters = HardwareCounters()
-        counters.record_miss()
-        counters.record_miss()
-        assert counters.current.misses == 2
+        policy = DeficitPolicy(2)
+        policy.on_miss(1, 0.0)
+        policy.on_miss(1, 5.0, latency=300.0)
+        first, second = policy.sample_and_reset(0.0)
+        assert first.misses == 0
+        assert second.misses == 2
 
     def test_sample_and_reset_clears_window(self):
-        counters = HardwareCounters()
-        counters.retire(500, 250)
-        counters.record_miss()
-        first = counters.sample_and_reset()
+        policy = DeficitPolicy(1)
+        policy.on_retired(0, 500, 250)
+        policy.on_miss(0, 0.0)
+        (first,) = policy.sample_and_reset(0.0)
         assert first.instructions == pytest.approx(500)
         assert first.misses == 1
-        second = counters.current
+        (second,) = policy.sample_and_reset(0.0)
         assert second.is_empty
         assert second.misses == 0
 
     def test_windows_are_independent(self):
-        counters = HardwareCounters()
-        counters.retire(100, 50)
-        counters.sample_and_reset()
-        counters.retire(7, 3)
-        assert counters.current.instructions == pytest.approx(7)
+        policy = DeficitPolicy(1)
+        policy.on_retired(0, 100, 50)
+        policy.sample_and_reset(0.0)
+        policy.on_retired(0, 7, 3)
+        (sample,) = policy.sample_and_reset(0.0)
+        assert sample.instructions == pytest.approx(7)
 
     def test_rejects_negative_retirement(self):
-        counters = HardwareCounters()
+        policy = DeficitPolicy(1)
         with pytest.raises(ConfigurationError):
-            counters.retire(-1, 1)
+            policy.on_retired(0, -1, 1)
         with pytest.raises(ConfigurationError):
-            counters.retire(1, -1)
+            policy.on_retired(0, 1, -1)
 
     def test_rejects_non_finite_retirement(self):
-        counters = HardwareCounters()
+        policy = DeficitPolicy(1)
         with pytest.raises(ConfigurationError):
-            counters.retire(float("inf"), 1)
+            policy.on_retired(0, float("inf"), 1)
+        with pytest.raises(ConfigurationError):
+            policy.on_retired(0, 1, float("inf"))
+        with pytest.raises(ConfigurationError):
+            policy.on_retired(0, float("nan"), 1)
+        with pytest.raises(ConfigurationError):
+            policy.on_retired(0, 1, float("nan"))
+        # A refused call leaves the counters untouched.
+        (sample,) = policy.sample_and_reset(0.0)
+        assert sample.is_empty
+        assert sample.cycles == 0.0

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.core.controller import FairnessController, FairnessParams
 from repro.core.counters import CounterSample
-from repro.core.deficit import DeficitCounter
+from repro.core.deficit import DeficitPolicy
 from repro.core.model import SoeModel, ThreadParams
 from repro.core.quota import quotas_from_estimates
 from repro.engine.singlethread import run_single_thread
@@ -76,17 +76,17 @@ class TestDeficitProperties:
     def test_deficit_preserves_total_quota(self, quota, miss_gaps):
         """Across any miss pattern, total granted = total consumed +
         final leftover (conservation)."""
-        counter = DeficitCounter()
+        policy = DeficitPolicy(1, quota=quota)
         consumed = 0.0
         grants = 0
         for gap in miss_gaps:
-            counter.grant(quota)
+            policy.on_run_start(0, 0.0)
             grants += 1
-            run = min(counter.remaining, gap)
-            counter.consume(run)
+            run = min(policy.instruction_budget(0), gap)
+            policy.on_retired(0, run, 1.0)
             consumed += run
         assert math.isclose(
-            grants * quota, consumed + counter.remaining, rel_tol=1e-9
+            grants * quota, consumed + policy.deficit_remaining(0), rel_tol=1e-9
         )
 
     @given(
@@ -95,12 +95,12 @@ class TestDeficitProperties:
     )
     @settings(max_examples=50, deadline=None)
     def test_average_converges_without_misses(self, quota, rounds):
-        counter = DeficitCounter()
+        policy = DeficitPolicy(1, quota=quota)
         total = 0.0
         for _ in range(rounds):
-            counter.grant(quota)
-            run = counter.remaining
-            counter.consume(run)
+            policy.on_run_start(0, 0.0)
+            run = policy.instruction_budget(0)
+            policy.on_retired(0, run, 1.0)
             total += run
         assert math.isclose(total / rounds, quota, rel_tol=1e-9)
 
