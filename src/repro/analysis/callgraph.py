@@ -8,9 +8,10 @@ view they need in two steps:
 1. :func:`summarize_module` reduces one parsed file to a
    :class:`ModuleSummary` -- every function (methods included, nested
    defs folded into their enclosing function) with its outgoing call
-   and bare-callable-reference sites, its direct effects (see
-   :mod:`repro.analysis.dataflow`), its module-global mutations, plus
-   the module's imports, classes, and module-level globals.
+   and bare-callable-reference sites, its direct effects (the source
+   uses :func:`repro.analysis.dataflow.scan_module` found in its body,
+   plus its module-global mutations), plus the module's imports,
+   classes, and module-level globals.
 2. :func:`build_graph` resolves the textual call sites of every summary
    against the project symbol table into a :class:`CallGraph`: edges
    between fully-qualified function names, with unresolved callees kept
@@ -28,9 +29,11 @@ and, for callables, ``__call__``). Calls on arbitrary objects
 from __future__ import annotations
 
 import ast
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Mapping, Optional, Set, Tuple
 
+from repro.analysis.dataflow import DirectEffect, dotted_name
 from repro.analysis.registry import ModuleInfo
 
 __all__ = [
@@ -77,15 +80,6 @@ class CallSite:
     callee: str  #: dotted name as written, e.g. ``self.step`` / ``mod.f``
     line: int
     ref: bool = False  #: True = referenced as a value, not called
-
-
-@dataclass(frozen=True)
-class DirectEffect:
-    """One direct (non-transitive) effect observed inside a function."""
-
-    kind: str  #: one of :data:`repro.analysis.dataflow.EFFECT_KINDS`
-    line: int
-    detail: str  #: human-readable witness, e.g. ``random.random()``
 
 
 @dataclass(frozen=True)
@@ -170,18 +164,6 @@ _MUTABLE_CONSTRUCTORS = {
 }
 
 
-def _dotted(node: ast.AST) -> Optional[str]:
-    """Render ``a.b.c`` attribute/name chains; None for anything else."""
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
-
-
 def _is_mutable_value(node: ast.expr, local_classes: Set[str]) -> bool:
     """Whether a module-level binding heuristically holds mutable state."""
     if isinstance(
@@ -190,7 +172,7 @@ def _is_mutable_value(node: ast.expr, local_classes: Set[str]) -> bool:
     ):
         return True
     if isinstance(node, ast.Call):
-        name = _dotted(node.func)
+        name = dotted_name(node.func)
         if name is None:
             return False
         simple = name.split(".")[-1]
@@ -242,7 +224,7 @@ class _FunctionScanner(ast.NodeVisitor):
         self._declared_global.update(node.names)
 
     def visit_Call(self, node: ast.Call) -> None:
-        callee = _dotted(node.func)
+        callee = dotted_name(node.func)
         if callee is not None:
             self._called_nodes.add(id(node.func))
             self.calls.append(CallSite(callee, node.lineno, ref=False))
@@ -262,12 +244,12 @@ class _FunctionScanner(ast.NodeVisitor):
 
     def visit_Attribute(self, node: ast.Attribute) -> None:
         if isinstance(node.ctx, ast.Load) and id(node) not in self._called_nodes:
-            dotted = _dotted(node)
+            dotted = dotted_name(node)
             if dotted is not None:
                 self.calls.append(CallSite(dotted, node.lineno, ref=True))
                 return  # don't descend: the inner Name is part of this ref
         if isinstance(node.ctx, (ast.Store, ast.Del)):
-            dotted = _dotted(node.value)
+            dotted = dotted_name(node.value)
             if dotted is not None and dotted in self._module_globals:
                 self.mutations.append(
                     GlobalMutation(dotted, node.lineno, f".{node.attr}=")
@@ -276,7 +258,7 @@ class _FunctionScanner(ast.NodeVisitor):
 
     def visit_Subscript(self, node: ast.Subscript) -> None:
         if isinstance(node.ctx, (ast.Store, ast.Del)):
-            dotted = _dotted(node.value)
+            dotted = dotted_name(node.value)
             if dotted is not None and dotted in self._module_globals:
                 self.mutations.append(
                     GlobalMutation(dotted, node.lineno, "[]=")
@@ -328,12 +310,33 @@ def _iter_defs(
                     yield from _iter_defs(sub.body, f"{prefix}{sub.name}.")
 
 
+def _effects_by_function(
+    module: ModuleInfo, defs: List[Tuple[str, ast.AST]]
+) -> Dict[ast.AST, List[DirectEffect]]:
+    """File each source use of the module under the function of ``defs``
+    whose body holds it, by source position (nested defs fold into their
+    owner)."""
+    spans = sorted(
+        (
+            (node.body[0].lineno, node.body[0].col_offset),
+            (node.end_lineno or node.lineno, node.end_col_offset or 0),
+            index,
+            node,
+        )
+        for index, (_qual, node) in enumerate(defs)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    )
+    starts = [span[0] for span in spans]
+    effects: Dict[ast.AST, List[DirectEffect]] = {}
+    for where, effect in module.sources().uses:
+        index = bisect_right(starts, where) - 1
+        if index >= 0 and where < spans[index][1]:
+            effects.setdefault(spans[index][3], []).append(effect)
+    return effects
+
+
 def summarize_module(module: ModuleInfo) -> ModuleSummary:
     """Reduce one parsed file to its whole-program summary."""
-    # Imported lazily: dataflow imports this module's types at import
-    # time; the two-way dependency is broken at the function level.
-    from repro.analysis.dataflow import function_effects
-
     dotted_module = module_dotted_name(module.relpath)
     summary = ModuleSummary(relpath=module.relpath, module=dotted_module)
     lines = module.lines
@@ -369,10 +372,10 @@ def summarize_module(module: ModuleInfo) -> ModuleSummary:
                     name.name,
                 )
 
-    local_classes: Set[str] = set()
-    for qual, node in _iter_defs(module.tree.body, ""):
-        if isinstance(node, ast.ClassDef):
-            local_classes.add(qual.split(".")[-1])
+    defs = list(_iter_defs(module.tree.body, ""))
+    local_classes = {
+        qual.split(".")[-1] for qual, node in defs if isinstance(node, ast.ClassDef)
+    }
 
     # Module-level globals (assignments at module scope).
     for stmt in module.tree.body:
@@ -396,8 +399,9 @@ def summarize_module(module: ModuleInfo) -> ModuleSummary:
             )
 
     module_globals = set(summary.globals)
+    direct = _effects_by_function(module, defs)
 
-    for qual, node in _iter_defs(module.tree.body, ""):
+    for qual, node in defs:
         if isinstance(node, ast.ClassDef):
             methods = tuple(
                 stmt.name
@@ -407,7 +411,7 @@ def summarize_module(module: ModuleInfo) -> ModuleSummary:
             bases = tuple(
                 base_name
                 for base in node.bases
-                if (base_name := _dotted(base)) is not None
+                if (base_name := dotted_name(base)) is not None
             )
             summary.classes[qual] = ClassNode(
                 qualname=f"{dotted_module}.{qual}",
@@ -420,7 +424,11 @@ def summarize_module(module: ModuleInfo) -> ModuleSummary:
         for stmt in node.body:
             scanner.visit(stmt)
         cls_qual = qual.rpartition(".")[0] or None
-        effects = function_effects(node, summary, scanner.mutations)
+        effects = list(direct.get(node, ()))
+        effects.extend(
+            DirectEffect("global_mut", m.line, f"{m.name}{m.how}", m.line)
+            for m in scanner.mutations
+        )
         summary.functions[qual] = FunctionNode(
             qualname=f"{dotted_module}.{qual}",
             relpath=module.relpath,
@@ -428,7 +436,9 @@ def summarize_module(module: ModuleInfo) -> ModuleSummary:
             lineno=node.lineno,
             cls=cls_qual,
             calls=tuple(scanner.calls),
-            effects=tuple(effects),
+            effects=tuple(
+                sorted(set(effects), key=lambda e: (e.kind, e.line, e.detail))
+            ),
             mutations=tuple(scanner.mutations),
         )
     return summary
@@ -548,11 +558,9 @@ class _Resolver:
             if sibling in summary.functions:
                 return f"{summary.module}.{sibling}"
         if root in summary.from_imports:
+            # ``from pkg import name``: a function, class or submodule.
             module, name = self._chase_reexport(*summary.from_imports[root])
-            candidate = f"{module}.{name}"
-            if candidate in self._by_module:  # ``from pkg import module``
-                return candidate
-            return candidate
+            return f"{module}.{name}"
         if root in summary.imports:
             return summary.imports[root]
         return None

@@ -1,4 +1,4 @@
-"""Effect inference: direct effects per function, then fixed-point taint.
+"""Effect inference: one source detector, then fixed-point taint.
 
 The effect lattice is a flat powerset over :data:`EFFECT_KINDS`:
 
@@ -9,17 +9,33 @@ The effect lattice is a flat powerset over :data:`EFFECT_KINDS`:
 * ``network``     -- socket / HTTP access;
 * ``global_mut``  -- mutation of a module-level binding.
 
-:func:`function_effects` detects the *direct* effects of one function
-body (reusing the per-file rules' detection heuristics, scoped to the
-function instead of the module). :func:`propagate` then closes the
-relation over the call graph: breadth-first over reverse call edges
-from every directly-effectful function, so a function's inferred
-effect set is the union of its own and everything it can reach. Each
-propagated effect carries a deterministic *witness chain* — the
-shortest call path to the concrete source line, ties broken by sorted
-qualified name — which is what lets RL009 report ``engine.run ->
-utils.jitter -> random.random() (src/repro/utils.py:12)`` instead of a
-bare verdict.
+:func:`scan_module` is the one detector for every kind but
+``global_mut``. It walks a parsed file once, with one set of tables;
+imports count at any depth (``import time`` inside a function binds
+``time`` for the whole module) and set names are collected
+module-wide. Two consumers read that scan, cached per module by
+:meth:`repro.analysis.registry.ModuleInfo.sources`:
+
+* the per-file rules RL001, RL002 and RL003 report
+  :attr:`ModuleSources.reports`;
+* :func:`repro.analysis.callgraph.summarize_module` files each of
+  :attr:`ModuleSources.uses` under the function whose body holds it;
+  with the function's global mutations, those are its *direct*
+  effects, and RL009 seeds its taint from them.
+
+A use's :attr:`DirectEffect.anchor` is the line of the per-file
+finding that covers it: the use itself, or the ``from`` import a bare
+name came from. A pragma that silences that finding sanctions the use
+too.
+
+:func:`propagate` then closes the relation over the call graph:
+breadth-first over reverse call edges from every directly-effectful
+function, so a function's inferred effect set is the union of its own
+and everything it can reach. Each propagated effect carries a
+deterministic *witness chain* — the shortest call path to the concrete
+source line, ties broken by sorted qualified name — which is what lets
+RL009 report ``engine.run -> utils.jitter -> random.random()
+(src/repro/utils.py:12)`` instead of a bare verdict.
 
 Join is set union and the call graph is finite, so the breadth-first
 closure IS the fixed point: one visit per (function, kind) pair,
@@ -29,101 +45,343 @@ closure IS the fixed point: one visit per (function, kind) pair,
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
-
-from repro.analysis.callgraph import (
-    CallGraph,
-    DirectEffect,
-    GlobalMutation,
-    ModuleSummary,
+from dataclasses import dataclass, field
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
 )
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.analysis.callgraph import CallGraph
 
 __all__ = [
     "EFFECT_KINDS",
     "DETERMINISM_KINDS",
     "EFFECT_RULES",
+    "DirectEffect",
+    "ModuleSources",
+    "dotted_name",
+    "scan_module",
+    "set_names",
+    "is_set_expr",
+    "ordering_hazards",
     "Taint",
-    "function_effects",
     "propagate",
     "effects_to_json",
 ]
 
 #: Every effect kind the analysis infers, in report order.
-EFFECT_KINDS = (
-    "rng",
-    "wallclock",
-    "set_iter",
-    "file_io",
-    "network",
-    "global_mut",
-)
+EFFECT_KINDS = ("rng", "wallclock", "set_iter", "file_io", "network", "global_mut")
 
 #: The kinds that break bit-identical reproduction (RL009's concern).
 DETERMINISM_KINDS = ("rng", "wallclock", "set_iter")
 
 #: Effect kind -> the per-file rule that polices *direct* uses. A source
-#: whose direct finding is inline-suppressed is sanctioned, so it does
-#: not seed whole-program taint either.
+#: whose direct finding is inline-suppressed (at the effect's anchor
+#: line) is sanctioned, so it does not seed whole-program taint either.
 EFFECT_RULES = {"rng": "RL001", "wallclock": "RL002", "set_iter": "RL003"}
 
-_ALLOWED_STDLIB_RANDOM = {"Random", "SystemRandom"}
+#: ``random`` attributes that construct a seedable instance.
+_ALLOWED_RANDOM = {"Random"}
+#: ``numpy.random`` attributes that construct a seedable generator.
 _ALLOWED_NUMPY_RANDOM = {"default_rng", "Generator"}
-_TIME_ATTRS = {
-    "time",
-    "time_ns",
-    "monotonic",
-    "monotonic_ns",
-    "perf_counter",
-    "perf_counter_ns",
-    "process_time",
-    "process_time_ns",
-    "clock_gettime",
+#: ``time`` functions that read a host clock.
+_TIME_CLOCKS = {
+    "time", "time_ns", "monotonic", "monotonic_ns", "perf_counter",
+    "perf_counter_ns", "process_time", "process_time_ns", "clock_gettime",
     "clock_gettime_ns",
 }
-_DATETIME_ATTRS = {"now", "utcnow", "today"}
+#: ``datetime.datetime`` / ``datetime.date`` constructors that read it.
+_DATETIME_CLOCKS = {"now", "utcnow", "today"}
+_DATETIME_CLASSES = {"datetime", "date"}
+#: ``os`` functions that touch the filesystem (plus ``os.path.exists``).
 _OS_FILE_ATTRS = {
-    "open",
-    "remove",
-    "unlink",
-    "rename",
-    "replace",
-    "makedirs",
-    "mkdir",
-    "rmdir",
-    "listdir",
-    "scandir",
-    "walk",
-    "stat",
-    "write",
-    "read",
+    "open", "remove", "unlink", "rename", "replace", "makedirs", "mkdir",
+    "rmdir", "listdir", "scandir", "walk", "stat", "write", "read",
 }
+#: ``pathlib.Path`` methods that touch the filesystem, on any receiver.
 _PATH_METHODS = {
-    "read_text",
-    "read_bytes",
-    "write_text",
-    "write_bytes",
-    "mkdir",
-    "rmdir",
-    "unlink",
-    "rename",
-    "replace",
-    "touch",
-    "glob",
-    "rglob",
-    "iterdir",
-    "symlink_to",
-    "hardlink_to",
+    "read_text", "read_bytes", "write_text", "write_bytes", "mkdir", "rmdir",
+    "unlink", "rename", "replace", "touch", "glob", "rglob", "iterdir",
+    "symlink_to", "hardlink_to",
 }
 _FILE_MODULES = {"shutil", "tempfile"}
-_NETWORK_MODULES = {
-    "socket",
-    "urllib",
-    "http",
-    "requests",
-    "ftplib",
-    "smtplib",
-}
+_NETWORK_MODULES = {"socket", "urllib", "http", "requests", "ftplib", "smtplib"}
+
+_SET_TYPE_NAMES = {"set", "frozenset", "Set", "FrozenSet", "AbstractSet", "MutableSet"}
+_SET_METHODS = {"union", "intersection", "difference", "symmetric_difference"}
+_ORDER_SENSITIVE_CONSUMERS = {"list", "tuple", "enumerate", "iter"}
+
+_NUMPY_ADVICE = "use numpy.random.default_rng(seed)"
+
+
+def dotted_name(node: ast.AST) -> Optional[str]:
+    """Render ``a.b.c`` attribute/name chains; None for anything else."""
+    parts: List[str] = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name):
+        parts.append(node.id)
+        return ".".join(reversed(parts))
+    return None
+
+
+@dataclass(frozen=True)
+class DirectEffect:
+    """One direct (non-transitive) effect observed inside a function."""
+
+    kind: str  #: one of :data:`EFFECT_KINDS`
+    line: int
+    detail: str  #: human-readable witness, e.g. ``random.random``
+    #: Line of the per-file finding that covers this effect: the effect
+    #: itself, or the ``from`` import a bare name came from. A pragma
+    #: for the matching rule there sanctions the effect.
+    anchor: int
+
+
+@dataclass
+class ModuleSources:
+    """Everything :func:`scan_module` found in one file."""
+
+    #: kind -> ``(node, message)`` per-file findings, for ``rng``
+    #: (RL001), ``wallclock`` (RL002) and ``set_iter`` (RL003).
+    reports: Dict[str, List[Tuple[ast.AST, str]]] = field(
+        default_factory=lambda: {"rng": [], "wallclock": [], "set_iter": []}
+    )
+    #: every use of a source, module-wide, with its (line, col) position
+    uses: List[Tuple[Tuple[int, int], DirectEffect]] = field(default_factory=list)
+
+    def _add(
+        self, kind: str, node: ast.expr, detail: str, message: Optional[str]
+    ) -> None:
+        if message is not None:
+            self.reports[kind].append((node, message))
+        effect = DirectEffect(kind, node.lineno, detail, node.lineno)
+        self.uses.append(((node.lineno, node.col_offset), effect))
+
+
+def scan_module(tree: ast.Module) -> ModuleSources:
+    """Find every source in one module (see the module docstring)."""
+    found = ModuleSources()
+    aliases: Dict[str, str] = {}  #: ``import m as a``: a -> m
+    #: from-imported local name -> (kind, line of the import)
+    bare: Dict[str, Tuple[str, int]] = {}
+    datetime_classes: Set[str] = set()
+    attributes: List[ast.Attribute] = []
+    loads: List[ast.Name] = []
+    calls: List[ast.Call] = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            attributes.append(node)
+        elif isinstance(node, ast.Name):
+            if isinstance(node.ctx, ast.Load):
+                loads.append(node)
+        elif isinstance(node, ast.Call):
+            calls.append(node)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                aliases[alias.asname or alias.name.split(".")[0]] = alias.name
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            for alias in node.names:
+                local = alias.asname or alias.name
+                message = _from_import_message(node.module, alias.name)
+                if message is not None:
+                    kind = "wallclock" if node.module == "time" else "rng"
+                    found.reports[kind].append((node, message))
+                    bare[local] = (kind, node.lineno)
+                elif node.module == "datetime" and alias.name in _DATETIME_CLASSES:
+                    datetime_classes.add(local)
+
+    for node in attributes:
+        chain = dotted_name(node)
+        if chain is None:
+            continue
+        parts = chain.split(".")
+        root = aliases.get(parts[0])
+        if root == "random" and len(parts) == 2 and parts[1] not in _ALLOWED_RANDOM:
+            found._add(
+                "rng", node, chain,
+                f"'{chain}' calls the process-global RNG; use a "
+                "random.Random(seed) instance",
+            )
+        elif (
+            (root == "numpy" and len(parts) == 3 and parts[1] == "random")
+            or (root == "numpy.random" and len(parts) == 2)
+        ) and parts[-1] not in _ALLOWED_NUMPY_RANDOM:
+            found._add(
+                "rng", node, chain,
+                f"'{chain}' uses global numpy RNG state; {_NUMPY_ADVICE}",
+            )
+        elif (
+            root == "time" and len(parts) == 2 and parts[1] in _TIME_CLOCKS
+        ) or (
+            parts[-1] in _DATETIME_CLOCKS
+            and (
+                (root == "datetime" and len(parts) == 3)
+                or (parts[0] in datetime_classes and len(parts) == 2)
+            )
+        ):
+            found._add(
+                "wallclock", node, chain,
+                f"'{chain}' reads the wall clock; simulation code must "
+                "only observe simulated cycles (telemetry is exempt)",
+            )
+        elif (
+            root == "os"
+            and (
+                (len(parts) == 2 and parts[1] in _OS_FILE_ATTRS)
+                or (len(parts) == 3 and parts[1:] == ["path", "exists"])
+            )
+        ) or (root in _FILE_MODULES and len(parts) >= 2):
+            found._add("file_io", node, chain, None)
+        elif (
+            root is not None
+            and root.split(".")[0] in _NETWORK_MODULES
+            and len(parts) >= 2
+        ):
+            found._add("network", node, chain, None)
+
+    for node in loads:
+        if node.id in bare:
+            kind, anchor = bare[node.id]
+            effect = DirectEffect(kind, node.lineno, node.id, anchor)
+            found.uses.append(((node.lineno, node.col_offset), effect))
+
+    for node in calls:
+        func = node.func
+        if isinstance(func, ast.Name) and func.id == "open":
+            found._add("file_io", node, "open()", None)
+        elif isinstance(func, ast.Attribute) and func.attr in _PATH_METHODS:
+            found._add("file_io", node, f".{func.attr}()", None)
+
+    for node, message in ordering_hazards(tree, set_names(tree)):
+        found._add("set_iter", node, "set iteration", message)
+    return found
+
+
+def _from_import_message(module: Optional[str], name: str) -> Optional[str]:
+    """The per-file finding for ``from <module> import <name>``, if any."""
+    if module == "random" and name not in _ALLOWED_RANDOM:
+        return (
+            f"'from random import {name}' uses the process-global RNG; "
+            "import random.Random and seed an instance explicitly"
+        )
+    if module == "numpy.random" and name not in _ALLOWED_NUMPY_RANDOM:
+        return (
+            f"'from numpy.random import {name}' uses global numpy RNG "
+            f"state; {_NUMPY_ADVICE}"
+        )
+    if module == "time" and name in _TIME_CLOCKS:
+        return (
+            f"'from time import {name}' reads the wall clock; only "
+            "telemetry may do that"
+        )
+    return None
+
+
+def set_names(tree: ast.AST) -> Set[str]:
+    """Names that are (heuristically) bound to set values in ``tree``."""
+    names: Set[str] = set()
+
+    def is_set_annotation(annotation: Optional[ast.expr]) -> bool:
+        if annotation is None:
+            return False
+        target = annotation
+        if isinstance(target, ast.Subscript):
+            target = target.value
+        if isinstance(target, ast.Attribute):
+            return target.attr in _SET_TYPE_NAMES
+        return isinstance(target, ast.Name) and target.id in _SET_TYPE_NAMES
+
+    # Two passes so `b = a | other` after `a = set()` is caught.
+    for _ in range(2):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign) and is_set_expr(node.value, names):
+                for target in node.targets:
+                    if isinstance(target, ast.Name):
+                        names.add(target.id)
+            elif isinstance(node, ast.AnnAssign) and isinstance(
+                node.target, ast.Name
+            ):
+                if is_set_annotation(node.annotation) or (
+                    node.value is not None and is_set_expr(node.value, names)
+                ):
+                    names.add(node.target.id)
+            elif isinstance(node, ast.arg) and is_set_annotation(
+                node.annotation
+            ):
+                names.add(node.arg)
+    return names
+
+
+def is_set_expr(node: ast.expr, names: Set[str]) -> bool:
+    """Whether an expression (heuristically) evaluates to a set."""
+    if isinstance(node, (ast.Set, ast.SetComp)):
+        return True
+    if isinstance(node, ast.Name):
+        return node.id in names
+    if isinstance(node, ast.BinOp) and isinstance(
+        node.op, (ast.BitOr, ast.BitAnd, ast.Sub, ast.BitXor)
+    ):
+        return is_set_expr(node.left, names) or is_set_expr(node.right, names)
+    if isinstance(node, ast.Call):
+        if isinstance(node.func, ast.Name) and node.func.id in {
+            "set",
+            "frozenset",
+        }:
+            return True
+        if (
+            isinstance(node.func, ast.Attribute)
+            and node.func.attr in _SET_METHODS
+            and is_set_expr(node.func.value, names)
+        ):
+            return True
+    return False
+
+
+def ordering_hazards(
+    tree: ast.AST, names: Set[str]
+) -> Iterator[Tuple[ast.expr, str]]:
+    """Yield ``(node, description)`` for every unsorted-set iteration."""
+    base = (
+        "iterating a set has nondeterministic order; wrap the "
+        "iterable in sorted(...)"
+    )
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.For, ast.AsyncFor)) and is_set_expr(
+            node.iter, names
+        ):
+            yield node.iter, base
+        elif isinstance(
+            node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+        ):
+            for comp in node.generators:
+                if is_set_expr(comp.iter, names):
+                    yield comp.iter, base
+        elif isinstance(node, ast.Call):
+            func = node.func
+            if (
+                isinstance(func, ast.Name)
+                and func.id in _ORDER_SENSITIVE_CONSUMERS
+                and node.args
+                and is_set_expr(node.args[0], names)
+            ):
+                yield node, f"{func.id}() over a set is order-dependent; {base}"
+            elif (
+                isinstance(func, ast.Attribute)
+                and func.attr == "join"
+                and node.args
+                and is_set_expr(node.args[0], names)
+            ):
+                yield node, f"str.join over a set is order-dependent; {base}"
 
 
 @dataclass(frozen=True)
@@ -143,144 +401,6 @@ class Taint:
     @property
     def direct(self) -> bool:
         return len(self.chain) == 1
-
-
-def _dotted(node: ast.AST) -> Optional[str]:
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
-
-
-def function_effects(
-    fn: "ast.FunctionDef | ast.AsyncFunctionDef",
-    summary: ModuleSummary,
-    mutations: Sequence[GlobalMutation] = (),
-) -> List[DirectEffect]:
-    """Direct effects of one function body (module context from summary).
-
-    ``summary`` only needs its import tables populated; the function
-    nodes may still be under construction.
-    """
-    # Imported at call time: the rules package imports the
-    # whole-program rules, which import this module — importing
-    # rules.determinism at module level would close that cycle.
-    from repro.analysis.rules.determinism import ordering_hazards, set_names
-
-    effects: List[DirectEffect] = []
-
-    aliases = summary.imports
-    random_aliases = {a for a, m in aliases.items() if m == "random"}
-    numpy_aliases = {a for a, m in aliases.items() if m == "numpy"}
-    numpy_random_aliases = {a for a, m in aliases.items() if m == "numpy.random"}
-    time_aliases = {a for a, m in aliases.items() if m == "time"}
-    datetime_aliases = {a for a, m in aliases.items() if m == "datetime"}
-    file_aliases = {a for a, m in aliases.items() if m in _FILE_MODULES}
-    os_aliases = {a for a, m in aliases.items() if m == "os"}
-    network_aliases = {
-        a
-        for a, m in aliases.items()
-        if m.split(".")[0] in _NETWORK_MODULES
-    }
-
-    # Names from-imported straight onto nondeterministic callables:
-    # ``from random import random`` / ``from time import monotonic``.
-    rng_names = {
-        local
-        for local, (mod, name) in summary.from_imports.items()
-        if (mod == "random" and name not in _ALLOWED_STDLIB_RANDOM)
-        or (mod == "numpy.random" and name not in _ALLOWED_NUMPY_RANDOM)
-    }
-    clock_names = {
-        local
-        for local, (mod, name) in summary.from_imports.items()
-        if mod == "time" and name in _TIME_ATTRS
-    }
-    datetime_classes = {
-        local
-        for local, (mod, name) in summary.from_imports.items()
-        if mod == "datetime" and name in {"datetime", "date"}
-    }
-
-    all_nodes = [node for stmt in fn.body for node in ast.walk(stmt)]
-
-    for node in all_nodes:
-        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            dotted = _dotted(node)
-            if dotted is None:
-                continue
-            parts = dotted.split(".")
-            if (
-                parts[0] in random_aliases
-                and len(parts) == 2
-                and parts[1] not in _ALLOWED_STDLIB_RANDOM
-            ):
-                effects.append(DirectEffect("rng", node.lineno, dotted))
-            elif (
-                (
-                    parts[0] in numpy_aliases
-                    and len(parts) == 3
-                    and parts[1] == "random"
-                )
-                or (parts[0] in numpy_random_aliases and len(parts) == 2)
-            ) and parts[-1] not in _ALLOWED_NUMPY_RANDOM:
-                effects.append(DirectEffect("rng", node.lineno, dotted))
-            elif (
-                parts[0] in time_aliases
-                and len(parts) == 2
-                and parts[1] in _TIME_ATTRS
-            ):
-                effects.append(DirectEffect("wallclock", node.lineno, dotted))
-            elif parts[-1] in _DATETIME_ATTRS and (
-                (parts[0] in datetime_aliases and len(parts) == 3)
-                or (parts[0] in datetime_classes and len(parts) == 2)
-            ):
-                effects.append(DirectEffect("wallclock", node.lineno, dotted))
-            elif parts[0] in os_aliases and (
-                (len(parts) == 2 and parts[1] in _OS_FILE_ATTRS)
-                or (len(parts) == 3 and parts[1] == "path" and parts[2] == "exists")
-            ):
-                effects.append(DirectEffect("file_io", node.lineno, dotted))
-            elif parts[0] in file_aliases and len(parts) >= 2:
-                effects.append(DirectEffect("file_io", node.lineno, dotted))
-            elif parts[0] in network_aliases and len(parts) >= 2:
-                effects.append(DirectEffect("network", node.lineno, dotted))
-        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            if node.id in rng_names:
-                effects.append(DirectEffect("rng", node.lineno, node.id))
-            elif node.id in clock_names:
-                effects.append(DirectEffect("wallclock", node.lineno, node.id))
-        elif isinstance(node, ast.Call):
-            if isinstance(node.func, ast.Name) and node.func.id == "open":
-                effects.append(DirectEffect("file_io", node.lineno, "open()"))
-            elif (
-                isinstance(node.func, ast.Attribute)
-                and node.func.attr in _PATH_METHODS
-            ):
-                effects.append(
-                    DirectEffect("file_io", node.lineno, f".{node.func.attr}()")
-                )
-
-    names = set_names(fn)
-    for stmt in fn.body:
-        for node, _message in ordering_hazards(stmt, names):
-            effects.append(
-                DirectEffect("set_iter", node.lineno, "set iteration")
-            )
-
-    for mutation in mutations:
-        effects.append(
-            DirectEffect(
-                "global_mut", mutation.line, f"{mutation.name}{mutation.how}"
-            )
-        )
-
-    unique = sorted(set(effects), key=lambda e: (e.kind, e.line, e.detail))
-    return unique
 
 
 def propagate(

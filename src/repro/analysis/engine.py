@@ -23,7 +23,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence, Set
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.analysis.baseline import Baseline, apply_baseline
 from repro.analysis.eqmap import EqTable, build_table
@@ -261,6 +261,38 @@ def build_eq_table(
     return _eq_table(root, _load_modules(root, targets))
 
 
+def _run_rules(
+    project: ProjectInfo, rules: Sequence[Rule], finalize: bool = True
+) -> Tuple[List[Finding], List[Finding]]:
+    """Run ``rules`` over ``project``; return (kept, suppressed) findings.
+
+    Each rule's per-file pass runs on every module in its scope, then,
+    with ``finalize``, its project-wide pass; each file's inline
+    pragmas decide which findings are suppressed.
+    """
+    raw: List[Finding] = []
+    for module in project.modules:
+        for rule in rules:
+            if rule.meta.applies_to(module.relpath):
+                raw.extend(rule.check_module(module))
+    if finalize:
+        for rule in rules:
+            raw.extend(rule.finalize(project))
+    kept: List[Finding] = []
+    suppressed: List[Finding] = []
+    for finding in raw:
+        suppressions = project.suppressions.get(finding.path)
+        if suppressions is not None and suppressions.is_suppressed(finding):
+            suppressed.append(finding)
+        else:
+            kept.append(finding)
+    return kept, suppressed
+
+
+def _pragmas(modules: Sequence[ModuleInfo]) -> Dict[str, Suppressions]:
+    return {module.relpath: parse_suppressions(module.source) for module in modules}
+
+
 def run_lint(
     repo_root: Optional[Path] = None,
     targets: Sequence[str] = (DEFAULT_TARGET,),
@@ -272,33 +304,14 @@ def run_lint(
     root = (repo_root or default_repo_root()).resolve()
     modules = _load_modules(root, targets)
     active_rules: List[Rule] = select_rules(select, disable)
-
-    suppression_map: Dict[str, Suppressions] = {}
-    raw: List[Finding] = []
-    for module in modules:
-        suppression_map[module.relpath] = parse_suppressions(module.source)
-        for rule in active_rules:
-            if rule.meta.applies_to(module.relpath):
-                raw.extend(rule.check_module(module))
-
     eq_table = _eq_table(root, modules)
     project = ProjectInfo(
         modules=modules,
         eq_table=eq_table,
         repo_root=root,
-        suppressions=suppression_map,
+        suppressions=_pragmas(modules),
     )
-    for rule in active_rules:
-        raw.extend(rule.finalize(project))
-
-    kept: List[Finding] = []
-    suppressed: List[Finding] = []
-    for finding in raw:
-        suppressions = suppression_map.get(finding.path)
-        if suppressions is not None and suppressions.is_suppressed(finding):
-            suppressed.append(finding)
-        else:
-            kept.append(finding)
+    kept, suppressed = _run_rules(project, active_rules)
 
     stale: List[str] = []
     if baseline is not None:
@@ -325,16 +338,9 @@ def check_source(
     Suppressions in the snippet are honoured; scope (``meta.paths``) is
     honoured too, so pass a ``relpath`` inside the rule's scope.
     """
-    tree = ast.parse(source)
-    module = ModuleInfo(relpath=relpath, tree=tree, source=source)
-    if not rule.meta.applies_to(relpath):
-        return []
-    suppressions = parse_suppressions(source)
-    return sorted(
-        finding
-        for finding in rule.check_module(module)
-        if not suppressions.is_suppressed(finding)
-    )
+    modules = [ModuleInfo(relpath=relpath, tree=ast.parse(source), source=source)]
+    project = ProjectInfo(modules=modules, suppressions=_pragmas(modules))
+    return sorted(_run_rules(project, [rule], finalize=False)[0])
 
 
 def check_project(
@@ -349,33 +355,13 @@ def check_project(
     documentation. Runs the rule's per-module pass (scope honoured) and
     its ``finalize`` pass, then applies each file's inline suppressions.
     """
-    modules: List[ModuleInfo] = []
-    for relpath in sorted(sources):
-        modules.append(
-            ModuleInfo(
-                relpath=relpath,
-                tree=ast.parse(sources[relpath]),
-                source=sources[relpath],
-            )
+    modules = [
+        ModuleInfo(
+            relpath=relpath, tree=ast.parse(sources[relpath]), source=sources[relpath]
         )
-    suppression_map = {
-        module.relpath: parse_suppressions(module.source) for module in modules
-    }
+        for relpath in sorted(sources)
+    ]
     project = ProjectInfo(
-        modules=modules,
-        suppressions=suppression_map,
-        docs=dict(docs or {}),
+        modules=modules, suppressions=_pragmas(modules), docs=dict(docs or {})
     )
-    raw: List[Finding] = []
-    for module in modules:
-        if rule.meta.applies_to(module.relpath):
-            raw.extend(rule.check_module(module))
-    raw.extend(rule.finalize(project))
-    return sorted(
-        finding
-        for finding in raw
-        if not (
-            (suppressions := suppression_map.get(finding.path)) is not None
-            and suppressions.is_suppressed(finding)
-        )
-    )
+    return sorted(_run_rules(project, [rule])[0])

@@ -22,7 +22,6 @@ import ast
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
-    Callable,
     Dict,
     Iterable,
     Iterator,
@@ -40,6 +39,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.analysis.eqmap import EqTable
     from repro.analysis.suppressions import Suppressions
 
+from repro.analysis.dataflow import ModuleSources, scan_module
 from repro.analysis.findings import Finding, Severity
 from repro.errors import ConfigurationError
 
@@ -82,10 +82,23 @@ class ModuleInfo:
     relpath: str  #: repo-relative POSIX path
     tree: ast.Module
     source: str
+    _sources: Optional[ModuleSources] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def lines(self) -> List[str]:
         return self.source.splitlines()
+
+    def sources(self) -> ModuleSources:
+        """The module's RNG, clock, set-order and I/O sources.
+
+        Scanned once on first use, then shared by RL001-RL003 and the
+        call-graph summary (see :func:`repro.analysis.dataflow.scan_module`).
+        """
+        if self._sources is None:
+            self._sources = scan_module(self.tree)
+        return self._sources
 
 
 @dataclass
@@ -286,15 +299,3 @@ def select_rules(
         chosen = [rule for rule in chosen if rule.meta.id not in disable]
     return chosen
 
-
-# Re-exported for rule modules that want lightweight AST walking without
-# repeating the boilerplate of a NodeVisitor subclass.
-def walk_functions(
-    tree: ast.Module,
-) -> Iterator["ast.FunctionDef | ast.AsyncFunctionDef"]:
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield node
-
-
-NodePredicate = Callable[[ast.AST], bool]

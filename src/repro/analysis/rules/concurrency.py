@@ -14,6 +14,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator, Optional, Set
 
+from repro.analysis.dataflow import dotted_name
 from repro.analysis.findings import Finding
 from repro.analysis.registry import ModuleInfo, Rule, RuleMeta, register
 
@@ -86,17 +87,12 @@ class NoUnsupervisedPool(Rule):
         func = node.func
         if isinstance(func, ast.Name) and func.id in pool_names:
             return func.id
-        if isinstance(func, ast.Attribute) and func.attr in _POOL_CONSTRUCTORS:
-            parts = []
-            target: ast.AST = func.value
-            while isinstance(target, ast.Attribute):
-                parts.append(target.attr)
-                target = target.value
-            if isinstance(target, ast.Name):
-                parts.append(target.id)
-                dotted = ".".join(reversed(parts))
-                if dotted in pool_modules:
-                    return func.attr
+        if (
+            isinstance(func, ast.Attribute)
+            and func.attr in _POOL_CONSTRUCTORS
+            and dotted_name(func.value) in pool_modules
+        ):
+            return func.attr
         return None
 
     def check_module(self, module: ModuleInfo) -> Iterator[Finding]:

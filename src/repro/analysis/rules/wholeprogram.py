@@ -23,9 +23,10 @@ parsed on demand:
 
 Suppression semantics for taint findings: a pragma at the *anchor*
 (e.g. the kernel ``def`` for RL009, the mutation site for RL010)
-suppresses the finding; a pragma for the corresponding per-file rule at
-the *source* line (e.g. ``disable=RL001`` on the ``random.random()``
-call) sanctions the source itself, so no taint is seeded from it.
+suppresses the finding; a pragma for the corresponding per-file rule
+where that rule reports the source (e.g. ``disable=RL001`` on the
+``random.random()`` call, or on a ``from random import random`` line)
+sanctions the source itself, so no taint is seeded from it.
 """
 
 from __future__ import annotations
@@ -33,10 +34,11 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterator, List, Mapping, Optional, Set, Tuple
 
-from repro.analysis.callgraph import CallGraph, DirectEffect
+from repro.analysis.callgraph import CallGraph
 from repro.analysis.dataflow import (
     DETERMINISM_KINDS,
     EFFECT_RULES,
+    DirectEffect,
     propagate,
 )
 from repro.analysis.findings import Finding
@@ -60,40 +62,29 @@ _KIND_LABELS = {
 }
 
 
-def _dotted(node: ast.AST) -> Optional[str]:
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
-
-
 def _filtered_seeds(
     project: ProjectInfo, graph: CallGraph
 ) -> Dict[str, List[DirectEffect]]:
     """Determinism-effect seeds, minus sources sanctioned inline.
 
     A source whose direct finding is suppressed for the matching
-    per-file rule (``disable=RL001`` on the ``random.random()`` line)
-    is a reviewed exception; it must not taint its callers either.
+    per-file rule (``disable=RL001`` on the ``random.random()`` line,
+    or on the ``from random import random`` line a bare ``random()``
+    came from) is a reviewed exception; it must not taint its callers
+    either.
     """
     seeds: Dict[str, List[DirectEffect]] = {}
     for qualname, node in graph.functions.items():
         suppressions = project.suppressions.get(node.relpath)
-        kept: List[DirectEffect] = []
-        for effect in node.effects:
-            if effect.kind not in DETERMINISM_KINDS:
-                continue
-            rule_id = EFFECT_RULES[effect.kind]
-            if suppressions is not None and (
-                rule_id in suppressions.file_level
-                or rule_id in suppressions.by_line.get(effect.line, set())
-            ):
-                continue
-            kept.append(effect)
+        kept = [
+            effect
+            for effect in node.effects
+            if effect.kind in DETERMINISM_KINDS
+            and not (
+                suppressions is not None
+                and suppressions.silences(EFFECT_RULES[effect.kind], effect.anchor)
+            )
+        ]
         if kept:
             seeds[qualname] = kept
     return seeds

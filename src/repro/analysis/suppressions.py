@@ -45,9 +45,11 @@ class Suppressions:
     file_level: Set[str] = field(default_factory=set)
 
     def is_suppressed(self, finding: Finding) -> bool:
-        if finding.rule in self.file_level:
-            return True
-        return finding.rule in self.by_line.get(finding.line, set())
+        return self.silences(finding.rule, finding.line)
+
+    def silences(self, rule: str, line: int) -> bool:
+        """Whether a finding of ``rule`` at ``line`` is suppressed."""
+        return rule in self.file_level or rule in self.by_line.get(line, set())
 
     @property
     def rules_used(self) -> FrozenSet[str]:

@@ -31,7 +31,3 @@ class PipelinedBus:
         self._free_at = start + self.occupancy
         self.transfers += 1
         return start
-
-    @property
-    def busy_until(self) -> int:
-        return self._free_at

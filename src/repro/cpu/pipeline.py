@@ -51,6 +51,9 @@ from repro.cpu.isa import NUM_ARCH_REGS, MicroOp, OpClass
 from repro.cpu.machine import MachineConfig
 from repro.cpu.program import ProgramCursor, TraceProgram
 from repro.errors import ConfigurationError, SimulationError
+from repro.telemetry import SWITCH as _TRACE_SWITCH
+from repro.telemetry import resolve_sink
+from repro.telemetry.events import thread_switch
 
 __all__ = ["CpuThreadStats", "CpuRunResult", "OooPipeline"]
 
@@ -281,6 +284,14 @@ class OooPipeline:
         on_miss = overridden_hook(policy, "on_miss")
         on_switch_out = overridden_hook(policy, "on_switch_out")
         on_boundary = policy.on_boundary
+        # Tracing is observation only: each switch-out emits a ``switch``
+        # event when the ambient sink wants one, so an untraced run pays
+        # one `is not None` test per switch-out. Only multithreaded runs
+        # emit: a single-thread run has no other thread to switch to.
+        sink = resolve_sink(None) if multithreaded else None
+        emit_switch = (
+            sink.emit if sink is not None and sink.wants(_TRACE_SWITCH) else None
+        )
 
         # Decode table: op class -> (issue port, kind, execute latency),
         # consulted once per fetched uop. Keyed by the enum's str value,
@@ -374,6 +385,10 @@ class OooPipeline:
                 and active.cursor.exhausted
             ):
                 # The active thread ran out of trace: release the core.
+                if emit_switch is not None:
+                    emit_switch(
+                        thread_switch(float(now), active.thread_id, "done", "cpu")
+                    )
                 if on_switch_out is not None:
                     on_switch_out(active.thread_id, "done", float(now))
                 active = None
@@ -683,6 +698,12 @@ class OooPipeline:
                 pending_branch = None
                 active.producers = [None] * NUM_ARCH_REGS
                 active.ready_at = ready_at
+                if emit_switch is not None:
+                    emit_switch(
+                        thread_switch(
+                            float(now), active.thread_id, switch_reason, "cpu"
+                        )
+                    )
                 if on_switch_out is not None:
                     on_switch_out(active.thread_id, switch_reason, float(now))
                 active = None

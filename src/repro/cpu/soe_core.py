@@ -6,81 +6,24 @@ Mirrors :mod:`repro.engine`'s API shape on the cycle-level substrate:
 threads under SOE with any :class:`~repro.core.policy.SwitchPolicy` --
 including the full :class:`~repro.core.controller.FairnessController`.
 
-Telemetry rides along without touching the pipeline: when a trace sink
-is active, the switch policy is wrapped in :class:`TracingSwitchPolicy`,
-which forwards every callback unchanged and emits a ``switch`` event
-(with its cause) per thread switch-out -- the same event stream the
-segment engine produces, tagged ``substrate="cpu"``.
+Telemetry rides along inside the pipeline: when a trace sink is
+active, a multithreaded run emits a ``switch`` event (with its cause)
+per thread switch-out -- the same event stream the segment engine
+produces, tagged ``substrate="cpu"``.
 """
 
 from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from repro.core.policy import NoFairnessPolicy, SwitchPolicy
+from repro.core.policy import SwitchPolicy
 from repro.cpu.machine import MachineConfig
 from repro.cpu.pipeline import CpuRunResult, OooPipeline
 from repro.cpu.program import TraceProgram
 from repro.errors import ConfigurationError
-from repro.telemetry import SWITCH as _TRACE_SWITCH
-from repro.telemetry import resolve_sink
-from repro.telemetry.events import thread_switch
 from repro.telemetry.profile import PROFILE
-from repro.telemetry.sinks import TraceSink
 
-__all__ = ["run_cpu_single_thread", "run_cpu_soe", "TracingSwitchPolicy"]
-
-
-class TracingSwitchPolicy(SwitchPolicy):
-    """Transparent policy wrapper that traces thread switches.
-
-    Delegates every :class:`SwitchPolicy` callback to ``inner``
-    unchanged (budgets, boundaries, counter feeds), so wrapping cannot
-    alter scheduling decisions; it only mirrors ``on_switch_out`` into
-    the trace stream.
-    """
-
-    def __init__(self, inner: SwitchPolicy, sink: TraceSink) -> None:
-        self.inner = inner
-        self._sink = sink
-
-    def on_run_start(self, thread_id: int, now: float) -> None:
-        self.inner.on_run_start(thread_id, now)
-
-    def instruction_budget(self, thread_id: int) -> float:
-        return self.inner.instruction_budget(thread_id)
-
-    def cycle_budget(self, thread_id: int) -> float:
-        return self.inner.cycle_budget(thread_id)
-
-    def on_retired(self, thread_id: int, instructions: float, cycles: float) -> None:
-        self.inner.on_retired(thread_id, instructions, cycles)
-
-    def on_miss(
-        self, thread_id: int, now: float, latency: Optional[float] = None
-    ) -> None:
-        self.inner.on_miss(thread_id, now, latency=latency)
-
-    def on_switch_out(self, thread_id: int, reason: str, now: float) -> None:
-        if self._sink.wants(_TRACE_SWITCH):
-            self._sink.emit(thread_switch(now, thread_id, reason, "cpu"))
-        self.inner.on_switch_out(thread_id, reason, now)
-
-    def next_boundary(self, now: float) -> float:
-        return self.inner.next_boundary(now)
-
-    def on_boundary(self, now: float) -> None:
-        self.inner.on_boundary(now)
-
-
-def _traced_policy(policy: Optional[SwitchPolicy]) -> Optional[SwitchPolicy]:
-    """Wrap ``policy`` for tracing when a sink is active."""
-    sink = resolve_sink(None)
-    if sink is None:
-        return policy
-    return TracingSwitchPolicy(
-        policy if policy is not None else NoFairnessPolicy(), sink
-    )
+__all__ = ["run_cpu_single_thread", "run_cpu_soe"]
 
 
 def run_cpu_single_thread(
@@ -118,7 +61,7 @@ def run_cpu_soe(
     """Run two or more workloads under SOE on the detailed core."""
     if len(programs) < 2:
         raise ConfigurationError("SOE needs at least two programs")
-    pipeline = OooPipeline(programs, config, _traced_policy(policy))
+    pipeline = OooPipeline(programs, config, policy)
     result = pipeline.run(
         min_instructions=min_instructions,
         warmup_instructions=warmup_instructions,

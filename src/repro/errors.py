@@ -19,7 +19,6 @@ __all__ = [
     "TaskTimeout",
     "WorkerCrash",
     "InvariantViolation",
-    "CacheCorruption",
     "GridExecutionError",
     "GridInterrupted",
     "FAILURE_REASONS",
@@ -87,15 +86,6 @@ class InvariantViolation(TaskError):
     (non-finite floats, impossible counters)."""
 
     reason = "invariant"
-
-
-class CacheCorruption(ReproError):
-    """An on-disk cache entry held unreadable or mismatched bytes.
-
-    Never fatal on its own: the corrupt file is quarantined (renamed to
-    ``*.quarantine``) and the entry recomputed; this type exists so the
-    event can be reported with the rest of the taxonomy.
-    """
 
 
 #: Stable failure classifications (manifest + telemetry vocabulary).

@@ -44,9 +44,6 @@ class TimeSharingResult:
     enforced_ipc: float
     enforced_fairness: float
 
-    def best_timesharing_fairness(self) -> float:
-        return max(p.fairness for p in self.points)
-
     def fairness_costs_throughput(self) -> bool:
         """True when the fairest time-sharing point is also (nearly) the
         slowest -- the paper's high-fairness-needs-tiny-quota argument."""

@@ -1,7 +1,9 @@
-"""Direct-effect detection and fixed-point taint propagation."""
+"""Direct-effect detection, detector parity, and fixed-point taint."""
 
 import ast
 import textwrap
+
+import pytest
 
 from repro.analysis.callgraph import build_graph, summarize_module
 from repro.analysis.dataflow import (
@@ -11,7 +13,16 @@ from repro.analysis.dataflow import (
     effects_to_json,
     propagate,
 )
-from repro.analysis.registry import ModuleInfo
+from repro.analysis.engine import check_source
+from repro.analysis.registry import ModuleInfo, get_rule
+from tests.analysis.test_rules import (
+    CORE,
+    RL001_ALLOWED,
+    RL001_FLAGGED,
+    RL002_FLAGGED,
+    RL003_ALLOWED,
+    RL003_FLAGGED,
+)
 
 
 def _mod(relpath: str, source: str) -> ModuleInfo:
@@ -249,3 +260,70 @@ class TestGraphDump:
         entry = dump["functions"]["repro.m.f"]
         assert entry["effects"]["rng"]["detail"] == "random.random"
         assert dump["stats"]["effectful_functions"] == 1
+
+
+def _in_function(source: str) -> str:
+    """``source`` moved into a function body (its imports too)."""
+    return "def wrapper():\n" + textwrap.indent(source, "    ")
+
+
+#: Every snippet of the RL001-RL003 tests, plus the shapes a second
+#: detector once missed (function-local imports, SystemRandom, a
+#: module-level set iterated in a helper).
+PARITY_SNIPPETS = [
+    *RL001_FLAGGED,
+    *RL001_ALLOWED,
+    *RL002_FLAGGED,
+    "import time\nx = time.gmtime\n",
+    *RL003_FLAGGED,
+    *RL003_ALLOWED,
+    "def f():\n    import time\n    return time.time()\n",
+    "import random\ndef f():\n    return random.SystemRandom()\n",
+    "from random import SystemRandom\ndef f():\n    return SystemRandom()\n",
+    "S = {1, 2}\ndef f():\n    return [x for x in S]\n",
+]
+
+
+class TestDetectorParity:
+    """Per-file findings and summary seeds come from one detector.
+
+    Every RL001/RL002/RL003 finding inside a function body has a seed
+    of the same kind anchored at its line in that function's summary,
+    and every determinism seed has a finding of its kind at its anchor.
+    A seed's anchor is its own line, or the line of the ``from`` import
+    a bare name came from (which may sit outside the function).
+    """
+
+    @pytest.mark.parametrize("wrap", [False, True], ids=["as-is", "in-def"])
+    @pytest.mark.parametrize("source", PARITY_SNIPPETS)
+    def test_findings_and_seeds_agree(self, source, wrap):
+        if wrap:
+            source = _in_function(source)
+        tree = ast.parse(source)
+        bodies = {
+            node.name: (
+                (node.body[0].lineno, node.body[0].col_offset),
+                (node.end_lineno, node.end_col_offset),
+            )
+            for node in tree.body
+            if isinstance(node, ast.FunctionDef)
+        }
+        kinds = {rule: kind for kind, rule in EFFECT_RULES.items()}
+        findings = set()
+        in_bodies = set()
+        for rule_id, kind in kinds.items():
+            for finding in check_source(get_rule(rule_id), source, CORE):
+                findings.add((kind, finding.line))
+                where = (finding.line, finding.col)
+                for name, (start, end) in bodies.items():
+                    if start <= where < end:
+                        in_bodies.add((name, kind, finding.line))
+        summary = summarize_module(ModuleInfo(CORE, tree, source))
+        seeds = {
+            (name, effect.kind, effect.anchor)
+            for name, fn in summary.functions.items()
+            for effect in fn.effects
+            if effect.kind in DETERMINISM_KINDS
+        }
+        assert in_bodies <= seeds
+        assert {(kind, anchor) for _name, kind, anchor in seeds} <= findings

@@ -15,44 +15,54 @@ def run(rule_id: str, source: str, relpath: str = CORE):
     return check_source(get_rule(rule_id), textwrap.dedent(source), relpath)
 
 
+# The determinism rules' snippets, shared with the detector parity test
+# in test_dataflow.py.
+RL001_FLAGGED = [
+    "import random\nx = random.random()\n",
+    "import random\nrandom.seed(0)\n",
+    "import random as rnd\nx = rnd.randint(0, 3)\n",
+    "from random import random\nx = random()\n",
+    "import numpy as np\nx = np.random.rand(3)\n",
+]
+RL001_ALLOWED = [
+    "import random\nrng = random.Random(7)\nx = rng.random()\n",
+    "from random import Random\nrng = Random(7)\n",
+    "import numpy as np\nrng = np.random.default_rng(7)\n",
+    "x = 1 + 2\n",
+]
+RL002_FLAGGED = [
+    "import time\nt = time.perf_counter()\n",
+    "import time\nt = time.monotonic_ns()\n",
+    "import datetime\nd = datetime.datetime.now()\n",
+    "from time import perf_counter\nt = perf_counter()\n",
+]
+RL003_FLAGGED = [
+    "s = {1, 2, 3}\nfor x in s:\n    pass\n",
+    "s = set([1, 2])\nout = list(s)\n",
+    "s = {x for x in range(3)}\nout = [y for y in s]\n",
+    "def f(s: set):\n    for x in s:\n        pass\n",
+]
+RL003_ALLOWED = [
+    "s = {1, 2, 3}\nfor x in sorted(s):\n    pass\n",
+    "s = {1, 2}\nout = sorted(s)\n",
+    "d = {'a': 1}\nfor k in d:\n    pass\n",  # dicts are ordered
+    "xs = [1, 2]\nfor x in xs:\n    pass\n",
+]
+
+
 class TestRL001NoUnseededRandom:
-    @pytest.mark.parametrize(
-        "source",
-        [
-            "import random\nx = random.random()\n",
-            "import random\nrandom.seed(0)\n",
-            "import random as rnd\nx = rnd.randint(0, 3)\n",
-            "from random import random\nx = random()\n",
-            "import numpy as np\nx = np.random.rand(3)\n",
-        ],
-    )
+    @pytest.mark.parametrize("source", RL001_FLAGGED)
     def test_flags_global_rng(self, source):
         findings = run("RL001", source)
         assert len(findings) == 1 and findings[0].rule == "RL001"
 
-    @pytest.mark.parametrize(
-        "source",
-        [
-            "import random\nrng = random.Random(7)\nx = rng.random()\n",
-            "from random import Random\nrng = Random(7)\n",
-            "import numpy as np\nrng = np.random.default_rng(7)\n",
-            "x = 1 + 2\n",
-        ],
-    )
+    @pytest.mark.parametrize("source", RL001_ALLOWED)
     def test_allows_instance_seeded(self, source):
         assert run("RL001", source) == []
 
 
 class TestRL002NoWallClock:
-    @pytest.mark.parametrize(
-        "source",
-        [
-            "import time\nt = time.perf_counter()\n",
-            "import time\nt = time.monotonic_ns()\n",
-            "import datetime\nd = datetime.datetime.now()\n",
-            "from time import perf_counter\nt = perf_counter()\n",
-        ],
-    )
+    @pytest.mark.parametrize("source", RL002_FLAGGED)
     def test_flags_wallclock(self, source):
         findings = run("RL002", source)
         assert len(findings) == 1 and findings[0].rule == "RL002"
@@ -70,28 +80,12 @@ class TestRL002NoWallClock:
 
 
 class TestRL003NoOrderingHazard:
-    @pytest.mark.parametrize(
-        "source",
-        [
-            "s = {1, 2, 3}\nfor x in s:\n    pass\n",
-            "s = set([1, 2])\nout = list(s)\n",
-            "s = {x for x in range(3)}\nout = [y for y in s]\n",
-            "def f(s: set):\n    for x in s:\n        pass\n",
-        ],
-    )
+    @pytest.mark.parametrize("source", RL003_FLAGGED)
     def test_flags_set_iteration(self, source):
         findings = run("RL003", source)
         assert findings and all(f.rule == "RL003" for f in findings)
 
-    @pytest.mark.parametrize(
-        "source",
-        [
-            "s = {1, 2, 3}\nfor x in sorted(s):\n    pass\n",
-            "s = {1, 2}\nout = sorted(s)\n",
-            "d = {'a': 1}\nfor k in d:\n    pass\n",  # dicts are ordered
-            "xs = [1, 2]\nfor x in xs:\n    pass\n",
-        ],
-    )
+    @pytest.mark.parametrize("source", RL003_ALLOWED)
     def test_allows_sorted_iteration(self, source):
         assert run("RL003", source) == []
 

@@ -8,7 +8,7 @@ cross-module behavior, not just their per-file parsing.
 
 import textwrap
 
-from repro.analysis.engine import check_project
+from repro.analysis.engine import check_project, check_source
 from repro.analysis.registry import get_rule
 
 
@@ -186,6 +186,91 @@ class TestDeterminismTaint:
             def noise():
                 return random.random()  # repro-lint: disable=RL001 - display only
         """
+        assert _project("RL009", files) == []
+
+
+def _kernel_calling(helper_source: str) -> dict:
+    """A kernel function whose one callee lives in ``helper_source``."""
+    return {
+        "src/repro/engine/soe.py": """
+            from repro.metrics.helper import helper
+
+            def run(x):
+                return helper(x)
+        """,
+        "src/repro/metrics/helper.py": helper_source,
+    }
+
+
+class TestOneDetector:
+    """RL009 seeds from exactly the sources RL001-RL003 report.
+
+    Each shape below is flagged by its per-file rule; the whole-program
+    pass once missed it because it ran a second, drifted detector.
+    """
+
+    def _per_file(self, rule_id: str, files: dict) -> list:
+        source = textwrap.dedent(files["src/repro/metrics/helper.py"])
+        return check_source(
+            get_rule(rule_id), source, "src/repro/core/helper.py"
+        )
+
+    def _assert_taint(self, rule_id: str, label: str, helper_source: str):
+        files = _kernel_calling(helper_source)
+        assert self._per_file(rule_id, files)
+        findings = _project("RL009", files)
+        assert len(findings) == 1
+        assert label in findings[0].message
+        assert "repro.metrics.helper.helper" in findings[0].message
+
+    def test_function_local_time_import(self):
+        self._assert_taint("RL002", "wall clock", """
+            def helper(x):
+                import time
+                return x + time.time()
+        """)
+
+    def test_function_local_random_import(self):
+        self._assert_taint("RL001", "global RNG", """
+            def helper(x):
+                import random
+                return x + random.random()
+        """)
+
+    def test_system_random_attribute(self):
+        self._assert_taint("RL001", "global RNG", """
+            import random
+
+            def helper(x):
+                return x + random.SystemRandom().random()
+        """)
+
+    def test_system_random_from_import(self):
+        self._assert_taint("RL001", "global RNG", """
+            from random import SystemRandom
+
+            def helper(x):
+                return x + SystemRandom().random()
+        """)
+
+    def test_module_level_set_iterated_in_helper(self):
+        self._assert_taint("RL003", "unsorted set iteration", """
+            _KINDS = {"a", "b"}
+
+            def helper(x):
+                return [x + k for k in _KINDS]
+        """)
+
+    def test_pragma_on_from_import_sanctions_the_source(self):
+        # RL002 reports the import line; a pragma there silences RL002
+        # and so sanctions every use of the imported name.
+        files = _kernel_calling("""
+            from time import perf_counter  # repro-lint: disable=RL002 - reviewed
+
+            def helper(x):
+                return x + perf_counter()
+        """)
+        assert self._per_file("RL002", files) == []
         assert _project("RL009", files) == []
 
 

@@ -111,9 +111,9 @@ class TestPoliciesOnDetailedCore:
         assert result.total_ipc < baseline_run.total_ipc
 
     def test_tracing_does_not_change_the_run(self):
-        """Tracing wraps the policy in ``TracingSwitchPolicy``, which
-        overrides every hook, so the pipeline calls each one instead of
-        skipping the base-class no-ops; the result must not change."""
+        """A traced run emits ``switch`` events from the pipeline's
+        switch-out sites and binds the same policy hooks as an untraced
+        run; the result must not change."""
         def run():
             controller = FairnessController(
                 2, FairnessParams(fairness_target=0.5, sample_period=4_000.0)

@@ -1,15 +1,16 @@
 """Tests for event builders, schema validation, and emission points."""
 
+import hashlib
 import json
 import math
+from collections import Counter
 
 import pytest
 
 from repro.core.controller import FairnessController, FairnessParams
-from repro.core.policy import SwitchPolicy
-from repro.cpu.soe_core import TracingSwitchPolicy
+from repro.cpu.soe_core import run_cpu_single_thread, run_cpu_soe
 from repro.errors import ConfigurationError
-from repro.telemetry import RingBufferSink
+from repro.telemetry import RingBufferSink, tracing
 from repro.telemetry.events import (
     CATEGORIES,
     EVENT_SCHEMAS,
@@ -31,6 +32,7 @@ from repro.telemetry.events import (
     validate_event,
     validate_trace_file,
 )
+from repro.workloads.tracegen import CpuWorkloadSpec, make_trace
 
 
 def _sample(**overrides):
@@ -255,65 +257,89 @@ class TestControllerEmission:
         assert len(controller.history) == 1
 
 
-class _RecordingPolicy(SwitchPolicy):
-    """Inner policy that records every callback it receives."""
-
-    def __init__(self):
-        self.calls = []
-
-    def on_run_start(self, thread_id, now):
-        self.calls.append(("run_start", thread_id, now))
-
-    def instruction_budget(self, thread_id):
-        self.calls.append(("instruction_budget", thread_id))
-        return 123.0
-
-    def cycle_budget(self, thread_id):
-        self.calls.append(("cycle_budget", thread_id))
-        return 456.0
-
-    def on_retired(self, thread_id, instructions, cycles):
-        self.calls.append(("retired", thread_id, instructions, cycles))
-
-    def on_miss(self, thread_id, now, latency=None):
-        self.calls.append(("miss", thread_id, now, latency))
-
-    def on_switch_out(self, thread_id, reason, now):
-        self.calls.append(("switch_out", thread_id, reason, now))
-
-    def next_boundary(self, now):
-        self.calls.append(("next_boundary", now))
-        return now + 1000.0
-
-    def on_boundary(self, now):
-        self.calls.append(("boundary", now))
+#: Small-footprint detailed-core workloads (the specs of
+#: tests/cpu/test_soe_core.py), so traced runs finish in well under a second.
+_CPU_COMPUTE = CpuWorkloadSpec(
+    name="t-compute", ilp=8, ipm=20_000.0, load_fraction=0.2,
+    store_fraction=0.05, branch_fraction=0.10, branch_noise=0.02,
+    hot_bytes=4 * 1024, code_bytes=2 * 1024,
+)
+_CPU_MEMORY = CpuWorkloadSpec(
+    name="t-memory", ilp=6, ipm=400.0, load_fraction=0.3,
+    store_fraction=0.05, branch_fraction=0.08, branch_noise=0.02,
+    hot_bytes=4 * 1024, code_bytes=2 * 1024,
+)
 
 
-class TestTracingSwitchPolicy:
-    def test_delegates_every_callback(self):
-        inner = _RecordingPolicy()
-        sink = RingBufferSink()
-        traced = TracingSwitchPolicy(inner, sink)
-        traced.on_run_start(0, 0.0)
-        assert traced.instruction_budget(0) == 123.0
-        assert traced.cycle_budget(0) == 456.0
-        traced.on_retired(0, 10.0, 20.0)
-        traced.on_miss(0, 30.0, latency=300.0)
-        traced.on_switch_out(0, "miss", 40.0)
-        assert traced.next_boundary(50.0) == 1050.0
-        traced.on_boundary(60.0)
-        assert [c[0] for c in inner.calls] == [
-            "run_start", "instruction_budget", "cycle_budget", "retired",
-            "miss", "switch_out", "next_boundary", "boundary",
-        ]
+def _cpu_programs():
+    return [
+        make_trace(_CPU_COMPUTE, seed=1, thread_index=0),
+        make_trace(_CPU_MEMORY, seed=2, thread_index=1),
+    ]
 
-    def test_emits_cpu_switch_events(self):
-        sink = RingBufferSink()
-        traced = TracingSwitchPolicy(_RecordingPolicy(), sink)
-        traced.on_switch_out(1, "quota", 77.0)
-        (event,) = sink.events
-        validate_event(event)
-        assert event["event"] == "switch"
-        assert event["thread"] == 1
-        assert event["cause"] == "quota"
-        assert event["substrate"] == "cpu"
+
+def _traced_events(run):
+    sink = RingBufferSink()
+    with tracing(sink):
+        run()
+    return sink.events
+
+
+def _digest(events):
+    blob = json.dumps(events, sort_keys=True).encode()
+    return hashlib.sha256(blob).hexdigest()
+
+
+class TestCpuSwitchEmission:
+    """The detailed core's exact traced event stream, pinned.
+
+    The pipeline emits a ``switch`` event at each of its two switch-out
+    sites, before the policy's ``on_switch_out``; the digests cover every
+    event and field, so any change to when or what the core emits shows
+    here. A single-thread run has nothing to switch to and emits none.
+    """
+
+    def test_fairness_controller_run(self):
+        def run():
+            controller = FairnessController(
+                2, FairnessParams(fairness_target=0.5, sample_period=4_000.0)
+            )
+            run_cpu_soe(
+                _cpu_programs(), controller,
+                min_instructions=3_000, warmup_instructions=1_000,
+            )
+
+        events = _traced_events(run)
+        assert Counter(e["event"] for e in events) == {
+            "switch": 224, "sample": 8,
+        }
+        assert events[0] == {
+            "event": "switch", "cat": "switch", "v": SCHEMA_VERSION,
+            "t": 361.0, "thread": 0, "cause": "miss", "substrate": "cpu",
+        }
+        for event in events:
+            validate_event(event)
+        assert _digest(events) == (
+            "135b80373dafdff22066c0db6efd944a4ce2842fffefe5f7492350b46c37d407"
+        )
+
+    def test_run_without_policy(self):
+        events = _traced_events(
+            lambda: run_cpu_soe(
+                _cpu_programs(), min_instructions=3_000, warmup_instructions=1_000
+            )
+        )
+        assert len(events) == 95
+        assert all(e["event"] == "switch" for e in events)
+        assert _digest(events) == (
+            "36372fb1c00273a2f9132b3f944697ca4d37a3c72ba7af1fada2a241ccb55832"
+        )
+
+    def test_single_thread_run_emits_nothing(self):
+        events = _traced_events(
+            lambda: run_cpu_single_thread(
+                make_trace(_CPU_MEMORY, seed=2, thread_index=1),
+                min_instructions=3_000, warmup_instructions=1_000,
+            )
+        )
+        assert events == []
