@@ -281,14 +281,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         _write_text(args.output, text + "\n")
 
     if args.graph:
-        try:
-            payload = (
-                json.dumps(result.graph_json(), indent=2, sort_keys=True)
-                + "\n"
-            )
-        except ConfigurationError as exc:
-            print(f"repro-lint: error: {exc}", file=sys.stderr)
-            return 2
+        payload = json.dumps(result.graph_json(), indent=2, sort_keys=True) + "\n"
         if args.graph == "-":
             sys.stdout.write(payload)
         else:

@@ -96,14 +96,14 @@ def discover_files(root: Path, targets: Sequence[str]) -> List[str]:
 class LintResult:
     """Everything one lint run produced."""
 
+    #: The assembled project view (for ``--graph``); not serialized.
+    project: ProjectInfo = field(repr=False)
     findings: List[Finding] = field(default_factory=list)
     suppressed: List[Finding] = field(default_factory=list)
     stale_baseline: List[str] = field(default_factory=list)
     eq_table: Optional[EqTable] = None
     files_checked: int = 0
     rules_run: List[str] = field(default_factory=list)
-    #: The assembled project view (for ``--graph``); not serialized.
-    project: Optional[ProjectInfo] = field(default=None, repr=False)
 
     @property
     def active(self) -> List[Finding]:
@@ -161,10 +161,6 @@ class LintResult:
         """The ``--graph`` dump: call graph + inferred effect sets."""
         from repro.analysis.dataflow import effects_to_json
 
-        if self.project is None:
-            raise ConfigurationError(
-                "no project view available for --graph (eq-table-only run?)"
-            )
         return effects_to_json(self.project.graph(), self.project.taints())
 
     def to_sarif(self) -> Dict[str, object]:
@@ -318,13 +314,13 @@ def run_lint(
         kept, stale = apply_baseline(kept, baseline)
 
     return LintResult(
+        project=project,
         findings=sorted(kept),
         suppressed=sorted(suppressed),
         stale_baseline=stale,
         eq_table=eq_table,
         files_checked=len(modules),
         rules_run=[rule.meta.id for rule in active_rules],
-        project=project,
     )
 
 

@@ -56,6 +56,7 @@ from repro.experiments.runner import (
     degraded_outcomes,
     execution,
     reset_degraded,
+    run_grid,
 )
 
 __all__ = ["main", "build_parser"]
@@ -253,12 +254,6 @@ def _run_one(
     """Run one registered experiment; every run() accepts ``config=``."""
     experiment = get_experiment(experiment_id)
     if policies is not None:
-        if experiment_id != "frontier":
-            raise ConfigurationError(
-                "--policies only applies to the frontier experiment; "
-                "use --policy NAME to run other experiments under a "
-                "single policy"
-            )
         result = experiment.run(config=config, policies=policies)
     else:
         result = experiment.run(config=config)
@@ -268,9 +263,8 @@ def _run_one(
 def _run_grid(config: EvalConfig) -> tuple[dict[str, object], list[str]]:
     """Run the 16-pair grid once and derive Figures 6-8 from it."""
     from repro.experiments import fig6, fig7, fig8
-    from repro.experiments.common import run_all_pairs
 
-    pair_results = run_all_pairs(config)
+    pair_results = run_grid(config).results
     modules = {"fig6": fig6, "fig7": fig7, "fig8": fig8}
     results = {
         experiment_id: module.run(config, pairs=pair_results)
@@ -534,7 +528,9 @@ def _dispatch(arg_list: list) -> int:
     policies = _parse_policies(args.policies)
     if policies is not None and args.experiment != "frontier":
         raise ConfigurationError(
-            "--policies only applies to the frontier experiment"
+            "--policies only applies to the frontier experiment; "
+            "use --policy NAME to run other experiments under a "
+            "single policy"
         )
     settings = _execution_settings(args)
     plan = faults.parse_fault_plan(args.inject_faults)

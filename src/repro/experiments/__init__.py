@@ -8,7 +8,6 @@ from repro.experiments.common import (
     EvalConfig,
     PairResult,
     format_table,
-    run_all_pairs,
 )
 from repro.experiments.registry import (
     Experiment,
@@ -36,6 +35,5 @@ __all__ = [
     "format_table",
     "get_experiment",
     "parallel_map",
-    "run_all_pairs",
     "run_grid",
 ]

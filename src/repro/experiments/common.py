@@ -1,16 +1,18 @@
 """Shared infrastructure for the paper-reproduction experiments.
 
-The evaluation figures (6, 7, 8) all consume the same grid of runs --
-every benchmark pair at every fairness level, plus each benchmark's
-single-thread reference -- so :func:`run_all_pairs` produces that grid
-once and the figure modules post-process it.
+:class:`EvalConfig` is the one source of run lengths, machine latencies
+and the stream seed: every registered experiment's ``run()`` takes it as
+``config`` and defaults to ``EvalConfig()``. The evaluation figures (6,
+7, 8) all consume the same grid of runs -- every benchmark pair at every
+fairness level, plus each benchmark's single-thread reference -- so
+:func:`repro.experiments.runner.run_grid` produces that grid once, as
+:class:`PairResult` objects, and the figure modules post-process it.
 """
 
 from __future__ import annotations
 
-import pathlib
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.core.controller import FairnessParams
 from repro.core.policies import PolicyConfig, get_policy
@@ -22,7 +24,6 @@ from repro.workloads.pairs import BenchmarkPair
 __all__ = [
     "EvalConfig",
     "PairResult",
-    "run_all_pairs",
     "format_table",
 ]
 
@@ -170,33 +171,6 @@ class PairResult:
                 "check the run limits and workload streams"
             )
         return self._run_at(level).total_ipc / baseline_ipc
-
-
-def run_all_pairs(
-    config: EvalConfig = EvalConfig(),
-    pairs: Optional[Sequence[BenchmarkPair]] = None,
-    *,
-    jobs: Optional[int] = None,
-    cache_dir: Optional[pathlib.Path] = None,
-) -> list[PairResult]:
-    """Run the full evaluation grid (16 pairs by default).
-
-    Execution is delegated to :mod:`repro.experiments.runner`: the
-    ambient :class:`~repro.experiments.runner.ExecutionSettings`
-    (installed by the CLI's ``--jobs``/``--cache-dir``) govern process
-    count and result caching unless overridden by the explicit keyword
-    arguments. Results are bit-identical whatever the settings.
-    """
-    from dataclasses import replace
-
-    from repro.experiments import runner
-
-    settings = runner.current_settings()
-    if jobs is not None:
-        settings = replace(settings, jobs=jobs)
-    if cache_dir is not None:
-        settings = replace(settings, cache_dir=cache_dir)
-    return runner.run_grid(config, pairs=pairs, settings=settings).results
 
 
 def format_table(

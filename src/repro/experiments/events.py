@@ -27,7 +27,7 @@ from typing import Optional
 from repro.core.controller import FairnessController, FairnessParams
 from repro.engine.singlethread import run_single_thread
 from repro.engine.segments import SegmentStream
-from repro.engine.soe import RunLimits, SoeParams, run_soe
+from repro.engine.soe import SoeParams, run_soe
 from repro.experiments.common import EvalConfig, format_table
 from repro.workloads.events import EventType, mean_event_latency, multi_event_stream
 from repro.workloads.synthetic import uniform_stream
@@ -74,7 +74,7 @@ class EventsResult:
         return measured < wrong
 
 
-def _streams(seed_base: int = 0) -> list[SegmentStream]:
+def _streams(seed_base: int) -> list[SegmentStream]:
     return [
         multi_event_stream(MIXED_IPC, MIXED_EVENTS, seed=seed_base + 31,
                            name="mixed-events"),
@@ -85,28 +85,18 @@ def _streams(seed_base: int = 0) -> list[SegmentStream]:
 
 def run(
     fairness_target: float = 0.5,
-    min_instructions: Optional[float] = None,
-    warmup_instructions: Optional[float] = None,
-    config: Optional[EvalConfig] = None,
+    config: EvalConfig = EvalConfig(),
 ) -> EventsResult:
-    if min_instructions is None:
-        min_instructions = (
-            config.min_instructions if config is not None else 2_000_000.0
-        )
-    if warmup_instructions is None:
-        warmup_instructions = (
-            config.warmup_instructions if config is not None else 1_200_000.0
-        )
-    seed_base = 2 * config.seed if config is not None else 0
+    seed_base = 2 * config.seed
     params = SoeParams(miss_lat=300.0, switch_lat=25.0)
     ipc_st = [
-        run_single_thread(stream, miss_lat=300.0, min_instructions=min_instructions).ipc
+        run_single_thread(
+            stream, miss_lat=300.0, min_instructions=config.min_instructions
+        ).ipc
         for stream in _streams(seed_base)
     ]
     true_mean = mean_event_latency(MIXED_EVENTS)
-    limits = RunLimits(
-        min_instructions=min_instructions, warmup_instructions=warmup_instructions
-    )
+    limits = config.run_limits()
 
     configurations = [
         ("assumed 300", FairnessParams(fairness_target=fairness_target,

@@ -15,7 +15,7 @@ paper's observations, all reproduced by this sweep:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.core.model import SoeModel, ThreadParams
 from repro.experiments.common import EvalConfig, format_table
@@ -66,27 +66,18 @@ class Fig3Result:
 
 def run(
     cases: Sequence[tuple[tuple[float, float], tuple[float, float]]] = PAPER_CASES,
-    miss_lat: Optional[float] = None,
-    switch_lat: Optional[float] = None,
     steps: int = 21,
-    config: Optional[EvalConfig] = None,
+    config: EvalConfig = EvalConfig(),
 ) -> Fig3Result:
-    """Sweep F in [0, 1] for each case through the analytical model.
-
-    The machine latencies default to ``config`` (the paper's 300/25
-    cycles when no configuration is given); explicit arguments win.
-    """
-    if miss_lat is None:
-        miss_lat = config.miss_lat if config is not None else 300.0
-    if switch_lat is None:
-        switch_lat = config.switch_lat if config is not None else 25.0
+    """Sweep F in [0, 1] for each case through the analytical model at
+    ``config``'s miss and switch latencies."""
     targets = tuple(i / (steps - 1) for i in range(steps))
     series = []
     for ipcs, ipms in cases:
         model = SoeModel(
             [ThreadParams(ipcs[0], ipms[0]), ThreadParams(ipcs[1], ipms[1])],
-            miss_lat=miss_lat,
-            switch_lat=switch_lat,
+            miss_lat=config.miss_lat,
+            switch_lat=config.switch_lat,
         )
         changes = tuple(model.throughput_change(f) for f in targets)
         series.append(

@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from repro.experiments.common import EvalConfig, PairResult, format_table, run_all_pairs
+from repro.experiments.common import EvalConfig, PairResult, format_table
+from repro.experiments.runner import run_grid
 from repro.metrics.summary import mean
 from repro.metrics.throughput import soe_speedup_over_single_thread
 
@@ -46,7 +47,7 @@ def run(
     pairs: Optional[Sequence[PairResult]] = None,
 ) -> Fig6Result:
     """Run (or reuse) the evaluation grid and assemble Figure 6."""
-    results = list(pairs) if pairs is not None else run_all_pairs(config)
+    results = list(pairs) if pairs is not None else run_grid(config).results
     return Fig6Result(pairs=results, fairness_levels=config.fairness_levels)
 
 

@@ -13,7 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from repro.experiments.common import EvalConfig, PairResult, format_table, run_all_pairs
+from repro.experiments.common import EvalConfig, PairResult, format_table
+from repro.experiments.runner import run_grid
 from repro.metrics.ascii_chart import bar_chart
 from repro.metrics.summary import mean
 
@@ -57,7 +58,7 @@ def run(
     config: EvalConfig = EvalConfig(),
     pairs: Optional[Sequence[PairResult]] = None,
 ) -> Fig7Result:
-    results = list(pairs) if pairs is not None else run_all_pairs(config)
+    results = list(pairs) if pairs is not None else run_grid(config).results
     return Fig7Result(pairs=results, fairness_levels=config.fairness_levels)
 
 

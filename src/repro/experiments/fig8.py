@@ -17,7 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from repro.experiments.common import EvalConfig, PairResult, format_table, run_all_pairs
+from repro.experiments.common import EvalConfig, PairResult, format_table
+from repro.experiments.runner import run_grid
 from repro.metrics.ascii_chart import line_chart
 from repro.metrics.report import FairnessSummary, summarize_achieved_fairness
 
@@ -50,7 +51,7 @@ def run(
     config: EvalConfig = EvalConfig(),
     pairs: Optional[Sequence[PairResult]] = None,
 ) -> Fig8Result:
-    results = list(pairs) if pairs is not None else run_all_pairs(config)
+    results = list(pairs) if pairs is not None else run_grid(config).results
     ordered = sorted(results, key=lambda p: p.achieved_fairness(0.0))
     return Fig8Result(pairs=ordered, fairness_levels=config.fairness_levels)
 

@@ -25,9 +25,9 @@ finished work to one bad task:
   silently deleted) and recomputed.
 
 Execution options (process count, cache directory, supervision knobs)
-travel as ambient :class:`ExecutionSettings` rather than threading
-through every experiment signature: the CLI installs them once via
-:func:`execution` and every grid consumer picks them up.
+travel only as ambient :class:`ExecutionSettings`; no experiment
+signature takes them. The CLI installs them once via :func:`execution`,
+and :func:`run_grid` and :func:`parallel_map` read them.
 
 Fault tolerance (see ``docs/ROBUSTNESS.md``): tasks run under the
 :class:`~repro.experiments.supervisor.Supervisor` (persistent workers,
@@ -322,15 +322,11 @@ def _merge_worker_profiles(outcomes: Sequence[object]) -> None:
         PROFILE.merge(profile)
 
 
-def parallel_map(
-    func: Callable[[T], R],
-    items: Iterable[T],
-    jobs: Optional[int] = None,
-) -> list[R]:
-    """Map ``func`` over ``items``, optionally across processes.
+def parallel_map(func: Callable[[T], R], items: Iterable[T]) -> list[R]:
+    """Map ``func`` over ``items`` across the ambient ``jobs`` processes.
 
     Results always come back in item order, so callers see identical
-    output whatever ``jobs`` is. ``func`` must be a module-level
+    output whatever the process count is. ``func`` must be a module-level
     callable (or a ``functools.partial`` of one) and every item a pure,
     picklable task spec carrying its own seed -- the workers share no
     state with the parent.
@@ -350,16 +346,12 @@ def parallel_map(
     """
     tasks = list(items)
     settings = current_settings()
-    if jobs is None:
-        jobs = settings.jobs
-    if jobs < 1:
-        raise ConfigurationError("jobs must be a positive process count")
     traced = current_sink().enabled
     call: Callable = _TracedCall(func) if traced else func
     supervisor = Supervisor(
         call,
         list(enumerate(tasks)),
-        jobs=min(jobs, max(len(tasks), 1)),
+        jobs=min(settings.jobs, max(len(tasks), 1)),
         policy=settings.policy,
         descriptor=_task_descriptor,
         validate=_validate_payload,
@@ -499,14 +491,6 @@ class CacheStats:
     corrupt: int = 0
     #: stale ``*.tmp`` writer debris removed at cache construction
     swept: int = 0
-
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        return self.hits / self.lookups if self.lookups else 0.0
 
 
 #: Length of the SHA-256 digest that heads every cache entry.

@@ -18,7 +18,7 @@ model and spot-checked against the segment engine:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.core.model import SoeModel, ThreadParams
 from repro.engine.soe import RunLimits, SoeParams, run_soe
@@ -83,16 +83,13 @@ def run(
     miss_latencies: Sequence[float] = (75.0, 150.0, 300.0, 600.0, 1_200.0, 2_000.0),
     switch_latencies: Sequence[float] = (5.0, 10.0, 25.0, 50.0, 100.0),
     spot_check: Sequence[float] = (300.0,),
-    config: Optional[EvalConfig] = None,
+    config: EvalConfig = EvalConfig(),
 ) -> SensitivityResult:
     from repro.experiments.runner import parallel_map
 
-    if config is not None:
-        min_instructions = config.min_instructions
-        warmup = config.warmup_instructions
-        seed_base = 2 * config.seed
-    else:
-        min_instructions, warmup, seed_base = 1_000_000.0, 700_000.0, 0
+    min_instructions = config.min_instructions
+    warmup = config.warmup_instructions
+    seed_base = 2 * config.seed
 
     # The engine spot-checks are the expensive part; fan them out and
     # join them back by latency point.

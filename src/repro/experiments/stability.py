@@ -11,12 +11,13 @@ the unfair-run fraction, and the truncated achieved-fairness means.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
-from repro.experiments.common import EvalConfig, format_table, run_all_pairs
+from repro.experiments.common import EvalConfig, format_table
 from repro.experiments.fig6 import Fig6Result
 from repro.experiments.fig7 import Fig7Result
 from repro.experiments.fig8 import Fig8Result
+from repro.experiments.runner import run_grid
 from repro.metrics.summary import mean, stdev
 
 __all__ = ["SeedOutcome", "StabilityResult", "run", "render"]
@@ -58,7 +59,6 @@ class StabilityResult:
 def run(
     seeds: Sequence[int] = (0, 1, 2),
     config: EvalConfig = EvalConfig(),
-    jobs: Optional[int] = None,
 ) -> StabilityResult:
     """Rerun the grid under each seed.
 
@@ -70,7 +70,7 @@ def run(
     outcomes = []
     for seed in seeds:
         seeded = replace(config, seed=seed)
-        grid = run_all_pairs(seeded, jobs=jobs)
+        grid = run_grid(seeded).results
         fig6 = Fig6Result(pairs=grid, fairness_levels=seeded.fairness_levels)
         fig7 = Fig7Result(pairs=grid, fairness_levels=seeded.fairness_levels)
         ordered = sorted(grid, key=lambda p: p.achieved_fairness(0.0))

@@ -16,13 +16,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.core.controller import FairnessController, FairnessParams
 from repro.core.model import SoeModel, ThreadParams
 from repro.engine.singlethread import run_single_thread
 from repro.engine.segments import SegmentStream
-from repro.engine.soe import RunLimits, SoeParams, run_soe
+from repro.engine.soe import SoeParams, run_soe
 from repro.experiments.common import EvalConfig, format_table
 from repro.workloads.synthetic import uniform_stream
 
@@ -85,18 +84,19 @@ def _model_rows() -> list[Table2Row]:
     return rows
 
 
-def _streams(seed_base: int = 0) -> list[SegmentStream]:
+def _streams(seed_base: int) -> list[SegmentStream]:
     return [
         uniform_stream(IPC_NO_MISS, IPM[0], seed=seed_base + 1),
         uniform_stream(IPC_NO_MISS, IPM[1], seed=seed_base + 2),
     ]
 
 
-def _simulated_rows(
-    min_instructions: float, warmup: float, seed_base: int = 0
-) -> list[Table2Row]:
+def _simulated_rows(config: EvalConfig) -> list[Table2Row]:
+    seed_base = 2 * config.seed
     st = [
-        run_single_thread(s, miss_lat=MISS_LAT, min_instructions=min_instructions).ipc
+        run_single_thread(
+            s, miss_lat=MISS_LAT, min_instructions=config.min_instructions
+        ).ipc
         for s in _streams(seed_base)
     ]
     rows = []
@@ -114,7 +114,7 @@ def _simulated_rows(
             _streams(seed_base),
             controller,
             params,
-            RunLimits(min_instructions=min_instructions, warmup_instructions=warmup),
+            config.run_limits(),
         )
         quotas = quota_source.quotas if quota_source else [math.inf, math.inf]
         for tid in range(2):
@@ -122,29 +122,15 @@ def _simulated_rows(
     return rows
 
 
-def run(
-    min_instructions: Optional[float] = None,
-    warmup: Optional[float] = None,
-    config: Optional[EvalConfig] = None,
-) -> Table2Result:
+def run(config: EvalConfig = EvalConfig()) -> Table2Result:
     """Compute Table 2 analytically and by simulation.
 
-    Run lengths and the stream seed come from ``config`` when given
-    (Example 2's machine constants stay fixed -- they define the
-    example); explicit arguments win over the configuration.
+    Run lengths and the stream seed come from ``config``; Example 2's
+    machine constants stay fixed -- they define the example.
     """
-    if min_instructions is None:
-        min_instructions = (
-            config.min_instructions if config is not None else 1_500_000.0
-        )
-    if warmup is None:
-        warmup = (
-            config.warmup_instructions if config is not None else 1_000_000.0
-        )
-    seed_base = 2 * config.seed if config is not None else 0
     return Table2Result(
         analytical=_model_rows(),
-        simulated=_simulated_rows(min_instructions, warmup, seed_base),
+        simulated=_simulated_rows(config),
     )
 
 

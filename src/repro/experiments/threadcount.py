@@ -16,12 +16,12 @@ thread to make the fairness problem appear.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.core.controller import FairnessController, FairnessParams
 from repro.engine.singlethread import run_single_thread
 from repro.engine.segments import SegmentStream
-from repro.engine.soe import RunLimits, SoeParams, run_soe
+from repro.engine.soe import SoeParams, run_soe
 from repro.experiments.common import EvalConfig, format_table
 from repro.workloads.synthetic import uniform_stream
 
@@ -64,7 +64,7 @@ class ThreadCountResult:
         return self.rows[-1].num_threads  # pragma: no cover
 
 
-def _memory_streams(num_threads: int, seed_base: int = 0) -> list[SegmentStream]:
+def _memory_streams(num_threads: int, seed_base: int) -> list[SegmentStream]:
     """Pure memory-bound mix: the regime where thread count pays off."""
     return [
         uniform_stream(MEMORY_IPC, MEMORY_IPM, ipm_cv=0.4,
@@ -73,7 +73,7 @@ def _memory_streams(num_threads: int, seed_base: int = 0) -> list[SegmentStream]
     ]
 
 
-def _mixed_streams(num_threads: int, seed_base: int = 0) -> list[SegmentStream]:
+def _mixed_streams(num_threads: int, seed_base: int) -> list[SegmentStream]:
     """One compute thread + N-1 memory threads: the fairness stressor."""
     streams = [
         uniform_stream(COMPUTE_IPC, COMPUTE_IPM, ipm_cv=0.5,
@@ -86,24 +86,11 @@ def _mixed_streams(num_threads: int, seed_base: int = 0) -> list[SegmentStream]:
 def run(
     thread_counts: Sequence[int] = (2, 3, 4, 5, 6),
     fairness_target: float = 0.5,
-    min_instructions: Optional[float] = None,
-    warmup_instructions: Optional[float] = None,
-    config: Optional[EvalConfig] = None,
+    config: EvalConfig = EvalConfig(),
 ) -> ThreadCountResult:
-    if min_instructions is None:
-        min_instructions = (
-            config.min_instructions if config is not None else 800_000.0
-        )
-    if warmup_instructions is None:
-        warmup_instructions = (
-            config.warmup_instructions if config is not None else 600_000.0
-        )
-    seed_base = 2 * config.seed if config is not None else 0
+    seed_base = 2 * config.seed
     params = SoeParams()
-    limits = RunLimits(
-        min_instructions=min_instructions,
-        warmup_instructions=warmup_instructions,
-    )
+    limits = config.run_limits()
     rows = []
     for count in thread_counts:
         # Throughput scaling on the homogeneous memory-bound mix.
@@ -113,7 +100,9 @@ def run(
 
         # Fairness behaviour on the heterogeneous mix.
         ipc_st = [
-            run_single_thread(s, params.miss_lat, min_instructions=min_instructions).ipc
+            run_single_thread(
+                s, params.miss_lat, min_instructions=config.min_instructions
+            ).ipc
             for s in _mixed_streams(count, seed_base)
         ]
         unenforced = run_soe(

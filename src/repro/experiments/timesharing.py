@@ -12,7 +12,7 @@ quota and compares against the fairness-enforced run.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.core.controller import FairnessController
 from repro.core.policies import PolicyConfig
@@ -52,7 +52,7 @@ class TimeSharingResult:
         return fairest.total_ipc <= fastest.total_ipc
 
 
-def _streams(seed_base: int = 0) -> list[SegmentStream]:
+def _streams(seed_base: int) -> list[SegmentStream]:
     return [
         uniform_stream(IPC_NO_MISS, IPM[0], seed=seed_base + 1),
         uniform_stream(IPC_NO_MISS, IPM[1], seed=seed_base + 2),
@@ -61,27 +61,16 @@ def _streams(seed_base: int = 0) -> list[SegmentStream]:
 
 def run(
     quotas: Sequence[float] = (100.0, 200.0, 400.0, 1_000.0, 4_000.0, 16_000.0),
-    min_instructions: Optional[float] = None,
-    config: Optional[EvalConfig] = None,
+    config: EvalConfig = EvalConfig(),
 ) -> TimeSharingResult:
-    # The machine parameters (miss/switch latency, quota cap, sample
-    # period) always come from the config; the EvalConfig defaults are
-    # the paper's Table 3 values, so the legacy no-config path is
-    # unchanged.
-    machine = config if config is not None else EvalConfig()
-    if min_instructions is None:
-        min_instructions = (
-            config.min_instructions if config is not None else 1_000_000.0
-        )
-    enforced_warmup = (
-        config.warmup_instructions if config is not None else 500_000.0
-    )
-    seed_base = 2 * config.seed if config is not None else 0
-    params = machine.soe_params()
+    """Sweep the time quota, then run the mechanism at F = 1; run
+    lengths, machine parameters and the stream seed come from
+    ``config``."""
+    min_instructions = config.min_instructions
+    seed_base = 2 * config.seed
+    params = config.soe_params()
     ipc_st = [
-        run_single_thread(
-            s, machine.miss_lat, min_instructions=min_instructions
-        ).ipc
+        run_single_thread(s, config.miss_lat, min_instructions=min_instructions).ipc
         for s in _streams(seed_base)
     ]
     points = []
@@ -102,15 +91,12 @@ def run(
                 time_share=tuple(c / total_run for c in run_cycles),
             )
         )
-    controller = FairnessController(2, machine.fairness_params(1.0))
+    controller = FairnessController(2, config.fairness_params(1.0))
     enforced = run_soe(
         _streams(seed_base),
         controller,
         params,
-        RunLimits(
-            min_instructions=min_instructions,
-            warmup_instructions=enforced_warmup,
-        ),
+        config.run_limits(),
     )
     return TimeSharingResult(
         points=points,

@@ -20,7 +20,6 @@ the cycle-level simulator is orders of magnitude slower.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.core.model import SoeModel, ThreadParams
 from repro.engine.soe import RunLimits, SoeParams, run_soe
@@ -83,35 +82,30 @@ CASES = (
 
 
 def run(
-    miss_lat: Optional[float] = None,
-    switch_lat: Optional[float] = None,
-    min_instructions: Optional[float] = None,
     include_cpu: bool = False,
-    config: Optional[EvalConfig] = None,
+    config: EvalConfig = EvalConfig(),
 ) -> ValidationResult:
-    if miss_lat is None:
-        miss_lat = config.miss_lat if config is not None else 300.0
-    if switch_lat is None:
-        switch_lat = config.switch_lat if config is not None else 25.0
-    if min_instructions is None:
-        min_instructions = (
-            config.st_min_instructions if config is not None else 500_000.0
-        )
-    seed_base = 2 * config.seed if config is not None else 0
-    params = SoeParams(miss_lat=miss_lat, switch_lat=switch_lat)
+    """Compare model and engine on every case (and, with
+    ``include_cpu``, engine and detailed core) at ``config``'s miss and
+    switch latencies; each engine run is ``config.st_min_instructions``
+    long."""
+    seed_base = 2 * config.seed
+    params = SoeParams(miss_lat=config.miss_lat, switch_lat=config.switch_lat)
     cases = []
     for label, (ipc1, ipm1), (ipc2, ipm2) in CASES:
         model = SoeModel(
             [ThreadParams(ipc1, ipm1), ThreadParams(ipc2, ipm2)],
-            miss_lat=miss_lat,
-            switch_lat=switch_lat,
+            miss_lat=config.miss_lat,
+            switch_lat=config.switch_lat,
         )
         streams = [
             uniform_stream(ipc1, ipm1, seed=seed_base + 1),
             uniform_stream(ipc2, ipm2, seed=seed_base + 2),
         ]
         result = run_soe(
-            streams, params=params, limits=RunLimits(min_instructions=min_instructions)
+            streams,
+            params=params,
+            limits=RunLimits(min_instructions=config.st_min_instructions),
         )
         cases.append(
             ValidationCase(
@@ -122,11 +116,11 @@ def run(
         )
     cpu_cases: list[CpuValidationCase] = []
     if include_cpu:
-        cpu_cases = _cpu_comparison(miss_lat, switch_lat)
+        cpu_cases = _cpu_comparison(config.miss_lat)
     return ValidationResult(cases=cases, cpu_cases=cpu_cases)
 
 
-def _cpu_comparison(miss_lat: float, switch_lat: float) -> list[CpuValidationCase]:
+def _cpu_comparison(miss_lat: float) -> list[CpuValidationCase]:
     """Compare the detailed core's measured SOE IPC against a segment
     engine run parameterized with the statistics the core itself
     reports."""

@@ -14,13 +14,13 @@ the targets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.core.controller import FairnessController, FairnessParams
 from repro.core.fairness import weighted_fairness
 from repro.engine.singlethread import run_single_thread
 from repro.engine.segments import SegmentStream
-from repro.engine.soe import RunLimits, SoeParams, run_soe
+from repro.engine.soe import SoeParams, run_soe
 from repro.experiments.common import EvalConfig, format_table
 from repro.workloads.synthetic import uniform_stream
 
@@ -56,7 +56,7 @@ class WeightedResult:
     rows: list[WeightedRow]
 
 
-def _streams(seed_base: int = 0) -> list[SegmentStream]:
+def _streams(seed_base: int) -> list[SegmentStream]:
     return [
         uniform_stream(IPC_NO_MISS, IPM[0], seed=seed_base + 1),
         uniform_stream(IPC_NO_MISS, IPM[1], seed=seed_base + 2),
@@ -66,27 +66,17 @@ def _streams(seed_base: int = 0) -> list[SegmentStream]:
 def run(
     weight_ratios: Sequence[tuple[float, float]] = ((1.0, 1.0), (2.0, 1.0), (4.0, 1.0), (1.0, 2.0)),
     fairness_target: float = 1.0,
-    min_instructions: Optional[float] = None,
-    warmup_instructions: Optional[float] = None,
-    config: Optional[EvalConfig] = None,
+    config: EvalConfig = EvalConfig(),
 ) -> WeightedResult:
-    if min_instructions is None:
-        min_instructions = (
-            config.min_instructions if config is not None else 1_500_000.0
-        )
-    if warmup_instructions is None:
-        warmup_instructions = (
-            config.warmup_instructions if config is not None else 1_000_000.0
-        )
-    seed_base = 2 * config.seed if config is not None else 0
+    seed_base = 2 * config.seed
     params = SoeParams()
     ipc_st = [
-        run_single_thread(s, params.miss_lat, min_instructions=min_instructions).ipc
+        run_single_thread(
+            s, params.miss_lat, min_instructions=config.min_instructions
+        ).ipc
         for s in _streams(seed_base)
     ]
-    limits = RunLimits(
-        min_instructions=min_instructions, warmup_instructions=warmup_instructions
-    )
+    limits = config.run_limits()
     rows = []
     for weights in weight_ratios:
         controller = FairnessController(

@@ -28,7 +28,7 @@ crash window are exercised by tests.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Tuple, Union
 
 from repro.errors import ConfigurationError
 from repro.experiments.checkpoint import CheckpointWriter, load_checkpoint
@@ -36,7 +36,6 @@ from repro.experiments.checkpoint import CheckpointWriter, load_checkpoint
 __all__ = [
     "JOURNAL_FINGERPRINT",
     "JobJournal",
-    "journal_note",
     "load_job_records",
 ]
 
@@ -121,16 +120,3 @@ def load_job_records(
             )
         buckets[prefix][job_id] = payload
     return specs, results, failures
-
-
-def journal_note(path: Union[str, Path], what: str) -> Optional[dict]:
-    """The most recent note of kind ``what`` in a journal, if any."""
-    journal = Path(path)
-    if not journal.exists():
-        return None
-    state = load_checkpoint(journal)
-    found = None
-    for note in state.notes:
-        if isinstance(note, dict) and note.get("what") == what:
-            found = note
-    return found

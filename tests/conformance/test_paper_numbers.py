@@ -8,6 +8,8 @@ moves a reproduced result fails tier-1. The evaluation grid behind
 Figs. 6-8 is computed once per module.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.experiments import (
@@ -21,7 +23,8 @@ from repro.experiments import (
     timesharing,
     validation,
 )
-from repro.experiments.common import EvalConfig, run_all_pairs
+from repro.experiments.common import EvalConfig
+from repro.experiments.runner import run_grid
 from repro.workloads.pairs import BenchmarkPair
 
 GCC_EON = BenchmarkPair("gcc", "eon")
@@ -35,13 +38,19 @@ def eval_config():
 @pytest.fixture(scope="module")
 def pair_grid(eval_config):
     """The 16-pair evaluation grid shared by Figs. 6, 7 and 8."""
-    return run_all_pairs(eval_config)
+    return run_grid(eval_config).results
 
 
 class TestTable2:
     @pytest.fixture(scope="class")
     def result(self):
-        return table2.run(min_instructions=1_500_000, warmup=1_000_000)
+        return table2.run(
+            config=dataclasses.replace(
+                EvalConfig(),
+                min_instructions=1_500_000,
+                warmup_instructions=1_000_000,
+            )
+        )
 
     def test_unenforced_slowdowns(self, result):
         rows = {(r.fairness_target, r.thread): r for r in result.analytical}
@@ -210,7 +219,13 @@ class TestFig8:
 class TestTimeSharing:
     @pytest.fixture(scope="class")
     def result(self):
-        return timesharing.run(min_instructions=1_000_000)
+        return timesharing.run(
+            config=dataclasses.replace(
+                EvalConfig(),
+                min_instructions=1_000_000,
+                warmup_instructions=500_000,
+            )
+        )
 
     def test_quota_400_gives_fairness_0_6(self, result):
         point = next(p for p in result.points if p.cycle_quota == 400.0)
@@ -257,4 +272,5 @@ class TestModelValidation:
     def test_engine_matches_the_closed_form_model(self):
         # Section 2's model and the segment engine agree almost exactly
         # where the model applies.
-        assert validation.run(min_instructions=500_000).worst_error < 0.02
+        config = dataclasses.replace(EvalConfig(), st_min_instructions=500_000)
+        assert validation.run(config=config).worst_error < 0.02

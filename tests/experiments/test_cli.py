@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import dataclasses
 import inspect
 import json
 import os
@@ -12,6 +13,7 @@ import pytest
 import repro.cli as cli
 from repro.cli import build_parser, main
 from repro.errors import ConfigurationError
+from repro.experiments.common import EvalConfig
 from repro.experiments.registry import experiment_ids, get_experiment
 
 
@@ -103,6 +105,12 @@ class TestConfigPlumbing:
     CLI passes it unconditionally.
     """
 
+    #: Run lengths, latencies and the process count have one source
+    #: each (EvalConfig, the ambient ExecutionSettings); no run() may
+    #: offer a second way to set them.
+    OVERRIDES = ("min_instructions", "warmup", "warmup_instructions",
+                 "miss_lat", "switch_lat", "jobs")
+
     def test_every_registered_run_accepts_config(self):
         for experiment_id in experiment_ids():
             run = get_experiment(experiment_id).run
@@ -110,6 +118,14 @@ class TestConfigPlumbing:
             assert "config" in parameters, (
                 f"{experiment_id}.run() does not accept config= -- the "
                 "CLI would silently drop --scale/--seed for it"
+            )
+            assert parameters["config"].default == EvalConfig(), (
+                f"{experiment_id}.run()'s config must default to EvalConfig()"
+            )
+            overrides = sorted(set(self.OVERRIDES) & set(parameters))
+            assert not overrides, (
+                f"{experiment_id}.run() takes {overrides}; set them through "
+                "config or ExecutionSettings"
             )
 
     def test_config_reaches_formerly_ignored_experiments(self, monkeypatch):
@@ -137,10 +153,7 @@ class TestConfigPlumbing:
     def test_seed_changes_events_streams(self):
         # events draws randomized streams (ipm_cv > 0), so honoring
         # config.seed must change the measured numbers.
-        import dataclasses
-
         from repro.experiments import events
-        from repro.experiments.common import EvalConfig
 
         quick = EvalConfig.quick()
         seeded = events.run(config=quick)
@@ -149,14 +162,18 @@ class TestConfigPlumbing:
 
     def test_scale_changes_timesharing_run_length(self):
         from repro.experiments import timesharing
-        from repro.experiments.common import EvalConfig
 
         quick = timesharing.run(quotas=(400.0,), config=EvalConfig.quick())
-        legacy = timesharing.run(quotas=(400.0,))
+        longer = timesharing.run(
+            quotas=(400.0,),
+            config=dataclasses.replace(
+                EvalConfig(), min_instructions=1_000_000, warmup_instructions=500_000
+            ),
+        )
         # Same deterministic workload, different measured windows: the
         # config's run length must actually be applied.
-        assert quick.points[0].total_ipc != legacy.points[0].total_ipc \
-            or quick.enforced_ipc != legacy.enforced_ipc
+        assert quick.points[0].total_ipc != longer.points[0].total_ipc \
+            or quick.enforced_ipc != longer.enforced_ipc
 
 
 class TestJsonHandling:
@@ -164,8 +181,6 @@ class TestJsonHandling:
 
     @pytest.fixture()
     def fake_world(self, monkeypatch):
-        import dataclasses
-
         @dataclasses.dataclass(frozen=True)
         class FakeResult:
             experiment_id: str
@@ -285,7 +300,9 @@ class TestPolicyCli:
 
     def test_policies_flag_only_valid_for_frontier(self, capsys):
         assert main(["fig3", "--policies", "none,fairness"]) == 2
-        assert "frontier" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "frontier" in err
+        assert "use --policy NAME to run other experiments" in err
 
     def test_frontier_honors_the_policies_flag(self, monkeypatch, capsys):
         from repro.experiments import frontier, registry

@@ -1,16 +1,25 @@
 """Tests for the extension experiments (events, threadcount, weighted)."""
 
+import dataclasses
+
 import pytest
 
 from repro.experiments import events, threadcount, weighted
+from repro.experiments.common import EvalConfig
+
+
+def _lengths(min_instructions, warmup_instructions):
+    return dataclasses.replace(
+        EvalConfig(),
+        min_instructions=min_instructions,
+        warmup_instructions=warmup_instructions,
+    )
 
 
 class TestEventsExperiment:
     @pytest.fixture(scope="class")
     def result(self):
-        return events.run(
-            min_instructions=1_200_000, warmup_instructions=800_000
-        )
+        return events.run(config=_lengths(1_200_000, 800_000))
 
     def test_three_configurations(self, result):
         labels = {r.configuration for r in result.rows}
@@ -52,9 +61,7 @@ class TestEventsExperiment:
 class TestThreadCountExperiment:
     @pytest.fixture(scope="class")
     def result(self):
-        return threadcount.run(
-            min_instructions=500_000, warmup_instructions=350_000
-        )
+        return threadcount.run(config=_lengths(500_000, 350_000))
 
     def test_throughput_grows_then_saturates(self, result):
         series = result.throughput_series()
@@ -84,9 +91,7 @@ class TestThreadCountExperiment:
 class TestWeightedExperiment:
     @pytest.fixture(scope="class")
     def result(self):
-        return weighted.run(
-            min_instructions=1_200_000, warmup_instructions=800_000
-        )
+        return weighted.run(config=_lengths(1_200_000, 800_000))
 
     def test_ratios_achieved(self, result):
         for row in result.rows:

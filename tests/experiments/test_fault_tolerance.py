@@ -34,6 +34,7 @@ from repro.experiments.runner import (
     ExecutionSettings,
     ResultCache,
     degraded_outcomes,
+    execution,
     parallel_map,
     reset_degraded,
     run_grid,
@@ -191,15 +192,18 @@ class TestSupervisor:
 class TestParallelMapSupervision:
     def test_inline_reraises_original_exception(self):
         with pytest.raises(ValueError, match="three"):
-            parallel_map(_fail_on_three, [1, 2, 3], jobs=1)
+            with execution(ExecutionSettings(jobs=1)):
+                parallel_map(_fail_on_three, [1, 2, 3])
 
     def test_isolated_failure_raises_grid_error(self):
         with pytest.raises(GridExecutionError, match="error"):
-            parallel_map(_fail_on_three, [1, 2, 3], jobs=2)
+            with execution(ExecutionSettings(jobs=2)):
+                parallel_map(_fail_on_three, [1, 2, 3])
 
     def test_crash_fault_recovers_transparently(self):
         with faults.fault_injection(faults.parse_fault_plan("crash@2")):
-            assert parallel_map(_double, [1, 2, 3], jobs=2) == [2, 4, 6]
+            with execution(ExecutionSettings(jobs=2)):
+                assert parallel_map(_double, [1, 2, 3]) == [2, 4, 6]
 
 
 class TestFaultPlan:

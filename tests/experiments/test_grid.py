@@ -8,8 +8,8 @@ paper numbers (tests/conformance/ checks those at the default scale).
 import pytest
 
 from repro.experiments import fig6, fig7, fig8
-from repro.experiments.common import EvalConfig, run_all_pairs
-from repro.experiments.runner import compute_pair
+from repro.experiments.common import EvalConfig
+from repro.experiments.runner import compute_pair, run_grid
 from repro.workloads.pairs import BenchmarkPair, evaluation_pairs
 
 
@@ -25,7 +25,7 @@ def config():
 
 @pytest.fixture(scope="module")
 def grid(config):
-    return run_all_pairs(config)
+    return run_grid(config).results
 
 
 class TestPairGrid:

@@ -2,7 +2,7 @@
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import pytest
 
@@ -53,10 +53,12 @@ class TestResultToJsonable:
 
     def test_table2_result_serializes(self):
         from repro.experiments import table2
+        from repro.experiments.common import EvalConfig
 
-        payload = result_to_jsonable(
-            table2.run(min_instructions=400_000, warmup=300_000)
+        config = replace(
+            EvalConfig(), min_instructions=400_000, warmup_instructions=300_000
         )
+        payload = result_to_jsonable(table2.run(config=config))
         assert "analytical" in payload
         json.dumps(payload)  # strict-JSON encodable
 

@@ -19,7 +19,7 @@ import pytest
 import repro
 from repro.errors import ConfigurationError
 from repro.experiments import runner
-from repro.experiments.common import EvalConfig, PairResult, run_all_pairs
+from repro.experiments.common import EvalConfig, PairResult
 from repro.experiments.runner import (
     CacheStats,
     ExecutionSettings,
@@ -50,7 +50,7 @@ def config():
 
 @pytest.fixture(scope="module")
 def serial_grid(config):
-    return run_all_pairs(config, PAIRS)
+    return run_grid(config, PAIRS).results
 
 
 def _square(value):
@@ -60,12 +60,10 @@ def _square(value):
 class TestParallelMap:
     def test_serial_and_parallel_agree_in_order(self):
         items = list(range(20))
-        assert parallel_map(_square, items, jobs=1) == [v * v for v in items]
-        assert parallel_map(_square, items, jobs=3) == [v * v for v in items]
-
-    def test_invalid_jobs_rejected(self):
-        with pytest.raises(ConfigurationError):
-            parallel_map(_square, [1, 2], jobs=0)
+        with execution(ExecutionSettings(jobs=1)):
+            assert parallel_map(_square, items) == [v * v for v in items]
+        with execution(ExecutionSettings(jobs=3)):
+            assert parallel_map(_square, items) == [v * v for v in items]
 
     def test_uses_ambient_settings(self):
         with execution(ExecutionSettings(jobs=2)):
@@ -100,7 +98,6 @@ class TestEquivalence:
         assert second.results == serial_grid
         assert first.stats.hits == 0 and first.stats.misses == len(PAIRS)
         assert second.stats.hits == len(PAIRS) and second.stats.misses == 0
-        assert second.stats.hit_rate == 1.0
 
     def test_compute_pair_matches_grid_cell(self, config, serial_grid):
         assert compute_pair(PAIRS[1], config) == serial_grid[1]

@@ -1,8 +1,11 @@
 """Tests for the machine-parameter sensitivity experiment."""
 
+import dataclasses
+
 import pytest
 
 from repro.experiments import sensitivity
+from repro.experiments.common import EvalConfig
 
 
 @pytest.fixture(scope="module")
@@ -11,6 +14,9 @@ def result():
         miss_latencies=(75.0, 300.0, 1_200.0),
         switch_latencies=(5.0, 25.0, 100.0),
         spot_check=(300.0,),
+        config=dataclasses.replace(
+            EvalConfig(), min_instructions=1_000_000, warmup_instructions=700_000
+        ),
     )
 
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro.experiments import stability
 from repro.experiments.common import EvalConfig
+from repro.experiments.runner import ExecutionSettings, execution
 
 
 @pytest.fixture(scope="module")
@@ -47,7 +48,8 @@ class TestStability:
 def test_default_scale_aggregates_are_seed_stable():
     # The full default-scale grid under three seeds: the headline
     # degradations and the unfair-run fraction barely move.
-    full = stability.run(seeds=(0, 1, 2), jobs=2)
+    with execution(ExecutionSettings(jobs=2)):
+        full = stability.run(seeds=(0, 1, 2))
     for level in (0.25, 0.5, 1.0):
         _mean, std = full.degradation_spread(level)
         assert std < 0.01

@@ -1,10 +1,12 @@
 """Tests for the Table 2 experiment."""
 
+import dataclasses
 import math
 
 import pytest
 
 from repro.experiments import table2
+from repro.experiments.common import EvalConfig
 
 
 @pytest.fixture(scope="module")
@@ -12,7 +14,11 @@ def result():
     # Warmup must outlast the first Delta window (~600k instructions at
     # this pair's throughput) so the measured window sees active
     # enforcement only.
-    return table2.run(min_instructions=1_000_000, warmup=700_000)
+    return table2.run(
+        config=dataclasses.replace(
+            EvalConfig(), min_instructions=1_000_000, warmup_instructions=700_000
+        )
+    )
 
 
 class TestTable2:

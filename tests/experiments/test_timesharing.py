@@ -10,7 +10,11 @@ from repro.experiments.common import EvalConfig
 
 @pytest.fixture(scope="module")
 def result():
-    return timesharing.run(min_instructions=600_000)
+    return timesharing.run(
+        config=dataclasses.replace(
+            EvalConfig(), min_instructions=600_000, warmup_instructions=500_000
+        )
+    )
 
 
 class TestTimeSharing:
@@ -91,18 +95,6 @@ class TestConfigPlumbing:
     Example-2 constants on purpose)."""
 
     QUOTAS = (400.0,)
-
-    def test_no_config_path_equals_default_machine_parameters(self):
-        # EvalConfig's defaults are the paper's Table 3 values, so the
-        # legacy no-config path and an explicit default config must
-        # produce bit-identical sweep points.
-        legacy = timesharing.run(quotas=self.QUOTAS, min_instructions=600_000)
-        explicit = timesharing.run(
-            quotas=self.QUOTAS,
-            min_instructions=600_000,
-            config=EvalConfig(),
-        )
-        assert legacy.points == explicit.points
 
     def test_switch_lat_reaches_the_simulation(self):
         quick = EvalConfig.quick()

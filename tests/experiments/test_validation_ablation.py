@@ -1,5 +1,7 @@
 """Tests for the validation and ablation experiments."""
 
+import dataclasses
+
 import pytest
 
 from repro.experiments import ablations, validation
@@ -10,7 +12,9 @@ from repro.workloads.pairs import BenchmarkPair
 class TestValidation:
     @pytest.fixture(scope="class")
     def result(self):
-        return validation.run(min_instructions=300_000)
+        return validation.run(
+            config=dataclasses.replace(EvalConfig(), st_min_instructions=300_000)
+        )
 
     def test_engine_matches_model_closely(self, result):
         # The segment engine executes the model's assumptions exactly;

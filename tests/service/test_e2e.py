@@ -17,8 +17,8 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.experiments.checkpoint import load_checkpoint
 from repro.service.client import ServiceClient
-from repro.service.state import journal_note
 
 _SRC = str(Path(repro.__file__).resolve().parents[1])
 
@@ -149,9 +149,11 @@ class TestDrain:
         assert code == 0, output
         assert "drained cleanly" in output
         # The journal closes with a drain marker and an empty backlog.
-        note = journal_note(server.journal, "drain")
-        assert note is not None
-        assert note["backlog"] == 0
+        drains = [
+            note for note in load_checkpoint(server.journal).notes
+            if note.get("what") == "drain"
+        ]
+        assert drains and drains[-1]["backlog"] == 0
 
     def test_readiness_and_health_endpoints(self, serve_factory):
         server = serve_factory()

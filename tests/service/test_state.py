@@ -6,11 +6,10 @@ import pytest
 
 from repro import faults
 from repro.errors import ConfigurationError
-from repro.experiments.checkpoint import CheckpointWriter
+from repro.experiments.checkpoint import CheckpointWriter, load_checkpoint
 from repro.service.state import (
     JOURNAL_FINGERPRINT,
     JobJournal,
-    journal_note,
     load_job_records,
 )
 
@@ -49,14 +48,14 @@ class TestRoundTrip:
         _specs, results, _failures = load_job_records(path)
         assert results["aaa"] == {"v": 2}
 
-    def test_notes_survive_and_latest_is_found(self, path):
+    def test_notes_survive_in_order(self, path):
         with JobJournal(path) as journal:
             journal.note({"what": "drain", "backlog": 3})
             journal.note({"what": "drain", "backlog": 0})
-        note = journal_note(path, "drain")
-        assert note == {"what": "drain", "backlog": 0}
-        assert journal_note(path, "boot") is None
-        assert journal_note(path.with_name("nothere.jsonl"), "drain") is None
+        assert load_checkpoint(path).notes == [
+            {"what": "drain", "backlog": 3},
+            {"what": "drain", "backlog": 0},
+        ]
 
     def test_closed_journal_refuses_appends(self, path):
         journal = JobJournal(path)

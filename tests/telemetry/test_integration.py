@@ -10,8 +10,8 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.experiments.common import EvalConfig, run_all_pairs
-from repro.experiments.runner import ExecutionSettings, run_grid
+from repro.experiments.common import EvalConfig
+from repro.experiments.runner import ExecutionSettings, execution, run_grid
 from repro.telemetry import JsonlSink, RingBufferSink, tracing, validate_trace_file
 from repro.workloads.pairs import BenchmarkPair
 
@@ -28,7 +28,7 @@ def config():
 
 @pytest.fixture(scope="module")
 def untraced_grid(config):
-    return run_all_pairs(config, PAIRS)
+    return run_grid(config, PAIRS).results
 
 
 class TestTracedGridBitIdentity:
@@ -36,7 +36,7 @@ class TestTracedGridBitIdentity:
                                             tmp_path):
         sink = JsonlSink(tmp_path / "serial.jsonl")
         with tracing(sink):
-            traced = run_all_pairs(config, PAIRS)
+            traced = run_grid(config, PAIRS).results
         sink.close()
         assert traced == untraced_grid
         assert validate_trace_file(tmp_path / "serial.jsonl") > 0
@@ -45,8 +45,8 @@ class TestTracedGridBitIdentity:
                                               tmp_path):
         trace = tmp_path / "parallel.jsonl"
         sink = JsonlSink(trace)
-        with tracing(sink):
-            traced = run_all_pairs(config, PAIRS, jobs=4)
+        with tracing(sink), execution(ExecutionSettings(jobs=4)):
+            traced = run_grid(config, PAIRS).results
         sink.close()
         assert traced == untraced_grid
         events = [json.loads(line) for line in
