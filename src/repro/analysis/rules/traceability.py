@@ -9,7 +9,10 @@ Two checks, both driven by :mod:`repro.analysis.eqmap`:
   one function (a docstring whose first line is ``Eq. N: ...``). Zero
   claims means part of the paper's math has no canonical
   implementation; two claims means the traceability table can no longer
-  answer "where is Eq. N implemented?".
+  answer "where is Eq. N implemented?". An equation the linted targets
+  leave unclaimed is looked up in the whole package before it is
+  reported, so linting part of ``src/repro`` does not flag equations
+  implemented in the rest of it.
 
 The same scan renders the Eq.->function table shown by
 ``repro lint --eq-table`` and embedded in docs/STATIC_ANALYSIS.md.
@@ -17,12 +20,28 @@ The same scan renders the Eq.->function table shown by
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterator, Optional, Set
 
+from repro.analysis.engine import DEFAULT_TARGET
+from repro.analysis.eqmap import scan_module
 from repro.analysis.findings import Finding
 from repro.analysis.registry import ProjectInfo, Rule, RuleMeta, register
 
 __all__ = ["EquationTraceability"]
+
+
+def _package_claims(project: ProjectInfo) -> Set[int]:
+    """Equation numbers claimed anywhere in the package on disk (empty
+    for an in-memory project)."""
+    root = project.repo_root
+    if root is None or not (root / DEFAULT_TARGET).is_dir():
+        return set()
+    numbers: Set[int] = set()
+    for path in sorted((root / DEFAULT_TARGET).rglob("*.py")):
+        module = project.find_module(path.relative_to(root).as_posix())
+        if module is not None:
+            numbers.update(claim.number for claim in scan_module(module)[0])
+    return numbers
 
 
 @register
@@ -66,9 +85,14 @@ class EquationTraceability(Rule):
                     f"{claim.qualname} claims Eq. {claim.number}, which "
                     "PAPER.md does not cite",
                 )
+        claimed_elsewhere: Optional[Set[int]] = None
         for number in sorted(known):
             claimants = table.claimants(number)
             if not claimants:
+                if claimed_elsewhere is None:
+                    claimed_elsewhere = _package_claims(project)
+                if number in claimed_elsewhere:
+                    continue  # implemented outside the linted targets
                 yield self.finding(
                     "PAPER.md",
                     1,

@@ -116,6 +116,9 @@ class FairnessController(DeficitPolicy):
         self._latency_monitor: Optional[MissLatencyMonitor] = None
         if params.measure_miss_latency:
             self._latency_monitor = MissLatencyMonitor(num_threads, params.miss_lat)
+            # Only a measuring controller needs each miss's latency;
+            # the rest keep DeficitPolicy's plain miss counter.
+            self.on_miss = self._count_and_measure_miss  # type: ignore[method-assign]
         self._history: list[SamplePoint] = []
         # Tracing is observation only: the resolved sink (explicit, or
         # the ambient one; None when tracing is off) never feeds back
@@ -146,9 +149,10 @@ class FairnessController(DeficitPolicy):
     # ------------------------------------------------------------------
     # SwitchPolicy interface
     # ------------------------------------------------------------------
-    def on_miss(
+    def _count_and_measure_miss(
         self, thread_id: int, now: float, latency: Optional[float] = None
     ) -> None:
+        """``on_miss`` of a controller with ``measure_miss_latency``."""
         self._misses[thread_id] += 1
         monitor = self._latency_monitor
         if monitor is not None and latency is not None:

@@ -339,12 +339,14 @@ class SoeEngine:
                     break  # every thread finished
             if now >= max_cycles:
                 break
-            if (
-                stepped
-                and snapshot is None
-                and sum(t.retired for t in threads) >= warmup_instructions
-            ):
-                snapshot = _Snapshot(self)
+            if stepped and snapshot is None:
+                # A plain left-to-right total: the same additions in the
+                # same order as ``sum``, without a generator per step.
+                total = 0.0
+                for t in threads:
+                    total += t.retired
+                if total >= warmup_instructions:
+                    snapshot = _Snapshot(self)
             stepped = False
 
             if active is None:

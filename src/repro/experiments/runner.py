@@ -417,6 +417,36 @@ def _st_tasks_for(pair: BenchmarkPair, config: EvalConfig) -> tuple[_StTask, ...
     )
 
 
+def _task_streams(
+    task: Union[_StTask, _SoeTask],
+) -> tuple[tuple[str, int, float], ...]:
+    """The ``(benchmark, stream seed, skip)`` streams a task reads."""
+    if isinstance(task, _StTask):
+        return ((task.benchmark, task.stream_seed, task.skip_instructions),)
+    return task.pair.stream_specs(task.config.seed)
+
+
+def _stream_groups(
+    specs: Sequence[Union[_StTask, _SoeTask]],
+) -> list[frozenset[tuple[str, int, float]]]:
+    """Each task's stream group: the set of streams connected to its own.
+
+    Two tasks that share a stream share a group. Each pool worker
+    records the streams it draws once (the per-process stream memo), so
+    a worker that runs whole groups draws each stream once instead of
+    every worker drawing it again.
+    """
+    group: dict[tuple[str, int, float], frozenset[tuple[str, int, float]]] = {}
+    for spec in specs:
+        streams = _task_streams(spec)
+        merged = frozenset(streams).union(
+            *(group.get(stream, ()) for stream in streams)
+        )
+        for stream in sorted(merged):
+            group[stream] = merged
+    return [group[_task_streams(spec)[0]] for spec in specs]
+
+
 def _run_st_task(task: _StTask) -> float:
     profile = get_profile(task.benchmark)
     stream = profile.stream(
@@ -710,7 +740,10 @@ def run_grid(
     caller's pair order. Because each task is a pure function of its
     spec, the result is independent of ``jobs``, of cache state, of
     supervision (timeouts, retries, worker crashes), and of
-    checkpoint/resume.
+    checkpoint/resume. With ``jobs > 1`` each task carries its stream
+    group as an affinity key, so a pool worker runs the tasks that read
+    the streams it already recorded; that changes only the order of
+    launches.
 
     Failure semantics: tasks that exhaust their retry budget (and the
     pairs depending on them) are recorded in the outcome's failure
@@ -769,6 +802,7 @@ def run_grid(
 
         version = code_version()
         keys = [task_key(spec, version) for spec in specs]
+        groups = _stream_groups(specs)
         task_values: dict[int, object] = {}
         writer: Optional[CheckpointWriter] = None
         try:
@@ -830,6 +864,7 @@ def run_grid(
                 descriptor=_task_descriptor,
                 validate=_validate_payload,
                 on_result=_on_result,
+                affinity=groups.__getitem__,
             )
             run = supervisor.run()
         finally:

@@ -40,13 +40,16 @@ function of its spec, and the supervisor only decides *whether* and
 *when* a task runs -- never what it computes -- so any schedule
 (including one with retries) yields bit-identical results.
 
-:class:`Supervisor` is the batch front end the grid uses: it feeds
-at most ``jobs`` tasks at a time into a :class:`TaskPool` and pumps it
-until every task settled. With one job, no timeout, and no
+:class:`Supervisor` is the batch front end the grid uses: it hands
+every task to a :class:`TaskPool` and pumps it until every task
+settled. A free worker picks its next task by :func:`pick_task`: in
+index order, or, when the caller gives affinity keys, the next task of
+the group it is working on, so tasks that read the same recorded
+inputs run on one worker. With one job, no timeout, and no
 process-level fault plan it runs each task inline instead -- no worker
 at all, the zero-overhead path for serial runs. The simulation
 service drives the same :class:`TaskPool` directly, one submitted job
-at a time.
+at a time, in FIFO order.
 
 Worker messages travel as length-prefixed frames (one
 ``send_bytes`` of a ``pickle.HIGHEST_PROTOCOL`` payload), so a reader
@@ -73,7 +76,15 @@ import time
 import traceback
 from collections import deque
 from dataclasses import dataclass, fields, is_dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import (
+    AbstractSet,
+    Callable,
+    Hashable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro import faults
 from repro.errors import (
@@ -94,6 +105,7 @@ __all__ = [
     "PoolEvent",
     "backoff_delay",
     "check_invariants",
+    "pick_task",
 ]
 
 #: How long the supervisor blocks waiting for worker messages before
@@ -164,6 +176,38 @@ def backoff_delay(
     ).digest()
     jitter = int.from_bytes(digest[:8], "big") / 2.0**64
     return window * (0.5 + 0.5 * jitter)
+
+
+def pick_task(
+    keys: Sequence[Hashable],
+    own: Hashable,
+    held: AbstractSet[Hashable],
+) -> int:
+    """Queue position of the task a free worker takes next.
+
+    ``keys`` holds the pending tasks' affinity keys in queue order
+    (None for an unkeyed task), ``own`` the key of the group the worker
+    is working on (None before its first task), and ``held`` the keys
+    of the groups other workers are working on. The worker takes, in
+    order of preference:
+
+    1. the first pending task of its own group;
+    2. otherwise, the first pending task of a group no other worker
+       holds;
+    3. otherwise, the head of the queue (the tail steal that keeps
+       every worker busy).
+
+    An unkeyed task belongs to no group, so it satisfies rule 2 where
+    it stands: a queue without keys is served first in, first out.
+    """
+    if own is not None:
+        for position, key in enumerate(keys):
+            if key == own:
+                return position
+    for position, key in enumerate(keys):
+        if key is None or key not in held:
+            return position
+    return 0
 
 
 @dataclass(frozen=True)
@@ -327,7 +371,8 @@ class _PoolWorker:
     """One persistent pool worker and the task it currently holds.
 
     ``index``/``item``/``attempt``/``deadline`` describe the in-flight
-    attempt and are cleared when the worker goes idle.
+    attempt and are cleared when the worker goes idle; ``group`` is the
+    affinity key of the last task it was sent, and stays.
     """
 
     process: multiprocessing.Process
@@ -336,6 +381,7 @@ class _PoolWorker:
     item: object = None
     attempt: int = 0
     deadline: Optional[float] = None
+    group: Hashable = None
 
     @property
     def busy(self) -> bool:
@@ -356,6 +402,12 @@ class Supervisor:
     stable across resumes) and are the coordinates fault injection and
     checkpoint records use.
 
+    ``affinity`` maps a task index to its affinity key. Without it,
+    pooled tasks launch in index order; with it, a free worker prefers
+    the tasks of the group it is working on (see :func:`pick_task`).
+    Either way indices, checkpoint keys and fault coordinates stay as
+    they are: only the order of launches changes.
+
     Isolation is automatic: tasks run on the persistent supervised
     workers of a :class:`TaskPool` when concurrency, a timeout, or an
     active process-level fault plan demands it, and inline (zero
@@ -374,11 +426,13 @@ class Supervisor:
         descriptor: Callable[[object], Tuple[str, str]] = _default_descriptor,
         validate: Callable[[object], None] = check_invariants,
         on_result: Optional[Callable[[int, object, object], None]] = None,
+        affinity: Optional[Callable[[int], Hashable]] = None,
     ) -> None:
         if jobs < 1:
             raise ConfigurationError("jobs must be a positive process count")
         self._call = call
         self._tasks = list(tasks)
+        self._affinity = affinity
         self._jobs = jobs
         self._policy = policy if policy is not None else SupervisionPolicy()
         self._descriptor = descriptor
@@ -471,9 +525,9 @@ class Supervisor:
     # -- process isolation (the TaskPool core) ----------------------------
 
     def _run_pooled(self, run: SupervisedRun) -> None:
-        """Batch loop over the pool: at most ``jobs`` tasks outstanding,
-        fed in index order, pumped until every task settled."""
-        queue = deque(self._tasks)
+        """Batch loop over the pool: queue every task at once, so a free
+        worker picks from all of them, and pump until every task
+        settled."""
         items = dict(self._tasks)
 
         def settle(event: PoolEvent) -> None:
@@ -494,6 +548,9 @@ class Supervisor:
         )
         core._on_launch = self._launch
         core._draining = self._drain
+        for index, item in self._tasks:
+            key = None if self._affinity is None else self._affinity(index)
+            core._enqueue(index, item, key=key)
         self._core = core
         try:
             while True:
@@ -502,8 +559,8 @@ class Supervisor:
                         settle, "killed by repeated interrupt"
                     )
                 if self._drain:
-                    # Nothing starts after a drain: queued retries and
-                    # never-fed tasks are skipped.
+                    # Nothing starts after a drain: queued tasks and
+                    # retries are skipped.
                     run.skipped.extend(
                         task.index for task in core._pending
                     )
@@ -512,10 +569,6 @@ class Supervisor:
                     )
                     core._pending.clear()
                     core._delayed.clear()
-                    run.skipped.extend(index for index, _item in queue)
-                    queue.clear()
-                while queue and core.in_flight + core.pending < self._jobs:
-                    core._enqueue(*queue.popleft())
                 if core.idle:
                     break
                 core._pump(_POLL_SECONDS, settle)
@@ -591,7 +644,8 @@ class PoolEvent:
 
 @dataclass
 class _PoolTask:
-    """One queued/delayed TaskPool entry (with per-task timeout)."""
+    """One queued/delayed TaskPool entry (with per-task timeout and
+    affinity key)."""
 
     index: int
     item: object
@@ -599,13 +653,14 @@ class _PoolTask:
     timeout: Optional[float]
     ready_at: float = 0.0
     seq: int = 0
+    key: Hashable = None
 
 
 class TaskPool:
     """Supervised persistent pool with *incremental* task submission.
 
     The one process executor: :class:`Supervisor` drives it as a batch
-    (every task up front, returns when all settled), while a
+    (returns when every task settled), while a
     long-running service whose work arrives one HTTP request at a time
     drives it directly. Either way the supervision contract is the same
     (persistent workers served length-prefixed frames, per-attempt
@@ -625,6 +680,12 @@ class TaskPool:
     * :meth:`wake` cuts a blocked :meth:`pump` short -- the one method
       safe to call from another thread;
     * :meth:`close` shuts the workers down.
+
+    A free worker takes the pending task :func:`pick_task` names: the
+    next one of the affinity group it is working on, else one of a group
+    no other worker holds, else the head of the queue. Tasks without an
+    affinity key (the service's, and unkeyed batches) run first in,
+    first out; a retry keeps its task's key and joins the queue's tail.
 
     The pool only decides whether and when a task runs, never what it
     computes -- a retried task is bit-identical to one that succeeded
@@ -760,11 +821,16 @@ class TaskPool:
     # -- internals -----------------------------------------------------------
 
     def _enqueue(
-        self, index: int, item: object, timeout: Optional[float] = None
+        self,
+        index: int,
+        item: object,
+        timeout: Optional[float] = None,
+        key: Hashable = None,
     ) -> None:
         self._timeouts[index] = timeout
         self._pending.append(
-            _PoolTask(index=index, item=item, attempt=1, timeout=timeout)
+            _PoolTask(index=index, item=item, attempt=1, timeout=timeout,
+                      key=key)
         )
 
     def _pump(self, wait: float, settle: Callable[[PoolEvent], None]) -> None:
@@ -870,10 +936,24 @@ class TaskPool:
                 break
             if worker.busy or not worker.process.is_alive():
                 continue
-            task = self._pending.popleft()
+            task = self._take(worker)
             if not self._dispatch(worker, task, settle):
                 settled = True
         return settled
+
+    def _take(self, worker: _PoolWorker) -> _PoolTask:
+        """Remove and return the pending task ``worker`` runs next."""
+        held = {
+            other.group
+            for other in self._workers
+            if other is not worker and other.group is not None
+        }
+        position = pick_task(
+            [task.key for task in self._pending], worker.group, held
+        )
+        task = self._pending[position]
+        del self._pending[position]
+        return task
 
     def _spawn(self) -> _PoolWorker:
         parent_conn, child_conn = multiprocessing.Pipe(duplex=True)
@@ -896,6 +976,7 @@ class TaskPool:
         worker.index = task.index
         worker.item = task.item
         worker.attempt = task.attempt
+        worker.group = task.key
         timeout = self._attempt_timeout(task.index)
         worker.deadline = (
             time.monotonic() + timeout if timeout is not None else None
@@ -999,6 +1080,7 @@ class TaskPool:
                 timeout=self._timeouts.get(index),
                 ready_at=time.monotonic() + delay,
                 seq=self._seq,
+                key=worker.group,
             )
             if delay > 0.0:
                 self._delayed.append(retry)

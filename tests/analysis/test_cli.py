@@ -61,6 +61,32 @@ class TestExitCodes:
         assert run_cli(repo, "--disable", "RL004") == 0
 
 
+class TestPartialTargets:
+    """RL005 on a target that covers only part of ``src/repro``."""
+
+    def _split_repo(self, tmp_path, paper: str):
+        repo = _mini_repo(tmp_path, CLEAN, paper)
+        other = repo / "src" / "repro" / "other"
+        other.mkdir()
+        other.joinpath("helpers.py").write_text("def g():\n    return 1\n")
+        return repo
+
+    def test_equation_claimed_outside_the_target_is_not_reported(
+        self, tmp_path, capsys
+    ):
+        repo = self._split_repo(tmp_path, PAPER)
+        assert run_cli(repo, "--ratchet", "src/repro/other") == 0
+        assert "RL005" not in capsys.readouterr().out
+
+    def test_equation_claimed_nowhere_is_still_reported(
+        self, tmp_path, capsys
+    ):
+        repo = self._split_repo(tmp_path, "The model is Eq. 1 and Eq. 2.")
+        assert run_cli(repo, "src/repro/other") == 1
+        out = capsys.readouterr().out
+        assert "Eq. 2" in out and "Eq. 1 " not in out
+
+
 class TestBaselineFlow:
     def test_write_then_lint_then_ratchet(self, tmp_path, capsys):
         repo = _mini_repo(tmp_path, DIRTY)

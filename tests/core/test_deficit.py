@@ -5,10 +5,11 @@ import math
 
 import pytest
 
-from repro.core.controller import FairnessController
+from repro.core.controller import FairnessController, FairnessParams
 from repro.core.deficit import DeficitPolicy
 from repro.core.drr import DrrArbiterPolicy
 from repro.core.lfoc import LfocClusterPolicy
+from repro.core.policy import overridden_hook
 from repro.errors import ConfigurationError
 
 
@@ -162,11 +163,27 @@ class TestDeficitPolicy:
     )
     def test_one_implementation_of_the_per_event_hooks(self, cls):
         # The deficit policies differ only in their quota rule; every
-        # per-event hook is the base's (the controller adds latency
-        # measurement to ``on_miss``).
+        # per-event hook is the base's (a controller that measures miss
+        # latency binds its own ``on_miss`` per instance).
         assert issubclass(cls, DeficitPolicy)
         for hook in ("on_run_start", "instruction_budget", "on_retired",
-                     "next_boundary"):
+                     "on_miss", "next_boundary"):
             assert getattr(cls, hook) is getattr(DeficitPolicy, hook)
-        if cls is not FairnessController:
-            assert cls.on_miss is DeficitPolicy.on_miss
+
+    @pytest.mark.parametrize("measure", [False, True])
+    def test_controller_binds_the_measuring_miss_hook_only_when_measuring(
+        self, measure
+    ):
+        controller = FairnessController(
+            2, FairnessParams(fairness_target=0.5, measure_miss_latency=measure)
+        )
+        hook = overridden_hook(controller, "on_miss")
+        plain = hook.__func__ is DeficitPolicy.on_miss
+        assert plain is not measure
+        controller.on_retired(0, 10_000, 5_000)
+        controller.on_retired(1, 10_000, 5_000)
+        hook(1, 0.0, 40.0)
+        assert controller._misses == [0, 1]
+        controller.on_boundary(250_000.0)
+        expected = [300.0, 40.0] if measure else None
+        assert controller.measured_latencies == expected

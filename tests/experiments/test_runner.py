@@ -126,6 +126,35 @@ class TestBaselineMemoization:
         assert gcc_gcc.ipc_st[0] == gcc_eon.ipc_st[0]
 
 
+class TestStreamAffinity:
+    def test_pairs_sharing_a_stream_get_one_key(self, config, monkeypatch):
+        seen = []
+
+        class RecordingSupervisor(runner.Supervisor):
+            def __init__(self, call, tasks, **kwargs):
+                super().__init__(call, tasks, **kwargs)
+                seen.append((list(tasks), kwargs["affinity"]))
+
+        monkeypatch.setattr(runner, "Supervisor", RecordingSupervisor)
+        run_grid(config, PAIRS, ExecutionSettings())
+        ((tasks, affinity),) = seen
+        keys_of: dict = {}
+        for position, spec in tasks:
+            label = (
+                spec.pair.label if isinstance(spec, runner._SoeTask)
+                else f"{spec.benchmark}@{spec.stream_seed}"
+            )
+            keys_of.setdefault(label, set()).add(affinity(position))
+        # gcc:gcc and gcc:eon both read gcc's first stream; galgel:gcc
+        # reads gcc's second stream without the same-benchmark offset,
+        # so it shares no stream with them.
+        assert keys_of["gcc:gcc"] == keys_of["gcc:eon"] == keys_of["gcc@1"]
+        assert keys_of["eon@2"] == keys_of["gcc:eon"]
+        groups = [keys_of[pair.label] for pair in PAIRS]
+        assert all(len(keys) == 1 for keys in groups)
+        assert len(set().union(*groups)) == 3
+
+
 class TestResultCache:
     def test_key_depends_on_config_and_pair(self, config, tmp_path):
         cache = ResultCache(tmp_path)

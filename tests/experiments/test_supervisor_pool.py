@@ -26,6 +26,7 @@ from repro.experiments.supervisor import (
     Supervisor,
     _recv_frame,
     _send_frame,
+    pick_task,
 )
 
 # -- picklable task functions (forked workers must import them) -------------
@@ -282,3 +283,70 @@ class TestTornFrameRegression:
         assert "exitcode" in run.failures[0].message
         # Detection came from the torn frame, not the 60s timeout.
         assert elapsed < 30.0
+
+
+class TestPickTask:
+    """The dispatch rule of a free worker, as a pure function."""
+
+    def test_continues_its_own_group(self):
+        # Group "b" is held elsewhere, but it is this worker's own.
+        assert pick_task(["a", "b", "c", "b"], "b", {"b"}) == 1
+
+    def test_starts_a_group_no_other_worker_holds(self):
+        assert pick_task(["a", "a", "b", "c"], "x", {"a"}) == 2
+        # A fresh worker (no group yet) skips held groups the same way.
+        assert pick_task(["a", "b"], None, {"a"}) == 1
+
+    def test_steals_the_head_when_every_group_is_held(self):
+        assert pick_task(["a", "b", "a"], "c", {"a", "b"}) == 0
+
+    def test_without_keys_dispatch_is_fifo(self):
+        assert pick_task([None, None, None], None, set()) == 0
+        # Unkeyed tasks belong to no group: nothing is ever held.
+        assert pick_task([None, "a"], "a", {"b"}) == 1
+        assert pick_task([None, "a"], None, {"a"}) == 0
+
+
+class _LaunchRecorder(Supervisor):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.launched = []
+
+    def _launch(self, index, item, attempt):
+        self.launched.append(index)
+
+
+class TestAffinityDispatch:
+    def test_keyed_run_matches_fifo(self):
+        items = list(enumerate(range(12)))
+        fifo = Supervisor(_double, items, jobs=2).run()
+        keyed = _LaunchRecorder(
+            _double, items, jobs=2, affinity=lambda index: index % 3
+        )
+        run = keyed.run()
+        assert run.results == fifo.results == {i: 2 * i for i in range(12)}
+        assert run.failures == [] and run.skipped == []
+        assert sorted(keyed.launched) == list(range(12))
+
+    def test_keyed_run_retries_crashes(self):
+        items = list(enumerate(range(6)))
+        with faults.fault_injection(faults.parse_fault_plan("crash@2")):
+            run = Supervisor(
+                _double, items, jobs=2, affinity=lambda index: index // 3
+            ).run()
+        assert run.results == {i: 2 * i for i in range(6)}
+        assert run.retries == 1 and run.failures == []
+
+    def test_keyed_drain_skips_every_unlaunched_task(self):
+        def drain_after_first(index, item, result):
+            supervisor.request_drain()
+
+        items = [(i, 0.0) for i in range(8)]
+        supervisor = _LaunchRecorder(
+            _nap, items, jobs=2, on_result=drain_after_first,
+            affinity=lambda index: index % 2,
+        )
+        run = supervisor.run()
+        assert run.interrupted and run.failures == []
+        assert sorted(run.results) == sorted(supervisor.launched)
+        assert run.skipped == sorted(set(range(8)) - set(supervisor.launched))
