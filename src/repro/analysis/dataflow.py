@@ -12,8 +12,9 @@ The effect lattice is a flat powerset over :data:`EFFECT_KINDS`:
 :func:`scan_module` is the one detector for every kind but
 ``global_mut``. It walks a parsed file once, with one set of tables;
 imports count at any depth (``import time`` inside a function binds
-``time`` for the whole module) and set names are collected
-module-wide. Two consumers read that scan, cached per module by
+``time`` for the whole module); a name bound to a set counts as a set
+in the function that binds it, or everywhere when bound at module
+level. Two consumers read that scan, cached per module by
 :meth:`repro.analysis.registry.ModuleInfo.sources`:
 
 * the per-file rules RL001, RL002 and RL003 report
@@ -287,9 +288,32 @@ def _from_import_message(module: Optional[str], name: str) -> Optional[str]:
     return None
 
 
-def set_names(tree: ast.AST) -> Set[str]:
-    """Names that are (heuristically) bound to set values in ``tree``."""
-    names: Set[str] = set()
+def set_names(tree: ast.AST) -> Dict[ast.AST, Set[str]]:
+    """The names (heuristically) bound to set values, as seen at each
+    node of ``tree``.
+
+    A binding inside a function applies in that function's body, nested
+    functions included; a module-level binding applies everywhere. Two
+    functions that reuse one name, one for a set and one for a list, do
+    not mark each other's variable as a set.
+    """
+    #: the innermost function holding each node (``tree`` at module level)
+    scope_of: Dict[ast.AST, ast.AST] = {}
+    stack: List[Tuple[ast.AST, ast.AST]] = [(tree, tree)]
+    while stack:
+        node, scope = stack.pop()
+        scope_of[node] = scope
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node
+        stack.extend((child, scope) for child in ast.iter_child_nodes(node))
+    bound: Dict[ast.AST, Set[str]] = {scope: set() for scope in scope_of.values()}
+
+    def visible(scope: ast.AST) -> Set[str]:
+        names = set(bound[scope])
+        while scope is not tree:
+            scope = scope_of[scope]
+            names |= bound[scope]
+        return names
 
     def is_set_annotation(annotation: Optional[ast.expr]) -> bool:
         if annotation is None:
@@ -304,7 +328,10 @@ def set_names(tree: ast.AST) -> Set[str]:
     # Two passes so `b = a | other` after `a = set()` is caught.
     for _ in range(2):
         for node in ast.walk(tree):
-            if isinstance(node, ast.Assign) and is_set_expr(node.value, names):
+            names = bound[scope_of[node]]
+            if isinstance(node, ast.Assign) and is_set_expr(
+                node.value, visible(scope_of[node])
+            ):
                 for target in node.targets:
                     if isinstance(target, ast.Name):
                         names.add(target.id)
@@ -312,14 +339,16 @@ def set_names(tree: ast.AST) -> Set[str]:
                 node.target, ast.Name
             ):
                 if is_set_annotation(node.annotation) or (
-                    node.value is not None and is_set_expr(node.value, names)
+                    node.value is not None
+                    and is_set_expr(node.value, visible(scope_of[node]))
                 ):
                     names.add(node.target.id)
             elif isinstance(node, ast.arg) and is_set_annotation(
                 node.annotation
             ):
                 names.add(node.arg)
-    return names
+    seen = {scope: visible(scope) for scope in bound}
+    return {node: seen[scope] for node, scope in scope_of.items()}
 
 
 def is_set_expr(node: ast.expr, names: Set[str]) -> bool:
@@ -348,23 +377,25 @@ def is_set_expr(node: ast.expr, names: Set[str]) -> bool:
 
 
 def ordering_hazards(
-    tree: ast.AST, names: Set[str]
+    tree: ast.AST, names: Mapping[ast.AST, Set[str]]
 ) -> Iterator[Tuple[ast.expr, str]]:
-    """Yield ``(node, description)`` for every unsorted-set iteration."""
+    """Yield ``(node, description)`` for every unsorted-set iteration;
+    ``names`` gives the set names seen at each node (:func:`set_names`)."""
     base = (
         "iterating a set has nondeterministic order; wrap the "
         "iterable in sorted(...)"
     )
     for node in ast.walk(tree):
+        seen = names[node]
         if isinstance(node, (ast.For, ast.AsyncFor)) and is_set_expr(
-            node.iter, names
+            node.iter, seen
         ):
             yield node.iter, base
         elif isinstance(
             node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
         ):
             for comp in node.generators:
-                if is_set_expr(comp.iter, names):
+                if is_set_expr(comp.iter, seen):
                     yield comp.iter, base
         elif isinstance(node, ast.Call):
             func = node.func
@@ -372,14 +403,14 @@ def ordering_hazards(
                 isinstance(func, ast.Name)
                 and func.id in _ORDER_SENSITIVE_CONSUMERS
                 and node.args
-                and is_set_expr(node.args[0], names)
+                and is_set_expr(node.args[0], seen)
             ):
                 yield node, f"{func.id}() over a set is order-dependent; {base}"
             elif (
                 isinstance(func, ast.Attribute)
                 and func.attr == "join"
                 and node.args
-                and is_set_expr(node.args[0], names)
+                and is_set_expr(node.args[0], seen)
             ):
                 yield node, f"str.join over a set is order-dependent; {base}"
 

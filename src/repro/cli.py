@@ -64,6 +64,10 @@ __all__ = ["main", "build_parser"]
 #: Experiments that share the 16-pair evaluation grid.
 _GRID = ("fig6", "fig7", "fig8")
 
+#: The commands that read ``--policy`` (through the grid); any other
+#: experiment would drop it, so it is refused there.
+_POLICY_READERS = _GRID + ("stability", "all")
+
 #: Execution order of ``python -m repro all`` (the grid figures run in
 #: between, off one shared grid; ``stability`` reruns the grid per seed
 #: and stays opt-in).
@@ -528,9 +532,15 @@ def _dispatch(arg_list: list) -> int:
     policies = _parse_policies(args.policies)
     if policies is not None and args.experiment != "frontier":
         raise ConfigurationError(
-            "--policies only applies to the frontier experiment; "
-            "use --policy NAME to run other experiments under a "
+            "--policies only applies to the frontier experiment; use "
+            f"--policy NAME to run {', '.join(_POLICY_READERS)} under a "
             "single policy"
+        )
+    if args.policy is not None and args.experiment not in _POLICY_READERS:
+        raise ConfigurationError(
+            f"--policy only applies to {', '.join(_POLICY_READERS)}, the "
+            f"runs of the evaluation grid; {args.experiment} would ignore "
+            "it (frontier sweeps --policies instead)"
         )
     settings = _execution_settings(args)
     plan = faults.parse_fault_plan(args.inject_faults)

@@ -19,11 +19,10 @@ enforcement):
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, replace
 
-from repro.core.controller import FairnessController, FairnessParams
-from repro.engine.soe import SoeParams, run_soe
+from repro.core.controller import FairnessController
+from repro.engine.soe import run_soe
 from repro.experiments.common import EvalConfig, format_table
 from repro.workloads.pairs import BenchmarkPair
 
@@ -51,56 +50,36 @@ class AblationResult:
         return [p for p in self.points if p.knob == knob]
 
 
-def _run_one(
+def _ablation_point(
+    spec: tuple[str, str, EvalConfig, dict],
     pair: BenchmarkPair,
-    config: EvalConfig,
     fairness_target: float,
     ipc_st: tuple[float, ...],
-    sample_period: Optional[float] = None,
-    max_cycles_quota: Optional[float] = None,
-    deficit_cap: Optional[float] = None,
-    assumed_miss_lat: Optional[float] = None,
-) -> tuple[float, float, float]:
-    params = SoeParams(
-        miss_lat=config.miss_lat,
-        switch_lat=config.switch_lat,
-        max_cycles_quota=max_cycles_quota or config.max_cycles_quota,
-    )
+) -> AblationPoint:
+    """One sweep point; module-level so the process pool can run it.
+
+    ``spec`` is ``(knob, value label, config, mechanism overrides)``:
+    the point's machine, sample period and run window come from its
+    config, and the overrides (deficit cap, assumed miss latency) are
+    layered on the config's mechanism.
+    """
+    knob, value_label, config, mechanism = spec
     controller = FairnessController(
-        2,
-        FairnessParams(
-            fairness_target=fairness_target,
-            miss_lat=assumed_miss_lat if assumed_miss_lat is not None else config.miss_lat,
-            sample_period=sample_period or config.sample_period,
-            deficit_cap=deficit_cap,
-        ),
+        2, replace(config.fairness_params(fairness_target), **mechanism)
     )
     result = run_soe(
         pair.streams(seed=config.seed),
         controller,
-        params,
+        config.soe_params(),
         config.run_limits(),
     )
-    return (
+    return AblationPoint(
+        knob,
+        value_label,
         result.total_ipc,
         result.achieved_fairness(ipc_st),
         result.forced_switches_per_kcycle(),
     )
-
-
-def _ablation_point(
-    spec: tuple[str, str, dict],
-    pair: BenchmarkPair,
-    config: EvalConfig,
-    fairness_target: float,
-    ipc_st: tuple[float, ...],
-) -> AblationPoint:
-    """One sweep point; module-level so the process pool can run it."""
-    knob, value_label, overrides = spec
-    ipc, fair, forced = _run_one(
-        pair, config, fairness_target, ipc_st, **overrides
-    )
-    return AblationPoint(knob, value_label, ipc, fair, forced)
 
 
 def run(
@@ -108,30 +87,34 @@ def run(
     config: EvalConfig = EvalConfig(),
     fairness_target: float = 0.5,
 ) -> AblationResult:
+    """Sweep each knob around ``config``; every other setting stays as
+    configured."""
     from repro.experiments.runner import parallel_map, single_thread_ipcs
 
     ipc_st = single_thread_ipcs(pair, config)
 
-    specs: list[tuple[str, str, dict]] = []
+    specs: list[tuple[str, str, EvalConfig, dict]] = []
     for period in (25_000.0, 100_000.0, 250_000.0, 1_000_000.0):
-        specs.append(("delta", f"{period:,.0f}", {"sample_period": period}))
+        specs.append(
+            ("delta", f"{period:,.0f}", replace(config, sample_period=period), {})
+        )
     for quota in (10_000.0, 50_000.0, 100_000.0):
         specs.append(
-            ("max_cycles_quota", f"{quota:,.0f}", {"max_cycles_quota": quota})
+            ("max_cycles_quota", f"{quota:,.0f}",
+             replace(config, max_cycles_quota=quota), {})
         )
     for cap_label, cap in (("none", None), ("2x quota-ish", 10_000.0),
                            ("tight", 2_000.0)):
-        specs.append(("deficit_cap", cap_label, {"deficit_cap": cap}))
+        specs.append(("deficit_cap", cap_label, config, {"deficit_cap": cap}))
     for assumed in (150.0, 300.0, 600.0):
         specs.append(
-            ("assumed_miss_lat", f"{assumed:g}", {"assumed_miss_lat": assumed})
+            ("assumed_miss_lat", f"{assumed:g}", config, {"miss_lat": assumed})
         )
 
     points = parallel_map(
         functools.partial(
             _ablation_point,
             pair=pair,
-            config=config,
             fairness_target=fairness_target,
             ipc_st=ipc_st,
         ),

@@ -2,7 +2,11 @@
 
 :class:`EvalConfig` is the one source of run lengths, machine latencies
 and the stream seed: every registered experiment's ``run()`` takes it as
-``config`` and defaults to ``EvalConfig()``. The evaluation figures (6,
+``config`` and defaults to ``EvalConfig()``. Every engine run builds its
+machine, mechanism and window from it (:meth:`EvalConfig.soe_params`,
+:meth:`EvalConfig.fairness_params`, :meth:`EvalConfig.run_limits`) and
+layers what it fixes on purpose with :func:`dataclasses.replace`. The
+evaluation figures (6,
 7, 8) all consume the same grid of runs -- every benchmark pair at every
 fairness level, plus each benchmark's single-thread reference -- so
 :func:`repro.experiments.runner.run_grid` produces that grid once, as
@@ -15,16 +19,23 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.core.controller import FairnessParams
+from repro.core.model import ThreadParams
 from repro.core.policies import PolicyConfig, get_policy
 from repro.engine.results import SoeRunResult
+from repro.engine.segments import SegmentStream
+from repro.engine.singlethread import run_single_thread
 from repro.engine.soe import RunLimits, SoeParams
 from repro.errors import ConfigurationError
 from repro.workloads.pairs import BenchmarkPair
+from repro.workloads.synthetic import uniform_stream
 
 __all__ = [
+    "EXAMPLE2_THREADS",
     "EvalConfig",
     "PairResult",
+    "example2_streams",
     "format_table",
+    "synthetic_ipc_st",
 ]
 
 #: The fairness levels evaluated in the paper.
@@ -128,6 +139,35 @@ class EvalConfig:
             sample_period=self.sample_period,
             params=self.policy_params,
         )
+
+
+#: Example 2's thread pair (Section 2): both threads retire 2.5
+#: instructions per cycle between misses; thread 1 misses every 15,000
+#: instructions, thread 2 every 1,000.
+EXAMPLE2_THREADS = (ThreadParams(2.5, 15_000.0), ThreadParams(2.5, 1_000.0))
+
+
+def example2_streams(seed: int) -> list[SegmentStream]:
+    """Example 2's pair as segment streams (stream seeds ``2*seed+1``
+    and ``2*seed+2``)."""
+    return [
+        uniform_stream(thread.ipc_no_miss, thread.ipm, seed=2 * seed + index)
+        for index, thread in enumerate(EXAMPLE2_THREADS, start=1)
+    ]
+
+
+def synthetic_ipc_st(
+    streams: Sequence[SegmentStream], config: EvalConfig
+) -> list[float]:
+    """Each stream's IPC run alone on ``config``'s machine for
+    ``config.min_instructions``: the single-thread reference the
+    synthetic-workload experiments measure speedups against."""
+    return [
+        run_single_thread(
+            stream, config.miss_lat, min_instructions=config.min_instructions
+        ).ipc
+        for stream in streams
+    ]
 
 
 @dataclass(frozen=True)

@@ -21,24 +21,26 @@ fairness under three latency configurations:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
-from repro.core.controller import FairnessController, FairnessParams
-from repro.engine.singlethread import run_single_thread
+from repro.core.controller import FairnessController
 from repro.engine.segments import SegmentStream
-from repro.engine.soe import SoeParams, run_soe
-from repro.experiments.common import EvalConfig, format_table
+from repro.engine.soe import run_soe
+from repro.experiments.common import EvalConfig, format_table, synthetic_ipc_st
 from repro.workloads.events import EventType, mean_event_latency, multi_event_stream
 from repro.workloads.synthetic import uniform_stream
 
 __all__ = ["EventsRow", "EventsResult", "run", "render"]
 
+#: The memory latency of the workload's long events: the machine's miss
+#: latency, and the constant the unmodified mechanism assumes.
+MEMORY_LAT = 300.0
 #: The mixed-event thread: an L1-missing streaming phase (short stalls)
 #: with occasional memory misses.
 MIXED_EVENTS = (
     EventType(ipm=600.0, latency=40.0),
-    EventType(ipm=6_000.0, latency=300.0),
+    EventType(ipm=6_000.0, latency=MEMORY_LAT),
 )
 MIXED_IPC = 2.0
 #: The partner: a conventional compute-bound thread (memory misses only).
@@ -87,25 +89,24 @@ def run(
     fairness_target: float = 0.5,
     config: EvalConfig = EvalConfig(),
 ) -> EventsResult:
-    seed_base = 2 * config.seed
-    params = SoeParams(miss_lat=300.0, switch_lat=25.0)
-    ipc_st = [
-        run_single_thread(
-            stream, miss_lat=300.0, min_instructions=config.min_instructions
-        ).ipc
-        for stream in _streams(seed_base)
-    ]
-    true_mean = mean_event_latency(MIXED_EVENTS)
-    limits = config.run_limits()
+    """Enforce ``fairness_target`` under each latency configuration.
 
+    The machine's miss latency is the workload's 300-cycle memory
+    constant; the switch latency, the maximum cycles quota, the sample
+    period, run lengths and the stream seed come from ``config``.
+    """
+    seed_base = 2 * config.seed
+    machine = replace(config, miss_lat=MEMORY_LAT)
+    params = machine.soe_params()
+    ipc_st = synthetic_ipc_st(_streams(seed_base), machine)
+    true_mean = mean_event_latency(MIXED_EVENTS)
+    limits = machine.run_limits()
+
+    assumed = machine.fairness_params(fairness_target)
     configurations = [
-        ("assumed 300", FairnessParams(fairness_target=fairness_target,
-                                       miss_lat=300.0)),
-        ("oracle", FairnessParams(fairness_target=fairness_target,
-                                  miss_lat=true_mean)),
-        ("measured", FairnessParams(fairness_target=fairness_target,
-                                    miss_lat=300.0,
-                                    measure_miss_latency=True)),
+        ("assumed 300", assumed),
+        ("oracle", replace(assumed, miss_lat=true_mean)),
+        ("measured", replace(assumed, measure_miss_latency=True)),
     ]
     rows = []
     for label, fairness_params in configurations:

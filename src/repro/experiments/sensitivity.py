@@ -17,19 +17,23 @@ model and spot-checked against the segment engine:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, replace
+from typing import Optional, Sequence
 
-from repro.core.model import SoeModel, ThreadParams
-from repro.engine.soe import RunLimits, SoeParams, run_soe
-from repro.core.controller import FairnessController, FairnessParams
-from repro.experiments.common import EvalConfig, format_table
-from repro.workloads.synthetic import uniform_stream
+from repro.core.controller import FairnessController
+from repro.core.model import SoeModel
+from repro.engine.soe import run_soe
+from repro.experiments.common import (
+    EXAMPLE2_THREADS,
+    EvalConfig,
+    example2_streams,
+    format_table,
+)
 
 __all__ = ["SensitivityRow", "SensitivityResult", "run", "render"]
 
-#: Example 2's thread pair, the reference workload throughout.
-THREADS = (ThreadParams(2.5, 15_000.0), ThreadParams(2.5, 1_000.0))
+#: The switch-latency point the engine spot-checks (the paper's machine).
+SWITCH_SPOT_CHECK = (25.0,)
 
 
 @dataclass(frozen=True)
@@ -39,7 +43,7 @@ class SensitivityRow:
     unenforced_fairness: float
     f1_throughput_cost: float
     #: engine-measured cost for the spot-checked points (None elsewhere)
-    measured_cost: float = None
+    measured_cost: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -50,32 +54,18 @@ class SensitivityResult:
         return [row for row in self.rows if row.parameter == parameter]
 
 
-def _model(miss_lat: float, switch_lat: float) -> SoeModel:
-    return SoeModel(list(THREADS), miss_lat=miss_lat, switch_lat=switch_lat)
+def _measure_cost(config: EvalConfig) -> float:
+    """Engine-measured F = 1 throughput cost of Example 2's pair on
+    ``config``'s machine.
 
-
-def _measure_cost(
-    spec: tuple[float, float, float, float, int],
-) -> float:
-    """Engine-measured F = 1 throughput cost for one latency point.
-
-    The spec carries every input (latencies, run lengths, stream seed
-    base), so the process pool can replay it deterministically.
+    The config carries every input (machine, mechanism, run lengths,
+    stream seed), so the process pool can replay it deterministically.
     """
-    miss_lat, switch_lat, min_instructions, warmup, seed_base = spec
-    params = SoeParams(miss_lat=miss_lat, switch_lat=switch_lat)
-    streams = lambda: [
-        uniform_stream(2.5, 15_000, seed=seed_base + 1),
-        uniform_stream(2.5, 1_000, seed=seed_base + 2),
-    ]
-    limits = RunLimits(
-        min_instructions=min_instructions, warmup_instructions=warmup
-    )
-    base = run_soe(streams(), None, params, limits)
-    controller = FairnessController(
-        2, FairnessParams(fairness_target=1.0, miss_lat=miss_lat)
-    )
-    enforced = run_soe(streams(), controller, params, limits)
+    params = config.soe_params()
+    limits = config.run_limits()
+    base = run_soe(example2_streams(config.seed), None, params, limits)
+    controller = FairnessController(2, config.fairness_params(1.0))
+    enforced = run_soe(example2_streams(config.seed), controller, params, limits)
     return 1.0 - enforced.total_ipc / base.total_ipc
 
 
@@ -85,47 +75,42 @@ def run(
     spot_check: Sequence[float] = (300.0,),
     config: EvalConfig = EvalConfig(),
 ) -> SensitivityResult:
+    """Sweep each latency over ``config``'s machine, the other latency,
+    the quota, the mechanism, run lengths and the stream seed staying as
+    configured; ``spot_check`` lists the miss latencies the engine also
+    measures."""
     from repro.experiments.runner import parallel_map
 
-    min_instructions = config.min_instructions
-    warmup = config.warmup_instructions
-    seed_base = 2 * config.seed
-
+    sweeps = [
+        ("miss_lat", lat, replace(config, miss_lat=lat)) for lat in miss_latencies
+    ] + [
+        ("switch_lat", lat, replace(config, switch_lat=lat))
+        for lat in switch_latencies
+    ]
     # The engine spot-checks are the expensive part; fan them out and
     # join them back by latency point.
-    miss_points = [lat for lat in miss_latencies if lat in spot_check]
-    switch_points = [lat for lat in switch_latencies if lat in (25.0,)]
-    specs = [
-        (lat, 25.0, min_instructions, warmup, seed_base) for lat in miss_points
-    ] + [
-        (300.0, lat, min_instructions, warmup, seed_base)
-        for lat in switch_points
-    ]
-    costs = parallel_map(_measure_cost, specs)
-    measured = dict(zip([("miss_lat", lat) for lat in miss_points]
-                        + [("switch_lat", lat) for lat in switch_points], costs))
+    spot = {"miss_lat": tuple(spot_check), "switch_lat": SWITCH_SPOT_CHECK}
+    checked = [point for point in sweeps if point[1] in spot[point[0]]]
+    costs = parallel_map(_measure_cost, [machine for _, _, machine in checked])
+    measured = {
+        (parameter, value): cost
+        for (parameter, value, _), cost in zip(checked, costs)
+    }
 
     rows = []
-    for latency in miss_latencies:
-        model = _model(latency, 25.0)
-        rows.append(
-            SensitivityRow(
-                parameter="miss_lat",
-                value=latency,
-                unenforced_fairness=model.fairness(0.0),
-                f1_throughput_cost=-model.throughput_change(1.0),
-                measured_cost=measured.get(("miss_lat", latency)),
-            )
+    for parameter, value, machine in sweeps:
+        model = SoeModel(
+            list(EXAMPLE2_THREADS),
+            miss_lat=machine.miss_lat,
+            switch_lat=machine.switch_lat,
         )
-    for latency in switch_latencies:
-        model = _model(300.0, latency)
         rows.append(
             SensitivityRow(
-                parameter="switch_lat",
-                value=latency,
+                parameter=parameter,
+                value=value,
                 unenforced_fairness=model.fairness(0.0),
                 f1_throughput_cost=-model.throughput_change(1.0),
-                measured_cost=measured.get(("switch_lat", latency)),
+                measured_cost=measured.get((parameter, value)),
             )
         )
     return SensitivityResult(rows=rows)

@@ -15,21 +15,22 @@ compared directly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from repro.core.controller import FairnessController, FairnessParams
-from repro.core.model import SoeModel, ThreadParams
-from repro.engine.singlethread import run_single_thread
-from repro.engine.segments import SegmentStream
-from repro.engine.soe import SoeParams, run_soe
-from repro.experiments.common import EvalConfig, format_table
-from repro.workloads.synthetic import uniform_stream
+from repro.core.controller import FairnessController
+from repro.core.model import SoeModel
+from repro.engine.soe import run_soe
+from repro.experiments.common import (
+    EXAMPLE2_THREADS,
+    EvalConfig,
+    example2_streams,
+    format_table,
+    synthetic_ipc_st,
+)
 
 __all__ = ["Table2Row", "Table2Result", "run", "render"]
 
-#: Example 2 parameters, straight from the paper.
-IPC_NO_MISS = 2.5
-IPM = (15_000.0, 1_000.0)
+#: Example 2's machine latencies, straight from the paper.
 MISS_LAT = 300.0
 SWITCH_LAT = 25.0
 FAIRNESS_LEVELS = (0.0, 0.5, 1.0)
@@ -68,9 +69,7 @@ class Table2Result:
 
 def _model_rows() -> list[Table2Row]:
     model = SoeModel(
-        [ThreadParams(IPC_NO_MISS, IPM[0]), ThreadParams(IPC_NO_MISS, IPM[1])],
-        miss_lat=MISS_LAT,
-        switch_lat=SWITCH_LAT,
+        list(EXAMPLE2_THREADS), miss_lat=MISS_LAT, switch_lat=SWITCH_LAT
     )
     st = model.single_thread_ipcs()
     rows = []
@@ -84,39 +83,22 @@ def _model_rows() -> list[Table2Row]:
     return rows
 
 
-def _streams(seed_base: int) -> list[SegmentStream]:
-    return [
-        uniform_stream(IPC_NO_MISS, IPM[0], seed=seed_base + 1),
-        uniform_stream(IPC_NO_MISS, IPM[1], seed=seed_base + 2),
-    ]
-
-
 def _simulated_rows(config: EvalConfig) -> list[Table2Row]:
-    seed_base = 2 * config.seed
-    st = [
-        run_single_thread(
-            s, miss_lat=MISS_LAT, min_instructions=config.min_instructions
-        ).ipc
-        for s in _streams(seed_base)
-    ]
+    example = replace(config, miss_lat=MISS_LAT, switch_lat=SWITCH_LAT)
+    st = synthetic_ipc_st(example2_streams(config.seed), example)
     rows = []
-    params = SoeParams(miss_lat=MISS_LAT, switch_lat=SWITCH_LAT)
     for level in FAIRNESS_LEVELS:
-        if level > 0:
-            controller = FairnessController(
-                2, FairnessParams(fairness_target=level, miss_lat=MISS_LAT)
-            )
-            quota_source = controller
-        else:
-            controller = None
-            quota_source = None
-        result = run_soe(
-            _streams(seed_base),
-            controller,
-            params,
-            config.run_limits(),
+        controller = (
+            FairnessController(2, example.fairness_params(level))
+            if level > 0 else None
         )
-        quotas = quota_source.quotas if quota_source else [math.inf, math.inf]
+        result = run_soe(
+            example2_streams(config.seed),
+            controller,
+            example.soe_params(),
+            example.run_limits(),
+        )
+        quotas = controller.quotas if controller else [math.inf, math.inf]
         for tid in range(2):
             rows.append(Table2Row(level, tid, st[tid], result.ipcs[tid], quotas[tid]))
     return rows
@@ -125,8 +107,10 @@ def _simulated_rows(config: EvalConfig) -> list[Table2Row]:
 def run(config: EvalConfig = EvalConfig()) -> Table2Result:
     """Compute Table 2 analytically and by simulation.
 
-    Run lengths and the stream seed come from ``config``; Example 2's
-    machine constants stay fixed -- they define the example.
+    The engine runs read everything from ``config`` -- run lengths, the
+    stream seed, the maximum cycles quota and the sample period -- except
+    Example 2's 300/25-cycle miss and switch latencies, which define the
+    example and stay fixed.
     """
     return Table2Result(
         analytical=_model_rows(),

@@ -18,11 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.core.controller import FairnessController, FairnessParams
-from repro.engine.singlethread import run_single_thread
+from repro.core.controller import FairnessController
 from repro.engine.segments import SegmentStream
-from repro.engine.soe import SoeParams, run_soe
-from repro.experiments.common import EvalConfig, format_table
+from repro.engine.soe import run_soe
+from repro.experiments.common import EvalConfig, format_table, synthetic_ipc_st
 from repro.workloads.synthetic import uniform_stream
 
 __all__ = ["ThreadCountRow", "ThreadCountResult", "run", "render"]
@@ -88,8 +87,10 @@ def run(
     fairness_target: float = 0.5,
     config: EvalConfig = EvalConfig(),
 ) -> ThreadCountResult:
+    """Sweep the thread count; the machine, the mechanism, run lengths
+    and the stream seed come from ``config``."""
     seed_base = 2 * config.seed
-    params = SoeParams()
+    params = config.soe_params()
     limits = config.run_limits()
     rows = []
     for count in thread_counts:
@@ -99,17 +100,12 @@ def run(
         )
 
         # Fairness behaviour on the heterogeneous mix.
-        ipc_st = [
-            run_single_thread(
-                s, params.miss_lat, min_instructions=config.min_instructions
-            ).ipc
-            for s in _mixed_streams(count, seed_base)
-        ]
+        ipc_st = synthetic_ipc_st(_mixed_streams(count, seed_base), config)
         unenforced = run_soe(
             _mixed_streams(count, seed_base), None, params, limits
         )
         controller = FairnessController(
-            count, FairnessParams(fairness_target=fairness_target)
+            count, config.fairness_params(fairness_target)
         )
         enforced = run_soe(
             _mixed_streams(count, seed_base), controller, params, limits

@@ -16,18 +16,15 @@ from typing import Sequence
 
 from repro.core.controller import FairnessController
 from repro.core.policies import PolicyConfig
-from repro.engine.singlethread import run_single_thread
-from repro.engine.segments import SegmentStream
 from repro.engine.soe import RunLimits, run_soe
-from repro.experiments.common import EvalConfig, format_table
-from repro.workloads.synthetic import uniform_stream
+from repro.experiments.common import (
+    EvalConfig,
+    example2_streams,
+    format_table,
+    synthetic_ipc_st,
+)
 
 __all__ = ["TimeSharingPoint", "TimeSharingResult", "run", "render"]
-
-# Example 2's workload, straight from the paper (table2.py uses the
-# same constants). Machine parameters come from the EvalConfig.
-IPC_NO_MISS = 2.5
-IPM = (15_000.0, 1_000.0)
 
 
 @dataclass(frozen=True)
@@ -52,34 +49,23 @@ class TimeSharingResult:
         return fairest.total_ipc <= fastest.total_ipc
 
 
-def _streams(seed_base: int) -> list[SegmentStream]:
-    return [
-        uniform_stream(IPC_NO_MISS, IPM[0], seed=seed_base + 1),
-        uniform_stream(IPC_NO_MISS, IPM[1], seed=seed_base + 2),
-    ]
-
-
 def run(
     quotas: Sequence[float] = (100.0, 200.0, 400.0, 1_000.0, 4_000.0, 16_000.0),
     config: EvalConfig = EvalConfig(),
 ) -> TimeSharingResult:
-    """Sweep the time quota, then run the mechanism at F = 1; run
-    lengths, machine parameters and the stream seed come from
-    ``config``."""
-    min_instructions = config.min_instructions
-    seed_base = 2 * config.seed
+    """Sweep the time quota on Example 2's threads, then run the
+    mechanism at F = 1; run lengths, machine parameters and the stream
+    seed come from ``config``. The quota sweep measures from the first
+    instruction (``config.min_instructions``, no warmup)."""
     params = config.soe_params()
-    ipc_st = [
-        run_single_thread(s, config.miss_lat, min_instructions=min_instructions).ipc
-        for s in _streams(seed_base)
-    ]
+    ipc_st = synthetic_ipc_st(example2_streams(config.seed), config)
     points = []
     for quota in quotas:
         result = run_soe(
-            _streams(seed_base),
+            example2_streams(config.seed),
             PolicyConfig("rr-timeshare", params=(("cycle_quota", quota),)).make(2),
             params,
-            RunLimits(min_instructions=min_instructions),
+            RunLimits(min_instructions=config.min_instructions),
         )
         run_cycles = tuple(t.run_cycles for t in result.threads)
         total_run = sum(run_cycles)
@@ -93,7 +79,7 @@ def run(
         )
     controller = FairnessController(2, config.fairness_params(1.0))
     enforced = run_soe(
-        _streams(seed_base),
+        example2_streams(config.seed),
         controller,
         params,
         config.run_limits(),

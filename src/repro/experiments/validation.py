@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.model import SoeModel, ThreadParams
-from repro.engine.soe import RunLimits, SoeParams, run_soe
+from repro.engine.soe import RunLimits, run_soe
 from repro.experiments.common import EvalConfig, format_table
 from repro.workloads.synthetic import uniform_stream
 
@@ -86,11 +86,11 @@ def run(
     config: EvalConfig = EvalConfig(),
 ) -> ValidationResult:
     """Compare model and engine on every case (and, with
-    ``include_cpu``, engine and detailed core) at ``config``'s miss and
-    switch latencies; each engine run is ``config.st_min_instructions``
-    long."""
+    ``include_cpu``, engine and detailed core) on ``config``'s machine
+    (miss and switch latencies, maximum cycles quota); each engine run
+    is ``config.st_min_instructions`` long, with no warmup."""
     seed_base = 2 * config.seed
-    params = SoeParams(miss_lat=config.miss_lat, switch_lat=config.switch_lat)
+    params = config.soe_params()
     cases = []
     for label, (ipc1, ipm1), (ipc2, ipm2) in CASES:
         model = SoeModel(

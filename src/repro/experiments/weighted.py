@@ -13,21 +13,20 @@ the targets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
-from repro.core.controller import FairnessController, FairnessParams
+from repro.core.controller import FairnessController
 from repro.core.fairness import weighted_fairness
-from repro.engine.singlethread import run_single_thread
-from repro.engine.segments import SegmentStream
-from repro.engine.soe import SoeParams, run_soe
-from repro.experiments.common import EvalConfig, format_table
-from repro.workloads.synthetic import uniform_stream
+from repro.engine.soe import run_soe
+from repro.experiments.common import (
+    EvalConfig,
+    example2_streams,
+    format_table,
+    synthetic_ipc_st,
+)
 
 __all__ = ["WeightedRow", "WeightedResult", "run", "render"]
-
-IPC_NO_MISS = 2.5
-IPM = (15_000.0, 1_000.0)
 
 
 @dataclass(frozen=True)
@@ -56,34 +55,26 @@ class WeightedResult:
     rows: list[WeightedRow]
 
 
-def _streams(seed_base: int) -> list[SegmentStream]:
-    return [
-        uniform_stream(IPC_NO_MISS, IPM[0], seed=seed_base + 1),
-        uniform_stream(IPC_NO_MISS, IPM[1], seed=seed_base + 2),
-    ]
-
-
 def run(
     weight_ratios: Sequence[tuple[float, float]] = ((1.0, 1.0), (2.0, 1.0), (4.0, 1.0), (1.0, 2.0)),
     fairness_target: float = 1.0,
     config: EvalConfig = EvalConfig(),
 ) -> WeightedResult:
-    seed_base = 2 * config.seed
-    params = SoeParams()
-    ipc_st = [
-        run_single_thread(
-            s, params.miss_lat, min_instructions=config.min_instructions
-        ).ipc
-        for s in _streams(seed_base)
-    ]
+    """Run Example 2's pair once per weight ratio; the machine, the
+    mechanism (its sample period and assumed latency), run lengths and
+    the stream seed come from ``config``, the weights are layered on."""
+    params = config.soe_params()
+    ipc_st = synthetic_ipc_st(example2_streams(config.seed), config)
     limits = config.run_limits()
     rows = []
     for weights in weight_ratios:
         controller = FairnessController(
             2,
-            FairnessParams(fairness_target=fairness_target, weights=tuple(weights)),
+            replace(
+                config.fairness_params(fairness_target), weights=tuple(weights)
+            ),
         )
-        result = run_soe(_streams(seed_base), controller, params, limits)
+        result = run_soe(example2_streams(config.seed), controller, params, limits)
         rows.append(
             WeightedRow(
                 weights=tuple(weights),

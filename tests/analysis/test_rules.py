@@ -41,6 +41,8 @@ RL003_FLAGGED = [
     "s = set([1, 2])\nout = list(s)\n",
     "s = {x for x in range(3)}\nout = [y for y in s]\n",
     "def f(s: set):\n    for x in s:\n        pass\n",
+    "def f(x):\n    s = set(x)\n    for y in s:\n        pass\n",
+    "def f(x):\n    s = set(x)\n    def g():\n        return list(s)\n    return g\n",
 ]
 RL003_ALLOWED = [
     "s = {1, 2, 3}\nfor x in sorted(s):\n    pass\n",

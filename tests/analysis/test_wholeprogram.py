@@ -6,8 +6,10 @@ propagation exactly as ``run_lint`` does), so the tests pin the rules'
 cross-module behavior, not just their per-file parsing.
 """
 
+import ast
 import textwrap
 
+from repro.analysis.dataflow import scan_module
 from repro.analysis.engine import check_project, check_source
 from repro.analysis.registry import get_rule
 
@@ -260,6 +262,27 @@ class TestOneDetector:
             def helper(x):
                 return [x + k for k in _KINDS]
         """)
+
+    def test_set_name_stays_in_the_function_that_binds_it(self):
+        # ``collect`` binds ``names`` to a set; ``helper``'s own
+        # ``names`` is a list, and iterating it is no set iteration.
+        helper_source = """
+            import ast
+            from typing import List, Set
+
+            def collect(x) -> Set[str]:
+                names: Set[str] = set(x)
+                return names
+
+            def helper(x):
+                names: List[ast.Name] = x
+                return [node.id for node in names]
+        """
+        files = _kernel_calling(helper_source)
+        assert self._per_file("RL003", files) == []
+        assert _project("RL009", files) == []
+        uses = scan_module(ast.parse(textwrap.dedent(helper_source))).uses
+        assert [effect for _, effect in uses if effect.kind == "set_iter"] == []
 
     def test_pragma_on_from_import_sanctions_the_source(self):
         # RL002 reports the import line; a pragma there silences RL002

@@ -150,6 +150,36 @@ class TestConfigPlumbing:
         assert config.seed == 7
         assert config.min_instructions == 400_000.0  # the quick preset
 
+    @pytest.mark.parametrize(
+        "experiment_id",
+        ["weighted", "threadcount", "events", "table2", "sensitivity"],
+    )
+    def test_sample_period_reaches_the_mechanism(self, experiment_id):
+        # Each of these runs the enforcement mechanism on the engine, so
+        # a different Delta must change some measured number; an
+        # experiment that builds its mechanism from class defaults
+        # would return the same result for both configs.
+        from repro.experiments.io import result_to_jsonable
+
+        run = get_experiment(experiment_id).run
+        short = dataclasses.replace(
+            EvalConfig(), min_instructions=800_000.0,
+            warmup_instructions=400_000.0, st_min_instructions=400_000.0,
+        )
+        resampled = dataclasses.replace(short, sample_period=100_000.0)
+        assert result_to_jsonable(run(config=short)) != \
+            result_to_jsonable(run(config=resampled))
+
+    def test_quick_weighted_reaches_its_target_ratio(self):
+        # Quick scale shortens Delta so its 400k-instruction window
+        # holds several samples; at the default Delta the 2:1 row read
+        # 2.46.
+        from repro.experiments import weighted
+
+        result = weighted.run(config=EvalConfig.quick())
+        row = next(r for r in result.rows if r.weights == (2.0, 1.0))
+        assert row.achieved_ratio == pytest.approx(2.0, abs=0.1)
+
     def test_seed_changes_events_streams(self):
         # events draws randomized streams (ipm_cv > 0), so honoring
         # config.seed must change the measured numbers.
@@ -288,11 +318,31 @@ class TestPolicyCli:
             received["config"] = config
             return ()
 
-        fake = Experiment("fake-policy", "probe", "none",
+        # Probe through an id that reads --policy; elsewhere it is refused.
+        fake = Experiment("stability", "probe", "none",
                           run, lambda result: "rendered")
-        monkeypatch.setitem(registry._experiments(), "fake-policy", fake)
-        assert main(["fake-policy", "--policy", "drr-arbiter"]) == 0
+        monkeypatch.setitem(registry._experiments(), "stability", fake)
+        assert main(["stability", "--policy", "drr-arbiter"]) == 0
         assert received["config"].policy == "drr-arbiter"
+
+    @pytest.mark.parametrize(
+        "experiment_id",
+        sorted(set(experiment_ids()) - set(cli._POLICY_READERS)),
+    )
+    def test_policy_flag_refused_where_no_run_reads_it(
+        self, experiment_id, monkeypatch, capsys
+    ):
+        from repro.experiments import registry
+
+        # Refused before anything runs: a run would fail the test.
+        experiment = registry._experiments()[experiment_id]
+        monkeypatch.setitem(
+            registry._experiments(), experiment_id,
+            dataclasses.replace(experiment, run=None),
+        )
+        assert main([experiment_id, "--policy", "fairness"]) == 2
+        err = capsys.readouterr().err
+        assert "--policy only applies to fig6, fig7, fig8, stability" in err
 
     def test_unknown_policy_rejected(self, capsys):
         assert main(["fig3", "--policy", "nope"]) == 2
@@ -302,7 +352,8 @@ class TestPolicyCli:
         assert main(["fig3", "--policies", "none,fairness"]) == 2
         err = capsys.readouterr().err
         assert "frontier" in err
-        assert "use --policy NAME to run other experiments" in err
+        assert ("use --policy NAME to run fig6, fig7, fig8, stability, all "
+                "under a single policy") in err
 
     def test_frontier_honors_the_policies_flag(self, monkeypatch, capsys):
         from repro.experiments import frontier, registry
