@@ -44,7 +44,7 @@ class FairnessParams:
     """Configuration of the fairness-enforcement mechanism.
 
     Defaults match the paper's evaluation: ``Delta = 250,000`` cycles,
-    ``miss_lat = 300`` cycles, no deficit cap, no estimate smoothing.
+    ``miss_lat = 300`` cycles, no deficit cap.
     """
 
     fairness_target: float
@@ -52,7 +52,6 @@ class FairnessParams:
     sample_period: float = 250_000.0
     min_quota: float = 1.0
     deficit_cap: Optional[float] = None
-    smoothing: float = 0.0
     #: Section 6 extension: derive each thread's event latency from the
     #: latencies the substrate reports instead of assuming ``miss_lat``.
     #: Required for correct enforcement with variable-latency switch
@@ -112,7 +111,7 @@ class FairnessController(DeficitPolicy):
                 f"expected {num_threads} weights, got {len(params.weights)}"
             )
         self.params = params
-        self._estimator = IpcStEstimator(num_threads, params.miss_lat, params.smoothing)
+        self._estimator = IpcStEstimator(num_threads, params.miss_lat)
         self._latency_monitor: Optional[MissLatencyMonitor] = None
         if params.measure_miss_latency:
             self._latency_monitor = MissLatencyMonitor(num_threads, params.miss_lat)

@@ -8,8 +8,7 @@ robustness details the simulators need on top of the raw equation:
 * an empty window (the thread never ran -- possible only transiently,
   since the maximum-cycles quota guarantees every thread runs each
   ``Delta``) falls back to the previous estimate;
-* optional exponential smoothing across windows (an extension knob; the
-  paper uses the raw per-window estimate, which is the default).
+* otherwise each window's raw Eq. 13 estimate is used, as in the paper.
 """
 
 from __future__ import annotations
@@ -46,7 +45,6 @@ class IpcStEstimator:
         self,
         num_threads: int,
         miss_lat: float,
-        smoothing: float = 0.0,
     ) -> None:
         """
         Parameters
@@ -55,19 +53,12 @@ class IpcStEstimator:
             Number of hardware thread contexts.
         miss_lat:
             Average memory access latency in cycles (Eq. 13's constant).
-        smoothing:
-            Exponential smoothing factor in ``[0, 1)`` applied across
-            windows: 0 (the paper's behaviour) uses each window's raw
-            estimate; larger values weight history more.
         """
         if num_threads < 1:
             raise ConfigurationError("need at least one thread")
         if miss_lat < 0:
             raise ConfigurationError("miss_lat must be non-negative")
-        if not 0.0 <= smoothing < 1.0:
-            raise ConfigurationError("smoothing must be in [0, 1)")
         self._miss_lat = float(miss_lat)
-        self._smoothing = float(smoothing)
         self._estimates: list[Optional[ThreadEstimate]] = [None] * num_threads
 
     @property
@@ -101,19 +92,12 @@ class IpcStEstimator:
                 # quota computation treats it as "do not force switches".
                 estimate = ThreadEstimate(0.0, 0.0, 0.0, carried_over=True)
         else:
-            ipc_st = sample.estimated_single_thread_ipc(latency)
-            if self._smoothing and previous is not None and not previous.carried_over:
-                alpha = self._smoothing
-                estimate = ThreadEstimate(
-                    alpha * previous.ipm + (1 - alpha) * sample.ipm,
-                    alpha * previous.cpm + (1 - alpha) * sample.cpm,
-                    alpha * previous.ipc_st + (1 - alpha) * ipc_st,
-                    miss_lat=miss_lat,
-                )
-            else:
-                estimate = ThreadEstimate(
-                    sample.ipm, sample.cpm, ipc_st, miss_lat=miss_lat
-                )
+            estimate = ThreadEstimate(
+                sample.ipm,
+                sample.cpm,
+                sample.estimated_single_thread_ipc(latency),
+                miss_lat=miss_lat,
+            )
         self._estimates[thread_id] = estimate
         return estimate
 

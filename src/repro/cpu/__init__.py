@@ -21,7 +21,6 @@ from repro.cpu.caches import Cache
 from repro.cpu.hierarchy import AccessResult, MemoryHierarchy
 from repro.cpu.isa import NUM_ARCH_REGS, MicroOp, OpClass
 from repro.cpu.machine import CacheConfig, MachineConfig
-from repro.cpu.memory import FixedLatencyMemory
 from repro.cpu.pipeline import CpuRunResult, CpuThreadStats, OooPipeline
 from repro.cpu.program import ProgramCursor, TraceProgram, program_from_uops
 from repro.cpu.soe_core import run_cpu_single_thread, run_cpu_soe
@@ -34,7 +33,6 @@ __all__ = [
     "CacheConfig",
     "CpuRunResult",
     "CpuThreadStats",
-    "FixedLatencyMemory",
     "MachineConfig",
     "MemoryHierarchy",
     "MicroOp",

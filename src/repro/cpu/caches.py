@@ -61,16 +61,6 @@ class Cache:
         line = address // self._line_bytes
         return line % self._num_sets, line // self._num_sets
 
-    def lookup(self, address: int, update_lru: bool = True) -> bool:
-        """Probe without allocating: True on hit."""
-        set_index, tag = self._locate(address)
-        cache_set = self._sets[set_index]
-        if tag in cache_set:
-            if update_lru:
-                cache_set.move_to_end(tag)
-            return True
-        return False
-
     def access(self, address: int, is_write: bool = False) -> bool:
         """Access and allocate on miss: returns True on hit.
 
@@ -106,7 +96,8 @@ class Cache:
 
     def contains(self, address: int) -> bool:
         """Non-destructive membership check (no LRU update)."""
-        return self.lookup(address, update_lru=False)
+        set_index, tag = self._locate(address)
+        return tag in self._sets[set_index]
 
     @property
     def accesses(self) -> int:

@@ -1,5 +1,9 @@
 """Memory-hierarchy composition: L1I / L1D -> unified L2 -> bus -> memory.
 
+Main memory is the paper's fixed-latency model (Section 4.1: a constant
+300 cycles, 75 ns at 4 GHz): a line fill is ready ``memory_latency``
+cycles after it wins the bus.
+
 Answers pure timing queries for the pipeline: "an access to ``address``
 starts now; when is the data ready, and did it miss the L2?" Outstanding
 line fills are tracked so clustered misses to the same line merge
@@ -15,7 +19,6 @@ from typing import NamedTuple
 from repro.cpu.bus import PipelinedBus
 from repro.cpu.caches import Cache
 from repro.cpu.machine import MachineConfig
-from repro.cpu.memory import FixedLatencyMemory
 from repro.cpu.tlb import Tlb
 
 __all__ = ["AccessResult", "MemoryHierarchy"]
@@ -47,20 +50,13 @@ class MemoryHierarchy:
         self.itlb = Tlb(config.itlb_entries, config.page_bytes, "iTLB")
         self.dtlb = Tlb(config.dtlb_entries, config.page_bytes, "dTLB")
         self.bus = PipelinedBus(config.bus_cycles_per_transfer)
-        if config.memory_model == "dram":
-            from repro.cpu.dram import BankedDram
-
-            self.memory = BankedDram()
-        else:
-            self.memory = FixedLatencyMemory(config.memory_latency)
         #: line number -> fill-complete time, for outstanding fills
         self._inflight: dict[int, int] = {}
-        self.prefetches = 0
         # Invariant config scalars, hoisted out of the per-access path.
         self._line_bytes = config.l2.line_bytes
         self._l2_latency = config.l2.latency
         self._page_walk_latency = config.page_walk_latency
-        self._prefetch_next_line = config.prefetch == "next_line"
+        self._memory_latency = config.memory_latency
 
     # ------------------------------------------------------------------
     def _memory_fill(self, address: int, start: int, now: int) -> tuple[int, bool]:
@@ -70,32 +66,13 @@ class MemoryHierarchy:
         if outstanding is not None and outstanding > now:
             return outstanding, True
         bus_start = self.bus.request(start)
-        ready = self.memory.fill(address, bus_start)
+        ready = bus_start + self._memory_latency
         self._inflight[line] = ready
         if len(self._inflight) > 256:
             self._inflight = {
                 l: t for l, t in self._inflight.items() if t > now
             }
         return ready, False
-
-    def _maybe_prefetch(self, address: int, now: int) -> None:
-        """Next-line prefetch into the L2, overlapped with the demand
-        fill (no pipeline stall; consumes bus/bank bandwidth)."""
-        if not self._prefetch_next_line:
-            return
-        next_line_address = address + self._line_bytes
-        if self.l2.lookup(next_line_address, update_lru=False):
-            return
-        line = next_line_address // self._line_bytes
-        outstanding = self._inflight.get(line)
-        if outstanding is not None and outstanding > now:
-            return
-        self.l2.access(next_line_address)
-        if self.l2.last_eviction_was_dirty:
-            self.bus.request(now)
-        bus_start = self.bus.request(now)
-        self._inflight[line] = self.memory.fill(next_line_address, bus_start)
-        self.prefetches += 1
 
     def _access(
         self, l1: Cache, tlb: Tlb, address: int, now: int, is_write: bool = False
@@ -121,16 +98,12 @@ class MemoryHierarchy:
             if self.l2.last_eviction_was_dirty:
                 self.bus.request(now)
         if self.l2.access(address, is_write):
-            if l1 is self.l1d:
-                self._maybe_prefetch(address, now)
             return AccessResult(after_l1 + self._l2_latency, "l2", False, walk)
         # An L2 dirty eviction goes to memory over the bus.
         if self.l2.last_eviction_was_dirty:
             self.bus.request(now)
         after_l2 = after_l1 + self._l2_latency
         ready, merged = self._memory_fill(address, after_l2, now)
-        if l1 is self.l1d:
-            self._maybe_prefetch(address, now)
         return AccessResult(max(ready, after_l2), "memory", True, walk, merged)
 
     # ------------------------------------------------------------------

@@ -83,12 +83,6 @@ class MachineConfig:
     )
     memory_latency: int = 300
     bus_cycles_per_transfer: int = 4
-    #: "fixed" -- the paper's constant-latency memory; "dram" -- banked
-    #: open-page DRAM with row-buffer variable latency (Section 6's
-    #: variable-latency regime).
-    memory_model: str = "fixed"
-    #: "none" or "next_line" -- a simple L2 next-line prefetcher.
-    prefetch: str = "none"
 
     # TLBs
     itlb_entries: int = 128
@@ -105,10 +99,6 @@ class MachineConfig:
     # SOE
     drain_latency: int = 6
     max_cycles_quota: int = 50_000
-    #: Switch-trigger event (Section 6 extension): "l2" switches only on
-    #: misses that go to memory (the paper's base scheme); "l1" also
-    #: switches on L1 misses that hit the L2 (a dMT/BMT-style variant).
-    switch_event: str = "l2"
 
     def __post_init__(self) -> None:
         for name in (
@@ -127,15 +117,3 @@ class MachineConfig:
             raise ConfigurationError("latencies must be non-negative")
         if self.page_bytes <= 0 or self.page_bytes & (self.page_bytes - 1):
             raise ConfigurationError("page size must be a positive power of two")
-        if self.switch_event not in ("l1", "l2"):
-            raise ConfigurationError(
-                f"switch_event must be 'l1' or 'l2', got {self.switch_event!r}"
-            )
-        if self.memory_model not in ("fixed", "dram"):
-            raise ConfigurationError(
-                f"memory_model must be 'fixed' or 'dram', got {self.memory_model!r}"
-            )
-        if self.prefetch not in ("none", "next_line"):
-            raise ConfigurationError(
-                f"prefetch must be 'none' or 'next_line', got {self.prefetch!r}"
-            )

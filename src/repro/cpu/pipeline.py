@@ -325,7 +325,6 @@ class OooPipeline:
         l1d_latency = config.l1d.latency
         max_cycles_quota = config.max_cycles_quota
         drain_latency = config.drain_latency
-        switch_on_l1 = config.switch_event == "l1"
 
         fq: deque[_Inflight] = deque()
         rob: deque[_Inflight] = deque()
@@ -440,13 +439,9 @@ class OooPipeline:
                 completed_at = head.completed_at
                 if completed_at is None or completed_at > now:
                     access = head.access  # its ready_at is completed_at
-                    if multithreaded and access is not None and (
-                        access.level != "l1" if switch_on_l1 else access.l2_miss
-                    ):
-                        # SOE trigger: unresolved miss at the ROB head.
-                        # "l2" (the paper's base scheme) switches on
-                        # misses to memory; "l1" also on L1 misses that
-                        # hit the L2 (the dMT-style Section 6 variant).
+                    if multithreaded and access is not None and access.l2_miss:
+                        # SOE trigger: unresolved miss to memory at the
+                        # ROB head.
                         active.misses += 1
                         active.miss_switches += 1
                         if on_miss is not None:

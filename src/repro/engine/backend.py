@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.core.controller import FairnessController, FairnessParams
 from repro.core.policies import PolicyConfig
 from repro.core.policy import SwitchPolicy
 from repro.engine.segments import SegmentStream
@@ -26,16 +25,14 @@ __all__ = ["SoeRunSpec"]
 class SoeRunSpec:
     """Everything one SOE run needs, as pure data.
 
-    ``fairness`` is the run's :class:`FairnessParams`, or None for the
-    unenforced baseline (miss-only switching). ``policy`` selects a
-    registered policy-zoo policy instead
-    (:class:`~repro.core.policies.PolicyConfig`). Specs carry parameters
+    ``policy`` selects a registered policy-zoo policy
+    (:class:`~repro.core.policies.PolicyConfig`), or None for the
+    unenforced baseline (miss-only switching). Specs carry parameters
     rather than live policy objects, so every run builds a fresh policy
     with :meth:`make_policy`.
     """
 
     streams: tuple[SegmentStream, ...]
-    fairness: Optional[FairnessParams] = None
     params: SoeParams = field(default_factory=SoeParams)
     limits: RunLimits = field(default_factory=RunLimits)
     policy: Optional[PolicyConfig] = None
@@ -43,11 +40,6 @@ class SoeRunSpec:
     def __post_init__(self) -> None:
         if len(self.streams) < 2:
             raise ConfigurationError("an SOE run spec needs at least two threads")
-        if self.policy is not None and self.fairness is not None:
-            raise ConfigurationError(
-                "a run spec takes either fairness params or a policy "
-                "config, not both"
-            )
 
     @property
     def num_threads(self) -> int:
@@ -55,8 +47,6 @@ class SoeRunSpec:
 
     def make_policy(self) -> Optional[SwitchPolicy]:
         """A fresh scalar policy for this spec (None = baseline)."""
-        if self.policy is not None:
-            return self.policy.make(self.num_threads)
-        if self.fairness is None:
+        if self.policy is None:
             return None
-        return FairnessController(self.num_threads, self.fairness)
+        return self.policy.make(self.num_threads)

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from repro.core.policy import NoFairnessPolicy, SwitchPolicy, overridden_hook
 from repro.engine.results import SoeRunResult, ThreadStats
@@ -50,6 +50,9 @@ from repro.telemetry import resolve_sink
 from repro.telemetry.events import segment_end, stall, thread_switch
 from repro.telemetry.profile import PROFILE
 from repro.telemetry.sinks import TraceSink
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
+    from repro.engine.recorder import IntervalRecorder
 
 __all__ = ["SoeParams", "RunLimits", "SoeEngine", "run_soe", "MAX_EVENTS"]
 
@@ -136,7 +139,7 @@ class SoeEngine:
         streams: Sequence[SegmentStream],
         policy: Optional[SwitchPolicy] = None,
         params: SoeParams = SoeParams(),
-        recorder: Optional["IntervalRecorderProtocol"] = None,
+        recorder: Optional[IntervalRecorder] = None,
         sink: Optional[TraceSink] = None,
     ) -> None:
         if len(streams) < 2:
@@ -573,22 +576,12 @@ class SoeEngine:
         )
 
 
-class IntervalRecorderProtocol:
-    """Structural interface the engine expects from a recorder."""
-
-    def next_boundary(self, now: float) -> float:  # pragma: no cover - protocol
-        raise NotImplementedError
-
-    def on_boundary(self, now: float, engine: SoeEngine) -> None:  # pragma: no cover
-        raise NotImplementedError
-
-
 def run_soe(
     streams: Sequence[SegmentStream],
     policy: Optional[SwitchPolicy] = None,
     params: SoeParams = SoeParams(),
     limits: RunLimits = RunLimits(),
-    recorder: Optional[IntervalRecorderProtocol] = None,
+    recorder: Optional[IntervalRecorder] = None,
 ) -> SoeRunResult:
     """Convenience wrapper: build an engine and run it once."""
     return SoeEngine(streams, policy, params, recorder).run(limits)

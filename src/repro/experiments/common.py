@@ -160,11 +160,12 @@ def synthetic_ipc_st(
     streams: Sequence[SegmentStream], config: EvalConfig
 ) -> list[float]:
     """Each stream's IPC run alone on ``config``'s machine for
-    ``config.min_instructions``: the single-thread reference the
-    synthetic-workload experiments measure speedups against."""
+    ``config.st_min_instructions`` (the grid's single-thread run
+    length): the single-thread reference the synthetic-workload
+    experiments measure speedups against."""
     return [
         run_single_thread(
-            stream, config.miss_lat, min_instructions=config.min_instructions
+            stream, config.miss_lat, min_instructions=config.st_min_instructions
         ).ipc
         for stream in streams
     ]

@@ -155,14 +155,12 @@ class SupervisionPolicy:
         return backoff_delay(self.retry_backoff, attempt, index=index)
 
 
-def backoff_delay(
-    base: float, attempt: int, *, index: int = 0, seed: int = 0
-) -> float:
-    """Deterministic exponential backoff with seeded jitter (seconds).
+def backoff_delay(base: float, attempt: int, *, index: int = 0) -> float:
+    """Deterministic exponential backoff with hashed jitter (seconds).
 
     The delay before the retry following failed ``attempt`` (1-based)
     doubles per attempt and carries an *equal-jitter* factor in
-    ``[0.5, 1.0)`` derived from ``sha256(seed, index, attempt)`` --
+    ``[0.5, 1.0)`` derived from ``sha256(index, attempt)`` --
     a pure function of its arguments, so retry schedules are exactly
     reproducible (no RNG state, no wall clock) while simultaneously
     failing tasks still spread out instead of thundering back in
@@ -171,8 +169,10 @@ def backoff_delay(
     if base <= 0.0 or attempt < 1:
         return 0.0
     window = base * (2.0 ** (attempt - 1))
+    # The fixed "-0-" field keeps every retry schedule byte-identical
+    # to the one recorded when the string also carried a seed.
     digest = hashlib.sha256(
-        f"repro-backoff-{seed}-{index}-{attempt}".encode()
+        f"repro-backoff-0-{index}-{attempt}".encode()
     ).digest()
     jitter = int.from_bytes(digest[:8], "big") / 2.0**64
     return window * (0.5 + 0.5 * jitter)

@@ -8,11 +8,11 @@ regardless of the mechanism). No truncation is applied for F = 0.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 from repro.errors import ConfigurationError
+from repro.metrics.summary import mean, stdev
 
 __all__ = ["truncated_fairness", "FairnessSummary", "summarize_achieved_fairness"]
 
@@ -59,14 +59,9 @@ def summarize_achieved_fairness(
     if not achieved_values:
         raise ConfigurationError("at least one run is required")
     truncated = [truncated_fairness(v, fairness_target) for v in achieved_values]
-    mean = sum(truncated) / len(truncated)
-    if len(truncated) > 1:
-        variance = sum((v - mean) ** 2 for v in truncated) / (len(truncated) - 1)
-    else:
-        variance = 0.0
     return FairnessSummary(
         fairness_target=fairness_target,
-        mean=mean,
-        stdev=math.sqrt(variance),
+        mean=mean(truncated),
+        stdev=stdev(truncated),
         count=len(truncated),
     )

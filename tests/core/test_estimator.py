@@ -55,31 +55,52 @@ class TestIpcStEstimator:
         est = IpcStEstimator(3, 300)
         assert est.estimates == [None, None, None]
 
-    def test_smoothing_blends_windows(self):
-        est = IpcStEstimator(1, 300, smoothing=0.5)
-        est.update(0, sample(10_000, 5_000, 1))
-        blended = est.update(0, sample(20_000, 10_000, 1))
-        assert blended.ipm == pytest.approx(15_000)
-
-    def test_no_smoothing_by_default(self):
+    def test_each_window_uses_its_raw_estimate(self):
         est = IpcStEstimator(1, 300)
         est.update(0, sample(10_000, 5_000, 1))
         raw = est.update(0, sample(20_000, 10_000, 1))
         assert raw.ipm == pytest.approx(20_000)
 
-    def test_smoothing_skips_carried_over_history(self):
-        est = IpcStEstimator(1, 300, smoothing=0.5)
-        est.update(0, sample(0, 0, 0))  # carried-over null estimate
-        fresh = est.update(0, sample(10_000, 5_000, 1))
-        assert fresh.ipm == pytest.approx(10_000)
+    def test_window_latency_overrides_constant(self):
+        est = IpcStEstimator(1, 300)
+        result = est.update(0, sample(15_000, 6_000, 1), miss_lat=100.0)
+        assert result.ipc_st == pytest.approx(15_000 / 6_100)
+        assert result.miss_lat == 100.0
+
+    def test_update_all_routes_latencies_per_thread(self):
+        est = IpcStEstimator(2, 300)
+        windows = [sample(15_000, 6_000, 1), sample(15_000, 6_000, 1)]
+        fast, slow = est.update_all(windows, miss_lats=[100.0, 500.0])
+        assert fast.ipc_st == pytest.approx(15_000 / 6_100)
+        assert slow.ipc_st == pytest.approx(15_000 / 6_500)
+
+    def test_update_all_rejects_wrong_latency_count(self):
+        est = IpcStEstimator(2, 300)
+        with pytest.raises(ConfigurationError):
+            est.update_all(
+                [sample(1, 1, 1), sample(1, 1, 1)], miss_lats=[300.0]
+            )
+
+    def test_carried_over_estimate_keeps_its_latency(self):
+        est = IpcStEstimator(1, 300)
+        est.update(0, sample(15_000, 6_000, 1), miss_lat=100.0)
+        carried = est.update(0, sample(0, 0, 0))
+        assert carried.carried_over
+        assert carried.miss_lat == 100.0
+
+    def test_window_after_carry_over_uses_its_raw_estimate(self):
+        est = IpcStEstimator(1, 300)
+        est.update(0, sample(10_000, 5_000, 1))
+        est.update(0, sample(0, 0, 0))
+        result = est.update(0, sample(20_000, 10_000, 2))
+        assert not result.carried_over
+        assert result.ipc_st == pytest.approx(20_000 / 10_600)
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"num_threads": 0, "miss_lat": 300},
             {"num_threads": 1, "miss_lat": -1},
-            {"num_threads": 1, "miss_lat": 300, "smoothing": 1.0},
-            {"num_threads": 1, "miss_lat": 300, "smoothing": -0.1},
         ],
     )
     def test_rejects_bad_configuration(self, kwargs):

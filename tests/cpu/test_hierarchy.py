@@ -63,6 +63,43 @@ class TestDataPath:
         assert hierarchy.bus.transfers == 2
 
 
+class TestMemoryFill:
+    @pytest.mark.parametrize("memory_latency", [0, 100, 300])
+    def test_fill_ready_after_lookups_and_memory_latency(self, memory_latency):
+        config = MachineConfig(memory_latency=memory_latency)
+        result = MemoryHierarchy(config).data_access(0x100000, 0)
+        # cold dTLB walk, L1 and L2 lookups, an idle bus, then memory
+        lookups = config.page_walk_latency + config.l1d.latency + config.l2.latency
+        assert result.ready_at == lookups + memory_latency
+        assert result.level == "memory" and not result.merged
+
+    def test_busy_bus_delays_the_fill_by_one_transfer(self, hierarchy):
+        a = hierarchy.data_access(0x800000, 0)
+        b = hierarchy.data_access(0x900000, 0)
+        occupancy = hierarchy.config.bus_cycles_per_transfer
+        assert b.ready_at == a.ready_at + occupancy
+
+    def test_miss_does_not_fetch_the_next_line(self, hierarchy):
+        hierarchy.data_access(0x100000, 0)
+        result = hierarchy.data_access(0x100040, 1_000)
+        assert result.level == "memory"
+        assert hierarchy.bus.transfers == 2
+
+    def test_sequential_sweep_misses_once_per_line(self, hierarchy):
+        lines = 64
+        for i in range(lines * 8):  # eight 8-byte words per 64-byte line
+            hierarchy.data_access(0x100000 + 8 * i, 1_000 * i)
+        assert hierarchy.l1d.misses == lines
+        assert hierarchy.l2.misses == lines
+        assert hierarchy.bus.transfers == lines
+
+    def test_store_miss_allocates_the_line(self, hierarchy):
+        store = hierarchy.store_access(0x200000, 0)
+        assert store.level == "memory" and store.l2_miss
+        load = hierarchy.data_access(0x200008, 1_000)
+        assert load.level == "l1"
+
+
 class TestFetchPath:
     def test_instruction_fetch_uses_l1i(self, hierarchy):
         hierarchy.fetch_access(0x100, 0)

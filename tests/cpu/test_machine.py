@@ -13,9 +13,6 @@ class TestMachineConfig:
         assert config.drain_latency == 6
         assert config.max_cycles_quota == 50_000
         assert config.l2.size_bytes == 2 * 1024 * 1024
-        assert config.switch_event == "l2"
-        assert config.memory_model == "fixed"
-        assert config.prefetch == "none"
 
     def test_fetch_queue_covers_frontend_pipe(self):
         config = MachineConfig()
@@ -30,14 +27,34 @@ class TestMachineConfig:
             {"rob_entries": 0},
             {"memory_latency": -1},
             {"page_bytes": 1000},
-            {"switch_event": "l3"},
-            {"memory_model": "hbm"},
-            {"prefetch": "stride"},
+            {"rename_width": 0},
+            {"retire_width": 0},
+            {"rs_entries": 0},
+            {"load_buffer_entries": 0},
+            {"store_buffer_entries": 0},
+            {"fetch_queue_entries": 0},
+            {"page_walk_latency": -1},
+            {"page_bytes": 0},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ConfigurationError):
             MachineConfig(**kwargs)
+
+    def test_accepts_zero_memory_latency(self):
+        assert MachineConfig(memory_latency=0).memory_latency == 0
+
+    @pytest.mark.parametrize(
+        "geometry",
+        [
+            (32 * 1024, 0, 64, 3),   # associativity
+            (32 * 1024, 8, 0, 3),    # line size
+            (32 * 1024, 8, 64, -1),  # latency
+        ],
+    )
+    def test_cache_config_rejects_bad_values(self, geometry):
+        with pytest.raises(ConfigurationError):
+            CacheConfig(*geometry)
 
     def test_cache_geometry_validated(self):
         with pytest.raises(ConfigurationError):

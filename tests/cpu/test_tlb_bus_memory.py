@@ -3,7 +3,6 @@
 import pytest
 
 from repro.cpu.bus import PipelinedBus
-from repro.cpu.memory import FixedLatencyMemory
 from repro.cpu.tlb import Tlb
 from repro.errors import ConfigurationError
 
@@ -66,14 +65,3 @@ class TestPipelinedBus:
     def test_rejects_negative_occupancy(self):
         with pytest.raises(ConfigurationError):
             PipelinedBus(-1)
-
-
-class TestFixedLatencyMemory:
-    def test_fill_time(self):
-        memory = FixedLatencyMemory(300)
-        assert memory.fill(0x1000, start=50) == 350
-        assert memory.fills == 1
-
-    def test_rejects_negative_latency(self):
-        with pytest.raises(ConfigurationError):
-            FixedLatencyMemory(-1)

@@ -12,15 +12,15 @@ from repro.workloads.synthetic import uniform_stream
 LIMITS = RunLimits(min_instructions=100_000.0, warmup_instructions=20_000.0)
 
 
-def _spec(seed=0, fairness=None):
+def _spec(seed=0, policy=None):
     return SoeRunSpec(
         streams=(
             uniform_stream(2.0, 8_000, seed=seed),
             uniform_stream(1.0, 600, seed=seed + 1),
         ),
-        fairness=fairness,
         params=SoeParams(),
         limits=LIMITS,
+        policy=policy,
     )
 
 
@@ -37,31 +37,23 @@ class TestSoeRunSpec:
         assert _spec().make_policy() is None
 
     def test_make_policy_builds_fresh_controller(self):
-        spec = _spec(fairness=FairnessParams(fairness_target=0.5))
+        params = FairnessParams(fairness_target=0.5)
+        spec = _spec(policy=PolicyConfig(name="fairness", level=0.5))
         first = spec.make_policy()
         second = spec.make_policy()
         assert isinstance(first, FairnessController)
         assert first is not second
-
-    def test_rejects_fairness_and_policy_together(self):
-        with pytest.raises(ConfigurationError, match="not both"):
-            SoeRunSpec(
-                streams=_spec().streams,
-                fairness=FairnessParams(fairness_target=0.5),
-                policy=PolicyConfig(name="fairness", level=0.5),
-            )
+        bare = FairnessController(2, params)
+        assert first.params == bare.params
 
     def test_fairness_policy_config_runs_like_fairness_params(self):
         # The grid selects the paper mechanism through the policy
-        # registry; it must run exactly like the bare FairnessParams.
+        # registry; it must run exactly like a bare FairnessController.
         params = FairnessParams(
             fairness_target=0.5, miss_lat=300.0, sample_period=50_000.0
         )
-        direct = _spec(seed=7, fairness=params)
-        registered = SoeRunSpec(
-            streams=direct.streams,
-            params=direct.params,
-            limits=direct.limits,
+        spec = _spec(
+            seed=7,
             policy=PolicyConfig(
                 name="fairness",
                 level=params.fairness_target,
@@ -69,9 +61,10 @@ class TestSoeRunSpec:
                 sample_period=params.sample_period,
             ),
         )
-        assert registered.make_policy().params == params
+        registered = spec.make_policy()
+        assert registered.params == params
         results = [
-            run_soe(spec.streams, spec.make_policy(), spec.params, spec.limits)
-            for spec in (direct, registered)
+            run_soe(spec.streams, policy, spec.params, spec.limits)
+            for policy in (FairnessController(2, params), registered)
         ]
         assert results[0] == results[1]

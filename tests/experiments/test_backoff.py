@@ -1,5 +1,6 @@
 """Retry backoff determinism and the incremental TaskPool contract."""
 
+import hashlib
 import threading
 import time
 
@@ -27,38 +28,42 @@ def _fail(value):
 class TestBackoffDelay:
     def test_zero_base_means_no_delay(self):
         assert backoff_delay(0.0, 1) == 0.0
-        assert backoff_delay(0.0, 5, index=3, seed=7) == 0.0
+        assert backoff_delay(0.0, 5, index=3) == 0.0
 
     def test_delay_is_deterministic(self):
-        first = backoff_delay(0.5, 2, index=3, seed=42)
-        second = backoff_delay(0.5, 2, index=3, seed=42)
+        first = backoff_delay(0.5, 2, index=3)
+        second = backoff_delay(0.5, 2, index=3)
         assert first == second
+
+    def test_schedule_hashes_the_recorded_string(self):
+        # Retry schedules must not move: the jitter hashes exactly
+        # this string.
+        digest = hashlib.sha256(b"repro-backoff-0-3-2").digest()
+        jitter = int.from_bytes(digest[:8], "big") / 2.0**64
+        assert backoff_delay(0.5, 2, index=3) == 1.0 * (0.5 + 0.5 * jitter)
 
     def test_delay_lies_in_the_equal_jitter_window(self):
         """Attempt n's delay is in [0.5, 1.0) x base x 2^(n-1)."""
         for attempt in (1, 2, 3, 4):
             window = 0.25 * 2.0 ** (attempt - 1)
             for index in range(8):
-                delay = backoff_delay(0.25, attempt, index=index, seed=0)
+                delay = backoff_delay(0.25, attempt, index=index)
                 assert window * 0.5 <= delay < window
 
-    def test_jitter_varies_by_index_seed_and_attempt(self):
-        base = backoff_delay(1.0, 1, index=0, seed=0)
-        assert backoff_delay(1.0, 1, index=1, seed=0) != base
-        assert backoff_delay(1.0, 1, index=0, seed=1) != base
+    def test_jitter_varies_by_index_and_attempt(self):
+        base = backoff_delay(1.0, 1, index=0)
+        assert backoff_delay(1.0, 1, index=1) != base
         # Different attempts live in different windows anyway.
-        assert backoff_delay(1.0, 2, index=0, seed=0) >= 1.0
+        assert backoff_delay(1.0, 2, index=0) >= 1.0
 
     def test_invalid_attempt_yields_zero(self):
         assert backoff_delay(1.0, 0) == 0.0
 
 
 class TestPolicyDelay:
-    def test_policy_routes_its_seed_and_base(self):
+    def test_policy_routes_its_base(self):
         policy = SupervisionPolicy(retry_backoff=0.5)
         assert policy.delay_for(4, 2) == backoff_delay(0.5, 2, index=4)
-        # The seed decorrelates otherwise identical retry schedules.
-        assert backoff_delay(0.5, 2, index=4, seed=9) != policy.delay_for(4, 2)
 
     def test_default_policy_has_no_backoff(self):
         assert SupervisionPolicy().delay_for(0, 1) == 0.0
@@ -225,7 +230,5 @@ class TestRetryTelemetry:
         assert len(retries) == 1
         assert retries[0]["reason"] == "crash"
         assert retries[0]["backoff_s"] == backoff_delay(0.05, 1, index=0)
-        assert retries[0]["backoff_s"] != backoff_delay(
-            0.05, 1, index=0, seed=3
-        )
+        assert retries[0]["backoff_s"] > 0.0
         telemetry.validate_event(retries[0])

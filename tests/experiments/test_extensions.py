@@ -87,6 +87,21 @@ class TestThreadCountExperiment:
         text = threadcount.render(result)
         assert "saturates" in text
 
+    def test_reference_runs_for_st_min_instructions(self):
+        # The single-thread reference runs for the config's
+        # st_min_instructions, as the grid's does: changing only that
+        # length moves the achieved fairness, not the SOE runs.
+        config = _lengths(200_000, 100_000)
+        rows = [
+            threadcount.run(
+                thread_counts=(2,),
+                config=dataclasses.replace(config, st_min_instructions=length),
+            ).rows[0]
+            for length in (200_000.0, 400_000.0)
+        ]
+        assert rows[0].total_ipc == rows[1].total_ipc
+        assert rows[0].fairness_enforced != rows[1].fairness_enforced
+
 
 class TestWeightedExperiment:
     @pytest.fixture(scope="class")

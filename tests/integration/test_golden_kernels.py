@@ -12,9 +12,8 @@ hot paths the optimizations touch: miss-triggered switches, pipeline
 flush/refill, fairness quotas and Delta boundaries, single-thread
 ROB-head stalls (the fast-forward path), idle gaps, and the segment
 engine's event arithmetic with and without a controller. The later
-detailed-core scenarios (L1 switch trigger, banked DRAM with prefetch,
-time sharing, three threads with and without ICOUNT, same-cycle
-wakeup) were captured from the per-stage pipeline, before its stages
+detailed-core scenarios (time sharing, three threads with and without
+ICOUNT, same-cycle wakeup) were captured from the per-stage pipeline, before its stages
 were fused into one cycle loop, and cover paths the first three miss.
 The last two (one port of each kind, same-cycle wakeup under quota
 switches) were captured from the RS-scan issue stage before it became
@@ -154,42 +153,6 @@ class TestDetailedCoreGolden:
         assert result.switch_latencies == ()
         assert result.l2_miss_rate == 1.0
         assert result.branch_mispredict_rate == 1.0
-
-    def test_mt_switch_on_l1_miss(self):
-        """The dMT-style trigger: L1 misses that hit the L2 switch too."""
-        result = run_cpu_soe(
-            _mixed_memory_pair(),
-            config=MachineConfig(switch_event="l1"),
-            min_instructions=1_500,
-            warmup_instructions=500,
-        )
-        assert result.cycles == 67920
-        assert _thread_tuples(result) == [
-            (1289, 16294, 102, 102, 0, 0),
-            (5284, 25500, 102, 102, 0, 0),
-        ]
-        assert len(result.switch_latencies) == 204
-        assert sum(result.switch_latencies) == 3851
-        assert result.l2_miss_rate == 0.9848197343453511
-        assert result.branch_mispredict_rate == 0.3762486126526082
-
-    def test_mt_dram_next_line_prefetch(self):
-        """Banked DRAM (variable miss latency) plus the L2 prefetcher."""
-        result = run_cpu_soe(
-            _mixed_memory_pair(),
-            config=MachineConfig(memory_model="dram", prefetch="next_line"),
-            min_instructions=1_500,
-            warmup_instructions=500,
-        )
-        assert result.cycles == 64175
-        assert _thread_tuples(result) == [
-            (1282, 22541, 44, 44, 0, 0),
-            (6277, 31293, 42, 42, 0, 0),
-        ]
-        assert len(result.switch_latencies) == 86
-        assert sum(result.switch_latencies) == 1672
-        assert result.l2_miss_rate == 0.6676829268292683
-        assert result.branch_mispredict_rate == 0.43953185955786733
 
     def test_mt_time_sharing(self):
         """A policy with a cycle budget but no instruction budget or
