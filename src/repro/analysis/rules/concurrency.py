@@ -68,13 +68,12 @@ class NoUnsupervisedPool(Rule):
             "A bare process pool has no timeout, retry, or crash "
             "handling: one bad task kills or wedges the sweep and "
             "finished work is lost. Fan out through "
-            "repro.experiments.runner.parallel_map (or the Supervisor) "
-            "instead."
+            "repro.experiments.supervisor.Supervisor instead."
         ),
         paths=("src/repro/",),
         exempt=(
-            # The supervised executor itself: parallel_map, and the
-            # Supervisor / TaskPool persistent-worker pool under it.
+            # The supervised executor itself: run_grid's Supervisor and
+            # the TaskPool persistent-worker pool under it.
             "src/repro/experiments/runner.py",
             "src/repro/experiments/supervisor.py",
         ),
@@ -124,7 +123,7 @@ class NoUnsupervisedPool(Rule):
                         module,
                         node,
                         f"unsupervised {constructor}(): fan out through "
-                        "repro.experiments.runner.parallel_map (timeouts, "
+                        "repro.experiments.supervisor.Supervisor (timeouts, "
                         "retries, crash recovery) instead",
                     )
             if isinstance(node, ast.Assign) and isinstance(
@@ -161,5 +160,5 @@ class NoUnsupervisedPool(Rule):
                     node,
                     f"unsupervised pool.{func.attr}() has no timeout, "
                     "retry, or crash handling; use "
-                    "repro.experiments.runner.parallel_map",
+                    "repro.experiments.supervisor.Supervisor",
                 )

@@ -15,7 +15,7 @@ parsed on demand:
   worker processes mutates module-level state whose definition carries
   no ``fork-safe:`` reinitialization marker. Worker code is the
   call/ref closure of ``_pool_worker_main`` plus every callable handed
-  to ``Supervisor(...)`` / ``TaskPool(...)`` / ``parallel_map(...)``.
+  to ``Supervisor(...)`` / ``TaskPool(...)``.
 * **RL012 telemetry-schema-drift** — the event builders in
   ``telemetry/events.py``, the ``EVENT_SCHEMAS`` table, and the event
   table in ``docs/TELEMETRY.md`` must agree exactly (names, categories,
@@ -191,7 +191,6 @@ class ForkUnsafeState(Rule):
     DISPATCHERS = (
         "repro.experiments.supervisor.Supervisor.__init__",
         "repro.experiments.supervisor.TaskPool.__init__",
-        "repro.experiments.runner.parallel_map",
     )
 
     def _worker_roots(self, graph: CallGraph) -> Dict[str, str]:

@@ -122,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         metavar="N",
-        help="worker processes for grid/sweep simulations (default 1 = "
+        help="worker processes for grid simulations (default 1 = "
              "serial; results are bit-identical at any job count)",
     )
     parser.add_argument(

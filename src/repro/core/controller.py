@@ -50,7 +50,6 @@ class FairnessParams:
     fairness_target: float
     miss_lat: float = 300.0
     sample_period: float = 250_000.0
-    min_quota: float = 1.0
     deficit_cap: Optional[float] = None
     #: Section 6 extension: derive each thread's event latency from the
     #: latencies the substrate reports instead of assuming ``miss_lat``.
@@ -72,10 +71,6 @@ class FairnessParams:
             raise ConfigurationError("miss_lat must be non-negative")
         if self.sample_period <= 0:
             raise ConfigurationError("sample_period must be positive")
-        if not 0 < self.min_quota < math.inf:
-            raise ConfigurationError(
-                f"min_quota must be finite and positive, got {self.min_quota}"
-            )
         if self.deficit_cap is not None and not 0 < self.deficit_cap < math.inf:
             raise ConfigurationError(f"deficit_cap must be finite and positive: {self}")
         if self.weights is not None and not all(0 < w < math.inf for w in self.weights):
@@ -174,7 +169,6 @@ class FairnessController(DeficitPolicy):
             estimates,
             self.params.fairness_target,
             self.params.miss_lat,
-            self.params.min_quota,
             weights=self.params.weights,
         )
         self._history.append(

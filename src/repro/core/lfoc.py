@@ -55,7 +55,6 @@ class LfocClusterPolicy(DeficitPolicy):
         miss_lat: float = 300.0,
         sample_period: float = 250_000.0,
         ipm_threshold: float = DEFAULT_IPM_THRESHOLD,
-        min_quota: float = 1.0,
     ) -> None:
         if not 0.0 <= fairness_target <= 1.0:
             raise ConfigurationError(
@@ -67,15 +66,10 @@ class LfocClusterPolicy(DeficitPolicy):
             raise ConfigurationError("miss_lat must be non-negative")
         if not (ipm_threshold > 0):
             raise ConfigurationError("ipm_threshold must be positive")
-        if not 0 < min_quota < math.inf:
-            raise ConfigurationError(
-                f"min_quota must be finite and positive, got {min_quota}"
-            )
         super().__init__(num_threads, sample_period=float(sample_period))
         self._fairness_target = float(fairness_target)
         self._miss_lat = float(miss_lat)
         self._ipm_threshold = float(ipm_threshold)
-        self._min_quota = float(min_quota)
         self._estimator = IpcStEstimator(num_threads, miss_lat)
         self._clusters: tuple[tuple[int, ...], tuple[int, ...]] = ((), ())
 
@@ -115,7 +109,6 @@ class LfocClusterPolicy(DeficitPolicy):
                 estimates,
                 self._fairness_target,
                 self._miss_lat,
-                self._min_quota,
             )
             for tid in light:
                 quotas[tid] = global_quotas[tid]
@@ -126,7 +119,6 @@ class LfocClusterPolicy(DeficitPolicy):
                 [estimates[tid] for tid in hungry],
                 self._fairness_target,
                 self._miss_lat,
-                self._min_quota,
             )
             for tid, quota in zip(hungry, cluster_quotas):
                 quotas[tid] = quota

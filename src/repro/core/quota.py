@@ -34,14 +34,19 @@ from typing import Optional, Sequence
 from repro.core.estimator import ThreadEstimate
 from repro.errors import ConfigurationError
 
-__all__ = ["quotas_from_estimates"]
+__all__ = ["MIN_QUOTA", "quotas_from_estimates"]
+
+#: Lower bound on any finite quota, in instructions. A quota below one
+#: instruction would switch a thread out before it retires anything,
+#: which can never help fairness; the paper's hardware would round up
+#: anyway.
+MIN_QUOTA = 1.0
 
 
 def quotas_from_estimates(
     estimates: Sequence[ThreadEstimate],
     fairness_target: float,
     miss_lat: float,
-    min_quota: float = 1.0,
     weights: Optional[Sequence[float]] = None,
 ) -> list[float]:
     """Eq. 7: quotas ``IPSw_j ∝ w_j · IPC_ST_j`` from a window's estimates.
@@ -63,10 +68,6 @@ def quotas_from_estimates(
         The ``F`` parameter in ``[0, 1]``; 0 disables forced switches.
     miss_lat:
         Default memory access latency in cycles.
-    min_quota:
-        Lower bound on any finite quota. A quota below one instruction
-        would switch a thread out before it retires anything, which can
-        never help fairness; the paper's hardware would round up anyway.
     weights:
         Optional per-thread priority weights (all finite and positive).
         ``None`` means equal weights -- the paper's mechanism.
@@ -74,18 +75,15 @@ def quotas_from_estimates(
     Returns
     -------
     list of float
-        One quota per thread; ``math.inf`` means "switch only on misses
-        or the maximum-cycles quota".
+        One quota per thread, each finite one at least
+        :data:`MIN_QUOTA`; ``math.inf`` means "switch only on misses or
+        the maximum-cycles quota".
     """
     if not estimates:
         raise ConfigurationError("at least one estimate is required")
     if not 0.0 <= fairness_target <= 1.0:
         raise ConfigurationError(
             f"fairness target must be in [0, 1], got {fairness_target}"
-        )
-    if not 0 < min_quota < math.inf:
-        raise ConfigurationError(
-            f"min_quota must be finite and positive, got {min_quota}"
         )
     if weights is not None:
         if len(weights) != len(estimates):
@@ -129,5 +127,5 @@ def quotas_from_estimates(
             continue
         quota = weight_of(index) * estimate.ipc_st * scale / fairness_target
         quota = min(estimate.ipm, quota)
-        quotas.append(max(quota, min_quota))
+        quotas.append(max(quota, MIN_QUOTA))
     return quotas

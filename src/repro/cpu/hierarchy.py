@@ -29,14 +29,9 @@ class AccessResult(NamedTuple):
     once per cache access, so a tuple rather than a frozen dataclass)."""
 
     ready_at: int
-    #: "l1", "l2" or "memory" -- where the data came from
-    level: str
-    #: True when the access needed a memory fill (the SOE switch event)
+    #: True when the access needed a memory fill, its own or an
+    #: outstanding one it merged into (the SOE switch event)
     l2_miss: bool
-    #: True when the access triggered a TLB page walk
-    tlb_walk: bool
-    #: True when the miss merged into an already-outstanding line fill
-    merged: bool = False
 
 
 class MemoryHierarchy:
@@ -59,37 +54,30 @@ class MemoryHierarchy:
         self._memory_latency = config.memory_latency
 
     # ------------------------------------------------------------------
-    def _memory_fill(self, address: int, start: int, now: int) -> tuple[int, bool]:
-        """Schedule (or merge into) a memory fill; returns (ready, merged)."""
-        line = address // self._line_bytes
-        outstanding = self._inflight.get(line)
-        if outstanding is not None and outstanding > now:
-            return outstanding, True
-        bus_start = self.bus.request(start)
-        ready = bus_start + self._memory_latency
+    def _memory_fill(self, line: int, start: int, now: int) -> int:
+        """Schedule a memory fill of ``line``; returns its ready time."""
+        ready = self.bus.request(start) + self._memory_latency
         self._inflight[line] = ready
         if len(self._inflight) > 256:
             self._inflight = {
                 l: t for l, t in self._inflight.items() if t > now
             }
-        return ready, False
+        return ready
 
     def _access(
         self, l1: Cache, tlb: Tlb, address: int, now: int, is_write: bool = False
     ) -> AccessResult:
-        walk = not tlb.access(address)
-        start = now + self._page_walk_latency if walk else now
+        start = now if tlb.access(address) else now + self._page_walk_latency
         after_l1 = start + l1.latency
         # A tag hit on a line whose fill is still outstanding must wait
         # for the fill (MSHR merge): the data is not there yet.
-        outstanding = self._inflight.get(address // self._line_bytes)
+        line = address // self._line_bytes
+        outstanding = self._inflight.get(line)
         if outstanding is not None and outstanding > now:
             l1.access(address, is_write)
-            return AccessResult(
-                max(outstanding, after_l1), "memory", True, walk, True
-            )
+            return AccessResult(max(outstanding, after_l1), True)
         if l1.access(address, is_write):
-            return AccessResult(after_l1, "l1", False, walk)
+            return AccessResult(after_l1, False)
         # An L1 dirty eviction writes its victim back into the L2
         # (on-chip, no bus traffic).
         if l1.last_eviction_was_dirty and l1.last_victim_line is not None:
@@ -98,13 +86,13 @@ class MemoryHierarchy:
             if self.l2.last_eviction_was_dirty:
                 self.bus.request(now)
         if self.l2.access(address, is_write):
-            return AccessResult(after_l1 + self._l2_latency, "l2", False, walk)
+            return AccessResult(after_l1 + self._l2_latency, False)
         # An L2 dirty eviction goes to memory over the bus.
         if self.l2.last_eviction_was_dirty:
             self.bus.request(now)
         after_l2 = after_l1 + self._l2_latency
-        ready, merged = self._memory_fill(address, after_l2, now)
-        return AccessResult(max(ready, after_l2), "memory", True, walk, merged)
+        ready = self._memory_fill(line, after_l2, now)
+        return AccessResult(max(ready, after_l2), True)
 
     # ------------------------------------------------------------------
     def fetch_access(self, pc: int, now: int) -> AccessResult:

@@ -19,7 +19,6 @@ from repro.experiments.runner import (
     GridOutcome,
     ResultCache,
     execution,
-    parallel_map,
     run_grid,
 )
 
@@ -34,6 +33,5 @@ __all__ = [
     "experiment_ids",
     "format_table",
     "get_experiment",
-    "parallel_map",
     "run_grid",
 ]

@@ -18,7 +18,6 @@ enforcement):
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, replace
 
 from repro.core.controller import FairnessController
@@ -27,6 +26,12 @@ from repro.experiments.common import EvalConfig, format_table
 from repro.workloads.pairs import BenchmarkPair
 
 __all__ = ["AblationPoint", "AblationResult", "run", "render"]
+
+#: The pair the knobs are swept on (the pair that needs enforcement).
+PAIR = BenchmarkPair("gcc", "eon")
+
+#: The fairness level every sweep point enforces.
+FAIRNESS_TARGET = 0.5
 
 
 @dataclass(frozen=True)
@@ -51,12 +56,9 @@ class AblationResult:
 
 
 def _ablation_point(
-    spec: tuple[str, str, EvalConfig, dict],
-    pair: BenchmarkPair,
-    fairness_target: float,
-    ipc_st: tuple[float, ...],
+    spec: tuple[str, str, EvalConfig, dict], ipc_st: tuple[float, ...]
 ) -> AblationPoint:
-    """One sweep point; module-level so the process pool can run it.
+    """One sweep point of :data:`PAIR` at :data:`FAIRNESS_TARGET`.
 
     ``spec`` is ``(knob, value label, config, mechanism overrides)``:
     the point's machine, sample period and run window come from its
@@ -65,10 +67,10 @@ def _ablation_point(
     """
     knob, value_label, config, mechanism = spec
     controller = FairnessController(
-        2, replace(config.fairness_params(fairness_target), **mechanism)
+        2, replace(config.fairness_params(FAIRNESS_TARGET), **mechanism)
     )
     result = run_soe(
-        pair.streams(seed=config.seed),
+        PAIR.streams(seed=config.seed),
         controller,
         config.soe_params(),
         config.run_limits(),
@@ -82,16 +84,12 @@ def _ablation_point(
     )
 
 
-def run(
-    pair: BenchmarkPair = BenchmarkPair("gcc", "eon"),
-    config: EvalConfig = EvalConfig(),
-    fairness_target: float = 0.5,
-) -> AblationResult:
+def run(config: EvalConfig = EvalConfig()) -> AblationResult:
     """Sweep each knob around ``config``; every other setting stays as
     configured."""
-    from repro.experiments.runner import parallel_map, single_thread_ipcs
+    from repro.experiments.runner import single_thread_ipcs
 
-    ipc_st = single_thread_ipcs(pair, config)
+    ipc_st = single_thread_ipcs(PAIR, config)
 
     specs: list[tuple[str, str, EvalConfig, dict]] = []
     for period in (25_000.0, 100_000.0, 250_000.0, 1_000_000.0):
@@ -111,17 +109,10 @@ def run(
             ("assumed_miss_lat", f"{assumed:g}", config, {"miss_lat": assumed})
         )
 
-    points = parallel_map(
-        functools.partial(
-            _ablation_point,
-            pair=pair,
-            fairness_target=fairness_target,
-            ipc_st=ipc_st,
-        ),
-        specs,
-    )
     return AblationResult(
-        pair_label=pair.label, fairness_target=fairness_target, points=points
+        pair_label=PAIR.label,
+        fairness_target=FAIRNESS_TARGET,
+        points=[_ablation_point(spec, ipc_st) for spec in specs],
     )
 
 

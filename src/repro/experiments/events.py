@@ -46,6 +46,8 @@ MIXED_IPC = 2.0
 #: The partner: a conventional compute-bound thread (memory misses only).
 PARTNER_IPC = 2.6
 PARTNER_IPM = 20_000.0
+#: The fairness level every configuration enforces.
+FAIRNESS_TARGET = 0.5
 
 
 @dataclass(frozen=True)
@@ -85,11 +87,8 @@ def _streams(seed_base: int) -> list[SegmentStream]:
     ]
 
 
-def run(
-    fairness_target: float = 0.5,
-    config: EvalConfig = EvalConfig(),
-) -> EventsResult:
-    """Enforce ``fairness_target`` under each latency configuration.
+def run(config: EvalConfig = EvalConfig()) -> EventsResult:
+    """Enforce :data:`FAIRNESS_TARGET` under each latency configuration.
 
     The machine's miss latency is the workload's 300-cycle memory
     constant; the switch latency, the maximum cycles quota, the sample
@@ -102,7 +101,7 @@ def run(
     true_mean = mean_event_latency(MIXED_EVENTS)
     limits = machine.run_limits()
 
-    assumed = machine.fairness_params(fairness_target)
+    assumed = machine.fairness_params(FAIRNESS_TARGET)
     configurations = [
         ("assumed 300", assumed),
         ("oracle", replace(assumed, miss_lat=true_mean)),
@@ -126,7 +125,7 @@ def run(
             )
         )
     return EventsResult(
-        fairness_target=fairness_target, true_mean_latency=true_mean, rows=rows
+        fairness_target=FAIRNESS_TARGET, true_mean_latency=true_mean, rows=rows
     )
 
 

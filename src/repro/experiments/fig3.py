@@ -15,7 +15,6 @@ paper's observations, all reproduced by this sweep:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from repro.core.model import SoeModel, ThreadParams
 from repro.experiments.common import EvalConfig, format_table
@@ -34,6 +33,9 @@ PAPER_CASES: tuple[tuple[tuple[float, float], tuple[float, float]], ...] = (
     ((3.0, 2.0), (15_000.0, 1_000.0)),
     ((3.0, 2.0), (5_000.0, 1_000.0)),
 )
+
+#: Number of evenly spaced target-fairness points in [0, 1].
+STEPS = 21
 
 
 @dataclass(frozen=True)
@@ -64,16 +66,12 @@ class Fig3Result:
         return max(max(s.throughput_change) for s in self.series)
 
 
-def run(
-    cases: Sequence[tuple[tuple[float, float], tuple[float, float]]] = PAPER_CASES,
-    steps: int = 21,
-    config: EvalConfig = EvalConfig(),
-) -> Fig3Result:
-    """Sweep F in [0, 1] for each case through the analytical model at
-    ``config``'s miss and switch latencies."""
-    targets = tuple(i / (steps - 1) for i in range(steps))
+def run(config: EvalConfig = EvalConfig()) -> Fig3Result:
+    """Sweep F in [0, 1] for each of the :data:`PAPER_CASES` through the
+    analytical model at ``config``'s miss and switch latencies."""
+    targets = tuple(i / (STEPS - 1) for i in range(STEPS))
     series = []
-    for ipcs, ipms in cases:
+    for ipcs, ipms in PAPER_CASES:
         model = SoeModel(
             [ThreadParams(ipcs[0], ipms[0]), ThreadParams(ipcs[1], ipms[1])],
             miss_lat=config.miss_lat,

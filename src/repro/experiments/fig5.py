@@ -31,6 +31,12 @@ from repro.workloads.pairs import BenchmarkPair
 
 __all__ = ["SingleThreadTimeline", "Fig5Result", "run", "render"]
 
+#: The examined pair.
+PAIR = BenchmarkPair("gcc", "eon")
+
+#: The fairness level of the enforced run (Figure 5's F = 1/4).
+FAIRNESS_TARGET = 0.25
+
 
 class SingleThreadTimeline:
     """Instruction-indexed timeline of a dedicated single-thread run.
@@ -135,11 +141,9 @@ class Fig5Result:
 
 
 def _run_recorded(
-    pair: BenchmarkPair,
-    config: EvalConfig,
-    fairness_target: float,
+    config: EvalConfig, fairness_target: float
 ) -> tuple[IntervalRecorder, Optional[FairnessController]]:
-    streams = pair.streams(seed=config.seed)
+    streams = PAIR.streams(seed=config.seed)
     recorder = IntervalRecorder(interval=config.sample_period)
     controller = None
     if fairness_target > 0:
@@ -151,22 +155,18 @@ def _run_recorded(
     return recorder, controller
 
 
-def run(
-    pair: BenchmarkPair = BenchmarkPair("gcc", "eon"),
-    config: EvalConfig = EvalConfig(),
-    fairness_target: float = 0.25,
-) -> Fig5Result:
-    """Produce the Figure 5 series for a pair (gcc:eon by default)."""
-    profiles = pair.profiles()
-    enforced, controller = _run_recorded(pair, config, fairness_target)
-    unenforced, _ = _run_recorded(pair, config, 0.0)
+def run(config: EvalConfig = EvalConfig()) -> Fig5Result:
+    """Produce the Figure 5 series for :data:`PAIR` (gcc:eon)."""
+    profiles = PAIR.profiles()
+    enforced, controller = _run_recorded(config, FAIRNESS_TARGET)
+    unenforced, _ = _run_recorded(config, 0.0)
 
     total = config.min_instructions * 4 + config.warmup_instructions
     timelines = [
         SingleThreadTimeline(
             stream, profile.single_thread_stall(config.miss_lat), total
         )
-        for stream, profile in zip(pair.streams(seed=config.seed), profiles)
+        for stream, profile in zip(PAIR.streams(seed=config.seed), profiles)
     ]
 
     assert controller is not None
@@ -221,8 +221,8 @@ def run(
         speedups_enforced=tuple(speedups_enf[:n]),
         speedups_unenforced=tuple(speedups_unenf[:n]),
         fairness=tuple(fairness_series[:n]),
-        fairness_target=fairness_target,
-        pair_label=pair.label,
+        fairness_target=FAIRNESS_TARGET,
+        pair_label=PAIR.label,
     )
 
 

@@ -6,11 +6,6 @@ so this module supplies the mechanisms that keep a paper-scale sweep
 from running serially from scratch every time, and from losing hours of
 finished work to one bad task:
 
-* :func:`parallel_map` fans independent simulation tasks out across
-  supervised worker processes and collects results **in task order**,
-  so a parallel run is bit-identical to a serial one (every task is a
-  pure function of an explicitly-seeded spec; nothing depends on
-  completion order).
 * :func:`run_grid` decomposes the pair grid into single-thread baseline
   tasks and per-(pair, level) SOE tasks. Baseline runs are memoized per
   ``(benchmark, stream seed, skip, latency, run length)``, so a
@@ -27,7 +22,7 @@ finished work to one bad task:
 Execution options (process count, cache directory, supervision knobs)
 travel only as ambient :class:`ExecutionSettings`; no experiment
 signature takes them. The CLI installs them once via :func:`execution`,
-and :func:`run_grid` and :func:`parallel_map` read them.
+and :func:`run_grid` reads them.
 
 Fault tolerance (see ``docs/ROBUSTNESS.md``): tasks run under the
 :class:`~repro.experiments.supervisor.Supervisor` (persistent workers,
@@ -47,7 +42,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 from repro import faults
 from repro.engine.backend import SoeRunSpec
@@ -78,7 +73,6 @@ __all__ = [
     "current_settings",
     "set_execution",
     "execution",
-    "parallel_map",
     "single_thread_ipcs",
     "compute_pair",
     "run_grid",
@@ -86,9 +80,6 @@ __all__ = [
     "degraded_outcomes",
     "reset_degraded",
 ]
-
-T = TypeVar("T")
-R = TypeVar("R")
 
 #: Bump when the on-disk cache payload layout changes.
 CACHE_FORMAT = 2
@@ -229,13 +220,11 @@ def execution(settings: ExecutionSettings) -> Iterator[ExecutionSettings]:
         set_execution(previous)
 
 
-def _task_descriptor(item: object) -> tuple[str, str]:
-    """(kind, label) describing a task spec in trace events."""
+def _task_descriptor(item: Union[_StTask, _SoeTask]) -> tuple[str, str]:
+    """(kind, label) describing a grid task in trace events."""
     if isinstance(item, _StTask):
         return "single_thread", f"{item.benchmark}@s{item.stream_seed}"
-    if isinstance(item, _SoeTask):
-        return "soe_pair", f"{item.pair.label}@F{item.level:g}"
-    return "task", type(item).__name__
+    return "soe_pair", f"{item.pair.label}@F{item.level:g}"
 
 
 def _task_policy(item: object) -> Optional[str]:
@@ -320,62 +309,6 @@ def _merge_worker_profiles(outcomes: Sequence[object]) -> None:
         )
     for profile in latest.values():
         PROFILE.merge(profile)
-
-
-def parallel_map(func: Callable[[T], R], items: Iterable[T]) -> list[R]:
-    """Map ``func`` over ``items`` across the ambient ``jobs`` processes.
-
-    Results always come back in item order, so callers see identical
-    output whatever the process count is. ``func`` must be a module-level
-    callable (or a ``functools.partial`` of one) and every item a pure,
-    picklable task spec carrying its own seed -- the workers share no
-    state with the parent.
-
-    Execution is supervised (see :mod:`repro.experiments.supervisor`):
-    the ambient ``task_timeout``/``retries`` apply, crashed workers are
-    respawned, and results are invariant-checked. A task that exhausts
-    its retry budget raises -- the original exception when it failed
-    in-process, a :class:`~repro.errors.GridExecutionError` summarizing
-    the taxonomy otherwise. ``parallel_map`` is all-or-nothing; grids
-    that must *persist* partial work go through :func:`run_grid`.
-
-    When a trace sink is active, each task is bracketed by runner
-    ``task`` events and worker profiles are merged back into the
-    parent; the returned results are identical either way (tracing is
-    observation only).
-    """
-    tasks = list(items)
-    settings = current_settings()
-    traced = current_sink().enabled
-    call: Callable = _TracedCall(func) if traced else func
-    supervisor = Supervisor(
-        call,
-        list(enumerate(tasks)),
-        jobs=min(settings.jobs, max(len(tasks), 1)),
-        policy=settings.policy,
-        descriptor=_task_descriptor,
-        validate=_validate_payload,
-    )
-    run = supervisor.run()
-    if run.failures:
-        first = run.failures[0]
-        if first.error is not None:
-            raise first.error
-        raise GridExecutionError(
-            f"{len(run.failures)} of {len(tasks)} tasks failed after "
-            f"supervision; first: {first.reason} in {first.kind} "
-            f"{first.label} ({first.message})"
-        )
-    if run.skipped or run.interrupted:
-        raise GridInterrupted(
-            f"interrupted with {len(run.skipped)} of {len(tasks)} tasks "
-            "not run"
-        )
-    raw = [run.results[index] for index in range(len(tasks))]
-    if not traced:
-        return raw
-    _merge_worker_profiles(raw)
-    return [_unwrap(payload) for payload in raw]
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ model and spot-checked against the segment engine:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Optional
 
 from repro.core.controller import FairnessController
 from repro.core.model import SoeModel
@@ -32,8 +32,15 @@ from repro.experiments.common import (
 
 __all__ = ["SensitivityRow", "SensitivityResult", "run", "render"]
 
-#: The switch-latency point the engine spot-checks (the paper's machine).
-SWITCH_SPOT_CHECK = (25.0,)
+#: The swept memory latencies, in cycles.
+MISS_LATENCIES = (75.0, 150.0, 300.0, 600.0, 1_200.0, 2_000.0)
+
+#: The swept switch latencies, in cycles.
+SWITCH_LATENCIES = (5.0, 10.0, 25.0, 50.0, 100.0)
+
+#: The points the engine spot-checks per swept parameter (the paper's
+#: machine: 300-cycle memory, 25-cycle switches).
+SPOT_CHECKS = {"miss_lat": (300.0,), "switch_lat": (25.0,)}
 
 
 @dataclass(frozen=True)
@@ -59,7 +66,7 @@ def _measure_cost(config: EvalConfig) -> float:
     ``config``'s machine.
 
     The config carries every input (machine, mechanism, run lengths,
-    stream seed), so the process pool can replay it deterministically.
+    stream seed).
     """
     params = config.soe_params()
     limits = config.run_limits()
@@ -69,32 +76,20 @@ def _measure_cost(config: EvalConfig) -> float:
     return 1.0 - enforced.total_ipc / base.total_ipc
 
 
-def run(
-    miss_latencies: Sequence[float] = (75.0, 150.0, 300.0, 600.0, 1_200.0, 2_000.0),
-    switch_latencies: Sequence[float] = (5.0, 10.0, 25.0, 50.0, 100.0),
-    spot_check: Sequence[float] = (300.0,),
-    config: EvalConfig = EvalConfig(),
-) -> SensitivityResult:
+def run(config: EvalConfig = EvalConfig()) -> SensitivityResult:
     """Sweep each latency over ``config``'s machine, the other latency,
     the quota, the mechanism, run lengths and the stream seed staying as
-    configured; ``spot_check`` lists the miss latencies the engine also
-    measures."""
-    from repro.experiments.runner import parallel_map
-
+    configured; the engine also measures the :data:`SPOT_CHECKS`."""
     sweeps = [
-        ("miss_lat", lat, replace(config, miss_lat=lat)) for lat in miss_latencies
+        ("miss_lat", lat, replace(config, miss_lat=lat)) for lat in MISS_LATENCIES
     ] + [
         ("switch_lat", lat, replace(config, switch_lat=lat))
-        for lat in switch_latencies
+        for lat in SWITCH_LATENCIES
     ]
-    # The engine spot-checks are the expensive part; fan them out and
-    # join them back by latency point.
-    spot = {"miss_lat": tuple(spot_check), "switch_lat": SWITCH_SPOT_CHECK}
-    checked = [point for point in sweeps if point[1] in spot[point[0]]]
-    costs = parallel_map(_measure_cost, [machine for _, _, machine in checked])
     measured = {
-        (parameter, value): cost
-        for (parameter, value, _), cost in zip(checked, costs)
+        (parameter, value): _measure_cost(machine)
+        for parameter, value, machine in sweeps
+        if value in SPOT_CHECKS[parameter]
     }
 
     rows = []

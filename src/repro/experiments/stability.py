@@ -11,7 +11,7 @@ the unfair-run fraction, and the truncated achieved-fairness means.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable
 
 from repro.experiments.common import EvalConfig, format_table
 from repro.experiments.fig6 import Fig6Result
@@ -21,6 +21,9 @@ from repro.experiments.runner import run_grid
 from repro.metrics.summary import mean, stdev
 
 __all__ = ["SeedOutcome", "StabilityResult", "run", "render"]
+
+#: Seeds rerun per stability check, as offsets from the configured seed.
+SEED_OFFSETS = (0, 1, 2)
 
 
 @dataclass(frozen=True)
@@ -56,11 +59,9 @@ class StabilityResult:
         return self.spread(lambda o: o.truncated_mean_by_level[level])
 
 
-def run(
-    seeds: Sequence[int] = (0, 1, 2),
-    config: EvalConfig = EvalConfig(),
-) -> StabilityResult:
-    """Rerun the grid under each seed.
+def run(config: EvalConfig = EvalConfig()) -> StabilityResult:
+    """Rerun the grid under ``config.seed`` plus each of the
+    :data:`SEED_OFFSETS`.
 
     Per-seed grids execute through :mod:`repro.experiments.runner`, so
     the ambient ``--jobs``/``--cache-dir`` settings apply: each seed's
@@ -68,7 +69,8 @@ def run(
     replays cached pair results (the seed is part of the cache key).
     """
     outcomes = []
-    for seed in seeds:
+    for offset in SEED_OFFSETS:
+        seed = config.seed + offset
         seeded = replace(config, seed=seed)
         grid = run_grid(seeded).results
         fig6 = Fig6Result(pairs=grid, fairness_levels=seeded.fairness_levels)

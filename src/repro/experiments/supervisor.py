@@ -220,9 +220,6 @@ class TaskFailure:
     reason: str  #: one of :data:`repro.errors.FAILURE_REASONS`
     message: str
     attempts: int
-    #: The original exception, when the failure happened in-process
-    #: (inline mode); lets thin wrappers re-raise it unchanged.
-    error: Optional[BaseException] = None
 
     def to_json(self) -> dict:
         return {
@@ -517,7 +514,6 @@ class Supervisor:
                     attempt=1,
                     reason=classify_failure(error),
                     message=f"{type(error).__name__}: {error}",
-                    error=error,
                 )
                 continue
             self._accept(run, index, item, result)
@@ -599,7 +595,6 @@ class Supervisor:
         attempt: int,
         reason: str,
         message: str,
-        error: Optional[BaseException] = None,
     ) -> None:
         kind, label = self._descriptor(item)
         sink = current_sink()
@@ -613,7 +608,6 @@ class Supervisor:
                 reason=reason,
                 message=message,
                 attempts=attempt,
-                error=error,
             )
         )
 

@@ -16,7 +16,6 @@ thread to make the fairness problem appear.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from repro.core.controller import FairnessController
 from repro.engine.segments import SegmentStream
@@ -34,6 +33,13 @@ MEMORY_IPM = 300.0
 #: The compute thread that starves the others without enforcement.
 COMPUTE_IPC = 2.6
 COMPUTE_IPM = 30_000.0
+#: The swept thread counts.
+THREAD_COUNTS = (2, 3, 4, 5, 6)
+#: The fairness level the enforced runs target.
+FAIRNESS_TARGET = 0.5
+#: Relative throughput shortfall from the peak that still counts as
+#: saturated.
+SATURATION_TOLERANCE = 0.05
 
 
 @dataclass(frozen=True)
@@ -53,12 +59,12 @@ class ThreadCountResult:
     def throughput_series(self) -> list[float]:
         return [row.total_ipc for row in self.rows]
 
-    def saturation_point(self, tolerance: float = 0.05) -> int:
-        """Smallest thread count within ``tolerance`` of the maximum
-        throughput (Eickemeyer's ~3 threads)."""
+    def saturation_point(self) -> int:
+        """Smallest thread count within :data:`SATURATION_TOLERANCE` of
+        the maximum throughput (Eickemeyer's ~3 threads)."""
         peak = max(self.throughput_series())
         for row in self.rows:
-            if row.total_ipc >= peak * (1.0 - tolerance):
+            if row.total_ipc >= peak * (1.0 - SATURATION_TOLERANCE):
                 return row.num_threads
         return self.rows[-1].num_threads  # pragma: no cover
 
@@ -82,18 +88,14 @@ def _mixed_streams(num_threads: int, seed_base: int) -> list[SegmentStream]:
     return streams
 
 
-def run(
-    thread_counts: Sequence[int] = (2, 3, 4, 5, 6),
-    fairness_target: float = 0.5,
-    config: EvalConfig = EvalConfig(),
-) -> ThreadCountResult:
+def run(config: EvalConfig = EvalConfig()) -> ThreadCountResult:
     """Sweep the thread count; the machine, the mechanism, run lengths
     and the stream seed come from ``config``."""
     seed_base = 2 * config.seed
     params = config.soe_params()
     limits = config.run_limits()
     rows = []
-    for count in thread_counts:
+    for count in THREAD_COUNTS:
         # Throughput scaling on the homogeneous memory-bound mix.
         throughput_run = run_soe(
             _memory_streams(count, seed_base), None, params, limits
@@ -105,7 +107,7 @@ def run(
             _mixed_streams(count, seed_base), None, params, limits
         )
         controller = FairnessController(
-            count, config.fairness_params(fairness_target)
+            count, config.fairness_params(FAIRNESS_TARGET)
         )
         enforced = run_soe(
             _mixed_streams(count, seed_base), controller, params, limits
@@ -119,7 +121,7 @@ def run(
                 fairness_enforced=enforced.achieved_fairness(ipc_st),
             )
         )
-    return ThreadCountResult(fairness_target=fairness_target, rows=rows)
+    return ThreadCountResult(fairness_target=FAIRNESS_TARGET, rows=rows)
 
 
 def render(result: ThreadCountResult) -> str:

@@ -12,7 +12,6 @@ quota and compares against the fairness-enforced run.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from repro.core.controller import FairnessController
 from repro.core.policies import PolicyConfig
@@ -25,6 +24,9 @@ from repro.experiments.common import (
 )
 
 __all__ = ["TimeSharingPoint", "TimeSharingResult", "run", "render"]
+
+#: The swept time quotas, in cycles per turn.
+QUOTAS = (100.0, 200.0, 400.0, 1_000.0, 4_000.0, 16_000.0)
 
 
 @dataclass(frozen=True)
@@ -49,10 +51,7 @@ class TimeSharingResult:
         return fairest.total_ipc <= fastest.total_ipc
 
 
-def run(
-    quotas: Sequence[float] = (100.0, 200.0, 400.0, 1_000.0, 4_000.0, 16_000.0),
-    config: EvalConfig = EvalConfig(),
-) -> TimeSharingResult:
+def run(config: EvalConfig = EvalConfig()) -> TimeSharingResult:
     """Sweep the time quota on Example 2's threads, then run the
     mechanism at F = 1; run lengths, machine parameters and the stream
     seed come from ``config``. The quota sweep measures from the first
@@ -60,7 +59,7 @@ def run(
     params = config.soe_params()
     ipc_st = synthetic_ipc_st(example2_streams(config.seed), config)
     points = []
-    for quota in quotas:
+    for quota in QUOTAS:
         result = run_soe(
             example2_streams(config.seed),
             PolicyConfig("rr-timeshare", params=(("cycle_quota", quota),)).make(2),

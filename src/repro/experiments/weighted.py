@@ -14,7 +14,6 @@ the targets.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Sequence
 
 from repro.core.controller import FairnessController
 from repro.core.fairness import weighted_fairness
@@ -27,6 +26,12 @@ from repro.experiments.common import (
 )
 
 __all__ = ["WeightedRow", "WeightedResult", "run", "render"]
+
+#: The swept priority weights ``(w1, w2)``.
+WEIGHT_RATIOS = ((1.0, 1.0), (2.0, 1.0), (4.0, 1.0), (1.0, 2.0))
+
+#: The fairness level every weighting enforces.
+FAIRNESS_TARGET = 1.0
 
 
 @dataclass(frozen=True)
@@ -55,11 +60,7 @@ class WeightedResult:
     rows: list[WeightedRow]
 
 
-def run(
-    weight_ratios: Sequence[tuple[float, float]] = ((1.0, 1.0), (2.0, 1.0), (4.0, 1.0), (1.0, 2.0)),
-    fairness_target: float = 1.0,
-    config: EvalConfig = EvalConfig(),
-) -> WeightedResult:
+def run(config: EvalConfig = EvalConfig()) -> WeightedResult:
     """Run Example 2's pair once per weight ratio; the machine, the
     mechanism (its sample period and assumed latency), run lengths and
     the stream seed come from ``config``, the weights are layered on."""
@@ -67,22 +68,19 @@ def run(
     ipc_st = synthetic_ipc_st(example2_streams(config.seed), config)
     limits = config.run_limits()
     rows = []
-    for weights in weight_ratios:
+    for weights in WEIGHT_RATIOS:
         controller = FairnessController(
-            2,
-            replace(
-                config.fairness_params(fairness_target), weights=tuple(weights)
-            ),
+            2, replace(config.fairness_params(FAIRNESS_TARGET), weights=weights)
         )
         result = run_soe(example2_streams(config.seed), controller, params, limits)
         rows.append(
             WeightedRow(
-                weights=tuple(weights),
+                weights=weights,
                 speedups=tuple(result.speedups(ipc_st)),
                 total_ipc=result.total_ipc,
             )
         )
-    return WeightedResult(fairness_target=fairness_target, rows=rows)
+    return WeightedResult(fairness_target=FAIRNESS_TARGET, rows=rows)
 
 
 def render(result: WeightedResult) -> str:

@@ -139,13 +139,10 @@ class FaultSpec:
 class FaultPlan:
     """A deterministic set of faults to inject into one grid execution.
 
-    ``seed`` only varies the *bytes* written by cache corruption (so
-    corruption tests can cover several garbage patterns); which faults
-    fire where is a pure function of the specs.
+    Which faults fire where is a pure function of the specs.
     """
 
     specs: tuple[FaultSpec, ...] = ()
-    seed: int = 0
 
     @property
     def active(self) -> bool:
@@ -199,7 +196,7 @@ class FaultPlan:
     def corrupt_file(self, path: Union[str, Path]) -> None:
         """Deterministically overwrite ``path``'s head with garbage."""
         target = Path(path)
-        garbage = hashlib.sha256(f"repro-fault-{self.seed}".encode()).digest()
+        garbage = hashlib.sha256(b"repro-fault-0").digest()
         data = target.read_bytes()
         target.write_bytes(garbage + data[len(garbage):])
 
@@ -256,7 +253,7 @@ def fault_injection(plan: Optional[FaultPlan]) -> Iterator[FaultPlan]:
         set_plan(previous)
 
 
-def parse_fault_plan(text: Optional[str], seed: int = 0) -> FaultPlan:
+def parse_fault_plan(text: Optional[str]) -> FaultPlan:
     """Parse an ``--inject-faults`` spec string into a plan.
 
     Returns :data:`NO_FAULTS` for None/empty input; raises
@@ -285,4 +282,4 @@ def parse_fault_plan(text: Optional[str], seed: int = 0) -> FaultPlan:
                 "be integers"
             ) from None
         specs.append(FaultSpec(kind=kind.strip(), index=index, count=count))
-    return FaultPlan(specs=tuple(specs), seed=seed)
+    return FaultPlan(specs=tuple(specs))

@@ -25,9 +25,6 @@ from repro.experiments import (
 )
 from repro.experiments.common import EvalConfig
 from repro.experiments.runner import run_grid
-from repro.workloads.pairs import BenchmarkPair
-
-GCC_EON = BenchmarkPair("gcc", "eon")
 
 
 @pytest.fixture(scope="module")
@@ -103,7 +100,7 @@ class TestFig5:
     @pytest.fixture(scope="class")
     def result(self):
         config = EvalConfig(min_instructions=1_200_000, warmup_instructions=0.0)
-        return fig5.run(GCC_EON, config, fairness_target=0.25)
+        return fig5.run(config)
 
     def test_estimates_track_real_ipc_st(self, result):
         # Paper 5.1.1: "the estimated IPC_ST closely tracks the real".
@@ -247,7 +244,7 @@ class TestTimeSharing:
 class TestAblations:
     @pytest.fixture(scope="class")
     def result(self):
-        return ablations.run(GCC_EON, EvalConfig(), fairness_target=0.5)
+        return ablations.run(EvalConfig())
 
     def test_paper_delta_hits_target(self, result):
         point = next(p for p in result.series("delta") if p.value == "250,000")

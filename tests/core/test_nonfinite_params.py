@@ -53,18 +53,9 @@ class TestFairnessParams:
         with pytest.raises(ConfigurationError):
             FairnessParams(fairness_target=1.0, deficit_cap=0.0)
 
-    def test_rejects_nan_min_quota(self):
-        with pytest.raises(ConfigurationError):
-            FairnessParams(fairness_target=1.0, min_quota=NAN)
-
-    def test_rejects_inf_min_quota(self):
-        with pytest.raises(ConfigurationError):
-            FairnessParams(fairness_target=1.0, min_quota=INF)
-
     def test_finite_settings_are_accepted(self):
         params = FairnessParams(
-            fairness_target=1.0, weights=(2.0, 1.0), deficit_cap=5_000.0,
-            min_quota=2.0,
+            fairness_target=1.0, weights=(2.0, 1.0), deficit_cap=5_000.0
         )
         assert params.weights == (2.0, 1.0)
 
@@ -82,10 +73,6 @@ class TestQuotasFromEstimates:
     def test_rejects_inf_weight(self):
         with pytest.raises(ConfigurationError):
             quotas_from_estimates(_estimates(), 1.0, 300.0, weights=[INF, 1.0])
-
-    def test_rejects_nan_min_quota(self):
-        with pytest.raises(ConfigurationError):
-            quotas_from_estimates(_estimates(), 1.0, 300.0, min_quota=NAN)
 
 
 class TestDeficitPolicyConstructor:
@@ -114,10 +101,6 @@ class TestLfocClusterPolicy:
     def test_rejects_inf_sample_period(self):
         with pytest.raises(ConfigurationError):
             LfocClusterPolicy(2, 1.0, sample_period=INF)
-
-    def test_rejects_nan_min_quota(self):
-        with pytest.raises(ConfigurationError):
-            LfocClusterPolicy(2, 1.0, min_quota=NAN)
 
 
 class TestPolicyConfig:

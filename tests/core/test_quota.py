@@ -5,7 +5,7 @@ import math
 import pytest
 
 from repro.core.estimator import ThreadEstimate
-from repro.core.quota import quotas_from_estimates
+from repro.core.quota import MIN_QUOTA, quotas_from_estimates
 from repro.errors import ConfigurationError
 
 
@@ -57,8 +57,8 @@ class TestQuotasFromEstimates:
         # A pathological estimate cannot produce a sub-instruction quota.
         tiny = ThreadEstimate(ipm=0.5, cpm=10_000.0, ipc_st=0.00005)
         other = estimate(1_000, 400)
-        quotas = quotas_from_estimates([tiny, other], 1.0, 300, min_quota=1.0)
-        assert quotas[0] >= 1.0
+        quotas = quotas_from_estimates([tiny, other], 1.0, 300)
+        assert quotas[0] == MIN_QUOTA == 1.0
 
     def test_symmetric_threads_get_equal_quotas(self):
         estimates = [estimate(5_000, 2_000)] * 3
@@ -72,7 +72,3 @@ class TestQuotasFromEstimates:
     def test_rejects_bad_target(self):
         with pytest.raises(ConfigurationError):
             quotas_from_estimates([estimate(100, 50)], 2.0, 300)
-
-    def test_rejects_bad_min_quota(self):
-        with pytest.raises(ConfigurationError):
-            quotas_from_estimates([estimate(100, 50)], 0.5, 300, min_quota=0)

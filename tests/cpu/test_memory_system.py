@@ -62,8 +62,10 @@ class TestHierarchyWritebacks:
         lines = (2 * 1024 * 1024) // 64  # L2 line capacity
         fills = 0
         for i in range(lines + 8_192):
+            # Every store is to a new line, so no miss merges into an
+            # outstanding fill: each L2 miss is one demand fill.
             result = hierarchy.store_access(0x100000 + i * 64, i * 400)
-            fills += result.level == "memory" and not result.merged
+            fills += result.l2_miss
         # Demand fills alone would be one transfer per fill; dirty L2
         # evictions add write-back transfers on top.
         assert hierarchy.bus.transfers > fills

@@ -93,10 +93,13 @@ class TestThreadCountExperiment:
         # length moves the achieved fairness, not the SOE runs.
         config = _lengths(200_000, 100_000)
         rows = [
-            threadcount.run(
-                thread_counts=(2,),
-                config=dataclasses.replace(config, st_min_instructions=length),
-            ).rows[0]
+            next(
+                row
+                for row in threadcount.run(
+                    config=dataclasses.replace(config, st_min_instructions=length)
+                ).rows
+                if row.num_threads == 2
+            )
             for length in (200_000.0, 400_000.0)
         ]
         assert rows[0].total_ipc == rows[1].total_ipc

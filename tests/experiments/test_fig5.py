@@ -4,7 +4,6 @@ import pytest
 
 from repro.experiments import fig5
 from repro.experiments.common import EvalConfig
-from repro.workloads.pairs import BenchmarkPair
 
 
 @pytest.fixture(scope="module")
@@ -15,7 +14,7 @@ def result():
         warmup_instructions=0.0,
         st_min_instructions=400_000.0,
     )
-    return fig5.run(BenchmarkPair("gcc", "eon"), config, fairness_target=0.25)
+    return fig5.run(config)
 
 
 class TestSingleThreadTimeline:

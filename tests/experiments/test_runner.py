@@ -26,7 +26,6 @@ from repro.experiments.runner import (
     ResultCache,
     compute_pair,
     execution,
-    parallel_map,
     run_grid,
 )
 from repro.engine.results import SoeRunResult, ThreadStats
@@ -53,26 +52,12 @@ def serial_grid(config):
     return run_grid(config, PAIRS).results
 
 
-def _square(value):
-    return value * value
-
-
-class TestParallelMap:
-    def test_serial_and_parallel_agree_in_order(self):
-        items = list(range(20))
-        with execution(ExecutionSettings(jobs=1)):
-            assert parallel_map(_square, items) == [v * v for v in items]
-        with execution(ExecutionSettings(jobs=3)):
-            assert parallel_map(_square, items) == [v * v for v in items]
-
+class TestExecutionSettings:
     def test_uses_ambient_settings(self):
         with execution(ExecutionSettings(jobs=2)):
             assert runner.current_settings().jobs == 2
-            assert parallel_map(_square, [1, 2, 3]) == [1, 4, 9]
         assert runner.current_settings().jobs == 1
 
-
-class TestExecutionSettings:
     def test_rejects_nonpositive_jobs(self):
         with pytest.raises(ConfigurationError):
             ExecutionSettings(jobs=0)

@@ -11,9 +11,6 @@ from repro.experiments.common import EvalConfig
 @pytest.fixture(scope="module")
 def result():
     return sensitivity.run(
-        miss_latencies=(75.0, 300.0, 1_200.0),
-        switch_latencies=(5.0, 25.0, 100.0),
-        spot_check=(300.0,),
         config=dataclasses.replace(
             EvalConfig(), min_instructions=1_000_000, warmup_instructions=700_000
         ),
@@ -39,7 +36,8 @@ class TestSensitivity:
         assert costs == sorted(costs)
         # Roughly linear in S: 100-cycle switches cost ~>3x the paper's
         # 25-cycle switches.
-        assert costs[-1] > 2.5 * costs[1]
+        cost = {row.value: row.f1_throughput_cost for row in series}
+        assert cost[100.0] > 2.5 * cost[25.0]
 
     def test_switch_latency_does_not_change_unenforced_fairness(self, result):
         series = result.series("switch_lat")

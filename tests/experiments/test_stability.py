@@ -1,5 +1,7 @@
 """Tests for the seed-stability experiment."""
 
+import dataclasses
+
 import pytest
 
 from repro.experiments import stability
@@ -9,12 +11,12 @@ from repro.experiments.runner import ExecutionSettings, execution
 
 @pytest.fixture(scope="module")
 def result():
-    return stability.run(seeds=(0, 1), config=EvalConfig.quick())
+    return stability.run(config=EvalConfig.quick())
 
 
 class TestStability:
     def test_one_outcome_per_seed(self, result):
-        assert [o.seed for o in result.outcomes] == [0, 1]
+        assert [o.seed for o in result.outcomes] == [0, 1, 2]
 
     def test_speedup_aggregates_are_stable(self, result):
         mean_value, std = result.speedup_spread(0.0)
@@ -44,12 +46,21 @@ class TestStability:
         assert "Seed stability" in text
         assert "±" in text
 
+    def test_config_seed_offsets_the_rerun_seeds(self, result):
+        # --seed reaches the experiment: the reruns start at config.seed.
+        reseeded = stability.run(
+            config=dataclasses.replace(EvalConfig.quick(), seed=1)
+        )
+        assert [o.seed for o in reseeded.outcomes] == [1, 2, 3]
+        assert reseeded != result
+        assert reseeded.outcomes[:2] == result.outcomes[1:]
+
 
 def test_default_scale_aggregates_are_seed_stable():
     # The full default-scale grid under three seeds: the headline
     # degradations and the unfair-run fraction barely move.
     with execution(ExecutionSettings(jobs=2)):
-        full = stability.run(seeds=(0, 1, 2))
+        full = stability.run()
     for level in (0.25, 0.5, 1.0):
         _mean, std = full.degradation_spread(level)
         assert std < 0.01

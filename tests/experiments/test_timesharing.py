@@ -94,31 +94,26 @@ class TestConfigPlumbing:
     hard-coded module constants (the workload's IPC_NO_MISS/IPM stay
     Example-2 constants on purpose)."""
 
-    QUOTAS = (400.0,)
+    @staticmethod
+    def _at_400(result):
+        return next(p for p in result.points if p.cycle_quota == 400.0)
 
     def test_switch_lat_reaches_the_simulation(self):
         quick = EvalConfig.quick()
-        base = timesharing.run(quotas=self.QUOTAS, config=quick)
-        slow = timesharing.run(
-            quotas=self.QUOTAS,
-            config=dataclasses.replace(quick, switch_lat=100.0),
-        )
-        assert slow.points[0].total_ipc < base.points[0].total_ipc
+        base = timesharing.run(config=quick)
+        slow = timesharing.run(config=dataclasses.replace(quick, switch_lat=100.0))
+        assert self._at_400(slow).total_ipc < self._at_400(base).total_ipc
 
     def test_sample_period_reaches_the_enforced_run(self):
         quick = EvalConfig.quick()
-        base = timesharing.run(quotas=self.QUOTAS, config=quick)
+        base = timesharing.run(config=quick)
         fine = timesharing.run(
-            quotas=self.QUOTAS,
-            config=dataclasses.replace(quick, sample_period=40_000.0),
+            config=dataclasses.replace(quick, sample_period=40_000.0)
         )
         assert fine.enforced_ipc != base.enforced_ipc
 
     def test_miss_lat_reaches_the_enforced_run(self):
         quick = EvalConfig.quick()
-        base = timesharing.run(quotas=self.QUOTAS, config=quick)
-        fast = timesharing.run(
-            quotas=self.QUOTAS,
-            config=dataclasses.replace(quick, miss_lat=100.0),
-        )
+        base = timesharing.run(config=quick)
+        fast = timesharing.run(config=dataclasses.replace(quick, miss_lat=100.0))
         assert fast.enforced_ipc != base.enforced_ipc

@@ -6,7 +6,6 @@ import pytest
 
 from repro.experiments import ablations, validation
 from repro.experiments.common import EvalConfig
-from repro.workloads.pairs import BenchmarkPair
 
 
 class TestValidation:
@@ -39,7 +38,7 @@ class TestAblations:
             warmup_instructions=300_000.0,
             st_min_instructions=400_000.0,
         )
-        return ablations.run(BenchmarkPair("gcc", "eon"), config, fairness_target=0.5)
+        return ablations.run(config)
 
     def test_covers_all_knobs(self, result):
         knobs = {p.knob for p in result.points}

@@ -76,15 +76,11 @@ def grids(draw):
         "task_faults": task_faults,
         "faulted_jobs": draw(st.sampled_from((1, 2))),
         "tears": draw(st.integers(1, 4)),
-        "plan_seed": draw(st.integers(0, 2**16)),
     }
 
 
-def _plan(grid, *specs):
-    return faults.FaultPlan(
-        specs=tuple(faults.FaultSpec(*spec) for spec in specs),
-        seed=grid["plan_seed"],
-    )
+def _plan(*specs):
+    return faults.FaultPlan(specs=tuple(faults.FaultSpec(*spec) for spec in specs))
 
 
 def _grid(grid, **settings_kwargs):
@@ -97,9 +93,7 @@ def _service_results(grid, workdir):
     """Each pair as one job of an in-process service under chaos."""
     config = grid["config"]
     pairs = grid["pairs"]
-    plan = _plan(
-        grid, ("storm", 0, len(pairs)), ("jtear", 0, grid["tears"])
-    )
+    plan = _plan(("storm", 0, len(pairs)), ("jtear", 0, grid["tears"]))
     with faults.fault_injection(plan):
         app = ServiceApp(ServiceConfig(jobs=1, journal=workdir / "jobs.jsonl"))
         try:
@@ -149,7 +143,7 @@ def test_every_execution_path_gives_the_inline_result(grid):
         assert reference.ok
 
         paths = {}
-        with faults.fault_injection(_plan(grid, ("corrupt", grid["corrupt"]))):
+        with faults.fault_injection(_plan(("corrupt", grid["corrupt"]))):
             cold = _grid(grid, jobs=2, cache_dir=cache)
         assert (cold.stats.hits, cold.stats.misses) == (0, len(pairs))
         paths["pool, cold cache"] = cold
@@ -159,7 +153,7 @@ def test_every_execution_path_gives_the_inline_result(grid):
         assert warm.stats.corrupt == 1
         paths["warm cache, one entry quarantined"] = warm
 
-        faulted = _plan(grid, *grid["task_faults"], ("jtear", 0, grid["tears"]))
+        faulted = _plan(*grid["task_faults"], ("jtear", 0, grid["tears"]))
         jobs = grid["faulted_jobs"]
         with faults.fault_injection(faulted):
             degraded = _grid(
