@@ -14,11 +14,12 @@ watched by the parent:
 * **Retry** -- every failure is retried up to ``retries`` times with
   deterministic, attempt-counted accounting. An optional exponential
   backoff (``retry_backoff``) delays each retry by a deterministic,
-  *seeded-jitter* amount -- a pure function of ``(seed, task index,
-  attempt)``, never of the wall clock or a global RNG -- so retry
-  schedules are reproducible while still decorrelating storms of
-  failing tasks. Backoff only decides *when* a retry launches, never
-  what it computes: results stay bit-identical with any backoff.
+  *hashed-jitter* amount -- a pure function of ``(task index,
+  attempt)`` (:func:`backoff_delay`), never of the wall clock or a
+  global RNG -- so retry schedules are reproducible while still
+  decorrelating storms of failing tasks. Backoff only decides *when* a
+  retry launches, never what it computes: results stay bit-identical
+  with any backoff.
   A worker that crashes, hangs past its timeout, or reports garbage
   is killed and respawned before the retry.
 * **Classification** -- failures map onto the typed taxonomy in
@@ -659,7 +660,7 @@ class TaskPool:
     drives it directly. Either way the supervision contract is the same
     (persistent workers served length-prefixed frames, per-attempt
     wall-clock timeouts, bounded deterministic retries with
-    seeded-jitter backoff, crash/invariant classification through the
+    hashed-jitter backoff, crash/invariant classification through the
     :mod:`repro.errors` taxonomy, ``task_retry``/``task_failed``
     telemetry, ambient fault-plan hooks in the workers) behind an
     event-pumped API:

@@ -21,13 +21,22 @@ a mean instruction distance between last-level misses (``ipm``) -- and
 Threads get disjoint address spaces (distinct ``thread_index``), so in
 SOE mode they compete for shared cache *sets* without aliasing to the
 same lines.
+
+The trace is built one pass over the code layout at a time: each pass
+is a plain list, and :func:`make_trace`'s iterator chains them
+(``itertools.chain.from_iterable``), so the core's fetch pulls each uop
+with a C-level ``next`` instead of resuming a generator. Each pass
+calls the thread's random generator in program order, so the uop
+stream is the one a uop-at-a-time generator draws
+(``tests/workloads/test_tracegen.py`` pins its digests).
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from itertools import chain
+from typing import Iterator
 
 from repro.cpu.isa import NUM_ARCH_REGS, MicroOp, OpClass
 from repro.cpu.program import TraceProgram
@@ -40,6 +49,9 @@ __all__ = ["CpuWorkloadSpec", "make_trace", "COMPUTE_SPEC", "MEMORY_SPEC", "MIXE
 _THREAD_STRIDE = 1 << 30
 #: Streaming region size (16 MiB, far beyond a 2 MiB L2).
 _STREAM_REGION = 16 * 1024 * 1024
+#: How a pass builds the uop of an rng-dependent slot: (opclass, pc,
+#: chain register, sources, next pc).
+_Step = tuple[OpClass, int, int, tuple[int, ...], int]
 
 
 @dataclass(frozen=True)
@@ -72,6 +84,9 @@ class CpuWorkloadSpec:
                 f"ilp must be at most {NUM_ARCH_REGS}, the architectural "
                 f"register count, got {self.ilp}"
             )
+        if self.code_bytes < 4:
+            # A trace is generated one pass over the code at a time.
+            raise ConfigurationError("code_bytes must hold one 4-byte instruction")
         if self.ipm <= 1:
             raise ConfigurationError("ipm must exceed 1")
         fractions = (
@@ -128,9 +143,10 @@ def _build_layout(
     return layout
 
 
-def _generate(
+def _passes(
     spec: CpuWorkloadSpec, seed: int, thread_index: int
-) -> Iterator[MicroOp]:
+) -> Iterator[list[MicroOp]]:
+    """The trace, one list per pass over the code layout (forever)."""
     rng = random.Random((seed << 8) ^ thread_index)
     base = thread_index * _THREAD_STRIDE
     code_base = base
@@ -146,54 +162,51 @@ def _generate(
 
     # Slots whose dynamic instances are rng-independent (ALU/MUL/FP and
     # predictable branches) always produce the same immutable MicroOp,
-    # so build each once and yield the shared instance every loop
-    # iteration instead of re-validating a fresh dataclass per dynamic
-    # uop. LOAD/STORE/noise-branch slots stay None and are materialized
-    # per instance (their addresses/outcomes consume the rng stream in
-    # exactly the original order).
+    # so build each once and reuse the shared instance every loop
+    # iteration instead of re-validating a fresh record per dynamic
+    # uop. LOAD/STORE/noise-branch slots get a ``_Step`` instead and are
+    # materialized per instance (their addresses/outcomes consume the
+    # rng stream in program order).
     slots = len(layout)
-    templates: list[Optional[MicroOp]] = [None] * slots
+    plan: list[MicroOp | _Step] = []
     for index, (opclass, chain_reg, noise_branch) in enumerate(layout):
         pc = code_base + index * 4
+        next_pc = code_base + ((index + 1) % slots) * 4
         if opclass is OpClass.BRANCH:
-            if not noise_branch:
-                target = code_base + ((index + 1) % slots) * 4
-                templates[index] = MicroOp(
-                    OpClass.BRANCH, pc, None, (chain_reg,), None, True, target
-                )
-        elif opclass not in (OpClass.LOAD, OpClass.STORE):
-            templates[index] = MicroOp(opclass, pc, chain_reg, (chain_reg,))
+            if noise_branch:
+                plan.append((opclass, pc, chain_reg, (chain_reg,), next_pc))
+            else:
+                plan.append(MicroOp(
+                    OpClass.BRANCH, pc, None, (chain_reg,), None, True, next_pc
+                ))
+        elif opclass is OpClass.LOAD or opclass is OpClass.STORE:
+            plan.append((opclass, pc, chain_reg, (chain_reg,), next_pc))
+        else:
+            plan.append(MicroOp(opclass, pc, chain_reg, (chain_reg,)))
 
+    load, store, branch = OpClass.LOAD, OpClass.STORE, OpClass.BRANCH
     rand = rng.random
     hot_next = hot.next_address
     stream_next = stream.next_address
-    slot = 0
     while True:
-        template = templates[slot]
-        if template is not None:
-            slot += 1
-            if slot == slots:
-                slot = 0
-            yield template
-            continue
-        opclass, chain_reg, noise_branch = layout[slot]
-        pc = code_base + slot * 4
-        slot += 1
-        if slot == slots:
-            slot = 0
-
-        if opclass is OpClass.LOAD:
-            if rand() < miss_probability:
-                address = stream_next()
-            else:
-                address = hot_next()
-            yield MicroOp(OpClass.LOAD, pc, chain_reg, (chain_reg,), address)
-        elif opclass is OpClass.STORE:
-            yield MicroOp(OpClass.STORE, pc, None, (chain_reg,), hot_next())
-        else:  # noise branch: direction drawn per dynamic instance
-            taken = rand() < 0.5
-            target = code_base + slot * 4
-            yield MicroOp(OpClass.BRANCH, pc, None, (chain_reg,), None, taken, target)
+        chunk: list[MicroOp] = []
+        append = chunk.append
+        for step in plan:
+            if isinstance(step, MicroOp):
+                append(step)
+                continue
+            opclass, pc, chain_reg, srcs, next_pc = step
+            if opclass is load:
+                if rand() < miss_probability:
+                    address = stream_next()
+                else:
+                    address = hot_next()
+                append(MicroOp(load, pc, chain_reg, srcs, address))
+            elif opclass is store:
+                append(MicroOp(store, pc, None, srcs, hot_next()))
+            else:  # noise branch: direction drawn per dynamic instance
+                append(MicroOp(branch, pc, None, srcs, None, rand() < 0.5, next_pc))
+        yield chunk
 
 
 def make_trace(
@@ -201,7 +214,7 @@ def make_trace(
 ) -> TraceProgram:
     """A restartable trace for one thread of the detailed core."""
     return TraceProgram(
-        lambda: _generate(spec, seed, thread_index),
+        lambda: chain.from_iterable(_passes(spec, seed, thread_index)),
         name=f"{spec.name}#{thread_index}",
     )
 

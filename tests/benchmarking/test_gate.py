@@ -48,7 +48,8 @@ BASELINE = {"grid_pool": _result()}
 
 
 def _gate(harness, result, baseline=BASELINE, workload="grid_pool"):
-    _table, failures = harness.gate({workload: result}, baseline, METRICS)
+    runs = result if isinstance(result, list) else [result]
+    _table, failures = harness.gate({workload: runs}, baseline, METRICS)
     return failures
 
 
@@ -102,6 +103,62 @@ def test_missing_metric_fails(harness):
     assert _gate(harness, _result(), baseline) == [
         "grid_pool: metric wall_s missing"
     ]
+
+
+def test_the_median_of_the_runs_is_gated(harness):
+    # One slow run in three does not fail the gate; two do.
+    assert _gate(harness, [_result(), _result(wall_s=9.0), _result()]) == []
+    failures = _gate(harness, [_result(wall_s=9.0), _result(), _result(wall_s=3.0)])
+    assert failures == [
+        "grid_pool: wall_s 3 is +50.0% worse than the baseline 2 (bound 25%)"
+    ]
+    # An even count gates on the mean of the two middle runs.
+    assert harness.median([1.0, 4.0, 2.0, 3.0]) == 2.5
+
+
+def test_every_run_must_be_correct(harness):
+    bad = _result()
+    bad["correct"] = False
+    assert _gate(harness, [_result(), bad, _result()]) == [
+        "grid_pool: correct is False (run 2 of 3)"
+    ]
+
+
+def test_baseline_entry_is_the_median_of_the_runs(harness):
+    runs = [_result(wall_s=w, peak_rss_mb=m) for w, m in [(3, 40), (1, 60), (2, 50)]]
+    entry = harness.baseline_entry("grid_pool", runs, METRICS)
+    assert entry["runs"] == 3 and entry["correct"] is True and entry["failed"] == 0
+    assert {n: v["value"] for n, v in entry["metrics"].items()} == {
+        "wall_s": 2.0, "sim_cycles_per_s": 1.0e6, "peak_rss_mb": 50.0,
+    }
+    assert _gate(harness, runs, {"grid_pool": entry}) == []
+    bad = _result()
+    bad["failed"] = 2
+    with pytest.raises(ValueError, match="grid_pool: failed is 2"):
+        harness.baseline_entry("grid_pool", [bad], METRICS)
+
+
+def test_main_writes_a_baseline_of_medians(harness, tmp_path, monkeypatch):
+    target = tmp_path / "baseline.json"
+    monkeypatch.setattr(harness, "BASELINE", target)
+    committed = json.loads(
+        (HARNESS.parent / "baseline.json").read_text()
+    )
+    workload = sorted(committed)[0]
+    paths = []
+    for run, scale in enumerate((1.0, 3.0, 2.0)):
+        result = copy.deepcopy(committed[workload])
+        result["metrics"]["wall_s"]["value"] *= scale
+        path = tmp_path / f"{workload}.{run}.out"
+        path.write_text(json.dumps(result) + "\n")
+        paths.append(str(path))
+    assert harness.main(["--write-baseline", *paths]) == 0
+    written = json.loads(target.read_text())
+    assert list(written) == [workload] and written[workload]["runs"] == 3
+    assert written[workload]["metrics"]["wall_s"]["value"] == pytest.approx(
+        2.0 * committed[workload]["metrics"]["wall_s"]["value"]
+    )
+    assert harness.main(paths) == 0
 
 
 def test_missing_baseline_workload_fails(harness):

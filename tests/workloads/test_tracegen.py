@@ -77,6 +77,15 @@ class TestCpuWorkloadSpec:
         )
 
 
+    def test_rejects_code_without_one_instruction(self):
+        # A trace is built one pass over the code at a time; an empty
+        # layout would make an endless run of empty passes.
+        with pytest.raises(ConfigurationError, match="code_bytes"):
+            CpuWorkloadSpec(name="bad", code_bytes=3)
+        spec = CpuWorkloadSpec(name="one-slot", code_bytes=4)
+        assert {u.pc for u in take(make_trace(spec, seed=1), 10)} == {0}
+
+
 class TestMakeTrace:
     def test_deterministic_per_seed(self):
         a = take(make_trace(MEMORY_SPEC, seed=3), 200)
