@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cpu.hierarchy import MemoryHierarchy
+from repro.cpu.hierarchy import AccessResult, MemoryHierarchy
 from repro.cpu.machine import MachineConfig
 
 
@@ -70,6 +70,22 @@ class TestDataPath:
         b = hierarchy.data_access(0x900000, 0)
         assert b.ready_at > a.ready_at
         assert hierarchy.bus.transfers == 2
+
+    def test_every_return_path_builds_an_access_result(self, hierarchy):
+        # The results are built with tuple.__new__, not the NamedTuple's
+        # own __new__; each return path must still give the same type.
+        config = hierarchy.config
+        stride = config.l1d.num_sets * config.l1d.line_bytes
+        results = [
+            hierarchy.data_access(0x800000, 0),  # memory fill
+            hierarchy.data_access(0x800010, 5),  # merges into the fill
+            hierarchy.data_access(0x800000, 10_000),  # L1 hit
+        ]
+        for i in range(1, config.l1d.associativity + 2):
+            hierarchy.data_access(0x800000 + i * stride, 10_000 + i)
+        results.append(hierarchy.data_access(0x800000, 20_000))  # L2 hit
+        assert all(type(r) is AccessResult for r in results)
+        assert [r.l2_miss for r in results] == [True, True, False, False]
 
 
 class TestMemoryFill:
