@@ -5,63 +5,20 @@ repo's guarantees rest on:
 
 * **determinism** — no ambient RNG (RL001), no wall-clock reads outside
   telemetry (RL002), no unordered-set iteration in simulation or
-  serialization code (RL003);
+  serialization code (RL003), and none of the three reached from the
+  simulation kernels through helpers in other modules (RL009);
 * **float-safety** — no exact ``==``/``!=`` on float expressions in
   fairness/throughput math (RL004);
 * **paper traceability** — every ``Eq. N`` docstring reference resolves
   against PAPER.md and each equation has exactly one canonical
   implementation (RL005);
 * **hygiene** — no mutable default arguments (RL006), no bare
-  ``except:`` (RL007).
+  ``except:`` (RL007);
+* **supervision** — no bare process pools (RL008), no undocumented
+  module-global mutation on supervised-worker paths (RL010).
 
 Entry points: ``python -m repro lint`` (see :mod:`repro.analysis.cli`),
 :func:`repro.analysis.engine.run_lint` for programmatic use, and
-``docs/STATIC_ANALYSIS.md`` for the rule catalog and workflow.
+``docs/STATIC_ANALYSIS.md`` for the rule catalog, its mutation table,
+and the workflow.
 """
-
-from __future__ import annotations
-
-from repro.analysis.baseline import Baseline, apply_baseline
-from repro.analysis.engine import (
-    LintResult,
-    check_source,
-    default_repo_root,
-    run_lint,
-)
-from repro.analysis.eqmap import EQUATION_TITLES, EqTable, build_table
-from repro.analysis.findings import Finding, Severity
-from repro.analysis.registry import (
-    ModuleInfo,
-    ProjectInfo,
-    Rule,
-    RuleMeta,
-    all_rules,
-    get_rule,
-    register,
-    rule_ids,
-)
-from repro.analysis.suppressions import Suppressions, parse_suppressions
-
-__all__ = [
-    "Baseline",
-    "apply_baseline",
-    "LintResult",
-    "check_source",
-    "default_repo_root",
-    "run_lint",
-    "EQUATION_TITLES",
-    "EqTable",
-    "build_table",
-    "Finding",
-    "Severity",
-    "ModuleInfo",
-    "ProjectInfo",
-    "Rule",
-    "RuleMeta",
-    "all_rules",
-    "get_rule",
-    "register",
-    "rule_ids",
-    "Suppressions",
-    "parse_suppressions",
-]

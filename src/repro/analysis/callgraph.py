@@ -1,21 +1,21 @@
 """Project-wide symbol table and call graph for whole-program rules.
 
-The per-file rules (RL001-RL008) see one AST at a time; the hazards
-introduced by fork-based supervision, the telemetry schema, and the
-policy registry cross module boundaries. This module builds the global
-view they need in two steps:
+The per-file rules (RL001-RL008) see one AST at a time; nondeterminism
+reached through helpers and state mutated under fork-based supervision
+cross module boundaries. This module builds the global view RL009 and
+RL010 need in two steps:
 
 1. :func:`summarize_module` reduces one parsed file to a
    :class:`ModuleSummary` -- every function (methods included, nested
    defs folded into their enclosing function) with its outgoing call
    and bare-callable-reference sites, its direct effects (the source
-   uses :func:`repro.analysis.dataflow.scan_module` found in its body,
-   plus its module-global mutations), plus the module's imports,
-   classes, and module-level globals.
+   uses :func:`repro.analysis.dataflow.scan_module` found in its body),
+   its module-global mutations, plus the module's imports, classes,
+   and module-level globals.
 2. :func:`build_graph` resolves the textual call sites of every summary
    against the project symbol table into a :class:`CallGraph`: edges
-   between fully-qualified function names, with unresolved callees kept
-   for the ``--graph`` dump so the analysis is honest about its limits.
+   between fully-qualified function names. Call sites it cannot place
+   get no edge.
 
 Resolution is deliberately lightweight (LFOC-style global
 classification, not a points-to analysis): local names, ``import`` /
@@ -120,7 +120,6 @@ class GlobalDef:
 
     name: str
     line: int
-    mutable: bool  #: heuristically holds mutable state
     #: The defining line (or the comment line above it) carries a
     #: ``fork-safe: <reason>`` marker documenting per-process
     #: reinitialization (see rule RL010).
@@ -151,34 +150,6 @@ class ModuleSummary:
 #: Marker documenting that a mutable module-global is reinitialized per
 #: process (rule RL010); placed on the defining line or the line above.
 FORK_SAFE_MARKER = "fork-safe:"
-
-_MUTABLE_CONSTRUCTORS = {
-    "list",
-    "dict",
-    "set",
-    "deque",
-    "defaultdict",
-    "OrderedDict",
-    "Counter",
-    "bytearray",
-}
-
-
-def _is_mutable_value(node: ast.expr, local_classes: Set[str]) -> bool:
-    """Whether a module-level binding heuristically holds mutable state."""
-    if isinstance(
-        node,
-        (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp),
-    ):
-        return True
-    if isinstance(node, ast.Call):
-        name = dotted_name(node.func)
-        if name is None:
-            return False
-        simple = name.split(".")[-1]
-        return simple in _MUTABLE_CONSTRUCTORS or name in local_classes
-    return False
-
 
 def _has_fork_safe_marker(lines: List[str], lineno: int) -> bool:
     """``fork-safe:`` on the defining line or the comment line above."""
@@ -373,28 +344,20 @@ def summarize_module(module: ModuleInfo) -> ModuleSummary:
                 )
 
     defs = list(_iter_defs(module.tree.body, ""))
-    local_classes = {
-        qual.split(".")[-1] for qual, node in defs if isinstance(node, ast.ClassDef)
-    }
 
     # Module-level globals (assignments at module scope).
     for stmt in module.tree.body:
         targets: List[ast.expr] = []
-        value: Optional[ast.expr] = None
         if isinstance(stmt, ast.Assign):
-            targets, value = stmt.targets, stmt.value
+            targets = stmt.targets
         elif isinstance(stmt, ast.AnnAssign):
-            targets, value = [stmt.target], stmt.value
+            targets = [stmt.target]
         for target in targets:
             if not isinstance(target, ast.Name):
                 continue
-            mutable = value is not None and _is_mutable_value(
-                value, local_classes
-            )
             summary.globals[target.id] = GlobalDef(
                 name=target.id,
                 line=stmt.lineno,
-                mutable=mutable,
                 fork_safe=_has_fork_safe_marker(lines, stmt.lineno),
             )
 
@@ -424,11 +387,7 @@ def summarize_module(module: ModuleInfo) -> ModuleSummary:
         for stmt in node.body:
             scanner.visit(stmt)
         cls_qual = qual.rpartition(".")[0] or None
-        effects = list(direct.get(node, ()))
-        effects.extend(
-            DirectEffect("global_mut", m.line, f"{m.name}{m.how}", m.line)
-            for m in scanner.mutations
-        )
+        effects = direct.get(node, ())
         summary.functions[qual] = FunctionNode(
             qualname=f"{dotted_module}.{qual}",
             relpath=module.relpath,
@@ -455,69 +414,19 @@ class CallGraph:
 
     #: fully-qualified name -> node, for every function in the project
     functions: Dict[str, FunctionNode] = field(default_factory=dict)
-    classes: Dict[str, ClassNode] = field(default_factory=dict)
     #: caller -> called functions (resolved, sorted, deduplicated)
     call_edges: Dict[str, Tuple[str, ...]] = field(default_factory=dict)
     #: caller -> functions referenced as values (callbacks, factories)
     ref_edges: Dict[str, Tuple[str, ...]] = field(default_factory=dict)
-    #: caller -> callee spellings the resolver could not place
-    unresolved: Dict[str, Tuple[str, ...]] = field(default_factory=dict)
     summaries: Dict[str, ModuleSummary] = field(default_factory=dict)
 
-    def callers_of(self, include_refs: bool = False) -> Dict[str, List[str]]:
-        """Reverse adjacency: callee -> sorted list of callers."""
+    def callers_of(self) -> Dict[str, List[str]]:
+        """Reverse call adjacency: callee -> sorted list of callers."""
         reverse: Dict[str, List[str]] = {}
-        edge_maps = [self.call_edges]
-        if include_refs:
-            edge_maps.append(self.ref_edges)
-        for edges in edge_maps:
-            for caller, callees in edges.items():
-                for callee in callees:
-                    reverse.setdefault(callee, []).append(caller)
+        for caller, callees in self.call_edges.items():
+            for callee in callees:
+                reverse.setdefault(callee, []).append(caller)
         return {callee: sorted(set(callers)) for callee, callers in reverse.items()}
-
-    def reachable_from(
-        self, roots: List[str], include_refs: bool = False
-    ) -> Set[str]:
-        """Transitive closure over call (and optionally ref) edges."""
-        seen: Set[str] = set()
-        frontier = [root for root in sorted(set(roots)) if root in self.functions]
-        seen.update(frontier)
-        while frontier:
-            next_frontier: List[str] = []
-            for node in frontier:
-                neighbours = list(self.call_edges.get(node, ()))
-                if include_refs:
-                    neighbours.extend(self.ref_edges.get(node, ()))
-                for neighbour in neighbours:
-                    if neighbour not in seen:
-                        seen.add(neighbour)
-                        next_frontier.append(neighbour)
-            frontier = sorted(next_frontier)
-        return seen
-
-    def to_json(self) -> dict:
-        return {
-            "functions": {
-                qual: {
-                    "path": node.relpath,
-                    "line": node.lineno,
-                    "calls": list(self.call_edges.get(qual, ())),
-                    "refs": list(self.ref_edges.get(qual, ())),
-                    "unresolved": list(self.unresolved.get(qual, ())),
-                }
-                for qual, node in sorted(self.functions.items())
-            },
-            "stats": {
-                "functions": len(self.functions),
-                "classes": len(self.classes),
-                "call_edges": sum(len(v) for v in self.call_edges.values()),
-                "ref_edges": sum(len(v) for v in self.ref_edges.values()),
-                "unresolved_sites": sum(
-                    len(v) for v in self.unresolved.values()
-                ),
-            },
-        }
 
 
 class _Resolver:
@@ -641,7 +550,6 @@ def build_graph(summaries: Mapping[str, ModuleSummary]) -> CallGraph:
     resolver = _Resolver(summaries)
     graph = CallGraph(
         functions=dict(resolver.functions),
-        classes=dict(resolver.classes),
         summaries=dict(summaries),
     )
     for relpath in sorted(summaries):
@@ -649,21 +557,14 @@ def build_graph(summaries: Mapping[str, ModuleSummary]) -> CallGraph:
         for node in summary.functions.values():
             calls: Set[str] = set()
             refs: Set[str] = set()
-            unresolved: Set[str] = set()
             for site in node.calls:
                 target = resolver.resolve(summary, node, site.callee)
-                if target is None:
-                    if not site.ref:
-                        unresolved.add(site.callee)
-                    continue
-                if target == node.qualname:
-                    continue  # self-recursion adds nothing
+                if target is None or target == node.qualname:
+                    continue  # unplaceable, or self-recursion
                 (refs if site.ref else calls).add(target)
             if calls:
                 graph.call_edges[node.qualname] = tuple(sorted(calls))
             refs -= calls
             if refs:
                 graph.ref_edges[node.qualname] = tuple(sorted(refs))
-            if unresolved:
-                graph.unresolved[node.qualname] = tuple(sorted(unresolved))
     return graph

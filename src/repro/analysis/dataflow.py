@@ -4,25 +4,20 @@ The effect lattice is a flat powerset over :data:`EFFECT_KINDS`:
 
 * ``rng``         -- process-global RNG state (RL001's sources);
 * ``wallclock``   -- wall-clock reads (RL002's sources);
-* ``set_iter``    -- unsorted set iteration (RL003's sources);
-* ``file_io``     -- filesystem access;
-* ``network``     -- socket / HTTP access;
-* ``global_mut``  -- mutation of a module-level binding.
+* ``set_iter``    -- unsorted set iteration (RL003's sources).
 
-:func:`scan_module` is the one detector for every kind but
-``global_mut``. It walks a parsed file once, with one set of tables;
-imports count at any depth (``import time`` inside a function binds
-``time`` for the whole module); a name bound to a set counts as a set
-in the function that binds it, or everywhere when bound at module
-level. Two consumers read that scan, cached per module by
+:func:`scan_module` is the one detector for every kind. It walks a
+parsed file once, with one set of tables; imports count at any depth
+(``import time`` inside a function binds ``time`` for the whole
+module); a name bound to a set counts as a set in the function that
+binds it, or everywhere when bound at module level. Two consumers read that scan, cached per module by
 :meth:`repro.analysis.registry.ModuleInfo.sources`:
 
 * the per-file rules RL001, RL002 and RL003 report
   :attr:`ModuleSources.reports`;
 * :func:`repro.analysis.callgraph.summarize_module` files each of
   :attr:`ModuleSources.uses` under the function whose body holds it;
-  with the function's global mutations, those are its *direct*
-  effects, and RL009 seeds its taint from them.
+  those are its *direct* effects, and RL009 seeds its taint from them.
 
 A use's :attr:`DirectEffect.anchor` is the line of the per-file
 finding that covers it: the use itself, or the ``from`` import a bare
@@ -64,7 +59,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = [
     "EFFECT_KINDS",
-    "DETERMINISM_KINDS",
     "EFFECT_RULES",
     "DirectEffect",
     "ModuleSources",
@@ -75,19 +69,16 @@ __all__ = [
     "ordering_hazards",
     "Taint",
     "propagate",
-    "effects_to_json",
 ]
-
-#: Every effect kind the analysis infers, in report order.
-EFFECT_KINDS = ("rng", "wallclock", "set_iter", "file_io", "network", "global_mut")
-
-#: The kinds that break bit-identical reproduction (RL009's concern).
-DETERMINISM_KINDS = ("rng", "wallclock", "set_iter")
 
 #: Effect kind -> the per-file rule that polices *direct* uses. A source
 #: whose direct finding is inline-suppressed (at the effect's anchor
 #: line) is sanctioned, so it does not seed whole-program taint either.
 EFFECT_RULES = {"rng": "RL001", "wallclock": "RL002", "set_iter": "RL003"}
+
+#: Every effect kind the analysis infers, in report order; each one
+#: breaks bit-identical reproduction.
+EFFECT_KINDS = tuple(EFFECT_RULES)
 
 #: ``random`` attributes that construct a seedable instance.
 _ALLOWED_RANDOM = {"Random"}
@@ -102,20 +93,6 @@ _TIME_CLOCKS = {
 #: ``datetime.datetime`` / ``datetime.date`` constructors that read it.
 _DATETIME_CLOCKS = {"now", "utcnow", "today"}
 _DATETIME_CLASSES = {"datetime", "date"}
-#: ``os`` functions that touch the filesystem (plus ``os.path.exists``).
-_OS_FILE_ATTRS = {
-    "open", "remove", "unlink", "rename", "replace", "makedirs", "mkdir",
-    "rmdir", "listdir", "scandir", "walk", "stat", "write", "read",
-}
-#: ``pathlib.Path`` methods that touch the filesystem, on any receiver.
-_PATH_METHODS = {
-    "read_text", "read_bytes", "write_text", "write_bytes", "mkdir", "rmdir",
-    "unlink", "rename", "replace", "touch", "glob", "rglob", "iterdir",
-    "symlink_to", "hardlink_to",
-}
-_FILE_MODULES = {"shutil", "tempfile"}
-_NETWORK_MODULES = {"socket", "urllib", "http", "requests", "ftplib", "smtplib"}
-
 _SET_TYPE_NAMES = {"set", "frozenset", "Set", "FrozenSet", "AbstractSet", "MutableSet"}
 _SET_METHODS = {"union", "intersection", "difference", "symmetric_difference"}
 _ORDER_SENSITIVE_CONSUMERS = {"list", "tuple", "enumerate", "iter"}
@@ -160,11 +137,8 @@ class ModuleSources:
     #: every use of a source, module-wide, with its (line, col) position
     uses: List[Tuple[Tuple[int, int], DirectEffect]] = field(default_factory=list)
 
-    def _add(
-        self, kind: str, node: ast.expr, detail: str, message: Optional[str]
-    ) -> None:
-        if message is not None:
-            self.reports[kind].append((node, message))
+    def _add(self, kind: str, node: ast.expr, detail: str, message: str) -> None:
+        self.reports[kind].append((node, message))
         effect = DirectEffect(kind, node.lineno, detail, node.lineno)
         self.uses.append(((node.lineno, node.col_offset), effect))
 
@@ -178,15 +152,12 @@ def scan_module(tree: ast.Module) -> ModuleSources:
     datetime_classes: Set[str] = set()
     attributes: List[ast.Attribute] = []
     loads: List[ast.Name] = []
-    calls: List[ast.Call] = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute):
             attributes.append(node)
         elif isinstance(node, ast.Name):
             if isinstance(node.ctx, ast.Load):
                 loads.append(node)
-        elif isinstance(node, ast.Call):
-            calls.append(node)
         elif isinstance(node, ast.Import):
             for alias in node.names:
                 aliases[alias.asname or alias.name.split(".")[0]] = alias.name
@@ -235,33 +206,12 @@ def scan_module(tree: ast.Module) -> ModuleSources:
                 f"'{chain}' reads the wall clock; simulation code must "
                 "only observe simulated cycles (telemetry is exempt)",
             )
-        elif (
-            root == "os"
-            and (
-                (len(parts) == 2 and parts[1] in _OS_FILE_ATTRS)
-                or (len(parts) == 3 and parts[1:] == ["path", "exists"])
-            )
-        ) or (root in _FILE_MODULES and len(parts) >= 2):
-            found._add("file_io", node, chain, None)
-        elif (
-            root is not None
-            and root.split(".")[0] in _NETWORK_MODULES
-            and len(parts) >= 2
-        ):
-            found._add("network", node, chain, None)
 
     for node in loads:
         if node.id in bare:
             kind, anchor = bare[node.id]
             effect = DirectEffect(kind, node.lineno, node.id, anchor)
             found.uses.append(((node.lineno, node.col_offset), effect))
-
-    for node in calls:
-        func = node.func
-        if isinstance(func, ast.Name) and func.id == "open":
-            found._add("file_io", node, "open()", None)
-        elif isinstance(func, ast.Attribute) and func.attr in _PATH_METHODS:
-            found._add("file_io", node, f".{func.attr}()", None)
 
     for node, message in ordering_hazards(tree, set_names(tree)):
         found._add("set_iter", node, "set iteration", message)
@@ -437,7 +387,6 @@ class Taint:
 def propagate(
     graph: CallGraph,
     seeds: Mapping[str, Sequence[DirectEffect]],
-    include_refs: bool = False,
 ) -> Dict[str, Dict[str, Taint]]:
     """Close the effect relation over the call graph.
 
@@ -446,7 +395,7 @@ def propagate(
     effect, one :class:`Taint` per effect kind with the shortest
     deterministic witness chain.
     """
-    reverse = graph.callers_of(include_refs=include_refs)
+    reverse = graph.callers_of()
     result: Dict[str, Dict[str, Taint]] = {}
     frontier: List[Tuple[str, str]] = []
     for qualname in sorted(seeds):
@@ -483,25 +432,3 @@ def propagate(
                     next_frontier.append((caller, kind))
         frontier = sorted(next_frontier)
     return result
-
-
-def effects_to_json(
-    graph: CallGraph, taints: Mapping[str, Mapping[str, Taint]]
-) -> dict:
-    """The ``--graph`` dump: call graph plus inferred effect sets."""
-    dump = graph.to_json()
-    for qualname, per_kind in sorted(taints.items()):
-        entry = dump["functions"].get(qualname)
-        if entry is None:
-            continue
-        entry["effects"] = {
-            kind: {
-                "source": taint.source,
-                "line": taint.line,
-                "detail": taint.detail,
-                "chain": list(taint.chain),
-            }
-            for kind, taint in sorted(per_kind.items())
-        }
-    dump["stats"]["effectful_functions"] = len(taints)
-    return dump

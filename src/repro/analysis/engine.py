@@ -1,4 +1,4 @@
-"""Lint engine: collect files, run rules, apply suppressions + baseline.
+"""Lint engine: collect files, run rules, apply inline suppressions.
 
 The engine is deliberately dependency-free and deterministic: files are
 discovered in sorted order (by repo-relative POSIX path *string*, so
@@ -25,14 +25,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
-from repro.analysis.baseline import Baseline, apply_baseline
 from repro.analysis.eqmap import EqTable, build_table
-from repro.analysis.findings import Finding, Severity
+from repro.analysis.findings import Finding
 from repro.analysis.registry import (
     ModuleInfo,
     ProjectInfo,
     Rule,
-    all_rules,
     select_rules,
 )
 from repro.analysis.suppressions import Suppressions, parse_suppressions
@@ -50,9 +48,6 @@ __all__ = [
 
 #: The tree linted by default, relative to the repo root.
 DEFAULT_TARGET = "src/repro"
-
-#: Committed baseline location, relative to the repo root.
-DEFAULT_BASELINE = ".repro-lint-baseline.json"
 
 
 def default_repo_root() -> Path:
@@ -96,48 +91,33 @@ def discover_files(root: Path, targets: Sequence[str]) -> List[str]:
 class LintResult:
     """Everything one lint run produced."""
 
-    #: The assembled project view (for ``--graph``); not serialized.
+    #: The assembled project view; not serialized.
     project: ProjectInfo = field(repr=False)
+    #: Findings no inline pragma suppresses: each one fails the run.
     findings: List[Finding] = field(default_factory=list)
     suppressed: List[Finding] = field(default_factory=list)
-    stale_baseline: List[str] = field(default_factory=list)
     eq_table: Optional[EqTable] = None
     files_checked: int = 0
     rules_run: List[str] = field(default_factory=list)
 
     @property
-    def active(self) -> List[Finding]:
-        """Findings that are neither suppressed nor baselined."""
-        return [finding for finding in self.findings if not finding.baselined]
-
-    @property
-    def errors(self) -> List[Finding]:
-        return [
-            finding
-            for finding in self.active
-            if finding.severity is Severity.ERROR
-        ]
-
-    @property
     def exit_code(self) -> int:
-        return 1 if self.errors else 0
+        return 1 if self.findings else 0
 
     def by_rule(self) -> Dict[str, int]:
         counts: Dict[str, int] = {}
-        for finding in self.active:
+        for finding in self.findings:
             counts[finding.rule] = counts.get(finding.rule, 0) + 1
         return counts
 
     def to_json(self) -> Dict[str, object]:
         return {
-            "version": 1,
+            "version": 2,
             "summary": {
                 "files_checked": self.files_checked,
                 "rules_run": self.rules_run,
-                "findings": len(self.active),
-                "baselined": sum(1 for f in self.findings if f.baselined),
+                "findings": len(self.findings),
                 "suppressed": len(self.suppressed),
-                "stale_baseline_entries": len(self.stale_baseline),
                 "by_rule": self.by_rule(),
             },
             "findings": [
@@ -146,80 +126,11 @@ class LintResult:
                     "path": f.path,
                     "line": f.line,
                     "col": f.col,
-                    "severity": str(f.severity),
                     "message": f.message,
-                    "baselined": f.baselined,
-                    "fingerprint": f.fingerprint,
                 }
                 for f in self.findings
             ],
-            "stale_baseline": list(self.stale_baseline),
             "eq_coverage": self.eq_table.to_json() if self.eq_table else None,
-        }
-
-    def graph_json(self) -> Dict[str, object]:
-        """The ``--graph`` dump: call graph + inferred effect sets."""
-        from repro.analysis.dataflow import effects_to_json
-
-        return effects_to_json(self.project.graph(), self.project.taints())
-
-    def to_sarif(self) -> Dict[str, object]:
-        """Minimal SARIF 2.1.0 document (one run, one result per finding)."""
-        rules_meta = [
-            {
-                "id": rule.meta.id,
-                "name": rule.meta.name,
-                "shortDescription": {"text": rule.meta.rationale},
-                "defaultConfiguration": {
-                    "level": "error"
-                    if rule.meta.severity is Severity.ERROR
-                    else "warning"
-                },
-            }
-            for rule in all_rules()
-        ]
-        return {
-            "$schema": (
-                "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/"
-                "master/Schemata/sarif-schema-2.1.0.json"
-            ),
-            "version": "2.1.0",
-            "runs": [
-                {
-                    "tool": {
-                        "driver": {
-                            "name": "repro-lint",
-                            "informationUri": "docs/STATIC_ANALYSIS.md",
-                            "rules": rules_meta,
-                        }
-                    },
-                    "results": [
-                        {
-                            "ruleId": f.rule,
-                            "level": "note"
-                            if f.baselined
-                            else (
-                                "error"
-                                if f.severity is Severity.ERROR
-                                else "warning"
-                            ),
-                            "message": {"text": f.message},
-                            "locations": [
-                                {
-                                    "physicalLocation": {
-                                        "artifactLocation": {"uri": f.path},
-                                        "region": {
-                                            "startLine": f.line,
-                                            "startColumn": f.col + 1,
-                                        },
-                                    }
-                                }
-                            ],
-                        }
-                        for f in self.findings
-                    ],
-                }
-            ],
         }
 
 
@@ -294,7 +205,6 @@ def run_lint(
     targets: Sequence[str] = (DEFAULT_TARGET,),
     select: Sequence[str] = (),
     disable: Sequence[str] = (),
-    baseline: Optional[Baseline] = None,
 ) -> LintResult:
     """Lint ``targets`` (repo-relative files or directories) end to end."""
     root = (repo_root or default_repo_root()).resolve()
@@ -308,16 +218,10 @@ def run_lint(
         suppressions=_pragmas(modules),
     )
     kept, suppressed = _run_rules(project, active_rules)
-
-    stale: List[str] = []
-    if baseline is not None:
-        kept, stale = apply_baseline(kept, baseline)
-
     return LintResult(
         project=project,
         findings=sorted(kept),
         suppressed=sorted(suppressed),
-        stale_baseline=stale,
         eq_table=eq_table,
         files_checked=len(modules),
         rules_run=[rule.meta.id for rule in active_rules],
@@ -339,17 +243,12 @@ def check_source(
     return sorted(_run_rules(project, [rule], finalize=False)[0])
 
 
-def check_project(
-    rule: Rule,
-    sources: Mapping[str, str],
-    docs: Optional[Mapping[str, str]] = None,
-) -> List[Finding]:
+def check_project(rule: Rule, sources: Mapping[str, str]) -> List[Finding]:
     """Run one rule over an in-memory multi-file project (test helper).
 
-    ``sources`` maps repo-relative paths to Python source; ``docs`` maps
-    paths to plain-text content for rules that cross-check
-    documentation. Runs the rule's per-module pass (scope honoured) and
-    its ``finalize`` pass, then applies each file's inline suppressions.
+    ``sources`` maps repo-relative paths to Python source. Runs the
+    rule's per-module pass (scope honoured) and its ``finalize`` pass,
+    then applies each file's inline suppressions.
     """
     modules = [
         ModuleInfo(
@@ -357,7 +256,5 @@ def check_project(
         )
         for relpath in sorted(sources)
     ]
-    project = ProjectInfo(
-        modules=modules, suppressions=_pragmas(modules), docs=dict(docs or {})
-    )
+    project = ProjectInfo(modules=modules, suppressions=_pragmas(modules))
     return sorted(_run_rules(project, [rule])[0])

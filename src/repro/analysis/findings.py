@@ -1,28 +1,14 @@
-"""Finding and severity types shared by every lint rule.
+"""The finding type shared by every lint rule.
 
 A :class:`Finding` is one diagnostic at one source location. Findings
 are value objects: rules yield them, the engine sorts/filters them, the
-CLI renders them. The *fingerprint* deliberately excludes the line
-number so a committed baseline survives unrelated edits above a
-grandfathered finding; two identical findings in one file share a
-fingerprint and are matched by count (see :mod:`repro.analysis.baseline`).
+CLI renders them. Every finding that no inline pragma suppresses fails
+the lint.
 """
 
 from __future__ import annotations
 
-import enum
-import hashlib
-from dataclasses import dataclass, field
-
-
-class Severity(enum.Enum):
-    """How a finding affects the lint exit status."""
-
-    ERROR = "error"
-    WARNING = "warning"
-
-    def __str__(self) -> str:
-        return self.value
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True, order=True)
@@ -34,21 +20,7 @@ class Finding:
     col: int  #: 0-based column offset
     rule: str  #: rule id, e.g. ``"RL004"``
     message: str
-    severity: Severity = field(default=Severity.ERROR, compare=False)
-    baselined: bool = field(default=False, compare=False)
-
-    @property
-    def fingerprint(self) -> str:
-        """Line-number-independent identity used for baseline matching."""
-        digest = hashlib.sha256(
-            f"{self.rule}::{self.path}::{self.message}".encode()
-        ).hexdigest()
-        return digest[:16]
 
     def render(self) -> str:
-        """``path:line:col: RLxxx [severity] message`` (one terminal line)."""
-        tag = " [baselined]" if self.baselined else ""
-        return (
-            f"{self.path}:{self.line}:{self.col + 1}: "
-            f"{self.rule} [{self.severity}]{tag} {self.message}"
-        )
+        """``path:line:col: RLxxx message`` (one terminal line)."""
+        return f"{self.path}:{self.line}:{self.col + 1}: {self.rule} {self.message}"

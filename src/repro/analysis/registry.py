@@ -2,10 +2,10 @@
 
 A rule is a small object with:
 
-* :attr:`Rule.meta` — id, name, rationale, default severity, and the
-  path *scope* it applies to (prefix lists, not globs: a file is in
-  scope when its repo-relative path starts with any ``paths`` entry and
-  none of the ``exempt`` entries);
+* :attr:`Rule.meta` — id, name, rationale, and the path *scope* it
+  applies to (prefix lists, not globs: a file is in scope when its
+  repo-relative path starts with any ``paths`` entry and none of the
+  ``exempt`` entries);
 * :meth:`Rule.check_module` — per-file pass over a parsed AST;
 * :meth:`Rule.finalize` — optional project-wide pass that runs after
   every module was checked (used by cross-file rules such as the
@@ -35,12 +35,11 @@ if TYPE_CHECKING:  # pragma: no cover
     from pathlib import Path
 
     from repro.analysis.callgraph import CallGraph
-    from repro.analysis.dataflow import Taint
     from repro.analysis.eqmap import EqTable
     from repro.analysis.suppressions import Suppressions
 
 from repro.analysis.dataflow import ModuleSources, scan_module
-from repro.analysis.findings import Finding, Severity
+from repro.analysis.findings import Finding
 from repro.errors import ConfigurationError
 
 __all__ = [
@@ -62,7 +61,6 @@ class RuleMeta:
     id: str  #: stable id, e.g. ``"RL001"``
     name: str  #: short kebab-case name, e.g. ``"no-unseeded-random"``
     rationale: str  #: one paragraph: which repo guarantee the rule protects
-    severity: Severity = Severity.ERROR
     #: Repo-relative path prefixes the rule applies to.
     paths: Tuple[str, ...] = ("src/repro/",)
     #: Repo-relative path prefixes exempt from the rule.
@@ -91,7 +89,7 @@ class ModuleInfo:
         return self.source.splitlines()
 
     def sources(self) -> ModuleSources:
-        """The module's RNG, clock, set-order and I/O sources.
+        """The module's RNG, clock and set-order sources.
 
         Scanned once on first use, then shared by RL001-RL003 and the
         call-graph summary (see :func:`repro.analysis.dataflow.scan_module`).
@@ -108,8 +106,8 @@ class ProjectInfo:
     ``modules`` holds every discovered file, parsed once per run; the
     call graph (:meth:`graph`) is built from their summaries on first
     use. :meth:`find_module` also reaches files outside the linted
-    targets (e.g. ``telemetry/events.py`` when only ``src/repro/core``
-    is linted) by reading them from ``repo_root``.
+    targets (RL005 looks up equation claims in the rest of the package)
+    by reading them from ``repo_root``.
     """
 
     modules: List[ModuleInfo] = field(default_factory=list)
@@ -119,15 +117,10 @@ class ProjectInfo:
     repo_root: "Optional[Path]" = None
     #: relpath -> parsed suppression pragmas, for every discovered file.
     suppressions: "Dict[str, Suppressions]" = field(default_factory=dict)
-    #: In-memory documentation overrides (tests); falls back to disk.
-    docs: Dict[str, str] = field(default_factory=dict)
     _module_cache: Dict[str, Optional[ModuleInfo]] = field(
         default_factory=dict, repr=False
     )
     _graph: "Optional[CallGraph]" = field(default=None, repr=False)
-    _taints: "Optional[Dict[str, Dict[str, Taint]]]" = field(
-        default=None, repr=False
-    )
 
     def find_module(self, relpath: str) -> Optional[ModuleInfo]:
         """A parsed module by repo-relative path, loading lazily.
@@ -159,19 +152,6 @@ class ProjectInfo:
         self._module_cache[relpath] = found
         return found
 
-    def read_text(self, relpath: str) -> Optional[str]:
-        """A text file (e.g. docs) by repo-relative path, or None."""
-        if relpath in self.docs:
-            return self.docs[relpath]
-        if self.repo_root is not None:
-            path = self.repo_root / relpath
-            if path.is_file():
-                try:
-                    return path.read_text()
-                except OSError:
-                    return None
-        return None
-
     def graph(self) -> "CallGraph":
         """The resolved project call graph (built lazily, then cached)."""
         if self._graph is None:
@@ -184,20 +164,6 @@ class ProjectInfo:
                 }
             )
         return self._graph
-
-    def taints(self) -> "Dict[str, Dict[str, Taint]]":
-        """Inferred effect sets for every function (unfiltered seeds)."""
-        if self._taints is None:
-            from repro.analysis.dataflow import propagate
-
-            graph = self.graph()
-            seeds = {
-                qualname: node.effects
-                for qualname, node in graph.functions.items()
-                if node.effects
-            }
-            self._taints = propagate(graph, seeds, include_refs=False)
-        return self._taints
 
 
 class Rule:
@@ -240,7 +206,6 @@ class Rule:
             col=col,
             rule=self.meta.id,
             message=message,
-            severity=self.meta.severity,
         )
 
 

@@ -88,9 +88,6 @@ class NoWallClock(_SourceRule):
             # The service's clocks bound job deadlines, retry backoff,
             # and drain waits; simulation results never depend on them.
             "src/repro/service/",
-            # perfbench's calibration loop *measures* wall time by
-            # design; its numbers never feed back into a simulation.
-            "benchmarks/harness.py",
         ),
     )
 

@@ -18,7 +18,7 @@ validated input) are legitimate and should carry an inline
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, Optional, Set
+from typing import Iterator, Optional, Set
 
 from repro.analysis.findings import Finding
 from repro.analysis.registry import ModuleInfo, Rule, RuleMeta, register

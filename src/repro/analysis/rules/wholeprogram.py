@@ -1,10 +1,9 @@
-"""Whole-program rules RL009, RL010, RL012: cross-module guarantees.
+"""Whole-program rules RL009 and RL010: cross-module guarantees.
 
-The per-file rules see one AST at a time; these three run in the
+The per-file rules see one AST at a time; these two run in the
 ``finalize`` phase against the project call graph
-(:mod:`repro.analysis.callgraph`), the inferred effect sets
-(:mod:`repro.analysis.dataflow`), and a handful of contract files
-parsed on demand:
+(:mod:`repro.analysis.callgraph`) and the inferred effect sets
+(:mod:`repro.analysis.dataflow`):
 
 * **RL009 determinism-taint** — a simulation-kernel function
   (``repro/engine/``, ``repro/cpu/``, ``repro/core/``) transitively
@@ -16,10 +15,6 @@ parsed on demand:
   no ``fork-safe:`` reinitialization marker. Worker code is the
   call/ref closure of ``_pool_worker_main`` plus every callable handed
   to ``Supervisor(...)`` / ``TaskPool(...)``.
-* **RL012 telemetry-schema-drift** — the event builders in
-  ``telemetry/events.py``, the ``EVENT_SCHEMAS`` table, and the event
-  table in ``docs/TELEMETRY.md`` must agree exactly (names, categories,
-  payload fields, schema version).
 
 Suppression semantics for taint findings: a pragma at the *anchor*
 (e.g. the kernel ``def`` for RL009, the mutation site for RL010)
@@ -31,12 +26,11 @@ sanctions the source itself, so no taint is seeded from it.
 
 from __future__ import annotations
 
-import ast
-from typing import Dict, Iterator, List, Mapping, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 from repro.analysis.callgraph import CallGraph
 from repro.analysis.dataflow import (
-    DETERMINISM_KINDS,
+    EFFECT_KINDS,
     EFFECT_RULES,
     DirectEffect,
     propagate,
@@ -49,11 +43,7 @@ from repro.analysis.registry import (
     register,
 )
 
-__all__ = [
-    "DeterminismTaint",
-    "ForkUnsafeState",
-    "TelemetrySchemaDrift",
-]
+__all__ = ["DeterminismTaint", "ForkUnsafeState"]
 
 _KIND_LABELS = {
     "rng": "the process-global RNG",
@@ -65,7 +55,7 @@ _KIND_LABELS = {
 def _filtered_seeds(
     project: ProjectInfo, graph: CallGraph
 ) -> Dict[str, List[DirectEffect]]:
-    """Determinism-effect seeds, minus sources sanctioned inline.
+    """Effect seeds, minus sources sanctioned inline.
 
     A source whose direct finding is suppressed for the matching
     per-file rule (``disable=RL001`` on the ``random.random()`` line,
@@ -79,8 +69,7 @@ def _filtered_seeds(
         kept = [
             effect
             for effect in node.effects
-            if effect.kind in DETERMINISM_KINDS
-            and not (
+            if not (
                 suppressions is not None
                 and suppressions.silences(EFFECT_RULES[effect.kind], effect.anchor)
             )
@@ -124,9 +113,7 @@ class DeterminismTaint(Rule):
         graph = project.graph()
         # Call edges only: a bare reference (callback passed along) is
         # not yet an execution on the kernel path.
-        taints = propagate(
-            graph, _filtered_seeds(project, graph), include_refs=False
-        )
+        taints = propagate(graph, _filtered_seeds(project, graph))
         kernel = {
             qualname
             for qualname, node in graph.functions.items()
@@ -137,7 +124,7 @@ class DeterminismTaint(Rule):
             if not per_kind:
                 continue
             node = graph.functions[qualname]
-            for kind in DETERMINISM_KINDS:
+            for kind in EFFECT_KINDS:
                 taint = per_kind.get(kind)
                 if taint is None or taint.direct:
                     continue  # direct effects are RL001-RL003's job
@@ -274,277 +261,3 @@ class ForkUnsafeState(Rule):
                     "reinitialization with a 'fork-safe:' marker on the "
                     "definition",
                 )
-
-
-@register
-class TelemetrySchemaDrift(Rule):
-    """RL012: builders, EVENT_SCHEMAS, and docs/TELEMETRY.md must agree.
-
-    ``validate_event`` enforces the schema at runtime — but only for
-    events that are actually emitted under a validating test. This rule
-    checks the three authoritative surfaces against each other
-    statically: every builder's literal (event name, category, ``v``
-    key, payload keys) against its ``EVENT_SCHEMAS`` entry, every
-    schema entry against some builder, and every schema entry against
-    the event table in docs/TELEMETRY.md (row present, every payload
-    field named, the documented schema version current). All findings
-    anchor in ``events.py`` — the docs are data, the module is the
-    suppressible surface.
-    """
-
-    meta = RuleMeta(
-        id="RL012",
-        name="telemetry-schema-drift",
-        rationale=(
-            "Trace consumers program against docs/TELEMETRY.md and "
-            "EVENT_SCHEMAS; a builder or doc drifting from the schema "
-            "ships events that validate nowhere or documents fields "
-            "that do not exist."
-        ),
-    )
-
-    EVENTS_PATH = "src/repro/telemetry/events.py"
-    DOC_PATH = "docs/TELEMETRY.md"
-    ENVELOPE = ("event", "cat", "v")
-
-    @staticmethod
-    def _const_env(tree: ast.Module) -> Dict[str, object]:
-        """Module-level ``NAME = <constant>`` bindings."""
-        env: Dict[str, object] = {}
-        for stmt in tree.body:
-            if (
-                isinstance(stmt, ast.Assign)
-                and len(stmt.targets) == 1
-                and isinstance(stmt.targets[0], ast.Name)
-                and isinstance(stmt.value, ast.Constant)
-            ):
-                env[stmt.targets[0].id] = stmt.value.value
-        return env
-
-    @classmethod
-    def _resolve_str(
-        cls, node: ast.expr, env: Mapping[str, object]
-    ) -> Optional[str]:
-        if isinstance(node, ast.Constant) and isinstance(node.value, str):
-            return node.value
-        if isinstance(node, ast.Name):
-            value = env.get(node.id)
-            return value if isinstance(value, str) else None
-        return None
-
-    @classmethod
-    def _schema_table(
-        cls, tree: ast.Module, env: Mapping[str, object]
-    ) -> Dict[str, Tuple[Optional[str], List[str], int]]:
-        """EVENT_SCHEMAS literal -> {event: (category, fields, line)}."""
-        for stmt in tree.body:
-            targets: List[ast.expr] = []
-            value: Optional[ast.expr] = None
-            if isinstance(stmt, ast.Assign):
-                targets, value = stmt.targets, stmt.value
-            elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-                targets, value = [stmt.target], stmt.value
-            if not (
-                len(targets) == 1
-                and isinstance(targets[0], ast.Name)
-                and targets[0].id == "EVENT_SCHEMAS"
-                and isinstance(value, ast.Dict)
-            ):
-                continue
-            table: Dict[str, Tuple[Optional[str], List[str], int]] = {}
-            for key, entry in zip(value.keys, value.values):
-                if not (
-                    isinstance(key, ast.Constant)
-                    and isinstance(key.value, str)
-                    and isinstance(entry, ast.Tuple)
-                    and len(entry.elts) == 2
-                ):
-                    continue
-                category = cls._resolve_str(entry.elts[0], env)
-                fields: List[str] = []
-                if isinstance(entry.elts[1], ast.Dict):
-                    for field_key in entry.elts[1].keys:
-                        if isinstance(field_key, ast.Constant) and isinstance(
-                            field_key.value, str
-                        ):
-                            fields.append(field_key.value)
-                table[key.value] = (category, fields, key.lineno)
-            return table
-        return {}
-
-    @classmethod
-    def _builders(
-        cls, tree: ast.Module, env: Mapping[str, object]
-    ) -> List[Tuple[str, Optional[str], Optional[ast.expr], List[str], int]]:
-        """Every returned event-dict literal.
-
-        One entry per ``return {...}`` whose dict has an ``"event"``
-        key: (event name, category, the ``v`` value node, payload keys,
-        line).
-        """
-        builders = []
-        for stmt in tree.body:
-            if not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            for node in ast.walk(stmt):
-                if not (
-                    isinstance(node, ast.Return)
-                    and isinstance(node.value, ast.Dict)
-                ):
-                    continue
-                keys: Dict[str, ast.expr] = {}
-                order: List[str] = []
-                for key, value in zip(node.value.keys, node.value.values):
-                    if isinstance(key, ast.Constant) and isinstance(
-                        key.value, str
-                    ):
-                        keys[key.value] = value
-                        order.append(key.value)
-                if "event" not in keys:
-                    continue
-                event = cls._resolve_str(keys["event"], env)
-                if event is None:
-                    continue
-                category = (
-                    cls._resolve_str(keys["cat"], env)
-                    if "cat" in keys
-                    else None
-                )
-                payload = [
-                    key for key in order if key not in cls.ENVELOPE
-                ]
-                builders.append(
-                    (event, category, keys.get("v"), payload, node.lineno)
-                )
-        return builders
-
-    @staticmethod
-    def _doc_rows(doc: str) -> Dict[str, str]:
-        """Markdown table rows keyed by the event name in column two."""
-        rows: Dict[str, str] = {}
-        for line in doc.splitlines():
-            if not line.lstrip().startswith("|"):
-                continue
-            cells = [cell.strip() for cell in line.split("|")]
-            if len(cells) < 4:
-                continue
-            event_cell = cells[2]
-            if event_cell.startswith("`") and event_cell.endswith("`"):
-                rows.setdefault(event_cell.strip("`"), line)
-        return rows
-
-    def finalize(self, project: ProjectInfo) -> Iterator[Finding]:
-        module = project.find_module(self.EVENTS_PATH)
-        if module is None:
-            return
-        env = self._const_env(module.tree)
-        version = env.get("SCHEMA_VERSION")
-        schemas = self._schema_table(module.tree, env)
-        if not schemas:
-            return
-        builders = self._builders(module.tree, env)
-        built_events: Set[str] = set()
-
-        for event, category, v_node, payload, line in builders:
-            built_events.add(event)
-            if event not in schemas:
-                yield self.finding(
-                    self.EVENTS_PATH,
-                    line,
-                    f"builder constructs event '{event}' which has no "
-                    "EVENT_SCHEMAS entry; every emitted event must "
-                    "validate",
-                )
-                continue
-            schema_cat, schema_fields, _schema_line = schemas[event]
-            if schema_cat is not None and category != schema_cat:
-                yield self.finding(
-                    self.EVENTS_PATH,
-                    line,
-                    f"builder for '{event}' sets cat="
-                    f"{category!r} but EVENT_SCHEMAS declares "
-                    f"{schema_cat!r}",
-                )
-            versioned = (
-                isinstance(v_node, ast.Name)
-                and v_node.id == "SCHEMA_VERSION"
-            ) or (
-                isinstance(v_node, ast.Constant)
-                and v_node.value == version
-            )
-            if not versioned:
-                yield self.finding(
-                    self.EVENTS_PATH,
-                    line,
-                    f"builder for '{event}' does not stamp "
-                    "v=SCHEMA_VERSION; hand-rolled versions drift",
-                )
-            missing = sorted(set(schema_fields) - set(payload))
-            extra = sorted(set(payload) - set(schema_fields))
-            if missing or extra:
-                parts = []
-                if missing:
-                    parts.append(f"missing {missing}")
-                if extra:
-                    parts.append(f"extra {extra}")
-                yield self.finding(
-                    self.EVENTS_PATH,
-                    line,
-                    f"builder for '{event}' payload disagrees with "
-                    f"EVENT_SCHEMAS: {', '.join(parts)}",
-                )
-
-        for event in sorted(schemas):
-            _category, _fields, line = schemas[event]
-            if event not in built_events:
-                yield self.finding(
-                    self.EVENTS_PATH,
-                    line,
-                    f"EVENT_SCHEMAS declares event '{event}' but no "
-                    "builder constructs it; dead schema entries hide "
-                    "real drift",
-                )
-
-        doc = project.read_text(self.DOC_PATH)
-        if doc is None:
-            return  # docs not in this checkout; nothing to cross-check
-        rows = self._doc_rows(doc)
-        for event in sorted(schemas):
-            category, fields, line = schemas[event]
-            row = rows.get(event)
-            if row is None:
-                yield self.finding(
-                    self.EVENTS_PATH,
-                    line,
-                    f"event '{event}' has no row in the {self.DOC_PATH} "
-                    "event table; trace consumers program against that "
-                    "table",
-                )
-                continue
-            if category is not None and f"`{category}`" not in row:
-                yield self.finding(
-                    self.EVENTS_PATH,
-                    line,
-                    f"the {self.DOC_PATH} row for '{event}' does not "
-                    f"name its category '{category}'",
-                )
-            missing_fields = [
-                field for field in fields if f"`{field}`" not in row
-            ]
-            if missing_fields:
-                yield self.finding(
-                    self.EVENTS_PATH,
-                    line,
-                    f"the {self.DOC_PATH} row for '{event}' omits "
-                    f"payload field(s) {missing_fields}",
-                )
-        if isinstance(version, int) and (
-            f'"v": {version}' not in doc and f"schema v{version}" not in doc
-        ):
-            yield self.finding(
-                self.EVENTS_PATH,
-                module.tree.body[0].lineno if module.tree.body else 1,
-                f"{self.DOC_PATH} never states the current schema "
-                f"version {version}; readers cannot tell which schema "
-                "the table describes",
-            )

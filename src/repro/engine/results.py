@@ -56,8 +56,16 @@ class SoeRunResult:
 
     @property
     def total_ipc(self) -> float:
-        """``IPC_SOE`` -- total throughput (Eq. 10's measured analogue)."""
-        return sum(self.ipcs)
+        """``IPC_SOE`` -- total throughput (Eq. 10's measured analogue).
+
+        Summed left to right in a plain loop: from Python 3.12 the
+        builtin ``sum`` of floats is compensated, which would make the
+        last bit depend on the interpreter version.
+        """
+        total = 0.0
+        for ipc in self.ipcs:
+            total += ipc
+        return total
 
     @property
     def total_switches(self) -> int:

@@ -1,4 +1,4 @@
-"""The ``repro lint`` CLI: exit codes, output formats, baseline flow.
+"""The ``repro lint`` CLI: exit codes and output formats.
 
 Most tests run against a synthetic mini-repo in tmp_path so they are
 independent of the real tree's lint status; the self-check tests in
@@ -7,9 +7,7 @@ test_selfcheck.py cover HEAD.
 
 import json
 
-import pytest
-
-from repro.analysis.cli import main as lint_main
+from repro.analysis.cli import build_parser, main as lint_main
 from repro.analysis.engine import run_lint
 from repro.analysis.registry import ProjectInfo, all_rules
 
@@ -61,6 +59,18 @@ class TestExitCodes:
         assert run_cli(repo, "--disable", "RL004") == 0
 
 
+class TestOptions:
+    def test_flags_are_the_documented_set(self):
+        """One machine report (``--json``), no baseline and no ratchet."""
+        flags = {
+            flag for action in build_parser()._actions for flag in action.option_strings
+        }
+        assert flags == {
+            "-h", "--help", "--repo-root", "--select", "--disable", "--json",
+            "--eq-table", "--format", "--list-rules", "--output", "--quiet",
+        }
+
+
 class TestPartialTargets:
     """RL005 on a target that covers only part of ``src/repro``."""
 
@@ -75,7 +85,7 @@ class TestPartialTargets:
         self, tmp_path, capsys
     ):
         repo = self._split_repo(tmp_path, PAPER)
-        assert run_cli(repo, "--ratchet", "src/repro/other") == 0
+        assert run_cli(repo, "src/repro/other") == 0
         assert "RL005" not in capsys.readouterr().out
 
     def test_equation_claimed_nowhere_is_still_reported(
@@ -87,51 +97,21 @@ class TestPartialTargets:
         assert "Eq. 2" in out and "Eq. 1 " not in out
 
 
-class TestBaselineFlow:
-    def test_write_then_lint_then_ratchet(self, tmp_path, capsys):
-        repo = _mini_repo(tmp_path, DIRTY)
-        # Grandfather the finding...
-        assert run_cli(repo, "--write-baseline") == 0
-        baseline = json.loads((repo / ".repro-lint-baseline.json").read_text())
-        assert baseline["format"] == 1 and len(baseline["findings"]) == 1
-        # ...now lint is clean, including under the ratchet.
-        assert run_cli(repo) == 0
-        assert run_cli(repo, "--ratchet") == 0
-        # Fix the code: the entry becomes stale; only --ratchet fails.
-        (repo / "src/repro/core/model.py").write_text(CLEAN)
-        capsys.readouterr()
-        assert run_cli(repo) == 0
-        assert run_cli(repo, "--ratchet") == 1
-        assert "stale" in capsys.readouterr().out
-
-    def test_no_baseline_ignores_file(self, tmp_path):
-        repo = _mini_repo(tmp_path, DIRTY)
-        assert run_cli(repo, "--write-baseline") == 0
-        assert run_cli(repo) == 0
-        assert run_cli(repo, "--no-baseline") == 1
-
-
 class TestOutputs:
     def test_json_to_stdout(self, tmp_path, capsys):
         repo = _mini_repo(tmp_path, DIRTY)
-        assert run_cli(repo, "--no-baseline", "--quiet", "--json", "-") == 1
+        assert run_cli(repo, "--quiet", "--json", "-") == 1
         out = capsys.readouterr().out
         payload = json.loads(out[out.index("{"):])
-        assert payload["version"] == 1
+        assert payload["version"] == 2
         assert payload["summary"]["findings"] == 1
         assert payload["findings"][0]["rule"] == "RL004"
 
-    def test_json_and_sarif_files(self, tmp_path):
+    def test_json_file(self, tmp_path):
         repo = _mini_repo(tmp_path, DIRTY)
         out_json = tmp_path / "out" / "lint.json"
-        out_sarif = tmp_path / "out" / "lint.sarif"
-        run_cli(repo, "--no-baseline", "--json", str(out_json),
-                "--sarif", str(out_sarif))
+        assert run_cli(repo, "--json", str(out_json)) == 1
         assert json.loads(out_json.read_text())["summary"]["findings"] == 1
-        sarif = json.loads(out_sarif.read_text())
-        assert sarif["version"] == "2.1.0"
-        results = sarif["runs"][0]["results"]
-        assert results and results[0]["ruleId"] == "RL004"
 
     def test_eq_table_text_and_markdown(self, tmp_path, capsys):
         repo = _mini_repo(tmp_path, CLEAN)
@@ -178,7 +158,7 @@ class TestOutputs:
 class TestGithubFormat:
     def test_annotations_for_active_findings(self, tmp_path, capsys):
         repo = _mini_repo(tmp_path, DIRTY)
-        assert run_cli(repo, "--no-baseline", "--format", "github") == 1
+        assert run_cli(repo, "--format", "github") == 1
         out = capsys.readouterr().out
         line = next(l for l in out.splitlines() if l.startswith("::"))
         assert line.startswith("::error file=src/repro/core/model.py,line=")
@@ -187,7 +167,7 @@ class TestGithubFormat:
 
     def test_messages_are_escaped(self, tmp_path, capsys):
         repo = _mini_repo(tmp_path, DIRTY)
-        run_cli(repo, "--no-baseline", "--format", "github")
+        run_cli(repo, "--format", "github")
         out = capsys.readouterr().out
         for line in out.splitlines():
             if line.startswith("::"):
@@ -195,39 +175,12 @@ class TestGithubFormat:
                 # the single-line annotation protocol.
                 assert "%" not in line or "%25" in line or "%0A" in line
 
-    def test_baselined_findings_do_not_annotate(self, tmp_path, capsys):
-        repo = _mini_repo(tmp_path, DIRTY)
-        assert run_cli(repo, "--write-baseline") == 0
-        capsys.readouterr()
+    def test_suppressed_findings_do_not_annotate(self, tmp_path, capsys):
+        repo = _mini_repo(
+            tmp_path,
+            DIRTY.replace("x == 0.5", "x == 0.5  # repro-lint: disable=RL004 - why"),
+        )
         assert run_cli(repo, "--format", "github") == 0
         out = capsys.readouterr().out
         assert "::" not in out
         assert "0 finding(s)" in out
-
-    def test_ratchet_annotates_stale_baseline_entries(self, tmp_path, capsys):
-        repo = _mini_repo(tmp_path, DIRTY)
-        assert run_cli(repo, "--write-baseline") == 0
-        (repo / "src/repro/core/model.py").write_text(CLEAN)
-        capsys.readouterr()
-        assert run_cli(repo, "--ratchet", "--format", "github") == 1
-        out = capsys.readouterr().out
-        assert "::error title=stale baseline entry::" in out
-        assert run_cli(repo, "--format", "github") == 0
-        assert "::" not in capsys.readouterr().out
-
-
-class TestGraphOutput:
-    def test_graph_to_file(self, tmp_path):
-        repo = _mini_repo(tmp_path, CLEAN)
-        target = tmp_path / "graph.json"
-        assert run_cli(repo, "--graph", str(target)) == 0
-        graph = json.loads(target.read_text())
-        assert "repro.core.model.f" in graph["functions"]
-        assert graph["stats"]["functions"] == 1
-
-    def test_graph_to_stdout(self, tmp_path, capsys):
-        repo = _mini_repo(tmp_path, CLEAN)
-        assert run_cli(repo, "--quiet", "--graph", "-") == 0
-        out = capsys.readouterr().out
-        graph = json.loads(out[out.index("{"):])
-        assert "repro.core.model.f" in graph["functions"]

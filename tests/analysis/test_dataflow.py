@@ -6,13 +6,7 @@ import textwrap
 import pytest
 
 from repro.analysis.callgraph import build_graph, summarize_module
-from repro.analysis.dataflow import (
-    DETERMINISM_KINDS,
-    EFFECT_KINDS,
-    EFFECT_RULES,
-    effects_to_json,
-    propagate,
-)
+from repro.analysis.dataflow import EFFECT_KINDS, EFFECT_RULES, propagate
 from repro.analysis.engine import check_source
 from repro.analysis.registry import ModuleInfo, get_rule
 from tests.analysis.test_rules import (
@@ -44,9 +38,9 @@ def _graph(**files: str):
 
 
 class TestLattice:
-    def test_determinism_kinds_are_a_subset(self):
-        assert set(DETERMINISM_KINDS) <= set(EFFECT_KINDS)
-        assert set(EFFECT_RULES) == set(DETERMINISM_KINDS)
+    def test_every_kind_has_a_per_file_rule(self):
+        assert EFFECT_KINDS == ("rng", "wallclock", "set_iter")
+        assert set(EFFECT_RULES) == set(EFFECT_KINDS)
 
 
 class TestDirectEffects:
@@ -107,34 +101,24 @@ class TestDirectEffects:
         )
         assert any(kind == "set_iter" for kind, _ in effects)
 
-    def test_file_io_open_and_path_methods(self):
-        effects = _effects(
-            """
-            def f(path):
-                with open(path) as fh:
-                    data = fh.read()
-                return path.read_text(), data
-            """
-        )
-        assert ("file_io", "open()") in effects
-        assert ("file_io", ".read_text()") in effects
-
-    def test_global_mutation_effect(self):
+    def test_io_and_global_mutation_are_not_effects(self):
         summary = summarize_module(
             _mod(
                 "src/repro/m.py",
                 """
                 _LOG = []
 
-                def f(x):
-                    _LOG.append(x)
+                def f(path):
+                    _LOG.append(path)
+                    with open(path) as fh:
+                        return fh.read(), path.read_text()
                 """,
             )
         )
-        effects = summary.functions["f"].effects
-        assert [(e.kind, e.detail) for e in effects] == [
-            ("global_mut", "_LOG.append()")
-        ]
+        fn = summary.functions["f"]
+        assert fn.effects == ()
+        # RL010 reads the mutation directly, not as an effect.
+        assert [(m.name, m.how) for m in fn.mutations] == [("_LOG", ".append()")]
 
     def test_pure_function_has_no_effects(self):
         assert _effects("def f(x):\n    return x * 2\n") == set()
@@ -223,7 +207,7 @@ class TestPropagation:
             )
         assert results[0] == results[1] == results[2]
 
-    def test_ref_edges_only_propagate_when_asked(self):
+    def test_ref_edges_do_not_propagate(self):
         graph = _graph(**{
             "src/repro/m.py": """
                 import random
@@ -239,27 +223,6 @@ class TestPropagation:
             q: n.effects for q, n in graph.functions.items() if n.effects
         }
         assert "repro.m.holder" not in propagate(graph, seeds)
-        with_refs = propagate(graph, seeds, include_refs=True)
-        assert "repro.m.holder" in with_refs
-
-
-class TestGraphDump:
-    def test_effects_merged_into_graph_json(self):
-        graph = _graph(**{
-            "src/repro/m.py": """
-                import random
-
-                def f():
-                    return random.random()
-            """,
-        })
-        seeds = {
-            q: n.effects for q, n in graph.functions.items() if n.effects
-        }
-        dump = effects_to_json(graph, propagate(graph, seeds))
-        entry = dump["functions"]["repro.m.f"]
-        assert entry["effects"]["rng"]["detail"] == "random.random"
-        assert dump["stats"]["effectful_functions"] == 1
 
 
 def _in_function(source: str) -> str:
@@ -289,7 +252,7 @@ class TestDetectorParity:
 
     Every RL001/RL002/RL003 finding inside a function body has a seed
     of the same kind anchored at its line in that function's summary,
-    and every determinism seed has a finding of its kind at its anchor.
+    and every seed has a finding of its kind at its anchor.
     A seed's anchor is its own line, or the line of the ``from`` import
     a bare name came from (which may sit outside the function).
     """
@@ -323,7 +286,6 @@ class TestDetectorParity:
             (name, effect.kind, effect.anchor)
             for name, fn in summary.functions.items()
             for effect in fn.effects
-            if effect.kind in DETERMINISM_KINDS
         }
         assert in_bodies <= seeds
         assert {(kind, anchor) for _name, kind, anchor in seeds} <= findings

@@ -88,4 +88,4 @@ class TestProjectView:
         outside = project.find_module("src/repro/telemetry/b.py")
         assert outside is not None and outside.source == CLEAN
         assert project.find_module("src/repro/missing.py") is None
-        assert [f.path for f in result.active] == ["src/repro/core/a.py"]
+        assert [f.path for f in result.findings] == ["src/repro/core/a.py"]

@@ -1,21 +1,15 @@
 """Self-check: the tree at HEAD must satisfy its own lint rules.
 
-These are the acceptance tests of the PR that introduced repro-lint:
-zero non-baselined findings, an empty (or shrinking) baseline, and a
-complete Eq. 1-13 traceability map.
+Zero unsuppressed findings, and a complete Eq. 1-13 traceability map.
 """
 
-from pathlib import Path
-
-from repro.analysis.baseline import Baseline
-from repro.analysis.engine import DEFAULT_BASELINE, default_repo_root, run_lint
+from repro.analysis.engine import default_repo_root, run_lint
 
 REPO = default_repo_root()
 
 
 def _lint():
-    baseline = Baseline.load(REPO / DEFAULT_BASELINE)
-    return run_lint(repo_root=REPO, baseline=baseline)
+    return run_lint(repo_root=REPO)
 
 
 def test_repo_root_detection():
@@ -25,15 +19,7 @@ def test_repo_root_detection():
 
 def test_head_is_lint_clean():
     result = _lint()
-    assert result.active == [], [f.render() for f in result.findings]
-    assert result.stale_baseline == []
-
-
-def test_baseline_is_empty():
-    # The PR fixed or suppressed (with reasons) every finding rather
-    # than grandfathering any; keep it that way or justify the entry.
-    baseline = Baseline.load(REPO / DEFAULT_BASELINE)
-    assert baseline.total == 0
+    assert result.findings == [], [f.render() for f in result.findings]
 
 
 def test_every_suppression_names_a_real_rule():
@@ -59,15 +45,14 @@ def test_equation_map_is_complete():
         assert claim.relpath.startswith("src/repro/")
 
 
-def test_partial_target_ratchet_is_clean(capsys):
-    """``repro lint --ratchet src/repro/analysis src/repro/telemetry``:
+def test_partial_target_is_clean(capsys):
+    """``repro lint src/repro/analysis src/repro/telemetry``:
     neither subpackage claims an equation, and none is reported as
     unimplemented because the rest of the package claims them all."""
     from repro.analysis.cli import main as lint_main
 
     code = lint_main([
-        "--repo-root", str(REPO), "--ratchet",
-        "src/repro/analysis", "src/repro/telemetry",
+        "--repo-root", str(REPO), "src/repro/analysis", "src/repro/telemetry",
     ])
     out = capsys.readouterr().out
     assert code == 0, out
@@ -78,6 +63,6 @@ def test_all_rules_ran():
     result = _lint()
     assert set(result.rules_run) == {
         "RL001", "RL002", "RL003", "RL004", "RL005", "RL006", "RL007",
-        "RL008", "RL009", "RL010", "RL012",
+        "RL008", "RL009", "RL010",
     }
     assert result.files_checked > 50

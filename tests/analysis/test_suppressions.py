@@ -4,7 +4,7 @@ check_source."""
 import textwrap
 
 from repro.analysis.engine import check_source
-from repro.analysis.findings import Finding, Severity
+from repro.analysis.findings import Finding
 from repro.analysis.registry import get_rule
 from repro.analysis.suppressions import parse_suppressions
 
@@ -12,10 +12,7 @@ CORE = "src/repro/core/snippet.py"
 
 
 def _finding(line: int, rule: str = "RL004") -> Finding:
-    return Finding(
-        path=CORE, line=line, col=0, rule=rule,
-        message="m", severity=Severity.ERROR,
-    )
+    return Finding(path=CORE, line=line, col=0, rule=rule, message="m")
 
 
 class TestPragmaParsing:

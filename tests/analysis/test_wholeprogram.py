@@ -1,4 +1,4 @@
-"""Whole-program rules RL009, RL010, RL012 against synthetic projects.
+"""Whole-program rules RL009 and RL010 against synthetic projects.
 
 The fixtures use the real resolution machinery end to end
 (``check_project`` builds summaries, the call graph, and effect
@@ -14,11 +14,11 @@ from repro.analysis.engine import check_project, check_source
 from repro.analysis.registry import get_rule
 
 
-def _project(rule_id: str, files: dict, docs: dict = None):
+def _project(rule_id: str, files: dict):
     sources = {
         relpath: textwrap.dedent(source) for relpath, source in files.items()
     }
-    return check_project(get_rule(rule_id), sources, docs=docs)
+    return check_project(get_rule(rule_id), sources)
 
 
 # ---------------------------------------------------------------------------
@@ -474,112 +474,3 @@ class TestForkUnsafeState:
             },
         )
         assert findings == []
-
-
-# ---------------------------------------------------------------------------
-# RL012 telemetry-schema-drift
-# ---------------------------------------------------------------------------
-
-EVENTS_OK = """
-    SCHEMA_VERSION = 2
-    RUNNER = "runner"
-
-    EVENT_SCHEMAS = {
-        "task": (RUNNER, {"label": None, "phase": None}),
-    }
-
-    def task_event(label, phase):
-        return {
-            "event": "task",
-            "cat": RUNNER,
-            "v": SCHEMA_VERSION,
-            "label": label,
-            "phase": phase,
-        }
-"""
-
-DOC_OK = textwrap.dedent(
-    """
-    Events carry the envelope with schema v2.
-
-    | category | event | emitted by | payload |
-    | --- | --- | --- | --- |
-    | `runner` | `task` | the runner | `label`, `phase` |
-    """
-)
-
-
-def _telemetry(events: str, doc: str = DOC_OK):
-    return _project(
-        "RL012",
-        {"src/repro/telemetry/events.py": events},
-        docs={"docs/TELEMETRY.md": doc},
-    )
-
-
-class TestTelemetrySchemaDrift:
-    def test_consistent_surfaces_are_clean(self):
-        assert _telemetry(EVENTS_OK) == []
-
-    def test_builder_payload_drift_is_flagged(self):
-        events = EVENTS_OK.replace('"phase": phase,\n', "")
-        findings = _telemetry(events)
-        assert any(
-            "payload disagrees" in f.message and "phase" in f.message
-            for f in findings
-        )
-
-    def test_missing_doc_row_is_flagged(self):
-        doc = DOC_OK.replace("| `runner` | `task` | the runner |", "| x | y |")
-        findings = _telemetry(EVENTS_OK, doc)
-        assert any("no row" in f.message for f in findings)
-
-    def test_doc_row_missing_a_field_is_flagged(self):
-        doc = DOC_OK.replace("`label`, `phase`", "`label`")
-        findings = _telemetry(EVENTS_OK, doc)
-        assert any(
-            "omits payload field" in f.message and "phase" in f.message
-            for f in findings
-        )
-
-    def test_hand_rolled_version_is_flagged(self):
-        events = EVENTS_OK.replace('"v": SCHEMA_VERSION,', '"v": 1,')
-        findings = _telemetry(events)
-        assert any("SCHEMA_VERSION" in f.message for f in findings)
-
-    def test_category_mismatch_is_flagged(self):
-        events = EVENTS_OK.replace('"cat": RUNNER,', '"cat": "controller",')
-        findings = _telemetry(events)
-        assert any("declares" in f.message for f in findings)
-
-    def test_schema_entry_without_builder_is_flagged(self):
-        events = EVENTS_OK.replace(
-            '"task": (RUNNER, {"label": None, "phase": None}),',
-            '"task": (RUNNER, {"label": None, "phase": None}),\n'
-            '    "ghost": (RUNNER, {"x": None}),',
-        )
-        findings = _telemetry(events)
-        assert any("'ghost'" in f.message and "no" in f.message for f in findings)
-
-    def test_stale_doc_version_is_flagged(self):
-        doc = DOC_OK.replace("schema v2", "schema v1")
-        findings = _telemetry(EVENTS_OK, doc)
-        assert any("schema" in f.message and "version" in f.message for f in findings)
-
-
-class TestHeadTelemetryDocCoverage:
-    def test_every_schema_event_has_a_doc_row(self):
-        # Regression for the drift RL012 caught on introduction: the
-        # ``batch`` event existed in EVENT_SCHEMAS but had no row in
-        # docs/TELEMETRY.md.
-        from repro.analysis.engine import default_repo_root
-        from repro.telemetry.events import EVENT_SCHEMAS
-
-        doc = (default_repo_root() / "docs" / "TELEMETRY.md").read_text()
-        rows = [
-            line for line in doc.splitlines() if line.lstrip().startswith("|")
-        ]
-        for event in EVENT_SCHEMAS:
-            assert any(
-                f"`{event}`" in row for row in rows
-            ), f"docs/TELEMETRY.md has no table row for event {event!r}"

@@ -28,6 +28,16 @@ class TestSoeRunResult:
     def test_total_ipc(self):
         assert make_result().total_ipc == pytest.approx(2.5)
 
+    def test_total_ipc_adds_left_to_right(self):
+        """Not compensated, as the builtin ``sum`` of floats is from
+        Python 3.12 on, so the last bit is the same on every version."""
+        thread = ThreadStats(retired=1, run_cycles=1, misses=0, miss_switches=0,
+                             forced_switches=0, cycle_quota_switches=0)
+        result = SoeRunResult(cycles=10.0, threads=(thread,) * 10,
+                              idle_cycles=0.0, switch_overhead_cycles=0.0)
+        assert result.ipcs == [0.1] * 10
+        assert result.total_ipc == 0.9999999999999999
+
     def test_switch_counts(self):
         result = make_result()
         assert result.total_switches == 36

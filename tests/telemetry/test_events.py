@@ -3,6 +3,8 @@
 import hashlib
 import json
 import math
+import pathlib
+import re
 from collections import Counter
 
 import pytest
@@ -122,6 +124,106 @@ class TestBuilders:
         # ... and the result is strict JSON either way.
         json.dumps(event, allow_nan=False)
         validate_event(event)
+
+
+#: Trace consumers program against this document's event table.
+TELEMETRY_DOC = pathlib.Path(__file__).resolve().parents[2] / "docs" / "TELEMETRY.md"
+EVENT_TABLE_HEADER = "| category | event | emitted by | payload |"
+
+
+def _event_table(doc):
+    """The doc's event table: event name -> the cells of each row naming it."""
+    lines = doc.splitlines()
+    table = {}
+    for line in lines[lines.index(EVENT_TABLE_HEADER) + 2:]:
+        if not line.startswith("|"):
+            break
+        cells = [cell.strip() for cell in re.split(r"(?<!\\)\|", line)[1:-1]]
+        table.setdefault(cells[1].strip("`"), []).append(cells)
+    return table
+
+
+def event_table_drift(doc, schemas, version):
+    """Where the doc's event table disagrees with ``schemas`` and
+    ``version``; empty when each event has one row naming its category
+    and every payload field, no row names an unknown event, and the
+    doc states the version."""
+    table = _event_table(doc)
+    problems = []
+    for event, (category, fields) in schemas.items():
+        rows = table.get(event, [])
+        if len(rows) != 1:
+            problems.append(f"{event!r} has {len(rows)} rows")
+            continue
+        category_cell, _, _, payload = rows[0]
+        if category_cell != f"`{category}`":
+            problems.append(f"the {event!r} row's category is {category_cell}")
+        unnamed = [name for name in fields if f"`{name}`" not in payload]
+        if unnamed:
+            problems.append(f"the {event!r} row does not name {unnamed}")
+    problems.extend(
+        f"a row names {event!r}, which has no schema"
+        for event in table
+        if event not in schemas
+    )
+    if f'"v": {version}' not in doc:
+        problems.append(f'the doc does not state "v": {version}')
+    return problems
+
+
+def test_docs_event_table_matches_event_schemas():
+    """docs/TELEMETRY.md's event table has exactly one row per
+    ``EVENT_SCHEMAS`` entry, each row names the event's category and
+    every payload field, and the document states ``SCHEMA_VERSION``."""
+    doc = TELEMETRY_DOC.read_text()
+    assert event_table_drift(doc, EVENT_SCHEMAS, SCHEMA_VERSION) == []
+
+
+class TestEventTableDrift:
+    """:func:`event_table_drift` catches each way the doc can drift."""
+
+    QUEUE_ROW = "| `runner` | `queue` | simulation service,"
+
+    def _drift(self, doc=None, schemas=None, version=SCHEMA_VERSION):
+        return event_table_drift(
+            TELEMETRY_DOC.read_text() if doc is None else doc,
+            EVENT_SCHEMAS if schemas is None else schemas,
+            version,
+        )
+
+    def _doc(self, old, new):
+        doc = TELEMETRY_DOC.read_text()
+        assert doc.count(old) == 1
+        return doc.replace(old, new)
+
+    def test_doc_row_missing_a_field_is_flagged(self):
+        doc = self._doc(", `depth` (queue depth after the action)", "")
+        assert self._drift(doc) == ["the 'queue' row does not name ['depth']"]
+
+    def test_category_mismatch_is_flagged(self):
+        doc = self._doc(self.QUEUE_ROW, self.QUEUE_ROW.replace("runner", "switch"))
+        assert self._drift(doc) == ["the 'queue' row's category is `switch`"]
+
+    def test_schema_entry_without_a_row_is_flagged(self):
+        schemas = {**EVENT_SCHEMAS, "ghost": ("runner", ("t",))}
+        assert self._drift(schemas=schemas) == ["'ghost' has 0 rows"]
+
+    def test_duplicate_row_is_flagged(self):
+        lines = TELEMETRY_DOC.read_text().splitlines()
+        (row,) = [line for line in lines if line.startswith(self.QUEUE_ROW)]
+        doc = self._doc(row, row + "\n" + row)
+        assert self._drift(doc) == ["'queue' has 2 rows"]
+
+    def test_row_without_a_schema_entry_is_flagged(self):
+        schemas = {k: v for k, v in EVENT_SCHEMAS.items() if k != "queue"}
+        assert self._drift(schemas=schemas) == [
+            "a row names 'queue', which has no schema"
+        ]
+
+    def test_stale_doc_version_is_flagged(self):
+        assert self._drift(version=SCHEMA_VERSION + 1) == [
+            f'the doc does not state "v": {SCHEMA_VERSION + 1}'
+        ]
 
 
 class TestValidation:
