@@ -131,10 +131,6 @@ class MicroOp:
     def __reduce__(self) -> tuple:
         return (self.__class__, self._fields())
 
-    @property
-    def is_memory(self) -> bool:
-        return self.opclass is _LOAD or self.opclass is _STORE
-
 
 _LOAD, _STORE, _BRANCH = OpClass.LOAD, OpClass.STORE, OpClass.BRANCH
 (

@@ -26,13 +26,17 @@ structure uses ``__slots__``; uop decode happens once at fetch via a
 table keyed by the op class's str value (port, kind, latency), and
 fetch sets an ``_Inflight``'s fields without an ``__init__`` call;
 issue is wakeup driven -- producers wake their consumers through
-forward links, due entries wait on a heap keyed by wake cycle and
-issue from one keyed by age, and nothing walks the RS (the forward
-links are dropped at issue, so retired uops are freed); policy hooks
-the policy leaves at their :class:`SwitchPolicy` defaults are skipped;
-store-to-load forwarding uses an address-indexed ROB store map; and
-the loop fast-forwards over provably idle cycles straight to the next
-retirement / wakeup / frontend / quota / Delta-boundary event. Outside
+forward links, a woken entry waits in a wake wheel (a dict from the
+cycle it becomes due to the entries due then), each cycle's bucket
+joins an age-ordered ready list, and the issue stage walks that list
+once, carrying port-blocked entries over in order instead of popping
+and pushing them back; nothing walks the RS, and the forward links are
+dropped at issue, so retired uops are freed;
+policy hooks the policy leaves at their :class:`SwitchPolicy` defaults
+are skipped; store-to-load forwarding uses an address-indexed ROB
+store map; and the loop fast-forwards over provably idle cycles
+straight to the next retirement / wakeup / frontend / quota /
+Delta-boundary event. Outside
 the loop, traces arrive one code-loop pass at a time
 (:func:`repro.workloads.tracegen.make_trace` chains lists, so fetch's
 ``next`` is C code) and the hierarchy builds its ``AccessResult``
@@ -47,8 +51,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from heapq import heappop, heappush
 from math import ceil, isinf
+from operator import attrgetter
 from typing import Optional, Sequence
 
 from repro.core.policy import NoFairnessPolicy, SwitchPolicy, overridden_hook
@@ -72,6 +76,9 @@ _KIND_LOAD = 3
 
 # Issue-port indices (ALU-class ops share port 0).
 _PORT_ALU, _PORT_MUL, _PORT_FP, _PORT_LOAD, _PORT_STORE = range(5)
+
+#: Sort key of the ready list: program order.
+_by_seq = attrgetter("seq")
 
 
 class _Inflight:
@@ -338,11 +345,12 @@ class OooPipeline:
 
         fq: deque[_Inflight] = deque()
         rob: deque[_Inflight] = deque()
-        #: RS entries whose producers have all issued, keyed by the
-        #: cycle the last of them completes: (wake, seq, entry)
-        wake_heap: list[tuple[int, int, _Inflight]] = []
-        #: RS entries due to issue, oldest first: (seq, entry)
-        ready: list[tuple[int, _Inflight]] = []
+        #: wake wheel: cycle -> RS entries whose producers have all
+        #: issued and the last of them completes that cycle (every key
+        #: is at least ``now`` at the issue stage)
+        wheel: dict[int, list[_Inflight]] = {}
+        #: RS entries due to issue, oldest (lowest seq) first
+        ready: list[_Inflight] = []
         rs_count = 0  # RS occupancy: renamed, not yet issued
         #: senior stores: (thread_id, address) awaiting cache drain
         store_buffer: deque[tuple[int, int]] = deque()
@@ -485,20 +493,27 @@ class OooPipeline:
 
             issued = renamed = fetched = 0
             if switch_reason is None:
-                # Issue: due entries, oldest first, while their port has
-                # a free slot this cycle.
-                while wake_heap and wake_heap[0][0] <= now:
-                    _, entry_seq, entry = heappop(wake_heap)
-                    heappush(ready, (entry_seq, entry))
+                # Issue: this cycle's wheel bucket joins the ready list
+                # (sorted: Timsort merges the two runs), then one walk
+                # issues the due entries oldest first while their port
+                # has a free slot; the entries whose port is full carry
+                # over, still in seq order, to the next cycle.
+                bucket = wheel.pop(now, None)
+                if bucket is not None:
+                    if ready:
+                        ready += bucket
+                    else:
+                        ready = bucket
+                    ready.sort(key=_by_seq)
                 if ready:
                     free = list(port_limits)
-                    blocked: list[tuple[int, _Inflight]] = []
-                    while ready:
-                        item = heappop(ready)
-                        entry = item[1]
+                    blocked: list[_Inflight] = []
+                    # The list iterator walks by index, so an entry
+                    # inserted after the current one is still visited.
+                    for entry in ready:
                         port = entry.port
                         if not free[port]:
-                            blocked.append(item)  # retries next cycle
+                            blocked.append(entry)
                             continue
                         free[port] -= 1
                         issued += 1
@@ -544,8 +559,9 @@ class OooPipeline:
                         if consumers is not None:
                             # Wake the consumers. One due now (a
                             # zero-latency producer) is younger than
-                            # this entry, so it issues later in this
-                            # same oldest-first pass.
+                            # this entry, so it goes in at its seq
+                            # position, after this entry, and issues
+                            # later in this same oldest-first walk.
                             entry.consumers = None
                             for consumer in consumers:
                                 if completed_at > consumer.wake:
@@ -554,12 +570,17 @@ class OooPipeline:
                                 if not consumer.pending:
                                     wake = consumer.wake
                                     if wake <= now:
-                                        heappush(ready, (consumer.seq, consumer))
+                                        at = len(ready)
+                                        while ready[at - 1].seq > consumer.seq:
+                                            at -= 1
+                                        ready.insert(at, consumer)
                                     else:
-                                        heappush(
-                                            wake_heap, (wake, consumer.seq, consumer)
-                                        )
-                    ready = blocked  # ascending seqs: already a heap
+                                        bucket = wheel.get(wake)
+                                        if bucket is None:
+                                            wheel[wake] = [consumer]
+                                        else:
+                                            bucket.append(consumer)
+                    ready = blocked
                     rs_count -= issued
 
                 # Rename: wire each uop to its sources' producers.
@@ -600,10 +621,14 @@ class OooPipeline:
                         elif wake <= now + 1:
                             # Due at the next issue stage. It is younger
                             # than every RS entry, so appending keeps
-                            # the ready heap a heap.
-                            ready.append((entry.seq, entry))
+                            # the ready list in seq order.
+                            ready.append(entry)
                         else:
-                            heappush(wake_heap, (wake, entry.seq, entry))
+                            bucket = wheel.get(wake)
+                            if bucket is None:
+                                wheel[wake] = [entry]
+                            else:
+                                bucket.append(entry)
                         if uop.dest is not None:
                             producers[uop.dest] = entry
                         if kind == _KIND_STORE:
@@ -706,7 +731,7 @@ class OooPipeline:
                 active.cursor.push_back([u.uop for u in rob] + [u.uop for u in fq])
                 fq.clear()
                 rob.clear()
-                wake_heap = []
+                wheel.clear()
                 ready = []
                 rs_count = 0
                 rob_stores.clear()
@@ -751,11 +776,13 @@ class OooPipeline:
                 completed_at = rob[0].completed_at
                 if completed_at is not None and completed_at < target:
                     target = completed_at
-            # RS wakeup: the wake heap's top. Nothing issued although
-            # every port was free, so an entry left ready waits on a
-            # port count of zero and never issues.
-            if wake_heap and wake_heap[0][0] < target:
-                target = wake_heap[0][0]
+            # RS wakeup: the wheel's earliest cycle. Nothing issued
+            # although every port was free, so an entry left ready waits
+            # on a port count of zero and never issues.
+            if wheel:
+                wake = min(wheel)
+                if wake < target:
+                    target = wake
             # Frontend: the fetch-queue head once rename has room, or
             # the end of a redirect / i-miss / drain wait.
             if fq and len(rob) < rob_entries and rs_count < rs_entries:

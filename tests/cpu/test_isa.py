@@ -12,7 +12,6 @@ from repro.errors import ConfigurationError
 class TestMicroOp:
     def test_alu_op(self):
         uop = MicroOp(OpClass.ALU, pc=0x100, dest=1, srcs=(2, 3))
-        assert not uop.is_memory
         assert uop.dest == 1
 
     def test_load_requires_address(self):
@@ -26,11 +25,6 @@ class TestMicroOp:
     def test_branch_requires_target(self):
         with pytest.raises(ConfigurationError):
             MicroOp(OpClass.BRANCH, pc=0, taken=True)
-
-    def test_memory_classification(self):
-        load = MicroOp(OpClass.LOAD, pc=0, address=64)
-        store = MicroOp(OpClass.STORE, pc=0, address=64)
-        assert load.is_memory and store.is_memory
 
     def test_register_bounds(self):
         with pytest.raises(ConfigurationError):

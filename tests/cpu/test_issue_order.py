@@ -4,7 +4,7 @@ Issue is oldest-first among the reservation-station entries that are
 due, and a load reaches the cache (``MemoryHierarchy.data_access``)
 the cycle it issues. Recording the ``(address, now)`` of every such
 call therefore pins the issue order and timing of the loads, whatever
-route (rename, the wake heap, a same-cycle wakeup) an entry took to
+route (rename, the wake wheel, a same-cycle wakeup) an entry took to
 become due. A change to that bookkeeping that reorders or delays a
 single load fails here by name, before it shows in the end-to-end
 goldens.
@@ -15,11 +15,12 @@ import hashlib
 import pytest
 
 from repro.core.controller import FairnessController, FairnessParams
+from repro.cpu.machine import MachineConfig
 from repro.cpu.pipeline import OooPipeline
 from repro.workloads.tracegen import COMPUTE_SPEC, MEMORY_SPEC, MIXED_SPEC, make_trace
 
-#: run -> (data_access calls, sha256 of their ``repr``'d list),
-#: recorded before the core's per-uop cost was last cut.
+#: run -> (data_access calls, sha256 of their ``repr``'d list), all
+#: recorded while the RS still issued from a wake heap and a ready heap.
 DIGESTS = {
     "soe": (5964, "3105a391b5c3fac97e61d50f40ba6d21dfde2fe95a41829929ba086ab58fdcf3"),
     "soe-enforced": (
@@ -28,7 +29,14 @@ DIGESTS = {
     "single-thread": (
         825, "a09e6a9f12c85ac3fc8cb9d8c15f23aa0c055e81015e0a7fa079073ffa30c7c8"
     ),
+    "zero-latency": (
+        7884, "35456f4f66a55301696c21ad250df06d5ddb80e5abe0f20b2198afb339959934"
+    ),
 }
+
+#: Zero-latency producers on the ALU, MUL and FP ports wake their
+#: consumers, on any port, in the cycle they issue.
+ZERO_LATENCY = MachineConfig(alu_latency=0, mul_latency=0, fp_latency=0)
 
 
 def _runs():
@@ -37,6 +45,7 @@ def _runs():
             [make_trace(MIXED_SPEC, seed=3, thread_index=0),
              make_trace(MEMORY_SPEC, seed=4, thread_index=1)],
             None,
+            MachineConfig(),
         ),
         "soe-enforced": (
             [make_trace(COMPUTE_SPEC, seed=1, thread_index=0),
@@ -44,13 +53,22 @@ def _runs():
             FairnessController(
                 2, FairnessParams(fairness_target=0.5, sample_period=2_000.0)
             ),
+            MachineConfig(),
         ),
-        "single-thread": ([make_trace(COMPUTE_SPEC, seed=5, thread_index=0)], None),
+        "single-thread": (
+            [make_trace(COMPUTE_SPEC, seed=5, thread_index=0)], None, MachineConfig()
+        ),
+        "zero-latency": (
+            [make_trace(MIXED_SPEC, seed=6, thread_index=0),
+             make_trace(MEMORY_SPEC, seed=7, thread_index=1)],
+            None,
+            ZERO_LATENCY,
+        ),
     }
 
 
-def _data_accesses(programs, policy):
-    pipeline = OooPipeline(programs, policy=policy)
+def _data_accesses(programs, policy, config):
+    pipeline = OooPipeline(programs, config=config, policy=policy)
     hierarchy = pipeline.hierarchy
     real = hierarchy.data_access
     calls = []
@@ -67,8 +85,8 @@ def _data_accesses(programs, policy):
 
 @pytest.mark.parametrize("run", sorted(DIGESTS))
 def test_load_issue_sequence_is_pinned(run):
-    programs, policy = _runs()[run]
-    calls = _data_accesses(programs, policy)
+    programs, policy, config = _runs()[run]
+    calls = _data_accesses(programs, policy, config)
     digest = hashlib.sha256(repr(calls).encode()).hexdigest()
     assert (len(calls), digest) == DIGESTS[run], (
         f"{run}: the core issued its loads in a different order or cycle"
